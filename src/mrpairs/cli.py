@@ -29,7 +29,7 @@ from . import fusion
 from . import macro_signals as ms
 from . import spread_dynamics as sd
 from . import unit_root as ur
-from .errors import PipelineError, ValidationError
+from .errors import CsvParseError, PipelineError, ValidationError
 from .market_data import align_panel, load_monthly_csv, load_price_csv
 from .plot_data import emit_plot_data
 
@@ -186,6 +186,9 @@ def _portfolio_for_subset(cfg: RunConfig, panel, subset_ids: list[str]):
     missing = [s for s in subset_ids if s not in panel.instrument_ids]
     if missing:
         raise ValidationError(f"unknown subset instrument(s): {missing}")
+    repeated = sorted({s for s in subset_ids if subset_ids.count(s) > 1})
+    if repeated:
+        raise ValidationError(f"repeated subset instrument(s): {repeated}")
     indices = [panel.instrument_ids.index(s) for s in subset_ids]
     sub = panel.subpanel(indices)
     feasible = max(1, min(cfg.var_max_lag, (sub.n_dates - 30) // sub.n_instruments))
@@ -444,7 +447,16 @@ def _load_costs_csv(path: str) -> dict[str, float]:
         for row in reader:
             if not row:
                 continue
-            out[row[0].strip()] = float(row[1])
+            if len(row) != 2:
+                raise CsvParseError(
+                    f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}"
+                )
+            try:
+                out[row[0].strip()] = float(row[1])
+            except ValueError as exc:
+                raise CsvParseError(
+                    f"{path}:{reader.line_num}: bad cost {row[1]!r}"
+                ) from exc
     return out
 
 

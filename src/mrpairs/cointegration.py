@@ -1,8 +1,10 @@
 """Johansen cointegration scan over instrument subsets of size 2 to 4.
 
-The VAR lag p is selected in levels by the Schwarz criterion, then the
-VECM uses k = p - 1 lagged differences with the long-run layout: the
-levels enter at the longest lag,
+The VAR lag p is selected in levels by the Schwarz criterion; every
+candidate lag's residual covariance comes from one QR factorization of the
+max-lag design (`_ols.nested_residual_moments`). The VECM then uses
+k = p - 1 lagged differences with the long-run layout: the levels enter at
+the longest lag,
 
     dY_t = Pi * Y_{t-p} + G_1*dY_{t-1} + ... + G_k*dY_{t-k} + mu + e_t.
 
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg as sla
 
-from ._ols import ols_qr
+from ._ols import nested_residual_moments, ols_qr
 from .errors import (
     NoCointegrationError,
     SingularityError,
@@ -77,7 +79,9 @@ def select_var_lag(panel: PricePanel | np.ndarray, max_lag: int) -> int:
     """VAR lag in levels minimizing the Schwarz criterion.
 
     SC(p) = ln det(Sigma_e) + (ln n / n) * (p*m^2 + m), all candidates fit
-    on the common sample left after trimming max_lag observations. Ties go
+    on the common sample left after trimming max_lag observations. Each
+    candidate's design [1, Y_{t-1..p}] is a column prefix of the max-lag
+    design, so every Sigma_e comes from one factorization of it. Ties go
     to the smaller lag.
     """
     Y = panel.levels() if isinstance(panel, PricePanel) else np.asarray(panel, float)
@@ -91,14 +95,13 @@ def select_var_lag(panel: PricePanel | np.ndarray, max_lag: int) -> int:
     t0 = max_lag
     resp = Y[t0:]
     n = resp.shape[0]
+    X = np.hstack(
+        [np.ones((n, 1))] + [Y[t0 - i : T - i] for i in range(1, max_lag + 1)]
+    )
+    widths = [1 + p * m for p in range(1, max_lag + 1)]
     best_p, best_sc = None, None
-    for p in range(1, max_lag + 1):
-        cols = [np.ones((n, 1))]
-        for i in range(1, p + 1):
-            cols.append(Y[t0 - i : T - i])
-        X = np.hstack(cols)
-        fit = ols_qr(X, resp)
-        sigma = fit.residuals.T @ fit.residuals / n
+    for p, cross in enumerate(nested_residual_moments(X, resp, widths), start=1):
+        sigma = cross / n
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:
             raise SingularityError("singular residual covariance in VAR fit")
@@ -239,9 +242,8 @@ def scan_cointegration(
 ) -> list[ScanRow]:
     """Test every instrument subset; rows come back in enumeration order.
 
-    Subsets whose members are not all I(1) are skipped, not tested. Each
-    subset's test is pure and independent, so this loop could be farmed
-    out; the report order is fixed by the enumeration either way.
+    Subsets whose members are not all I(1) are skipped, not tested. The
+    report order is fixed by the enumeration.
     """
     if orders is None:
         orders = [

@@ -6,8 +6,11 @@ The ADF regression includes a drift term but no time trend:
 
 The lag order p is chosen by minimizing BIC = n*ln(RSS/n) + k*ln(n) with
 k = p + 2, over a common estimation sample (all candidates drop the first
-max_lag differences) so the criteria are comparable. The maximum lag
-follows Schwert's rule floor(12*(T/100)^(1/4)).
+max_lag differences) so the criteria are comparable. Each candidate's
+design is a column prefix of the max-lag design, so one QR factorization
+of that design gives every candidate's RSS; only the chosen lag is refit
+in full, for its t-ratio. The maximum lag follows Schwert's rule
+floor(12*(T/100)^(1/4)).
 
 The t-ratio on b is compared against finite-sample critical values for the
 drift case, interpolated in 1/T between tabulated sample sizes. The 95%
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import ols_qr
+from ._ols import nested_residual_moments, ols_qr
 from .errors import DegenerateInputError
 from .market_data import DatedSeries
 
@@ -102,7 +105,8 @@ def adf_test(
     """ADF test with drift, BIC lag selection, Schwert max lag.
 
     All candidate lags are fit on the sample left after trimming max_lag
-    observations, so their BIC values are comparable.
+    observations, so their BIC values are comparable, and all come from
+    one factorization of the max-lag design.
     """
     y = series.values if isinstance(series, DatedSeries) else np.asarray(series, float)
     y = y.ravel()
@@ -118,19 +122,22 @@ def adf_test(
     if np.ptp(y) == 0.0:
         raise DegenerateInputError("constant series has no unit-root test")
 
-    best = None  # (bic, p, fit, X)
-    for p in range(max_lag + 1):
-        X, resp = _adf_design(y, max_lag, p)
-        fit = ols_qr(X, resp)
-        n = len(resp)
+    X, resp = _adf_design(y, max_lag, max_lag)
+    n = len(resp)
+    best = None  # (bic, p)
+    widths = range(2, max_lag + 3)
+    for p, rss in enumerate(nested_residual_moments(X, resp, widths)):
         k = p + 2
-        rss = max(float(fit.rss), np.finfo(float).tiny)
+        rss = max(rss, np.finfo(float).tiny)
         bic = n * math.log(rss / n) + k * math.log(n)
         if best is None or bic < best[0]:
-            best = (bic, p, fit, X)
+            best = (bic, p)
 
-    _, p, fit, X = best
-    n, k = X.shape
+    # Only the chosen lag needs (X'X)^-1 for the t-ratio.
+    p = best[1]
+    X, resp = _adf_design(y, max_lag, p)
+    fit = ols_qr(X, resp)
+    k = X.shape[1]
     sigma2 = float(fit.rss) / (n - k)
     se_level = math.sqrt(sigma2 * fit.xtx_inv[1, 1])
     statistic = float(fit.coef[1]) / se_level

@@ -257,6 +257,39 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("ERR:validation:")
 
+    def test_repeated_subset_id(self, pair_workspace, monkeypatch, capsys, tmp_path):
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            [
+                "backtest", "--config", pair_workspace["config"],
+                "--subset", "SYN1,SYN1", "--out", str(tmp_path),
+            ],
+        )
+        assert code == 2
+        assert err.startswith("ERR:validation:repeated subset instrument(s)")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("SYN1,abc", ":3: bad cost 'abc'"), ("SYN1", ":3: expected 2 fields, got 1")],
+    )
+    def test_bad_costs_row(
+        self, pair_workspace, monkeypatch, capsys, tmp_path, row, message
+    ):
+        costs = tmp_path / "costs.csv"
+        costs.write_text(f"instrument,cost\nSYN2,0.01\n{row}\n")
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            [
+                "backtest", "--config", pair_workspace["config"],
+                "--subset", "SYN1,SYN2", "--out", str(tmp_path),
+                "--costs", str(costs),
+            ],
+        )
+        assert code == 2
+        assert err.startswith(f"ERR:validation:{costs}{message}")
+
     def test_duplicated_series_degenerate(self, tmp_path, monkeypatch, capsys):
         panel = generate_synthetic_panel(
             3, SynthConfig(n_walks=1, n_days=200, start_price=500.0)

@@ -1,0 +1,166 @@
+"""Nested-QR lag selection against the per-lag loops it replaced.
+
+`adf_test` and `select_var_lag` take every candidate lag's residual moments
+from one QR of the max-lag design. The reference functions below refit each
+candidate lag separately with `ols_qr`, as the engine once did, and must
+agree on the chosen lag, on every figure the ADF outcome reports (bit for
+bit, since the chosen lag is refit by the same call), and on the exception
+raised for a degenerate input.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mrpairs._ols import ols_qr
+from mrpairs.cointegration import select_var_lag
+from mrpairs.errors import SingularityError
+from mrpairs.unit_root import (
+    AdfOutcome,
+    _adf_design,
+    adf_critical_value,
+    adf_test,
+    schwert_max_lag,
+)
+
+
+def adf_test_per_lag(y, max_lag=None, level=0.95):
+    """ADF with BIC lag selection by one `ols_qr` fit per candidate lag."""
+    y = np.asarray(y, float).ravel()
+    if max_lag is None:
+        max_lag = schwert_max_lag(len(y))
+    best = None  # (bic, p, fit, X)
+    for p in range(max_lag + 1):
+        X, resp = _adf_design(y, max_lag, p)
+        fit = ols_qr(X, resp)
+        n = len(resp)
+        k = p + 2
+        rss = max(float(fit.rss), np.finfo(float).tiny)
+        bic = n * math.log(rss / n) + k * math.log(n)
+        if best is None or bic < best[0]:
+            best = (bic, p, fit, X)
+    _, p, fit, X = best
+    n, k = X.shape
+    sigma2 = float(fit.rss) / (n - k)
+    statistic = float(fit.coef[1]) / math.sqrt(sigma2 * fit.xtx_inv[1, 1])
+    cv = adf_critical_value(n, level)
+    return AdfOutcome(
+        statistic=statistic,
+        chosen_lag=p,
+        critical_value_95=cv,
+        reject_unit_root=statistic < cv,
+        intercept=float(fit.coef[0]),
+        level_coefficient=float(fit.coef[1]),
+        lag_coefficients=tuple(float(c) for c in fit.coef[2:]),
+    )
+
+
+def select_var_lag_per_lag(Y, max_lag):
+    """Schwarz-criterion VAR lag by one `ols_qr` fit per candidate lag."""
+    Y = np.asarray(Y, float)
+    T, m = Y.shape
+    t0 = max_lag
+    resp = Y[t0:]
+    n = resp.shape[0]
+    best_p, best_sc = None, None
+    for p in range(1, max_lag + 1):
+        cols = [np.ones((n, 1))]
+        for i in range(1, p + 1):
+            cols.append(Y[t0 - i : T - i])
+        fit = ols_qr(np.hstack(cols), resp)
+        sigma = fit.residuals.T @ fit.residuals / n
+        sign, logdet = np.linalg.slogdet(sigma)
+        if sign <= 0:
+            raise SingularityError("singular residual covariance in VAR fit")
+        sc = logdet + (math.log(n) / n) * (p * m * m + m)
+        if best_sc is None or sc < best_sc:
+            best_p, best_sc = p, sc
+    return best_p
+
+
+def _ar1(rng, T, phi):
+    e = rng.standard_normal(T)
+    y = np.empty(T)
+    y[0] = e[0]
+    for t in range(1, T):
+        y[t] = phi * y[t - 1] + e[t]
+    return y
+
+
+def _series(kind, seed, T):
+    rng = np.random.default_rng(seed)
+    if kind == "walk":
+        return np.cumsum(rng.standard_normal(T))
+    if kind == "ar1":
+        return _ar1(rng, T, 0.8)
+    # walk whose increments carry short-run dynamics, so BIC picks p > 0
+    return np.cumsum(_ar1(rng, T, 0.5))
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("T", [250, 1000, 2500])
+@pytest.mark.parametrize("kind", ["walk", "ar1", "ar_increments"])
+def test_adf_matches_per_lag_loop(kind, T):
+    chosen = set()
+    for seed in range(4):
+        y = _series(kind, seed, T)
+        for series in (y, np.diff(y)):
+            expected = adf_test_per_lag(series)
+            assert adf_test(series) == expected
+            chosen.add(expected.chosen_lag)
+    if kind == "ar_increments":
+        assert chosen != {0}
+
+
+def _var_panel(seed, m, cointegrated, T=1000):
+    rng = np.random.default_rng(seed)
+    Y = np.cumsum(rng.standard_normal((T, m)), axis=0)
+    if cointegrated:
+        Y[:, -1] = Y[:, 0] - 0.5 * Y[:, 1] + _ar1(rng, T, 0.9)
+    return Y
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("cointegrated", [False, True])
+def test_select_var_lag_matches_per_lag_loop(m, cointegrated):
+    for seed in range(5):
+        Y = _var_panel(seed, m, cointegrated)
+        assert select_var_lag(Y, 10) == select_var_lag_per_lag(Y, 10)
+
+
+def test_adf_rank_deficient_raises_like_per_lag_loop():
+    y = np.tile([1.0, 2.0], 50)
+    raised = _raised(adf_test, y, 4)
+    assert raised == _raised(adf_test_per_lag, y, 4)
+    assert raised == (SingularityError, "regressor matrix is rank deficient")
+
+
+def test_adf_too_few_observations_raises_like_per_lag_loop():
+    # 9 observations in the common sample: lag 7 has 9 regressors
+    y = np.cumsum(np.random.default_rng(0).standard_normal(40))
+    raised = _raised(adf_test, y, 30)
+    assert raised == _raised(adf_test_per_lag, y, 30)
+    assert raised == (SingularityError, "9 observations for 9 regressors")
+
+
+def test_var_rank_deficient_raises_like_per_lag_loop():
+    walk = np.cumsum(np.random.default_rng(1).standard_normal(500))
+    Y = np.column_stack([walk, walk])
+    raised = _raised(select_var_lag, Y, 5)
+    assert raised == _raised(select_var_lag_per_lag, Y, 5)
+    assert raised == (SingularityError, "regressor matrix is rank deficient")
+
+
+def test_var_too_few_observations_raises_like_per_lag_loop():
+    # one series, n = 30 observations: lag 29 has 1 + 29 = 30 regressors
+    Y = np.cumsum(np.random.default_rng(2).standard_normal((70, 1)), axis=0)
+    raised = _raised(select_var_lag, Y, 40)
+    assert raised == _raised(select_var_lag_per_lag, Y, 40)
+    assert raised == (SingularityError, "30 observations for 30 regressors")
+
