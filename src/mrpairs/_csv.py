@@ -1,0 +1,73 @@
+"""The CSV format of every input and output file.
+
+Inputs are two-column UTF-8 files under a fixed header (`date,close`,
+`month,value`, `month,direction`, `instrument,cost`). Blank or
+whitespace-only rows are skipped, every other row has exactly two fields,
+and each problem raises CsvParseError naming `path:line`.
+
+Outputs are comma-joined cells with `\\n` line ends and no quoting. Floats
+are written with `repr`, so they read back bit-exact; None is an empty cell.
+"""
+
+from __future__ import annotations
+
+import csv
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+from .errors import CsvParseError, ValidationError
+
+T = TypeVar("T")
+
+
+def read_rows(path: str, header: str) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, first field, second field) for each data row.
+
+    The first row must equal the `header` line up to case and spaces around
+    the names. Line numbers count physical lines, so a quoted field that
+    spans lines does not shift the numbers of the rows after it.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                first = next(reader, None)
+                names = None if first is None else [h.strip().lower() for h in first]
+                if names != header.split(","):
+                    raise CsvParseError(f"{path}: expected header '{header}'")
+                for row in reader:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    if len(row) != 2:
+                        raise CsvParseError(
+                            f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}"
+                        )
+                    yield reader.line_num, row[0], row[1]
+            except csv.Error as exc:
+                raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CsvParseError(f"{path}: not UTF-8 text") from None
+
+
+def parse_field(
+    path: str, line_num: int, what: str, text: str, parse: Callable[[str], T]
+) -> T:
+    """`parse(text)`, with a rejected field reported as CsvParseError at path:line."""
+    try:
+        return parse(text)
+    except (ValueError, ValidationError):
+        raise CsvParseError(f"{path}:{line_num}: bad {what} {text!r}") from None
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):  # also numpy floats, whose repr is not a number
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path: str, header: str, rows: Iterable[Sequence]) -> None:
+    """Write the header line and rows; see the module docstring for cells."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)

@@ -51,14 +51,19 @@ class PositionSeries:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-unit transaction cost by instrument id (quote currency)."""
+    """Per-unit transaction cost by instrument id (quote currency).
+
+    Every cost must be a finite, non-negative number.
+    """
 
     per_unit_cost: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for key, value in self.per_unit_cost.items():
-            if value < 0:
-                raise ValidationError(f"negative cost for {key!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(
+                    f"cost for {key!r} must be finite and non-negative, got {value!r}"
+                )
 
     def cost_for(self, instrument_id: str) -> float:
         return float(self.per_unit_cost.get(instrument_id, 0.0))

@@ -5,6 +5,12 @@ verify-critical-values. Configuration is a flat `key = value` text file
 (no nesting, diff-friendly); defaults reproduce the research settings
 (entry z 1.0, exit z 0.0, subset sizes 2..4, 95% confidence).
 
+Every CSV is read and written through `_csv`, so the file format lives in
+one place. Commands that take `--subset` fit it with
+`cointegration.fit_subset`, the recipe the scan uses; `backtest` and
+`report` share one costed mean-reversion backtest, and `scan` and `report`
+one scan call.
+
 Errors print a single machine-parsable line `ERR:<code>:<message>` and map
 to exit codes: 2 validation, 3 numerical degeneracy, 4 I/O.
 """
@@ -12,8 +18,6 @@ to exit codes: 2 validation, 3 numerical degeneracy, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime as dt
 import hashlib
 import json
 import math
@@ -27,9 +31,9 @@ from . import backtest as bt
 from . import cointegration as ci
 from . import fusion
 from . import macro_signals as ms
-from . import spread_dynamics as sd
 from . import unit_root as ur
-from .errors import CsvParseError, PipelineError, ValidationError
+from ._csv import parse_field, read_rows, write_csv
+from .errors import NoCointegrationError, PipelineError, ValidationError
 from .market_data import align_panel, load_monthly_csv, load_price_csv
 from .plot_data import emit_plot_data
 
@@ -77,19 +81,23 @@ _INT_KEYS = {
 def parse_config_file(path: str) -> RunConfig:
     """Flat `key = value` format; dotted keys map instruments to files."""
     cfg = RunConfig()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                _apply_config_key(cfg, key, value)
-            except (ValueError, KeyError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad value for {key!r}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        try:
+            _apply_config_key(cfg, key, value)
+        except (ValueError, KeyError) as exc:
+            raise ValidationError(f"{path}:{lineno}: bad value for {key!r}") from exc
     return cfg
 
 
@@ -138,92 +146,88 @@ def _load_panel(cfg: RunConfig):
     return align_panel(series, min_overlap=cfg.min_overlap)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _out_path(cfg: RunConfig, name: str) -> str:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return os.path.join(cfg.out_dir, name)
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    panel = _load_panel(cfg)
-    rows = ci.scan_cointegration(
+def _scan(cfg: RunConfig, panel) -> list[ci.ScanRow]:
+    return ci.scan_cointegration(
         panel,
         min_size=cfg.subset_min,
         max_size=cfg.subset_max,
         var_max_lag=cfg.var_max_lag,
         adf_max_lag=cfg.adf_max_lag,
     )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "scan_report.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("subset,skipped_reason,rank,top_eigenvalue,hedge_ratio,half_life_days\n")
-        for row in rows:
-            hedge = (
-                ";".join(repr(float(h)) for h in row.hedge_ratio)
-                if row.hedge_ratio is not None
-                else ""
-            )
-            fh.write(
-                ",".join(
-                    [
-                        "+".join(row.subset),
-                        row.skipped_reason or "",
-                        _fmt(row.rank),
-                        _fmt(row.top_eigenvalue),
-                        hedge,
-                        _fmt(row.half_life_days),
-                    ]
-                )
-                + "\n"
-            )
+
+
+def cmd_scan(cfg: RunConfig) -> int:
+    rows = _scan(cfg, _load_panel(cfg))
+    path = _out_path(cfg, "scan_report.csv")
+    write_csv(
+        path,
+        "subset,skipped_reason,rank,top_eigenvalue,hedge_ratio,half_life_days",
+        (
+            ("+".join(r.subset), r.skipped_reason, r.rank, r.top_eigenvalue,
+             None if r.hedge_ratio is None
+             else ";".join(repr(float(h)) for h in r.hedge_ratio),
+             r.half_life_days)
+            for r in rows
+        ),
+    )
     print(f"wrote {path} ({len(rows)} subsets)")
     return EXIT_OK
 
 
-def _portfolio_for_subset(cfg: RunConfig, panel, subset_ids: list[str]):
+def _fit_subset(cfg: RunConfig, panel, subset_ids: list[str]):
+    """The named subset's panel, Johansen outcome and portfolio (rank >= 1)."""
     missing = [s for s in subset_ids if s not in panel.instrument_ids]
     if missing:
         raise ValidationError(f"unknown subset instrument(s): {missing}")
     repeated = sorted({s for s in subset_ids if subset_ids.count(s) > 1})
     if repeated:
         raise ValidationError(f"repeated subset instrument(s): {repeated}")
-    indices = [panel.instrument_ids.index(s) for s in subset_ids]
-    sub = panel.subpanel(indices)
-    feasible = max(1, min(cfg.var_max_lag, (sub.n_dates - 30) // sub.n_instruments))
-    var_lag = ci.select_var_lag(sub, feasible)
-    outcome = ci.johansen_test(sub, var_lag)
-    hedge = ci.extract_hedge_ratio(outcome)
-    spread = sd.compute_spread(sub, hedge)
-    half_life = sd.estimate_half_life(spread).half_life_days
-    return sub, outcome, hedge, spread, half_life
+    sub = panel.subpanel([panel.instrument_ids.index(s) for s in subset_ids])
+    outcome, portfolio = ci.fit_subset(sub, cfg.var_max_lag)
+    if portfolio is None:
+        raise NoCointegrationError(f"subset {outcome.subset} has cointegration rank 0")
+    return sub, outcome, portfolio
+
+
+def _mr_positions(cfg: RunConfig, portfolio) -> bt.PositionSeries:
+    spread = portfolio.spread
+    return bt.generate_mr_positions(
+        spread.zscores, entry=cfg.entry_z, exit=cfg.exit_z, dates=spread.dates
+    )
+
+
+def _mr_backtest(cfg: RunConfig, sub, portfolio):
+    """Mean-reversion positions and their backtest with the configured costs."""
+    positions = _mr_positions(cfg, portfolio)
+    costs = bt.CostModel(cfg.costs)
+    return positions, bt.compute_pnl(sub, portfolio.hedge_ratio, positions, costs)
+
+
+def _write_summary(path: str, report: bt.BacktestReport) -> None:
+    write_csv(
+        path,
+        "apr,sharpe,max_drawdown,total_cost",
+        [(report.apr, report.sharpe, report.max_drawdown, report.total_transaction_cost)],
+    )
 
 
 def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
-    panel = _load_panel(cfg)
-    sub, _, hedge, spread, half_life = _portfolio_for_subset(cfg, panel, subset_ids)
-    positions = bt.generate_mr_positions(
-        spread.zscores, entry=cfg.entry_z, exit=cfg.exit_z, dates=sub.dates
+    sub, _, portfolio = _fit_subset(cfg, _load_panel(cfg), subset_ids)
+    positions, report = _mr_backtest(cfg, sub, portfolio)
+    write_csv(
+        _out_path(cfg, "backtest.csv"),
+        "date,position,daily_return,cumulative_return",
+        zip(report.dates, report.positions, report.daily_returns,
+            report.cumulative_returns),
     )
-    report = bt.compute_pnl(sub, hedge, positions, bt.CostModel(cfg.costs))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "backtest.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,position,daily_return,cumulative_return\n")
-        for day, pos, r, c in zip(
-            report.dates, report.positions,
-            report.daily_returns, report.cumulative_returns,
-        ):
-            fh.write(f"{day.isoformat()},{pos},{float(r)!r},{float(c)!r}\n")
-    summary_path = os.path.join(cfg.out_dir, "backtest_summary.csv")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("apr,sharpe,max_drawdown,total_cost\n")
-        fh.write(
-            f"{report.apr!r},{report.sharpe!r},"
-            f"{report.max_drawdown!r},{report.total_transaction_cost!r}\n"
-        )
-    emit_plot_data(report, spread, positions, half_life, cfg.out_dir)
+    _write_summary(_out_path(cfg, "backtest_summary.csv"), report)
+    half_life = portfolio.half_life_days
+    emit_plot_data(report, portfolio.spread, positions, half_life, cfg.out_dir)
     print(
         f"subset {'+'.join(subset_ids)}: APR {report.apr:.4%}, "
         f"Sharpe {report.sharpe:.3f}, MaxDD {report.max_drawdown:.4%}, "
@@ -232,15 +236,14 @@ def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
     return EXIT_OK
 
 
-def _monthly_signal_map(cfg: RunConfig, indicator: str) -> dict[str, ms.Signal]:
-    """Monthly Long/Short/Flat signals for one indicator.
+def _monthly_directions(cfg: RunConfig, indicator: str) -> dict[str, ms.DirectionLabel]:
+    """Monthly Up/Down/Flat forecasts for one indicator.
 
     Prefers a forecast oracle file; otherwise trains the direction
     classifier on the front fraction of the history and predicts the rest.
     """
     if indicator in cfg.macro_oracle_paths:
-        directions = ms.load_forecast_oracle_csv(cfg.macro_oracle_paths[indicator])
-        return {m: ms.direction_to_signal(d) for m, d in directions.items()}
+        return ms.load_forecast_oracle_csv(cfg.macro_oracle_paths[indicator])
     series = load_monthly_csv(cfg.macro_paths[indicator])
     features, labels, months = ms.build_direction_features(series, cfg.flat_epsilon)
     split = max(24, int(len(months) * cfg.forecast_train_fraction))
@@ -248,32 +251,23 @@ def _monthly_signal_map(cfg: RunConfig, indicator: str) -> dict[str, ms.Signal]:
         raise ValidationError(
             f"indicator {indicator!r}: too few months to hold out a forecast window"
         )
-    model = ms.train_direction_classifier(
-        features[:split], labels[:split], ms.TrainConfig(seed=cfg.seed)
-    )
-    predicted = ms.predict_directions(model, features[split:])
-    return {
-        m: ms.direction_to_signal(d)
-        for m, d in zip(months[split:], predicted)
-    }
+    model = ms.train_direction_classifier(features[:split], labels[:split])
+    return dict(zip(months[split:], ms.predict_directions(model, features[split:])))
 
 
 def cmd_forecast(cfg: RunConfig) -> int:
     indicators = sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
     if not indicators:
         raise ValidationError("config names no macro.<ID> or macro_oracle.<ID> files")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    signal_to_direction = {
-        ms.Signal.SHORT: "up", ms.Signal.LONG: "down", ms.Signal.FLAT: "flat",
-    }
     for indicator in indicators:
-        signal_map = _monthly_signal_map(cfg, indicator)
-        path = os.path.join(cfg.out_dir, f"forecast_{indicator}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("month,direction\n")
-            for month in sorted(signal_map):
-                fh.write(f"{month},{signal_to_direction[signal_map[month]]}\n")
-        print(f"wrote {path} ({len(signal_map)} months)")
+        directions = _monthly_directions(cfg, indicator)
+        path = _out_path(cfg, f"forecast_{indicator}.csv")
+        write_csv(
+            path,
+            "month,direction",
+            ((month, directions[month].value) for month in sorted(directions)),
+        )
+        print(f"wrote {path} ({len(directions)} months)")
     return EXIT_OK
 
 
@@ -281,11 +275,8 @@ _MR_SIGNAL_FOR = {1: ms.Signal.LONG, -1: ms.Signal.SHORT, 0: ms.Signal.FLAT}
 
 
 def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
-    panel = _load_panel(cfg)
-    sub, _, hedge, spread, _ = _portfolio_for_subset(cfg, panel, subset_ids)
-    mr_positions = bt.generate_mr_positions(
-        spread.zscores, entry=cfg.entry_z, exit=cfg.exit_z, dates=sub.dates
-    )
+    sub, _, portfolio = _fit_subset(cfg, _load_panel(cfg), subset_ids)
+    mr_positions = _mr_positions(cfg, portfolio)
     mr_signals = ms.SignalSeries(
         dates=sub.dates,
         signals=tuple(_MR_SIGNAL_FOR[p] for p in mr_positions.positions),
@@ -295,50 +286,36 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
         raise ValidationError("optimize needs at least one macro indicator")
     sources = []
     for indicator in indicators:
-        signal_map = _monthly_signal_map(cfg, indicator)
+        directions = _monthly_directions(cfg, indicator)
+        signal_map = {m: ms.direction_to_signal(d) for m, d in directions.items()}
         sources.append(ms.expand_monthly_to_daily(signal_map, sub.dates))
     sources.append(mr_signals)
+    hedge = portfolio.hedge_ratio
     result = fusion.optimize_weights(
         sources, sub, hedge,
         fusion.OptimizerConfig(
             grid_step=cfg.grid_step,
             mr_weight_floor=cfg.mr_weight_floor,
             simplex_max_iter=cfg.simplex_max_iter,
-            seed=cfg.seed,
         ),
     )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    source_names = indicators + ["mean_reversion"]
-    trace_path = os.path.join(cfg.out_dir, "optimization_trace.csv")
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "probe_index," + ",".join(f"w{i+1}" for i in range(len(source_names)))
-            + ",apr\n"
-        )
-        for probe in result.trace:
-            ws = ",".join(repr(float(w)) for w in probe.weights)
-            fh.write(f"{probe.probe_index},{ws},{probe.apr!r}\n")
-    summary_path = os.path.join(cfg.out_dir, "optimization_summary.csv")
-    baseline = [0.0] * (len(source_names) - 1) + [1.0]
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(source_names) + ",apr\n")
-        fh.write(",".join(repr(w) for w in baseline) + f",{result.baseline_apr!r}\n")
-        fh.write(
-            ",".join(repr(float(w)) for w in result.weights.weights)
-            + f",{result.apr!r}\n"
-        )
+    write_csv(
+        _out_path(cfg, "optimization_trace.csv"),
+        ",".join(["probe_index"] + [f"w{i + 1}" for i in range(len(sources))] + ["apr"]),
+        ((probe.probe_index, *probe.weights, probe.apr) for probe in result.trace),
+    )
+    baseline = [0.0] * len(indicators) + [1.0]
+    write_csv(
+        _out_path(cfg, "optimization_summary.csv"),
+        ",".join(indicators + ["mean_reversion", "apr"]),
+        [(*baseline, result.baseline_apr), (*result.weights.weights, result.apr)],
+    )
     # Final report re-includes transaction costs, unlike the objective.
     fused = fusion.combine_signals(sources, result.weights)
     final = bt.compute_pnl(
         sub, hedge, fusion.signal_to_position(fused), bt.CostModel(cfg.costs)
     )
-    final_path = os.path.join(cfg.out_dir, "optimized_backtest_summary.csv")
-    with open(final_path, "w", encoding="utf-8") as fh:
-        fh.write("apr,sharpe,max_drawdown,total_cost\n")
-        fh.write(
-            f"{final.apr!r},{final.sharpe!r},"
-            f"{final.max_drawdown!r},{final.total_transaction_cost!r}\n"
-        )
+    _write_summary(_out_path(cfg, "optimized_backtest_summary.csv"), final)
     print(
         f"baseline APR {result.baseline_apr:.4%} -> optimized {result.apr:.4%} "
         f"(weights {[round(float(w), 4) for w in result.weights.weights]})"
@@ -348,13 +325,7 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
 
 def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     panel = _load_panel(cfg)
-    scan_rows = ci.scan_cointegration(
-        panel,
-        min_size=cfg.subset_min,
-        max_size=cfg.subset_max,
-        var_max_lag=cfg.var_max_lag,
-        adf_max_lag=cfg.adf_max_lag,
-    )
+    scan_rows = _scan(cfg, panel)
     cointegrated = [r for r in scan_rows if r.rank]
     payload = {
         "config": config_echo(cfg),
@@ -369,18 +340,13 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
         },
     }
     if subset_ids:
-        sub, outcome, hedge, spread, half_life = _portfolio_for_subset(
-            cfg, panel, subset_ids
-        )
-        positions = bt.generate_mr_positions(
-            spread.zscores, entry=cfg.entry_z, exit=cfg.exit_z, dates=sub.dates
-        )
-        report = bt.compute_pnl(sub, hedge, positions, bt.CostModel(cfg.costs))
+        sub, outcome, portfolio = _fit_subset(cfg, panel, subset_ids)
+        _, report = _mr_backtest(cfg, sub, portfolio)
         payload["backtest"] = {
             "subset": subset_ids,
             "rank": outcome.rank,
-            "hedge_ratio": [float(h) for h in hedge],
-            "half_life_days": half_life,
+            "hedge_ratio": [float(h) for h in portfolio.hedge_ratio],
+            "half_life_days": portfolio.half_life_days,
             "apr": report.apr,
             "sharpe": None if math.isnan(report.sharpe) else report.sharpe,
             "max_drawdown": report.max_drawdown,
@@ -388,8 +354,7 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
         }
     serialized = json.dumps(payload, sort_keys=True, default=str)
     payload["manifest_hash"] = hashlib.sha256(serialized.encode()).hexdigest()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "manifest.json")
+    path = _out_path(cfg, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=str)
         fh.write("\n")
@@ -409,23 +374,18 @@ def cmd_verify_critical_values(cfg: RunConfig) -> int:
     )
     joh_q = [float(q) for q in np.quantile(joh_stats, [0.90, 0.95, 0.99])]
     joh_embedded = ci.JOHANSEN_TRACE_CV_95[1]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "critical_values.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "statistic,sample_size,draws,quantile_90,quantile_95,quantile_99,"
-            "embedded_95,abs_diff_95\n"
-        )
-        fh.write(
-            f"adf_drift,{cfg.mc_adf_sample_size},{draws},"
-            f"{adf_q[0]!r},{adf_q[1]!r},{adf_q[2]!r},"
-            f"{adf_embedded!r},{abs(adf_q[1] - adf_embedded)!r}\n"
-        )
-        fh.write(
-            f"johansen_trace_mr1,{cfg.mc_johansen_sample_size},{draws},"
-            f"{joh_q[0]!r},{joh_q[1]!r},{joh_q[2]!r},"
-            f"{joh_embedded!r},{abs(joh_q[1] - joh_embedded)!r}\n"
-        )
+    path = _out_path(cfg, "critical_values.csv")
+    write_csv(
+        path,
+        "statistic,sample_size,draws,quantile_90,quantile_95,quantile_99,"
+        "embedded_95,abs_diff_95",
+        [
+            ("adf_drift", cfg.mc_adf_sample_size, draws, *adf_q,
+             adf_embedded, abs(adf_q[1] - adf_embedded)),
+            ("johansen_trace_mr1", cfg.mc_johansen_sample_size, draws, *joh_q,
+             joh_embedded, abs(joh_q[1] - joh_embedded)),
+        ],
+    )
     print(
         f"ADF 95%: MC {adf_q[1]:.4f} vs embedded {adf_embedded:.4f}; "
         f"Johansen m-r=1 95%: MC {joh_q[1]:.4f} vs embedded {joh_embedded:.4f}"
@@ -435,29 +395,10 @@ def cmd_verify_critical_values(cfg: RunConfig) -> int:
 
 
 def _load_costs_csv(path: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != [
-            "instrument",
-            "cost",
-        ]:
-            raise ValidationError(f"{path}: expected header 'instrument,cost'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvParseError(
-                    f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}"
-                )
-            try:
-                out[row[0].strip()] = float(row[1])
-            except ValueError as exc:
-                raise CsvParseError(
-                    f"{path}:{reader.line_num}: bad cost {row[1]!r}"
-                ) from exc
-    return out
+    return {
+        instrument.strip(): parse_field(path, line, "cost", cost, float)
+        for line, instrument, cost in read_rows(path, "instrument,cost")
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,10 @@ two-residual construction: R0 (differences net of short-run terms) and R1
 generalized eigenproblem det(l*S11 - S10*S00^-1*S01) = 0. The trace
 statistic for rank <= r is -n * sum_{i>r} ln(1 - l_i).
 
+`fit_subset` is the one recipe for a subset: lag selection, Johansen
+test, and at rank >= 1 the hedge ratio, spread and half-life. The scan and
+the CLI both use it.
+
 Critical values below are the 95% quantiles of the trace statistic under
 driftless random walks with this exact construction, estimated by Monte
 Carlo at T=1000 (see `simulate_johansen_null_trace` and the
@@ -33,12 +37,13 @@ from scipy import linalg as sla
 
 from ._ols import nested_residual_moments, ols_qr
 from .errors import (
+    JohansenSingularityError,
     NoCointegrationError,
     SingularityError,
     ValidationError,
 )
-from .market_data import DatedSeries, PricePanel
-from .spread_dynamics import compute_spread, estimate_half_life
+from .market_data import PricePanel
+from .spread_dynamics import SpreadSeries, compute_spread, estimate_half_life
 from .unit_root import IntegrationOrder, classify_integration_order
 
 # 95% trace critical values indexed by m - r (number of common trends under
@@ -127,11 +132,11 @@ class JohansenOutcome:
 
 @dataclass(frozen=True)
 class CointegratedPortfolio:
-    """A tradeable stationary combination extracted from a Johansen scan."""
+    """A tradeable stationary combination extracted from a Johansen test."""
 
     subset: tuple[str, ...]
     hedge_ratio: np.ndarray
-    spread: DatedSeries
+    spread: SpreadSeries
     half_life_days: float  # math.inf marks no measured mean reversion
 
 
@@ -220,6 +225,34 @@ def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
     return v / pivot
 
 
+def fit_subset(
+    sub: PricePanel, var_max_lag: int
+) -> tuple[JohansenOutcome, CointegratedPortfolio | None]:
+    """Johansen test of one subset and, at rank >= 1, its portfolio.
+
+    The VAR lag is chosen up to var_max_lag, capped at the largest lag
+    `select_var_lag` accepts for the subset's length. A singular lag
+    selection or Johansen step raises JohansenSingularityError; errors of
+    the hedge, spread and half-life steps propagate as they are.
+    """
+    feasible = max(1, min(var_max_lag, (sub.n_dates - 30) // sub.n_instruments))
+    try:
+        outcome = johansen_test(sub, select_var_lag(sub, feasible))
+    except SingularityError as exc:
+        raise JohansenSingularityError(str(exc)) from exc
+    if outcome.rank < 1:
+        return outcome, None
+    hedge = extract_hedge_ratio(outcome)
+    spread = compute_spread(sub, hedge)
+    portfolio = CointegratedPortfolio(
+        subset=outcome.subset,
+        hedge_ratio=hedge,
+        spread=spread,
+        half_life_days=estimate_half_life(spread).half_life_days,
+    )
+    return outcome, portfolio
+
+
 @dataclass(frozen=True)
 class ScanRow:
     """One subset's line in the scan report."""
@@ -256,32 +289,17 @@ def scan_cointegration(
         if any(orders[i] is not IntegrationOrder.I1 for i in subset):
             rows.append(ScanRow(ids, "not all I(1)", None, None, None, None))
             continue
-        sub = panel.subpanel(subset)
         try:
-            feasible = max(1, min(var_max_lag, (sub.n_dates - 30) // sub.n_instruments))
-            var_lag = select_var_lag(sub, feasible)
-            outcome = johansen_test(sub, var_lag)
-        except SingularityError:
+            outcome, portfolio = fit_subset(panel.subpanel(subset), var_max_lag)
+        except JohansenSingularityError:
             rows.append(ScanRow(ids, "singular", None, None, None, None))
             continue
-        if outcome.rank < 1:
-            rows.append(
-                ScanRow(ids, None, 0, float(outcome.eigenvalues[0]), None, None)
-            )
-            continue
-        hedge = extract_hedge_ratio(outcome)
-        spread = compute_spread(sub, hedge)
-        half_life = estimate_half_life(spread).half_life_days
-        rows.append(
-            ScanRow(
-                subset=ids,
-                skipped_reason=None,
-                rank=outcome.rank,
-                top_eigenvalue=float(outcome.eigenvalues[0]),
-                hedge_ratio=hedge,
-                half_life_days=half_life,
-            )
-        )
+        if portfolio is None:
+            hedge, half_life = None, None
+        else:
+            hedge, half_life = portfolio.hedge_ratio, portfolio.half_life_days
+        top = float(outcome.eigenvalues[0])
+        rows.append(ScanRow(ids, None, outcome.rank, top, hedge, half_life))
     return rows
 
 

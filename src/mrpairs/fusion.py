@@ -110,7 +110,6 @@ class OptimizerConfig:
     grid_step: float = 0.25
     mr_weight_floor: float = 0.0  # minimum grid value on the last (MR) axis
     simplex_max_iter: int = 200
-    seed: int = 0
 
 
 @dataclass(frozen=True)

@@ -14,21 +14,14 @@ trading day of their month.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    CsvParseError,
-    DegenerateLabelsError,
-    ValidationError,
-)
-from .market_data import MonthlySeries
-
-MODEL_FORMAT_VERSION = 1
+from ._csv import parse_field, read_rows
+from .errors import CoverageError, DegenerateLabelsError, ValidationError
+from .market_data import MonthlySeries, _month_key
 
 
 class DirectionLabel(enum.Enum):
@@ -114,7 +107,6 @@ class TrainConfig:
     epochs: int = 400
     learning_rate: float = 0.5
     l2: float = 1e-4
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -126,17 +118,12 @@ class DirectionModel:
     scaler_mean: np.ndarray
     scaler_std: np.ndarray
     epochs: int
-    seed: int
     l2: float
     training_accuracy: float
 
     @property
     def n_features(self) -> int:
         return self.weights.shape[1]
-
-
-def _standardize_features(X, mean, std):
-    return (X - mean) / std
 
 
 def train_direction_classifier(
@@ -162,7 +149,7 @@ def train_direction_classifier(
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    Xs = _standardize_features(X, mean, std)
+    Xs = (X - mean) / std
     n, d = Xs.shape
     W = np.zeros((len(CLASS_ORDER), d))
     b = np.zeros(len(CLASS_ORDER))
@@ -187,7 +174,6 @@ def train_direction_classifier(
         scaler_mean=mean,
         scaler_std=std,
         epochs=config.epochs,
-        seed=config.seed,
         l2=config.l2,
         training_accuracy=accuracy,
     )
@@ -202,7 +188,7 @@ def predict_directions(
         raise ValidationError(
             f"feature width {X.shape} does not match model ({model.n_features})"
         )
-    Xs = _standardize_features(X, model.scaler_mean, model.scaler_std)
+    Xs = (X - model.scaler_mean) / model.scaler_std
     scores = model.weights @ Xs.T + model.biases[:, None]
     return [CLASS_ORDER[i] for i in np.argmax(scores, axis=0)]
 
@@ -229,77 +215,19 @@ def expand_monthly_to_daily(
     return SignalSeries(dates=tuple(daily_dates), signals=tuple(signals))
 
 
-def save_model(model: DirectionModel, path: str) -> None:
-    """Flat text persistence; floats are hex so round-trips are bitwise."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"mrpairs-direction-model v{MODEL_FORMAT_VERSION}\n")
-        fh.write(f"classes {' '.join(c.value for c in CLASS_ORDER)}\n")
-        fh.write(f"n_features {model.n_features}\n")
-        fh.write(
-            f"meta epochs={model.epochs} seed={model.seed} "
-            f"l2={model.l2.hex()} accuracy={model.training_accuracy.hex()}\n"
-        )
-        for name, vec in (
-            ("scaler_mean", model.scaler_mean),
-            ("scaler_std", model.scaler_std),
-            ("biases", model.biases),
-        ):
-            fh.write(f"{name} {' '.join(float(x).hex() for x in vec)}\n")
-        for i, cls in enumerate(CLASS_ORDER):
-            row = " ".join(float(x).hex() for x in model.weights[i])
-            fh.write(f"weights:{cls.value} {row}\n")
-
-
-def load_model(path: str) -> DirectionModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != f"mrpairs-direction-model v{MODEL_FORMAT_VERSION}":
-        raise ValidationError(f"{path}: not a model file of a supported version")
-    fields = {}
-    for ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        fields[key] = rest
-    if fields.get("classes") != " ".join(c.value for c in CLASS_ORDER):
-        raise ValidationError(f"{path}: unexpected class order")
-    meta = dict(item.split("=", 1) for item in fields["meta"].split())
-    parse_vec = lambda s: np.array([float.fromhex(tok) for tok in s.split()])
-    weights = np.vstack([parse_vec(fields[f"weights:{c.value}"]) for c in CLASS_ORDER])
-    return DirectionModel(
-        weights=weights,
-        biases=parse_vec(fields["biases"]),
-        scaler_mean=parse_vec(fields["scaler_mean"]),
-        scaler_std=parse_vec(fields["scaler_std"]),
-        epochs=int(meta["epochs"]),
-        seed=int(meta["seed"]),
-        l2=float.fromhex(meta["l2"]),
-        training_accuracy=float.fromhex(meta["accuracy"]),
-    )
-
-
 def load_forecast_oracle_csv(path: str) -> dict[str, DirectionLabel]:
     """Parse a `month,direction` CSV with direction in {up,down,flat}."""
-    by_value = {c.value: c for c in CLASS_ORDER}
     out: dict[str, DirectionLabel] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != [
-            "month",
-            "direction",
-        ]:
-            raise CsvParseError(f"{path}: expected header 'month,direction'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise CsvParseError(f"{path}:{lineno}: expected 2 fields")
-            month = row[0].strip()
-            direction = row[1].strip().lower()
-            if direction not in by_value:
-                raise CsvParseError(f"{path}:{lineno}: bad direction {row[1]!r}")
-            if month in out:
-                raise ValidationError(f"{path}: duplicate month {month}")
-            out[month] = by_value[direction]
+    for line, month_text, direction_text in read_rows(path, "month,direction"):
+        month = month_text.strip()
+        parse_field(path, line, "month", month, _month_key)
+        direction = parse_field(
+            path, line, "direction", direction_text,
+            lambda s: DirectionLabel(s.strip().lower()),
+        )
+        if month in out:
+            raise ValidationError(f"{path}:{line}: duplicate month {month}")
+        out[month] = direction
     if not out:
         raise ValidationError(f"{path}: no data rows")
     return out

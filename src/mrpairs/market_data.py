@@ -1,9 +1,12 @@
 """Price and macro data ingestion, panel alignment, and synthetic fixtures.
 
 Daily close prices arrive as `date,close` CSVs, one file per instrument.
-Monthly macro indicators arrive as `month,value` CSVs. Panels are built by
-inner-joining the date sets so no price is ever fabricated; the minimum
-overlap (default 30 trading days) keeps downstream regressions well-posed.
+Monthly macro indicators arrive as `month,value` CSVs with strict,
+zero-padded `YYYY-MM` months. Both loaders read through `_csv.read_rows`,
+so a malformed file fails with a CsvParseError naming `path:line`. Panels
+are built by inner-joining the date sets so no price is ever fabricated;
+the minimum overlap (default 30 trading days) keeps downstream regressions
+well-posed.
 
 The synthetic generator produces random-walk panels, optionally planting a
 known cointegrating relationship: the last column is a weighted combination
@@ -13,20 +16,16 @@ so tests can check that the scan recovers the planted hedge ratio.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CsvParseError,
-    DegenerateInputError,
-    InsufficientOverlapError,
-    ValidationError,
-)
+from ._csv import parse_field, read_rows
+from .errors import InsufficientOverlapError, ValidationError
 
 DEFAULT_MIN_OVERLAP = 30
 
@@ -135,15 +134,14 @@ class MonthlySeries:
         return len(self.months)
 
 
+_MONTH = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
+
+
 def _month_key(month: str) -> int:
-    try:
-        y, m = month.split("-")
-        year, mon = int(y), int(m)
-    except ValueError as exc:
-        raise ValidationError(f"bad month {month!r}, expected YYYY-MM") from exc
-    if not 1 <= mon <= 12:
+    """Months since year 0 of a strict, zero-padded `YYYY-MM`."""
+    if not _MONTH.fullmatch(month):
         raise ValidationError(f"bad month {month!r}, expected YYYY-MM")
-    return year * 12 + (mon - 1)
+    return int(month[:4]) * 12 + int(month[5:]) - 1
 
 
 def load_price_csv(path: str, instrument_id: str | None = None) -> PriceSeries:
@@ -153,27 +151,14 @@ def load_price_csv(path: str, instrument_id: str | None = None) -> PriceSeries:
     the offending line number.
     """
     rows: list[tuple[dt.date, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["date", "close"]:
-            raise CsvParseError(f"{path}: expected header 'date,close'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise CsvParseError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                day = dt.date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise CsvParseError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-            try:
-                close = float(row[1])
-            except ValueError as exc:
-                raise CsvParseError(f"{path}:{lineno}: bad close {row[1]!r}") from exc
-            if not math.isfinite(close) or close <= 0:
-                raise ValidationError(f"{path}:{lineno}: non-positive close {close}")
-            rows.append((day, close))
+    for line, date_text, close_text in read_rows(path, "date,close"):
+        day = parse_field(
+            path, line, "date", date_text, lambda s: dt.date.fromisoformat(s.strip())
+        )
+        close = parse_field(path, line, "close", close_text, float)
+        if not math.isfinite(close) or close <= 0:
+            raise ValidationError(f"{path}:{line}: non-positive close {close}")
+        rows.append((day, close))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
@@ -191,23 +176,11 @@ def load_price_csv(path: str, instrument_id: str | None = None) -> PriceSeries:
 def load_monthly_csv(path: str) -> MonthlySeries:
     """Parse a `month,value` CSV (months `YYYY-MM`) into a MonthlySeries."""
     rows: list[tuple[int, str, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["month", "value"]:
-            raise CsvParseError(f"{path}: expected header 'month,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise CsvParseError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            month = row[0].strip()
-            key = _month_key(month)
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise CsvParseError(f"{path}:{lineno}: bad value {row[1]!r}") from exc
-            rows.append((key, month, value))
+    for line, month_text, value_text in read_rows(path, "month,value"):
+        month = month_text.strip()
+        key = parse_field(path, line, "month", month, _month_key)
+        value = parse_field(path, line, "value", value_text, float)
+        rows.append((key, month, value))
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
@@ -247,16 +220,6 @@ def align_panel(
         dates=dates,
         prices=np.array(cols),
         instrument_ids=tuple(s.instrument_id for s in series_list),
-    )
-
-
-def difference_series(series: DatedSeries) -> DatedSeries:
-    """First differences; the output drops the first input date."""
-    if len(series) < 2:
-        raise DegenerateInputError("cannot difference a series shorter than 2")
-    return DatedSeries(
-        dates=series.dates[1:],
-        values=np.diff(series.values),
     )
 
 

@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from ._csv import write_csv
 from .backtest import BacktestReport, PositionSeries
 from .spread_dynamics import SpreadSeries
 
@@ -65,15 +66,19 @@ def emit_plot_data(
     half_life_days: float,
     out_dir: str,
 ) -> list[str]:
-    """Write spread/zscore/returns CSVs and a matching SVG for each."""
+    """Write spread/zscore/returns CSVs and a matching SVG for each.
+
+    Returns the paths of the three CSVs.
+    """
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     path = os.path.join(out_dir, "spread.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,spread,half_life_days\n")
-        for day, value in zip(spread.dates, spread.values):
-            fh.write(f"{day.isoformat()},{float(value)!r},{half_life_days!r}\n")
+    write_csv(
+        path,
+        "date,spread,half_life_days",
+        ((day, value, half_life_days) for day, value in zip(spread.dates, spread.values)),
+    )
     svg_line_chart(
         os.path.join(out_dir, "spread.svg"),
         f"Portfolio spread (half-life {half_life_days:.2f} days)",
@@ -83,10 +88,11 @@ def emit_plot_data(
     written.append(path)
 
     path = os.path.join(out_dir, "zscore_positions.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,zscore,position\n")
-        for day, z, pos in zip(spread.dates, spread.zscores, positions.positions):
-            fh.write(f"{day.isoformat()},{float(z)!r},{pos}\n")
+    write_csv(
+        path,
+        "date,zscore,position",
+        zip(spread.dates, spread.zscores, positions.positions),
+    )
     svg_line_chart(
         os.path.join(out_dir, "zscore_positions.svg"),
         "Standardized spread and positions",
@@ -99,12 +105,11 @@ def emit_plot_data(
     written.append(path)
 
     path = os.path.join(out_dir, "returns.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,daily_return,cumulative_return\n")
-        for day, r, c in zip(
-            report.dates, report.daily_returns, report.cumulative_returns
-        ):
-            fh.write(f"{day.isoformat()},{float(r)!r},{float(c)!r}\n")
+    write_csv(
+        path,
+        "date,daily_return,cumulative_return",
+        zip(report.dates, report.daily_returns, report.cumulative_returns),
+    )
     svg_line_chart(
         os.path.join(out_dir, "returns.svg"),
         "Daily and cumulative returns",

@@ -290,6 +290,93 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith(f"ERR:validation:{costs}{message}")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_cost_not_finite_or_negative_in_config(
+        self, pair_workspace, monkeypatch, capsys, tmp_path, value
+    ):
+        config = tmp_path / "cost.cfg"
+        config.write_text(
+            open(pair_workspace["config"]).read() + f"cost.SYN1 = {value}\n"
+        )
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            [
+                "backtest", "--config", str(config),
+                "--subset", "SYN1,SYN2", "--out", str(tmp_path),
+            ],
+        )
+        assert code == 2
+        assert err.startswith(
+            "ERR:validation:cost for 'SYN1' must be finite and non-negative"
+        )
+        assert not (tmp_path / "backtest_summary.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_cost_not_finite_in_costs_file(
+        self, pair_workspace, monkeypatch, capsys, tmp_path, value
+    ):
+        costs = tmp_path / "costs.csv"
+        costs.write_text(f"instrument,cost\nSYN1,{value}\n")
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            [
+                "backtest", "--config", pair_workspace["config"],
+                "--subset", "SYN1,SYN2", "--out", str(tmp_path),
+                "--costs", str(costs),
+            ],
+        )
+        assert code == 2
+        assert err.startswith(
+            "ERR:validation:cost for 'SYN1' must be finite and non-negative"
+        )
+
+    def test_price_file_not_utf8(self, pair_workspace, monkeypatch, capsys, tmp_path):
+        price = tmp_path / "bad.csv"
+        price.write_bytes(b"date,close\n2008-01-02,1.0\n2008-01-03,\xe9\n")
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            f"price.A = {price}\nprice.B = {pair_workspace['root'] / 'SYN2.csv'}\n"
+        )
+        code, err = self._main_exit(
+            monkeypatch, capsys, ["scan", "--config", str(config)]
+        )
+        assert code == 2
+        assert err == f"ERR:validation:{price}: not UTF-8 text\n"
+
+    def test_config_file_not_utf8(self, monkeypatch, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"# caf\xe9\nentry_z = 1.0\n")
+        code, err = self._main_exit(
+            monkeypatch, capsys, ["scan", "--config", str(config)]
+        )
+        assert code == 2
+        assert err == f"ERR:validation:{config}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
+    def test_rank_zero_subset_degenerate(
+        self, independent_panel, monkeypatch, capsys, tmp_path, command
+    ):
+        paths = _write_panel_csvs(independent_panel, tmp_path)
+        config = tmp_path / "indep.cfg"
+        config.write_text(
+            "".join(f"price.{iid} = {p}\n" for iid, p in sorted(paths.items()))
+            + "macro_oracle.CPI = unused.csv\n"
+        )
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            [
+                command, "--config", str(config),
+                "--subset", "SYN1,SYN2", "--out", str(tmp_path / "out"),
+            ],
+        )
+        assert code == 3
+        assert err == (
+            "ERR:degenerate:subset ('SYN1', 'SYN2') has cointegration rank 0\n"
+        )
+
     def test_duplicated_series_degenerate(self, tmp_path, monkeypatch, capsys):
         panel = generate_synthetic_panel(
             3, SynthConfig(n_walks=1, n_days=200, start_price=500.0)

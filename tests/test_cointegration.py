@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from mrpairs import cointegration
 from mrpairs.cointegration import (
     JohansenOutcome,
     enumerate_combinations,
     extract_hedge_ratio,
+    fit_subset,
     johansen_test,
     scan_cointegration,
     select_var_lag,
@@ -15,7 +17,14 @@ from mrpairs.errors import (
     ValidationError,
 )
 from mrpairs.market_data import PricePanel
+from mrpairs.spread_dynamics import SpreadSeries, compute_spread, estimate_half_life
 from mrpairs.unit_root import IntegrationOrder
+
+I1_PAIR = [IntegrationOrder.I1, IntegrationOrder.I1]
+
+
+def _raise_singular(*args, **kwargs):
+    raise SingularityError("planted singularity")
 
 
 class TestEnumerateCombinations:
@@ -160,3 +169,54 @@ class TestScan:
         rows = scan_cointegration(recipe_panel, orders=orders)
         assert rows[0].skipped_reason == "not all I(1)"
         assert rows[0].rank is None
+
+    def test_singular_lag_selection_marks_the_row(self, independent_panel):
+        p = independent_panel
+        dup = PricePanel(
+            dates=p.dates,
+            prices=np.vstack([p.prices[0], p.prices[0]]),
+            instrument_ids=("A", "B"),
+        )
+        rows = scan_cointegration(dup, orders=I1_PAIR)
+        assert rows[0].skipped_reason == "singular"
+        assert rows[0].rank is None
+
+    def test_singular_johansen_marks_the_row(self, recipe_panel, monkeypatch):
+        monkeypatch.setattr(cointegration, "johansen_test", _raise_singular)
+        rows = scan_cointegration(recipe_panel, orders=I1_PAIR)
+        assert rows[0].skipped_reason == "singular"
+
+    @pytest.mark.parametrize(
+        "step", ["extract_hedge_ratio", "compute_spread", "estimate_half_life"]
+    )
+    def test_singular_portfolio_step_propagates(self, recipe_panel, monkeypatch, step):
+        monkeypatch.setattr(cointegration, step, _raise_singular)
+        with pytest.raises(SingularityError, match="planted singularity"):
+            scan_cointegration(recipe_panel, orders=I1_PAIR)
+
+
+class TestFitSubset:
+    def test_portfolio_is_the_hedge_spread_half_life_chain(self, recipe_panel):
+        outcome, portfolio = fit_subset(recipe_panel, var_max_lag=10)
+        assert outcome.rank == 1
+        assert portfolio.subset == recipe_panel.instrument_ids
+        assert np.array_equal(portfolio.hedge_ratio, extract_hedge_ratio(outcome))
+        assert isinstance(portfolio.spread, SpreadSeries)
+        expected = compute_spread(recipe_panel, portfolio.hedge_ratio)
+        assert np.array_equal(portfolio.spread.zscores, expected.zscores)
+        assert portfolio.half_life_days == estimate_half_life(expected).half_life_days
+
+    def test_rank_zero_has_no_portfolio(self, independent_panel):
+        outcome, portfolio = fit_subset(independent_panel, var_max_lag=10)
+        assert outcome.rank == 0
+        assert portfolio is None
+
+    def test_lag_capped_by_subset_length(self, recipe_panel):
+        short = PricePanel(
+            dates=recipe_panel.dates[:40],
+            prices=recipe_panel.prices[:, :40],
+            instrument_ids=recipe_panel.instrument_ids,
+        )
+        # (40 - 30) // 2 = 5 is the longest lag select_var_lag accepts here
+        outcome, _ = fit_subset(short, var_max_lag=10)
+        assert outcome.vecm_lag <= 4

@@ -1,0 +1,114 @@
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mrpairs import cli
+from mrpairs._csv import read_rows, write_csv
+from mrpairs.errors import CsvParseError, PipelineError
+from mrpairs.macro_signals import load_forecast_oracle_csv
+from mrpairs.market_data import load_monthly_csv, load_price_csv
+
+
+class TestWriteCsv:
+    def test_cell_formats(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(
+            str(path),
+            "f64,i64,none,inf,nan,text",
+            [(np.float64(0.1), np.int64(7), None, math.inf, math.nan, "a+b")],
+        )
+        assert path.read_bytes() == b"f64,i64,none,inf,nan,text\n0.1,7,,inf,nan,a+b\n"
+
+    def test_floats_round_trip_bit_exact(self, tmp_path):
+        path = tmp_path / "out.csv"
+        values = np.random.default_rng(0).standard_normal(50)
+        write_csv(str(path), "i,x", enumerate(values))
+        read = [float(b) for _, _, b in read_rows(str(path), "i,x")]
+        assert np.array_equal(read, values)
+
+
+class TestReadRows:
+    def test_skips_blank_rows_and_keeps_physical_line_numbers(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            'Date , CLOSE\n"2008-01-02",1.0\n\n   \n"2008-\n01-03",2.0\nx,3.0\n'
+        )
+        rows = list(read_rows(str(path), "date,close"))
+        assert rows == [
+            (2, "2008-01-02", "1.0"),
+            (6, "2008-\n01-03", "2.0"),
+            (7, "x", "3.0"),
+        ]
+
+    def test_quoted_field_across_lines_does_not_shift_error_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text('date,close\n2008-01-02,"1.0"\n2008-01-03,"2.0\n"\nbad,3.0\n')
+        with pytest.raises(CsvParseError, match=r"p\.csv:5: bad date 'bad'"):
+            load_price_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", ": expected header 'date,close'"),
+            ("date,price\n", ": expected header 'date,close'"),
+            ("date,close\n2008-01-02,1.0,x\n", ":2: expected 2 fields, got 3"),
+            ("date,close\n2008-01-02\n", ":2: expected 2 fields, got 1"),
+            (
+                "date,close\n" + "1" * 200_000 + ",1.0\n",
+                ":2: field larger than field limit",
+            ),
+        ],
+    )
+    def test_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError, match="^" + re.escape(f"{path}{message}")):
+            list(read_rows(str(path), "date,close"))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"date,close\n2008-01-02,1.0\nCaf\xe9,2.0\n")
+        message = re.escape(f"{path}: not UTF-8 text")
+        with pytest.raises(CsvParseError, match="^" + message):
+            load_price_csv(str(path))
+
+
+_LOADERS = {
+    "date,close": load_price_csv,
+    "month,value": load_monthly_csv,
+    "month,direction": load_forecast_oracle_csv,
+    "instrument,cost": cli._load_costs_csv,
+}
+# Characters that make up valid rows of every format, plus a few that break them.
+_ALPHABET = "0123456789-.,\" \t\r\nEeinfaupdowlt+\xe9"
+
+
+@st.composite
+def _file_bytes(draw):
+    header = draw(st.sampled_from(sorted(_LOADERS)))
+    body = draw(
+        st.one_of(
+            st.binary(max_size=120),
+            st.text(alphabet=_ALPHABET, max_size=120).map(str.encode),
+        )
+    )
+    return header, draw(st.sampled_from([b"", header.encode() + b"\n"])) + body
+
+
+@settings(
+    max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_file_bytes())
+def test_loaders_raise_only_pipeline_errors(tmp_path, case):
+    header, data = case
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        _LOADERS[header](str(path))
+    except PipelineError:
+        pass

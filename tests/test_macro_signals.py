@@ -5,6 +5,7 @@ import pytest
 
 from mrpairs.errors import (
     CoverageError,
+    CsvParseError,
     DegenerateLabelsError,
     ValidationError,
 )
@@ -13,15 +14,12 @@ from mrpairs.macro_signals import (
     DirectionLabel,
     DirectionModel,
     Signal,
-    TrainConfig,
     build_direction_features,
     direction_to_signal,
     expand_monthly_to_daily,
     label_directions,
     load_forecast_oracle_csv,
-    load_model,
     predict_directions,
-    save_model,
     train_direction_classifier,
 )
 from mrpairs.market_data import MonthlySeries, trading_days
@@ -109,7 +107,7 @@ class TestPrediction:
             biases=np.zeros(3),
             scaler_mean=np.zeros(2),
             scaler_std=np.ones(2),
-            epochs=0, seed=0, l2=0.0, training_accuracy=0.0,
+            epochs=0, l2=0.0, training_accuracy=0.0,
         )
 
     def test_tie_breaks_to_first_class(self):
@@ -181,27 +179,6 @@ class TestFeatures:
         assert set(labels) == {DirectionLabel.UP}
 
 
-class TestPersistence:
-    def test_round_trip_bitwise(self, tmp_path):
-        X, labels = _separable_set(7)
-        model = train_direction_classifier(X, labels, TrainConfig(epochs=100, seed=4))
-        path = str(tmp_path / "model.txt")
-        save_model(model, path)
-        loaded = load_model(path)
-        assert np.array_equal(loaded.weights, model.weights)
-        assert np.array_equal(loaded.biases, model.biases)
-        assert np.array_equal(loaded.scaler_mean, model.scaler_mean)
-        assert np.array_equal(loaded.scaler_std, model.scaler_std)
-        assert loaded.epochs == model.epochs
-        assert loaded.training_accuracy == model.training_accuracy
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("mrpairs-direction-model v99\n")
-        with pytest.raises(ValidationError):
-            load_model(str(path))
-
-
 class TestOracleCsv:
     def test_parse(self, tmp_path):
         path = tmp_path / "oracle.csv"
@@ -212,6 +189,13 @@ class TestOracleCsv:
             "2010-02": DirectionLabel.FLAT,
             "2010-03": DirectionLabel.DOWN,
         }
+
+    @pytest.mark.parametrize("month", ["2008-1", "2010-13", "2010-00", "2010-01-01"])
+    def test_month_must_be_zero_padded_yyyy_mm(self, tmp_path, month):
+        path = tmp_path / "oracle.csv"
+        path.write_text(f"month,direction\n2010-02,up\n{month},down\n")
+        with pytest.raises(CsvParseError, match=f"oracle\\.csv:3: bad month '{month}'"):
+            load_forecast_oracle_csv(str(path))
 
     def test_bad_direction(self, tmp_path):
         path = tmp_path / "oracle.csv"

@@ -6,21 +6,17 @@ import pytest
 from conftest import write_price_csv
 from mrpairs.errors import (
     CsvParseError,
-    DegenerateInputError,
     InsufficientOverlapError,
     ValidationError,
 )
 from mrpairs.market_data import (
     CointegrationRecipe,
-    DatedSeries,
     PriceSeries,
     SynthConfig,
     align_panel,
-    difference_series,
     generate_synthetic_panel,
     load_monthly_csv,
     load_price_csv,
-    trading_days,
 )
 
 
@@ -86,6 +82,13 @@ class TestLoadMonthlyCsv:
         with pytest.raises(ValidationError, match="contiguous"):
             load_monthly_csv(str(path))
 
+    @pytest.mark.parametrize("month", ["2008-1", "2010-13", "2010-00", "08-01"])
+    def test_month_must_be_zero_padded_yyyy_mm(self, tmp_path, month):
+        path = tmp_path / "m.csv"
+        path.write_text(f"month,value\n2007-12,1.0\n{month},2.0\n")
+        with pytest.raises(CsvParseError, match=f"m\\.csv:3: bad month '{month}'"):
+            load_monthly_csv(str(path))
+
 
 class TestAlignPanel:
     def test_identical_dates_all_retained(self):
@@ -121,36 +124,6 @@ class TestAlignPanel:
         assert set(panel.dates) <= set(a.dates)
         assert set(panel.dates) <= set(b.dates)
         assert len(panel.dates) == len(set(a.dates) & set(b.dates))
-
-
-class TestDifferenceSeries:
-    def test_definitional(self):
-        s = DatedSeries(dates=tuple(D[:3]), values=np.array([1.0, 3.0, 6.0]))
-        d = difference_series(s)
-        assert d.values.tolist() == [2.0, 3.0]
-        assert d.dates == tuple(D[1:3])
-
-    def test_constant(self):
-        s = DatedSeries(dates=tuple(D[:4]), values=np.array([5.0] * 4))
-        assert difference_series(s).values.tolist() == [0.0, 0.0, 0.0]
-
-    def test_linear_ramp(self):
-        dates = trading_days(dt.date(2010, 1, 4), 100)
-        s = DatedSeries(dates=dates, values=np.arange(1.0, 101.0))
-        assert difference_series(s).values.tolist() == [1.0] * 99
-
-    def test_too_short(self):
-        s = DatedSeries(dates=(D[0],), values=np.array([1.0]))
-        with pytest.raises(DegenerateInputError):
-            difference_series(s)
-
-    def test_inverts_cumulative_sum(self):
-        rng = np.random.default_rng(3)
-        # integer-valued floats keep the cumsum/diff round trip bit-exact
-        x = rng.integers(-1000, 1000, size=50).astype(float)
-        dates = trading_days(dt.date(2010, 1, 4), 50)
-        s = DatedSeries(dates=dates, values=np.cumsum(x))
-        assert np.array_equal(difference_series(s).values, x[1:])
 
 
 class TestGenerateSyntheticPanel:
