@@ -3,6 +3,12 @@
 Normal equations square the condition number; lagged-difference regressor
 blocks are frequently near-collinear, so everything here goes through a
 thin QR factorization and explicit rank checks.
+
+Lag selection fits every column prefix of one design. `ols_qr` fits one
+design in full; `nested_residual_moments` takes the R factor of the widest
+design and yields each prefix's residual moments with the checks `ols_qr`
+would make. The R may come straight from the design's own QR (ADF) or
+from a column subset of a panel-wide factor (the VAR lags of a scan).
 """
 
 from __future__ import annotations
@@ -58,29 +64,26 @@ def ols_qr(X: np.ndarray, y: np.ndarray) -> OlsFit:
 
 
 def nested_residual_moments(
-    X: np.ndarray, y: np.ndarray, widths: Iterable[int]
-) -> Iterator[float | np.ndarray]:
-    """Residual moments of y on each column prefix X[:, :k], from one QR.
+    r: np.ndarray, n: int, k_max: int, widths: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """Residual moments of Y on each column prefix X[:, :k], from one R.
 
-    One thin QR of [X | y] = QR serves every prefix: the residual of y on
-    X[:, :k] is Q[:, k:] R[k:, K:], so its cross-product is
-    R[k:, K:]' R[k:, K:] (the RSS for 1-D y). Summing the trailing block
-    avoids the cancellation of y'y - |Q'y|^2.
+    `r` is the R factor of a thin QR of [X | Y] with n rows, where X has
+    k_max columns and Y the rest. Any upper-triangular R with
+    R'R = [X | Y]'[X | Y] will do, such as the QR of a column subset of a
+    larger factor. The residual of Y on X[:, :k] is Q[:, k:] R[k:, k_max:],
+    so its cross-product is R[k:, k_max:]' R[k:, k_max:] (the RSS in the
+    1 x 1 case). Summing the trailing block avoids the cancellation of
+    Y'Y - |Q'Y|^2.
 
-    Yields one moment per width, in order. Before each, the prefix gets
-    the checks `ols_qr(X[:, :k], y)` would make, in its order and with its
-    messages, so a caller that interleaves its own checks raises where a
-    loop of separate fits would.
+    Yields one moment matrix per width, in order. Before each, the prefix
+    gets the checks `ols_qr(X[:, :k], Y)` would make, in its order and
+    with its messages, so a caller that interleaves its own checks raises
+    where a loop of separate fits would.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_shapes(X, y)
-    n, K = X.shape
-    r = np.linalg.qr(np.column_stack([X, y]), mode="r")
-    diag = np.abs(np.diag(r[:, :K]))
+    diag = np.abs(np.diag(r[:, :k_max]))
     for k in widths:
         _require_observations(n, k)
         _require_full_rank(diag[:k])
-        tail = r[k:, K:]
-        moments = tail.T @ tail
-        yield float(moments[0, 0]) if y.ndim == 1 else moments
+        tail = r[k:, k_max:]
+        yield tail.T @ tail

@@ -436,6 +436,9 @@ def run(argv: list[str]) -> int:
         cfg.out_dir = args.out
     if args.costs is not None:
         cfg.costs = _load_costs_csv(args.costs)
+    unknown = sorted(set(cfg.costs) - set(cfg.price_paths))
+    if unknown:
+        raise ValidationError(f"cost for unknown instrument(s): {unknown}")
     if args.oracle_forecasts is not None:
         keys = set(cfg.macro_paths) or {"oracle"}
         cfg.macro_oracle_paths = {k: args.oracle_forecasts for k in keys}

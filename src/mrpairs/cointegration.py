@@ -1,8 +1,11 @@
 """Johansen cointegration scan over instrument subsets of size 2 to 4.
 
-The VAR lag p is selected in levels by the Schwarz criterion; every
-candidate lag's residual covariance comes from one QR factorization of the
-max-lag design (`_ols.nested_residual_moments`). The VECM then uses
+The VAR lag p is selected in levels by the Schwarz criterion. A scan
+factors the panel-wide max-lag design [1, Y_{t-1..p}, Y_t] once (one thin
+QR per distinct max lag); each subset's design is a column subset of it,
+so a QR of the matching columns of the small R factor yields every
+candidate lag's residual covariance for that subset
+(`VarLagSelector`, `_ols.nested_residual_moments`). The VECM then uses
 k = p - 1 lagged differences with the long-run layout: the levels enter at
 the longest lag,
 
@@ -80,40 +83,87 @@ def enumerate_combinations(
     return out
 
 
+class VarLagSelector:
+    """Schwarz-criterion VAR lags for subsets of one panel's instruments.
+
+    For a max lag p, W = [1, Y_{t-1}, ..., Y_{t-p}, Y_t] stacks the lagged
+    levels of all N instruments in lag-major order, n = T - p rows by
+    1 + (p+1)*N columns. W is factored once, W = Q*R_W, the first time p
+    is asked for. A subset's design [X | Y] is the column subset W[:, c] =
+    Q*R_W[:, c], so a QR of the small R_W[:, c] gives the subset's own R
+    factor, and with it every candidate lag's residual covariance
+    (`_ols.nested_residual_moments`).
+    """
+
+    def __init__(self, panel: PricePanel | np.ndarray):
+        # (T, N), observation-major; a panel's transpose is a view, not a copy
+        if isinstance(panel, PricePanel):
+            self._levels = panel.prices.T
+        else:
+            self._levels = np.asarray(panel, float)
+        _, self.n_instruments = self._levels.shape
+        self._factors: dict[int, np.ndarray] = {}  # max lag -> R_W
+
+    def select(self, columns: Sequence[int], max_lag: int) -> int:
+        """VAR lag of the instruments at `columns`, in that order.
+
+        SC(p) = ln det(Sigma_e) + (ln n / n) * (p*m^2 + m), all candidates
+        fit on the common sample left after trimming max_lag observations.
+        Ties go to the smaller lag.
+        """
+        T, N = self._levels.shape
+        m = len(columns)
+        if max_lag < 1:
+            raise ValidationError("max_lag must be at least 1")
+        if T < m * max_lag + 30:
+            raise ValidationError(
+                f"need T >= m*max_lag + 30, got T={T}, m={m}, max_lag={max_lag}"
+            )
+        if max_lag not in self._factors:
+            self._factors[max_lag] = self._factor(max_lag)
+        r_w = self._factors[max_lag]
+        picked = [0] + [1 + i * N + j for i in range(max_lag + 1) for j in columns]
+        r = np.linalg.qr(r_w[:, picked], mode="r")
+        n = T - max_lag
+        widths = [1 + p * m for p in range(1, max_lag + 1)]
+        moments = nested_residual_moments(r, n, 1 + max_lag * m, widths)
+        best_p, best_sc = None, None
+        for p, cross in enumerate(moments, start=1):
+            sigma = cross / n
+            sign, logdet = np.linalg.slogdet(sigma)
+            if sign <= 0:
+                raise SingularityError("singular residual covariance in VAR fit")
+            sc = logdet + (math.log(n) / n) * (p * m * m + m)
+            if best_sc is None or sc < best_sc:
+                best_p, best_sc = p, sc
+        return best_p
+
+    def _factor(self, max_lag: int) -> np.ndarray:
+        """R_W for max lag p.
+
+        W is filled column-major and factored in place, so the one
+        n x (1 + (p+1)*N) array is its only copy; `np.linalg.qr` would add
+        two more.
+        """
+        Y = self._levels
+        T, N = Y.shape
+        W = np.empty((T - max_lag, 1 + (max_lag + 1) * N), order="F")
+        W[:, 0] = 1.0
+        for i in range(1, max_lag + 1):
+            W[:, 1 + (i - 1) * N : 1 + i * N] = Y[max_lag - i : T - i]
+        W[:, 1 + max_lag * N :] = Y[max_lag:]
+        _, r_w = sla.qr(W, mode="raw", overwrite_a=True, check_finite=False)
+        return r_w
+
+
 def select_var_lag(panel: PricePanel | np.ndarray, max_lag: int) -> int:
     """VAR lag in levels minimizing the Schwarz criterion.
 
-    SC(p) = ln det(Sigma_e) + (ln n / n) * (p*m^2 + m), all candidates fit
-    on the common sample left after trimming max_lag observations. Each
-    candidate's design [1, Y_{t-1..p}] is a column prefix of the max-lag
-    design, so every Sigma_e comes from one factorization of it. Ties go
-    to the smaller lag.
+    Factors this panel's lagged-levels design and selects for all of its
+    columns; see `VarLagSelector`, which a scan shares across subsets.
     """
-    Y = panel.levels() if isinstance(panel, PricePanel) else np.asarray(panel, float)
-    T, m = Y.shape
-    if max_lag < 1:
-        raise ValidationError("max_lag must be at least 1")
-    if T < m * max_lag + 30:
-        raise ValidationError(
-            f"need T >= m*max_lag + 30, got T={T}, m={m}, max_lag={max_lag}"
-        )
-    t0 = max_lag
-    resp = Y[t0:]
-    n = resp.shape[0]
-    X = np.hstack(
-        [np.ones((n, 1))] + [Y[t0 - i : T - i] for i in range(1, max_lag + 1)]
-    )
-    widths = [1 + p * m for p in range(1, max_lag + 1)]
-    best_p, best_sc = None, None
-    for p, cross in enumerate(nested_residual_moments(X, resp, widths), start=1):
-        sigma = cross / n
-        sign, logdet = np.linalg.slogdet(sigma)
-        if sign <= 0:
-            raise SingularityError("singular residual covariance in VAR fit")
-        sc = logdet + (math.log(n) / n) * (p * m * m + m)
-        if best_sc is None or sc < best_sc:
-            best_p, best_sc = p, sc
-    return best_p
+    lags = VarLagSelector(panel)
+    return lags.select(range(lags.n_instruments), max_lag)
 
 
 @dataclass(frozen=True)
@@ -235,9 +285,17 @@ def fit_subset(
     selection or Johansen step raises JohansenSingularityError; errors of
     the hedge, spread and half-life steps propagate as they are.
     """
+    columns = range(sub.n_instruments)
+    return _fit_subset(sub, var_max_lag, VarLagSelector(sub), columns)
+
+
+def _fit_subset(
+    sub: PricePanel, var_max_lag: int, lags: VarLagSelector, columns: Sequence[int]
+) -> tuple[JohansenOutcome, CointegratedPortfolio | None]:
+    """`fit_subset`, with the VAR lag from `lags` for the instruments at `columns`."""
     feasible = max(1, min(var_max_lag, (sub.n_dates - 30) // sub.n_instruments))
     try:
-        outcome = johansen_test(sub, select_var_lag(sub, feasible))
+        outcome = johansen_test(sub, lags.select(columns, feasible))
     except SingularityError as exc:
         raise JohansenSingularityError(str(exc)) from exc
     if outcome.rank < 1:
@@ -276,13 +334,15 @@ def scan_cointegration(
     """Test every instrument subset; rows come back in enumeration order.
 
     Subsets whose members are not all I(1) are skipped, not tested. The
-    report order is fixed by the enumeration.
+    report order is fixed by the enumeration. Every subset's VAR lag comes
+    from one factor of the whole panel per distinct feasible max lag.
     """
     if orders is None:
         orders = [
             classify_integration_order(panel.prices[i], max_lag=adf_max_lag)
             for i in range(panel.n_instruments)
         ]
+    lags = VarLagSelector(panel)
     rows: list[ScanRow] = []
     for subset in enumerate_combinations(panel.n_instruments, min_size, max_size):
         ids = tuple(panel.instrument_ids[i] for i in subset)
@@ -290,7 +350,9 @@ def scan_cointegration(
             rows.append(ScanRow(ids, "not all I(1)", None, None, None, None))
             continue
         try:
-            outcome, portfolio = fit_subset(panel.subpanel(subset), var_max_lag)
+            outcome, portfolio = _fit_subset(
+                panel.subpanel(subset), var_max_lag, lags, subset
+            )
         except JohansenSingularityError:
             rows.append(ScanRow(ids, "singular", None, None, None, None))
             continue

@@ -1,9 +1,10 @@
 """Price and macro data ingestion, panel alignment, and synthetic fixtures.
 
-Daily close prices arrive as `date,close` CSVs, one file per instrument.
-Monthly macro indicators arrive as `month,value` CSVs with strict,
-zero-padded `YYYY-MM` months. Both loaders read through `_csv.read_rows`,
-so a malformed file fails with a CsvParseError naming `path:line`. Panels
+Daily close prices arrive as `date,close` CSVs with strict, zero-padded
+`YYYY-MM-DD` dates, one file per instrument. Monthly macro indicators
+arrive as `month,value` CSVs with strict, zero-padded `YYYY-MM` months.
+Both loaders read through `_csv.read_rows`, so a malformed file fails with
+a CsvParseError naming `path:line`. Panels
 are built by inner-joining the date sets so no price is ever fabricated;
 the minimum overlap (default 30 trading days) keeps downstream regressions
 well-posed.
@@ -99,13 +100,21 @@ class PricePanel:
         return self.prices.shape[1]
 
     def subpanel(self, indices: Sequence[int]) -> "PricePanel":
-        """Panel restricted to the given instrument indices, in that order."""
+        """Panel restricted to the given instrument indices, in that order.
+
+        Its parts come from this checked panel, so the checks are not rerun;
+        the date-order check alone is a Python loop over every date.
+        """
         idx = list(indices)
-        return PricePanel(
-            dates=self.dates,
-            prices=self.prices[idx, :],
-            instrument_ids=tuple(self.instrument_ids[i] for i in idx),
-        )
+        parts = {
+            "dates": self.dates,
+            "prices": _readonly(self.prices[idx, :]),
+            "instrument_ids": tuple(self.instrument_ids[i] for i in idx),
+        }
+        sub = object.__new__(PricePanel)
+        for name, value in parts.items():
+            object.__setattr__(sub, name, value)
+        return sub
 
     def levels(self) -> np.ndarray:
         """Observation-major copy, shape (n_dates, n_instruments)."""
@@ -124,9 +133,12 @@ class MonthlySeries:
         if len(self.months) != len(self.values):
             raise ValidationError("months and values lengths differ")
         keys = [_month_key(m) for m in self.months]
-        for a, b in zip(keys, keys[1:]):
-            if b != a + 1:
-                raise ValidationError("months must be contiguous and ascending")
+        for i in range(1, len(keys)):
+            if keys[i] != keys[i - 1] + 1:
+                raise ValidationError(
+                    "months must be contiguous and ascending, got "
+                    f"{self.months[i - 1]} then {self.months[i]}"
+                )
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("monthly values must be finite")
 
@@ -135,6 +147,7 @@ class MonthlySeries:
 
 
 _MONTH = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def _month_key(month: str) -> int:
@@ -144,17 +157,23 @@ def _month_key(month: str) -> int:
     return int(month[:4]) * 12 + int(month[5:]) - 1
 
 
-def load_price_csv(path: str, instrument_id: str | None = None) -> PriceSeries:
-    """Parse a `date,close` CSV into a PriceSeries sorted by date.
+def _date(text: str) -> dt.date:
+    """A strict, zero-padded `YYYY-MM-DD` date."""
+    text = text.strip()
+    if not _DATE.fullmatch(text):
+        raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
+    return dt.date.fromisoformat(text)
 
-    Rejects duplicate dates and non-positive prices; parse failures name
-    the offending line number.
+
+def load_price_csv(path: str, instrument_id: str | None = None) -> PriceSeries:
+    """Parse a `date,close` CSV (dates `YYYY-MM-DD`) into a PriceSeries.
+
+    Rows are sorted by date. Rejects duplicate dates and non-positive
+    prices; parse failures name the offending line number.
     """
     rows: list[tuple[dt.date, float]] = []
     for line, date_text, close_text in read_rows(path, "date,close"):
-        day = parse_field(
-            path, line, "date", date_text, lambda s: dt.date.fromisoformat(s.strip())
-        )
+        day = parse_field(path, line, "date", date_text, _date)
         close = parse_field(path, line, "close", close_text, float)
         if not math.isfinite(close) or close <= 0:
             raise ValidationError(f"{path}:{line}: non-positive close {close}")
@@ -184,10 +203,13 @@ def load_monthly_csv(path: str) -> MonthlySeries:
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
-    return MonthlySeries(
-        months=tuple(r[1] for r in rows),
-        values=np.array([r[2] for r in rows]),
-    )
+    try:
+        return MonthlySeries(
+            months=tuple(r[1] for r in rows),
+            values=np.array([r[2] for r in rows]),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def align_panel(

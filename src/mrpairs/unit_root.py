@@ -125,10 +125,11 @@ def adf_test(
     X, resp = _adf_design(y, max_lag, max_lag)
     n = len(resp)
     best = None  # (bic, p)
+    r = np.linalg.qr(np.column_stack([X, resp]), mode="r")
     widths = range(2, max_lag + 3)
-    for p, rss in enumerate(nested_residual_moments(X, resp, widths)):
+    for p, moments in enumerate(nested_residual_moments(r, n, X.shape[1], widths)):
         k = p + 2
-        rss = max(rss, np.finfo(float).tiny)
+        rss = max(float(moments[0, 0]), np.finfo(float).tiny)
         bic = n * math.log(rss / n) + k * math.log(n)
         if best is None or bic < best[0]:
             best = (bic, p)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrpairs.backtest import (
     CostModel,
@@ -56,6 +58,26 @@ class TestStateMachine:
             pos = generate_mr_positions(z, 1.0, 0.0).positions
             neg = generate_mr_positions(-z, 1.0, 0.0).positions
             assert np.array_equal(neg, -pos)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        z=st.lists(
+            st.one_of(
+                st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                st.floats(-5.0, 5.0),
+            ),
+            max_size=60,
+        ),
+        entry=st.sampled_from([0.5, 1.0, 2.0]),
+        exit=st.sampled_from([-0.5, 0.0, 0.25]),
+    )
+    def test_negation_symmetry_property(self, z, entry, exit):
+        # thresholds hit exactly, and exits on either side of zero
+        z = np.array(z, dtype=float)
+        pos = generate_mr_positions(z, entry, exit).positions
+        neg = generate_mr_positions(-z, entry, exit).positions
+        assert np.array_equal(neg, -pos)
 
 
 class TestComputePnl:
@@ -149,3 +171,17 @@ class TestComputeMetrics:
             n = rng.integers(2, 60)
             r = rng.standard_normal(n) * 0.05
             assert compute_metrics(r).max_drawdown == max_drawdown_bruteforce(r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(-0.99, 10.0)), min_size=2, max_size=60
+        )
+    )
+    def test_drawdown_matches_bruteforce_property(self, returns):
+        r = np.array(returns)
+        try:
+            max_drawdown = compute_metrics(r).max_drawdown
+        except SharpeUndefinedError as exc:  # constant returns
+            max_drawdown = exc.max_drawdown
+        assert max_drawdown == max_drawdown_bruteforce(r)

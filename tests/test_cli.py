@@ -332,6 +332,45 @@ class TestErrorPaths:
             "ERR:validation:cost for 'SYN1' must be finite and non-negative"
         )
 
+    def test_cost_for_unknown_instrument_in_config(
+        self, pair_workspace, monkeypatch, capsys, tmp_path
+    ):
+        config = tmp_path / "cost.cfg"
+        config.write_text(open(pair_workspace["config"]).read() + "cost.SYN01 = 0.5\n")
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            [
+                "backtest", "--config", str(config),
+                "--subset", "SYN1,SYN2", "--out", str(tmp_path),
+            ],
+        )
+        assert code == 2
+        assert err.startswith(
+            "ERR:validation:cost for unknown instrument(s): ['SYN01']"
+        )
+        assert not (tmp_path / "backtest_summary.csv").exists()
+
+    def test_cost_for_unknown_instrument_in_costs_file(
+        self, pair_workspace, monkeypatch, capsys, tmp_path
+    ):
+        costs = tmp_path / "costs.csv"
+        costs.write_text("instrument,cost\nSYN1,0.01\nSYN02,0.01\n")
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            [
+                "optimize", "--config", pair_workspace["config"],
+                "--subset", "SYN1,SYN2", "--out", str(tmp_path),
+                "--costs", str(costs),
+            ],
+        )
+        assert code == 2
+        assert err.startswith(
+            "ERR:validation:cost for unknown instrument(s): ['SYN02']"
+        )
+        assert not (tmp_path / "optimized_backtest_summary.csv").exists()
+
     def test_price_file_not_utf8(self, pair_workspace, monkeypatch, capsys, tmp_path):
         price = tmp_path / "bad.csv"
         price.write_bytes(b"date,close\n2008-01-02,1.0\n2008-01-03,\xe9\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mrpairs.backtest import CostModel, compute_pnl, generate_mr_positions
 from mrpairs.errors import (
@@ -89,6 +91,25 @@ class TestCombineSignals:
             WeightVector(tuple(w[i] for i in perm)),
         )
         assert permuted.signals == base.signals
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        signals=st.lists(
+            st.lists(st.sampled_from([L, S, F]), min_size=5, max_size=5),
+            min_size=2,
+            max_size=5,
+        ),
+        others=st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4),
+        mr_weight=st.floats(0.0, 1.0),
+    )
+    def test_dominant_mean_reversion_weight_reproduces_it(
+        self, signals, others, mr_weight
+    ):
+        others = others[: len(signals) - 1]
+        assume(mr_weight > sum(others))
+        sources = [_series(range(5), row) for row in signals]
+        combined = combine_signals(sources, WeightVector((*others, mr_weight)))
+        assert combined.signals == sources[-1].signals
 
     def test_calendar_mismatch(self):
         a = _series(range(3), (L, S, F))

@@ -1,23 +1,34 @@
 """Nested-QR lag selection against the per-lag loops it replaced.
 
-`adf_test` and `select_var_lag` take every candidate lag's residual moments
-from one QR of the max-lag design. The reference functions below refit each
-candidate lag separately with `ols_qr`, as the engine once did, and must
-agree on the chosen lag, on every figure the ADF outcome reports (bit for
-bit, since the chosen lag is refit by the same call), and on the exception
-raised for a degenerate input.
+`adf_test` takes every candidate lag's residual moments from one QR of the
+max-lag design; `select_var_lag` and the scan take them from a column
+subset of one QR of the panel-wide design (`VarLagSelector`). The
+reference functions below refit each candidate lag of each subset
+separately with `ols_qr`, as the engine once did, and must agree on the
+chosen lag, on every figure the ADF outcome reports (bit for bit, since the
+chosen lag is refit by the same call), and on the exception raised for a
+degenerate input.
 """
 
+import datetime as dt
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mrpairs._ols import ols_qr
-from mrpairs.cointegration import select_var_lag
+from mrpairs.cointegration import (
+    VarLagSelector,
+    enumerate_combinations,
+    scan_cointegration,
+    select_var_lag,
+)
 from mrpairs.errors import SingularityError
+from mrpairs.market_data import PricePanel, trading_days
 from mrpairs.unit_root import (
     AdfOutcome,
+    IntegrationOrder,
     _adf_design,
     adf_critical_value,
     adf_test,
@@ -164,3 +175,101 @@ def test_var_too_few_observations_raises_like_per_lag_loop():
     assert raised == _raised(select_var_lag_per_lag, Y, 40)
     assert raised == (SingularityError, "30 observations for 30 regressors")
 
+
+def _feasible(T, m, var_max_lag=10):
+    """The max lag `fit_subset` gives a subset of width m."""
+    return max(1, min(var_max_lag, (T - 30) // m))
+
+
+def _six_panel(seed, T, degenerate=None):
+    """Five walks with AR(0..0.8) increments and one cointegrated column.
+
+    `degenerate` overwrites column 4 with a copy of column 1, a scaled
+    copy, or a constant.
+    """
+    rng = np.random.default_rng(seed)
+    walks = [np.cumsum(_ar1(rng, T, phi)) for phi in (0.0, 0.3, 0.5, 0.6, 0.8)]
+    Y = np.column_stack(walks + [walks[0] - 0.5 * walks[1] + _ar1(rng, T, 0.7)])
+    if degenerate == "duplicate":
+        Y[:, 4] = Y[:, 1]
+    elif degenerate == "scaled duplicate":
+        Y[:, 4] = 2.5 * Y[:, 1]
+    elif degenerate == "constant":
+        Y[:, 4] = 3.0
+    return Y
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularityError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "T, degenerate",
+    [(60, None), (250, None), (600, None), (300, "duplicate"),
+     (300, "scaled duplicate"), (300, "constant")],
+)
+def test_every_subset_lag_matches_per_lag_loop(T, degenerate):
+    chosen, feasible = set(), set()
+    for seed in range(2):
+        Y = _six_panel(seed, T, degenerate)
+        lags = VarLagSelector(Y)
+        for subset in enumerate_combinations(6, 2, 4):
+            max_lag = _feasible(T, len(subset))
+            expected = _outcome(select_var_lag_per_lag, Y[:, subset], max_lag)
+            assert _outcome(lags.select, subset, max_lag) == expected, subset
+            chosen.add(expected)
+            feasible.add(max_lag)
+    if degenerate is None:
+        assert max(chosen) > 1
+    if T == 60:
+        assert feasible == {10, 7}
+    if degenerate is not None:
+        assert (SingularityError, "regressor matrix is rank deficient") in chosen
+
+
+def _price_panel(Y):
+    T, m = Y.shape
+    return PricePanel(
+        dates=trading_days(dt.date(2008, 1, 2), T),
+        prices=(1000.0 + Y).T,
+        instrument_ids=tuple(f"S{i}" for i in range(m)),
+    )
+
+
+def test_scan_marks_only_subsets_with_both_copies_singular():
+    panel = _price_panel(_six_panel(0, 300, "duplicate"))
+    rows = scan_cointegration(panel, orders=[IntegrationOrder.I1] * 6)
+    singular = {r.subset for r in rows if r.skipped_reason == "singular"}
+    assert singular == {r.subset for r in rows if {"S1", "S4"} <= set(r.subset)}
+    assert all(r.skipped_reason is None for r in rows if r.subset not in singular)
+
+
+@pytest.mark.parametrize(
+    "T, var_max_lag, expected_factors", [(500, 10, 1), (60, 10, 2)]
+)
+def test_scan_factors_the_panel_once_per_feasible_lag(
+    monkeypatch, T, var_max_lag, expected_factors
+):
+    # Four instruments keep W taller than wide, so each subset's QR of a
+    # slice of R_W has fewer rows than the sample. Lag selection factors
+    # with mode "r" or "raw"; the Johansen and half-life fits use "reduced".
+    Y = _six_panel(1, T)[:, [0, 1, 2, 5]]
+    calls = []
+    for owner in (np.linalg, scipy.linalg):
+
+        def counting_qr(a, *args, _qr=owner.qr, **kwargs):
+            calls.append((np.shape(a)[0], kwargs.get("mode")))
+            return _qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "qr", counting_qr)
+    rows = scan_cointegration(
+        _price_panel(Y), var_max_lag=var_max_lag, orders=[IntegrationOrder.I1] * 4
+    )
+    assert len(rows) == 11 and all(r.skipped_reason is None for r in rows)
+    full_length = [
+        c for c in calls if c[1] in ("r", "raw") and c[0] >= T - var_max_lag
+    ]
+    assert len(full_length) == expected_factors

@@ -11,6 +11,7 @@ from mrpairs.errors import (
 )
 from mrpairs.market_data import (
     CointegrationRecipe,
+    PricePanel,
     PriceSeries,
     SynthConfig,
     align_panel,
@@ -61,6 +62,13 @@ class TestLoadPriceCsv:
         with pytest.raises(CsvParseError, match=":3:"):
             load_price_csv(str(path))
 
+    @pytest.mark.parametrize("day", ["20080103", "2008-W01-4"])
+    def test_date_must_be_zero_padded_yyyy_mm_dd(self, tmp_path, day):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,close\n2008-01-02,1.0\n{day},1.1\n")
+        with pytest.raises(CsvParseError, match=f"p\\.csv:3: bad date '{day}'"):
+            load_price_csv(str(path))
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("day,price\n2008-01-02,1.0\n")
@@ -81,6 +89,20 @@ class TestLoadMonthlyCsv:
         path.write_text("month,value\n2008-01,1.0\n2008-03,3.0\n")
         with pytest.raises(ValidationError, match="contiguous"):
             load_monthly_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "rows, months",
+        [("2008-01,1.0\n2008-03,3.0\n", "2008-01 then 2008-03"),
+         ("2008-02,1.0\n2008-01,1.0\n2008-02,2.0\n", "2008-02 then 2008-02")],
+    )
+    def test_gap_or_duplicate_names_file_and_months(self, tmp_path, rows, months):
+        path = tmp_path / "m.csv"
+        path.write_text("month,value\n" + rows)
+        with pytest.raises(ValidationError) as info:
+            load_monthly_csv(str(path))
+        assert str(info.value) == (
+            f"{path}: months must be contiguous and ascending, got {months}"
+        )
 
     @pytest.mark.parametrize("month", ["2008-1", "2010-13", "2010-00", "08-01"])
     def test_month_must_be_zero_padded_yyyy_mm(self, tmp_path, month):
@@ -124,6 +146,29 @@ class TestAlignPanel:
         assert set(panel.dates) <= set(a.dates)
         assert set(panel.dates) <= set(b.dates)
         assert len(panel.dates) == len(set(a.dates) & set(b.dates))
+
+
+class TestPricePanel:
+    def test_unsorted_dates_raise(self):
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            PricePanel(
+                dates=(D[1], D[0], D[2]),
+                prices=np.ones((2, 3)),
+                instrument_ids=("A", "B"),
+            )
+
+    def test_subpanel_equals_direct_build(self):
+        prices = np.arange(1.0, 31.0).reshape(3, 10)
+        panel = PricePanel(
+            dates=tuple(D), prices=prices, instrument_ids=("A", "B", "C")
+        )
+        sub = panel.subpanel([2, 0])
+        direct = PricePanel(
+            dates=tuple(D), prices=prices[[2, 0]], instrument_ids=("C", "A")
+        )
+        assert sub.dates == direct.dates and sub.instrument_ids == direct.instrument_ids
+        assert np.array_equal(sub.prices, direct.prices)
+        assert not sub.prices.flags.writeable
 
 
 class TestGenerateSyntheticPanel:
