@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from . import macro_signals as ms
 from . import unit_root as ur
 from ._csv import parse_field, read_rows, write_csv
 from .errors import NoCointegrationError, PipelineError, ValidationError
-from .market_data import align_panel, load_monthly_csv, load_price_csv
+from .market_data import PricePanel, align_panel, load_monthly_csv, load_price_csv
 from .plot_data import emit_plot_data
 
 EXIT_OK, EXIT_VALIDATION, EXIT_DEGENERATE, EXIT_IO = 0, 2, 3, 4
@@ -120,19 +120,8 @@ def _apply_config_key(cfg: RunConfig, key: str, value: str) -> None:
         raise ValidationError(f"unknown config key {key!r}")
 
 
-def config_echo(cfg: RunConfig) -> dict:
-    echo = {
-        k: v
-        for k, v in vars(cfg).items()
-        if not isinstance(v, dict)
-    }
-    for name in ("price_paths", "macro_paths", "macro_oracle_paths", "costs"):
-        echo[name] = dict(sorted(getattr(cfg, name).items()))
-    return echo
-
-
 def config_hash(cfg: RunConfig) -> str:
-    canon = json.dumps(config_echo(cfg), sort_keys=True, default=str)
+    canon = json.dumps(asdict(cfg), sort_keys=True, default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -275,21 +264,32 @@ _MR_SIGNAL_FOR = {1: ms.Signal.LONG, -1: ms.Signal.SHORT, 0: ms.Signal.FLAT}
 
 
 def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
-    sub, _, portfolio = _fit_subset(cfg, _load_panel(cfg), subset_ids)
-    mr_positions = _mr_positions(cfg, portfolio)
-    mr_signals = ms.SignalSeries(
-        dates=sub.dates,
-        signals=tuple(_MR_SIGNAL_FOR[p] for p in mr_positions.positions),
-    )
+    """Fuse, optimize and backtest over the forecast-covered run of dates.
+
+    The run spans the first to the last date whose month every forecast
+    covers; the full-sample mean-reversion positions are cut to it.
+    """
+    full, _, portfolio = _fit_subset(cfg, _load_panel(cfg), subset_ids)
+    mr_positions = _mr_positions(cfg, portfolio).positions
     indicators = sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
     if not indicators:
         raise ValidationError("optimize needs at least one macro indicator")
-    sources = []
+    signal_maps = []
     for indicator in indicators:
-        directions = _monthly_directions(cfg, indicator)
-        signal_map = {m: ms.direction_to_signal(d) for m, d in directions.items()}
-        sources.append(ms.expand_monthly_to_daily(signal_map, sub.dates))
-    sources.append(mr_signals)
+        directions = _monthly_directions(cfg, indicator).items()
+        signal_maps.append({m: ms.direction_to_signal(d) for m, d in directions})
+    covered = [
+        t for t, day in enumerate(full.dates)
+        if all(f"{day.year:04d}-{day.month:02d}" in s for s in signal_maps)
+    ]
+    if not covered:
+        raise ValidationError("no trading date falls in a month every forecast covers")
+    run = slice(covered[0], covered[-1] + 1)
+    sub = PricePanel(full.dates[run], full.prices[:, run], full.instrument_ids)
+    sources = [ms.expand_monthly_to_daily(s, sub.dates) for s in signal_maps]
+    sources.append(
+        ms.SignalSeries(sub.dates, tuple(_MR_SIGNAL_FOR[p] for p in mr_positions[run]))
+    )
     hedge = portfolio.hedge_ratio
     result = fusion.optimize_weights(
         sources, sub, hedge,
@@ -328,7 +328,7 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     scan_rows = _scan(cfg, panel)
     cointegrated = [r for r in scan_rows if r.rank]
     payload = {
-        "config": config_echo(cfg),
+        "config": asdict(cfg),
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "instruments": list(panel.instrument_ids),

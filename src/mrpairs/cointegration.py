@@ -25,7 +25,8 @@ the CLI both use it.
 Critical values below are the 95% quantiles of the trace statistic under
 driftless random walks with this exact construction, estimated by Monte
 Carlo at T=1000 (see `simulate_johansen_null_trace` and the
-`verify-critical-values` CLI command).
+`verify-critical-values` CLI command). For m - r = 1 the walks come from
+`unit_root.null_walk_batches`, shared with the ADF null simulation.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .market_data import PricePanel
 from .spread_dynamics import SpreadSeries, compute_spread, estimate_half_life
-from .unit_root import IntegrationOrder, classify_integration_order
+from .unit_root import IntegrationOrder, classify_integration_order, null_walk_batches
 
 # 95% trace critical values indexed by m - r (number of common trends under
 # the null), for the unrestricted-constant, no-trend case. Monte Carlo
@@ -190,10 +191,6 @@ class CointegratedPortfolio:
     half_life_days: float  # math.inf marks no measured mean reversion
 
 
-def _residualize(target: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return ols_qr(z, target).residuals
-
-
 def johansen_trace_from_levels(Y: np.ndarray, var_lag: int):
     """Eigenvalues, eigenvectors and trace statistics for levels Y (T x m)."""
     Y = np.asarray(Y, dtype=float)
@@ -212,8 +209,8 @@ def johansen_trace_from_levels(Y: np.ndarray, var_lag: int):
     for i in range(1, k + 1):
         cols.append(dY[p - 1 - i : T - 1 - i])
     Z = np.hstack(cols)
-    r0 = _residualize(resp, Z)
-    r1 = _residualize(lagged_levels, Z)
+    r0 = ols_qr(Z, resp).residuals
+    r1 = ols_qr(Z, lagged_levels).residuals
     s00 = r0.T @ r0 / n
     s11 = r1.T @ r1 / n
     s01 = r0.T @ r1 / n
@@ -370,31 +367,22 @@ def simulate_johansen_null_trace(
     sample_size: int = 1000,
     dim: int = 1,
     seed: int = 0,
-    batch: int = 4000,
 ) -> np.ndarray:
     """Trace statistics (rank <= 0) for independent driftless random walks.
 
-    dim=1 is fully vectorized; higher dimensions loop over draws. Used to
-    verify the embedded critical values.
+    dim=1 is fully vectorized (the eigenvalue is the squared correlation of
+    the demeaned level and change); higher dimensions loop over draws. Used
+    to verify the embedded critical values.
     """
-    rng = np.random.default_rng(seed)
     if dim == 1:
-        out = np.empty(n_draws)
-        done = 0
-        while done < n_draws:
-            b = min(batch, n_draws - done)
-            y = np.cumsum(rng.standard_normal((b, sample_size)), axis=1)
-            x = y[:, :-1]
-            d = np.diff(y, axis=1)
-            n = x.shape[1]
-            xc = x - x.mean(axis=1, keepdims=True)
-            dc = d - d.mean(axis=1, keepdims=True)
+        out = []
+        for xc, dc in null_walk_batches(n_draws, sample_size, seed):
             lam = np.sum(xc * dc, axis=1) ** 2 / (
                 np.sum(xc * xc, axis=1) * np.sum(dc * dc, axis=1)
             )
-            out[done : done + b] = -n * np.log1p(-lam)
-            done += b
-        return out
+            out.append(-xc.shape[1] * np.log1p(-lam))
+        return np.concatenate(out)
+    rng = np.random.default_rng(seed)
     out = np.empty(n_draws)
     for i in range(n_draws):
         y = np.cumsum(rng.standard_normal((sample_size, dim)), axis=0)

@@ -35,13 +35,6 @@ _SIGNAL_INDEX = {sig: i for i, sig in enumerate(SIGNAL_ORDER)}
 _FLAT_INDEX = _SIGNAL_INDEX[Signal.FLAT]
 
 
-def one_hot_encode(signal: Signal) -> tuple[int, int, int]:
-    """(Long, Short, Flat) boolean vector with exactly one component set."""
-    out = [0, 0, 0]
-    out[_SIGNAL_INDEX[signal]] = 1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Per-source fusion weights, each bounded to [0, 1].

@@ -102,11 +102,10 @@ def build_direction_features(
     return np.array(rows), labels, tuple(months)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 400
-    learning_rate: float = 0.5
-    l2: float = 1e-4
+# Subgradient descent: epochs, initial step size, L2 penalty on the weights.
+TRAIN_EPOCHS = 400
+LEARNING_RATE = 0.5
+L2_PENALTY = 1e-4
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,6 @@ class DirectionModel:
     biases: np.ndarray        # (3,)
     scaler_mean: np.ndarray
     scaler_std: np.ndarray
-    epochs: int
-    l2: float
     training_accuracy: float
 
     @property
@@ -127,9 +124,7 @@ class DirectionModel:
 
 
 def train_direction_classifier(
-    features: np.ndarray,
-    labels: list[DirectionLabel],
-    config: TrainConfig | None = None,
+    features: np.ndarray, labels: list[DirectionLabel]
 ) -> DirectionModel:
     """Deterministic full-batch subgradient descent on the hinge loss.
 
@@ -137,8 +132,6 @@ def train_direction_classifier(
     lr/sqrt(epoch). No randomness enters the updates, so identical inputs
     give bitwise-identical weights.
     """
-    if config is None:
-        config = TrainConfig()
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or len(X) != len(labels):
         raise ValidationError("features must be 2-D with one row per label")
@@ -156,11 +149,11 @@ def train_direction_classifier(
     targets = np.array(
         [[1.0 if lab is cls else -1.0 for lab in labels] for cls in CLASS_ORDER]
     )
-    for epoch in range(config.epochs):
-        eta = config.learning_rate / np.sqrt(epoch + 1.0)
+    for epoch in range(TRAIN_EPOCHS):
+        eta = LEARNING_RATE / np.sqrt(epoch + 1.0)
         margins = targets * (W @ Xs.T + b[:, None])
         active = (margins < 1.0).astype(float) * targets
-        grad_w = config.l2 * W - (active @ Xs) / n
+        grad_w = L2_PENALTY * W - (active @ Xs) / n
         grad_b = -active.sum(axis=1) / n
         W -= eta * grad_w
         b -= eta * grad_b
@@ -173,8 +166,6 @@ def train_direction_classifier(
         biases=b,
         scaler_mean=mean,
         scaler_std=std,
-        epochs=config.epochs,
-        l2=config.l2,
         training_accuracy=accuracy,
     )
 

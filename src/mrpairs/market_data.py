@@ -4,10 +4,11 @@ Daily close prices arrive as `date,close` CSVs with strict, zero-padded
 `YYYY-MM-DD` dates, one file per instrument. Monthly macro indicators
 arrive as `month,value` CSVs with strict, zero-padded `YYYY-MM` months.
 Both loaders read through `_csv.read_rows`, so a malformed file fails with
-a CsvParseError naming `path:line`. Panels
-are built by inner-joining the date sets so no price is ever fabricated;
-the minimum overlap (default 30 trading days) keeps downstream regressions
-well-posed.
+a CsvParseError naming `path:line`, also for a close or value that is not
+finite. Statistics modules take plain arrays, not these series types.
+Panels are built by inner-joining the date sets so no price is ever
+fabricated; the minimum overlap (default 30 trading days) keeps downstream
+regressions well-posed.
 
 The synthetic generator produces random-walk panels, optionally planting a
 known cointegrating relationship: the last column is a weighted combination
@@ -38,11 +39,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DatedSeries:
-    """A date-indexed series of real values (dates strictly ascending)."""
+class PriceSeries:
+    """One instrument's daily closes; dates strictly ascending, prices finite > 0."""
 
     dates: tuple[dt.date, ...]
     values: np.ndarray
+    instrument_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
@@ -52,23 +54,13 @@ class DatedSeries:
             raise ValidationError("dates must be strictly ascending")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("series contains non-finite values")
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True)
-class PriceSeries(DatedSeries):
-    """Daily close prices for one instrument; all prices finite and > 0."""
-
-    instrument_id: str = ""
-
-    def __post_init__(self):
-        super().__post_init__()
         if np.any(self.values <= 0):
             raise ValidationError(
                 f"non-positive price in series {self.instrument_id!r}"
             )
+
+    def __len__(self) -> int:
+        return len(self.dates)
 
 
 @dataclass(frozen=True)
@@ -157,6 +149,14 @@ def _month_key(month: str) -> int:
     return int(month[:4]) * 12 + int(month[5:]) - 1
 
 
+def _finite(text: str) -> float:
+    """A float that is neither nan nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _date(text: str) -> dt.date:
     """A strict, zero-padded `YYYY-MM-DD` date."""
     text = text.strip()
@@ -168,14 +168,14 @@ def _date(text: str) -> dt.date:
 def load_price_csv(path: str, instrument_id: str | None = None) -> PriceSeries:
     """Parse a `date,close` CSV (dates `YYYY-MM-DD`) into a PriceSeries.
 
-    Rows are sorted by date. Rejects duplicate dates and non-positive
-    prices; parse failures name the offending line number.
+    Rows are sorted by date. Rejects duplicate dates and closes that are
+    not finite and positive; parse failures name the offending line number.
     """
     rows: list[tuple[dt.date, float]] = []
     for line, date_text, close_text in read_rows(path, "date,close"):
         day = parse_field(path, line, "date", date_text, _date)
-        close = parse_field(path, line, "close", close_text, float)
-        if not math.isfinite(close) or close <= 0:
+        close = parse_field(path, line, "close", close_text, _finite)
+        if close <= 0:
             raise ValidationError(f"{path}:{line}: non-positive close {close}")
         rows.append((day, close))
     if not rows:
@@ -198,7 +198,7 @@ def load_monthly_csv(path: str) -> MonthlySeries:
     for line, month_text, value_text in read_rows(path, "month,value"):
         month = month_text.strip()
         key = parse_field(path, line, "month", month, _month_key)
-        value = parse_field(path, line, "value", value_text, float)
+        value = parse_field(path, line, "value", value_text, _finite)
         rows.append((key, month, value))
     if not rows:
         raise ValidationError(f"{path}: no data rows")

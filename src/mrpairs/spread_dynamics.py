@@ -5,10 +5,11 @@ from regressing the daily spread change on the lagged spread level (with
 intercept); a negative slope lam gives half-life -ln(2)/lam, otherwise the
 spread shows no measured mean reversion and the half-life is unbounded.
 
-Z-scores use the full-sample mean and sample (n-1) standard deviation.
+Z-scores use the full-sample mean and sample (n-1) standard deviation;
+`compute_spread` takes them from `standardize`, the one z-score routine.
 NOTE: full-sample standardization is in-sample and embeds look-ahead bias;
-it matches the single-period research backtest this engine reproduces. Use
-`rolling_window` for a bias-free variant.
+it matches the single-period research backtest this engine reproduces.
+`standardize(rolling_window=...)` is a bias-free variant.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._ols import ols_qr
 from .errors import DegenerateInputError, ValidationError
-from .market_data import DatedSeries, PricePanel
+from .market_data import PricePanel
 
 MIN_HALF_LIFE_OBS = 30
 
@@ -31,8 +32,6 @@ class SpreadSeries:
 
     dates: tuple
     values: np.ndarray
-    mean: float
-    std: float
     zscores: np.ndarray
 
     def __len__(self) -> int:
@@ -44,7 +43,6 @@ class HalfLifeEstimate:
     """OU speed from the change-on-level regression."""
 
     mean_reversion_speed: float  # slope lam; mean-reverting when negative
-    intercept: float
     half_life_days: float        # -ln(2)/lam, or math.inf when lam >= 0
 
 
@@ -86,29 +84,14 @@ def compute_spread(panel: PricePanel, hedge_ratio: np.ndarray) -> SpreadSeries:
             f"{panel.n_instruments}"
         )
     values = h @ panel.prices
-    if len(values) < 2:
-        raise DegenerateInputError("spread needs at least 2 dates for mean/std")
-    std = float(np.std(values, ddof=1))
-    if std == 0.0 or np.ptp(values) == 0.0:
-        raise DegenerateInputError("constant spread, z-scores undefined")
-    mean = float(values.mean())
-    return SpreadSeries(
-        dates=panel.dates,
-        values=values,
-        mean=mean,
-        std=std,
-        zscores=(values - mean) / std,
-    )
+    return SpreadSeries(panel.dates, values, standardize(values))
 
 
-def estimate_half_life(
-    spread: SpreadSeries | DatedSeries | np.ndarray,
-) -> HalfLifeEstimate:
+def estimate_half_life(spread: SpreadSeries | np.ndarray) -> HalfLifeEstimate:
     """OLS of the daily spread change on the lagged spread level."""
-    if isinstance(spread, (SpreadSeries, DatedSeries)):
-        s = np.asarray(spread.values, dtype=float)
-    else:
-        s = np.asarray(spread, dtype=float)
+    if isinstance(spread, SpreadSeries):
+        spread = spread.values
+    s = np.asarray(spread, dtype=float)
     if len(s) < MIN_HALF_LIFE_OBS:
         raise DegenerateInputError(
             f"need at least {MIN_HALF_LIFE_OBS} observations, got {len(s)}"
@@ -120,8 +103,4 @@ def estimate_half_life(
     fit = ols_qr(X, ds)
     lam = float(fit.coef[1])
     half_life = -math.log(2.0) / lam if lam < 0 else math.inf
-    return HalfLifeEstimate(
-        mean_reversion_speed=lam,
-        intercept=float(fit.coef[0]),
-        half_life_days=half_life,
-    )
+    return HalfLifeEstimate(mean_reversion_speed=lam, half_life_days=half_life)

@@ -15,7 +15,8 @@ floor(12*(T/100)^(1/4)).
 The t-ratio on b is compared against finite-sample critical values for the
 drift case, interpolated in 1/T between tabulated sample sizes. The 95%
 column can be re-verified by Monte Carlo via `simulate_adf_null_statistics`
-(also wired to the `verify-critical-values` CLI command).
+(also wired to the `verify-critical-values` CLI command), which draws its
+walks from `null_walk_batches`, as the Johansen m-r=1 simulation does.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ols import nested_residual_moments, ols_qr
-from .errors import DegenerateInputError
-from .market_data import DatedSeries
+from .errors import DegenerateInputError, ValidationError
 
 # Finite-sample critical values of the Dickey-Fuller t-statistic for the
 # regression with constant and no trend, tabulated by effective sample size.
@@ -40,6 +40,8 @@ ADF_CRITICAL_VALUES = {
     0.95: (-3.00, -2.93, -2.89, -2.88, -2.87, -2.86),
     0.99: (-3.75, -3.58, -3.51, -3.46, -3.44, -3.43),
 }
+
+_NULL_BATCH = 4000  # walks per Monte Carlo batch
 
 
 def adf_critical_value(sample_size: int, level: float = 0.95) -> float:
@@ -97,19 +99,14 @@ def _adf_design(y: np.ndarray, max_lag: int, p: int):
     return np.column_stack(cols), resp
 
 
-def adf_test(
-    series: DatedSeries | np.ndarray,
-    max_lag: int | None = None,
-    level: float = 0.95,
-) -> AdfOutcome:
+def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
     """ADF test with drift, BIC lag selection, Schwert max lag.
 
     All candidate lags are fit on the sample left after trimming max_lag
     observations, so their BIC values are comparable, and all come from
     one factorization of the max-lag design.
     """
-    y = series.values if isinstance(series, DatedSeries) else np.asarray(series, float)
-    y = y.ravel()
+    y = np.asarray(series, float).ravel()
     T = len(y)
     if max_lag is None:
         max_lag = schwert_max_lag(T)
@@ -142,7 +139,7 @@ def adf_test(
     sigma2 = float(fit.rss) / (n - k)
     se_level = math.sqrt(sigma2 * fit.xtx_inv[1, 1])
     statistic = float(fit.coef[1]) / se_level
-    cv = adf_critical_value(n, level)
+    cv = adf_critical_value(n)
     return AdfOutcome(
         statistic=statistic,
         chosen_lag=p,
@@ -155,11 +152,10 @@ def adf_test(
 
 
 def classify_integration_order(
-    series: DatedSeries | np.ndarray,
-    max_lag: int | None = None,
+    series: np.ndarray, max_lag: int | None = None
 ) -> IntegrationOrder:
     """I(0)/I(1)/I(2+) from ADF on levels and on first differences."""
-    y = series.values if isinstance(series, DatedSeries) else np.asarray(series, float)
+    y = np.asarray(series, float)
     levels = adf_test(y, max_lag=max_lag)
     diffs = adf_test(np.diff(y), max_lag=max_lag)
     if levels.reject_unit_root:
@@ -169,33 +165,45 @@ def classify_integration_order(
     return IntegrationOrder.I2PLUS
 
 
+def null_walk_batches(n_draws: int, sample_size: int, seed: int):
+    """Driftless random walks for the null simulations, in batches.
+
+    Yields (xc, dc): per walk (row), the n = sample_size - 1 lagged levels
+    y_{t-1} and changes dy_t of the lag-0 regression, net of their means.
+    At least 4 points leave the t-ratio n - 2 >= 1 degrees of freedom.
+    """
+    if n_draws < 1:
+        raise ValidationError(f"Monte Carlo needs at least 1 draw, got {n_draws}")
+    if sample_size < 4:
+        raise ValidationError(
+            f"Monte Carlo sample size must be at least 4, got {sample_size}"
+        )
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_draws, _NULL_BATCH):
+        b = min(_NULL_BATCH, n_draws - start)
+        y = np.cumsum(rng.standard_normal((b, sample_size)), axis=1)
+        x = y[:, :-1]
+        d = np.diff(y, axis=1)
+        yield x - x.mean(axis=1, keepdims=True), d - d.mean(axis=1, keepdims=True)
+
+
 def simulate_adf_null_statistics(
     n_draws: int,
     sample_size: int = 500,
     seed: int = 0,
-    batch: int = 4000,
 ) -> np.ndarray:
     """Dickey-Fuller t-statistics under the driftless random-walk null.
 
     Uses the lag-0 regression (correct under the null), vectorized across
     draws, for Monte Carlo verification of the embedded critical values.
     """
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_draws)
-    done = 0
-    while done < n_draws:
-        b = min(batch, n_draws - done)
-        y = np.cumsum(rng.standard_normal((b, sample_size)), axis=1)
-        x = y[:, :-1]
-        d = np.diff(y, axis=1)
-        n = x.shape[1]
-        xc = x - x.mean(axis=1, keepdims=True)
-        dc = d - d.mean(axis=1, keepdims=True)
+    out = []
+    for xc, dc in null_walk_batches(n_draws, sample_size, seed):
+        n = xc.shape[1]
         sxx = np.sum(xc * xc, axis=1)
         sxy = np.sum(xc * dc, axis=1)
         beta = sxy / sxx
         resid = dc - beta[:, None] * xc
         sigma2 = np.sum(resid * resid, axis=1) / (n - 2)
-        out[done : done + b] = beta / np.sqrt(sigma2 / sxx)
-        done += b
-    return out
+        out.append(beta / np.sqrt(sigma2 / sxx))
+    return np.concatenate(out)

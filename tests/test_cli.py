@@ -1,14 +1,21 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import RECIPE_CONFIG, write_price_csv
+from conftest import RECIPE_CONFIG, write_monthly_csv, write_price_csv
 from mrpairs import cli
-from mrpairs.backtest import compute_metrics
+from mrpairs.backtest import (
+    PositionSeries,
+    compute_metrics,
+    compute_pnl,
+    generate_mr_positions,
+)
+from mrpairs.cointegration import fit_subset
 from mrpairs.errors import SharpeUndefinedError
-from mrpairs.market_data import SynthConfig, generate_synthetic_panel
+from mrpairs.market_data import PricePanel, SynthConfig, generate_synthetic_panel
 
 
 def _write_panel_csvs(panel, directory):
@@ -198,6 +205,44 @@ class TestOptimize:
         baseline, optimized = rows
         assert [float(x) for x in baseline[:2]] == [0.0, 1.0]
         assert float(optimized[2]) >= float(baseline[2])
+
+    def test_trained_forecasts_fuse_over_the_months_they_cover(
+        self, pair_workspace, tmp_path
+    ):
+        # The indicator starts with the panel, so the classifier, trained on
+        # its front 70%, forecasts only the panel's later months.
+        panel = pair_workspace["panel"]
+        months = _months_of(panel)
+        values = np.cumsum(np.random.default_rng(4).standard_normal(len(months)))
+        macro = write_monthly_csv(tmp_path / "m1.csv", months, values)
+        with open(pair_workspace["config"], encoding="utf-8") as fh:
+            prices = [line for line in fh if line.startswith("price.")]
+        config = tmp_path / "trained.cfg"
+        config.write_text(
+            "".join(prices) + f"macro.M1 = {macro}\ngrid_step = 0.5\n"
+            "simplex_max_iter = 40\n"
+        )
+        args = ["--config", str(config), "--subset", "SYN1,SYN2"]
+        args += ["--out", str(tmp_path)]
+        assert cli.run(["forecast"] + args) == 0
+        assert cli.run(["optimize"] + args) == 0
+        _, forecast = _read_csv(tmp_path / "forecast_M1.csv")
+        first = forecast[0][0]
+        assert months[0] < first and forecast[-1][0] == months[-1]
+        # The baseline row is the full-sample mean-reversion strategy, cut to
+        # the forecast months.
+        start = next(t for t, day in enumerate(panel.dates) if f"{day:%Y-%m}" == first)
+        _, portfolio = fit_subset(panel, 10)
+        mr = generate_mr_positions(portfolio.spread.zscores, 1.0, 0.0)
+        run = PricePanel(
+            panel.dates[start:], panel.prices[:, start:], panel.instrument_ids
+        )
+        expected = compute_pnl(
+            run, portfolio.hedge_ratio, PositionSeries(run.dates, mr.positions[start:])
+        ).apr
+        _, summary = _read_csv(tmp_path / "optimization_summary.csv")
+        assert [float(x) for x in summary[0]] == [0.0, 1.0, expected]
+        assert (tmp_path / "optimized_backtest_summary.csv").stat().st_size > 0
 
 
 class TestReport:
@@ -416,6 +461,67 @@ class TestErrorPaths:
             "ERR:degenerate:subset ('SYN1', 'SYN2') has cointegration rank 0\n"
         )
 
+    @pytest.mark.parametrize("coverage", ["none", "gap"])
+    def test_forecasts_that_miss_the_run(
+        self, pair_workspace, monkeypatch, capsys, tmp_path, coverage
+    ):
+        months = _months_of(pair_workspace["panel"])
+        if coverage == "none":
+            rows = ["1990-01", "1990-02"]
+            message = "no trading date falls in a month every forecast covers"
+        else:
+            rows = months[:3] + months[4:]
+            message = f"no monthly signal covers {months[3]}"
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text("month,direction\n" + "".join(f"{m},up\n" for m in rows))
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            [
+                "optimize", "--config", pair_workspace["config"],
+                "--subset", "SYN1,SYN2", "--out", str(tmp_path / "out"),
+                "--oracle-forecasts", str(oracle),
+            ],
+        )
+        assert code == 2
+        assert err == f"ERR:validation:{message}\n"
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("mc_draws = 0", "needs at least 1 draw, got 0"),
+            ("mc_draws = -5", "needs at least 1 draw, got -5"),
+            ("mc_adf_sample_size = 2", "sample size must be at least 4, got 2"),
+            ("mc_adf_sample_size = 3", "sample size must be at least 4, got 3"),
+            ("mc_johansen_sample_size = 1", "sample size must be at least 4, got 1"),
+        ],
+    )
+    def test_verify_critical_values_bad_monte_carlo_settings(
+        self, monkeypatch, capsys, tmp_path, setting, message
+    ):
+        config = tmp_path / "mc.cfg"
+        config.write_text(f"mc_draws = 50\n{setting}\n")
+        out = tmp_path / "out"
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            ["verify-critical-values", "--config", str(config), "--out", str(out)],
+        )
+        assert code == 2
+        assert err == f"ERR:validation:Monte Carlo {message}\n"
+        assert not (out / "critical_values.csv").exists()
+
+    def test_verify_critical_values_smallest_settings(self, tmp_path):
+        config = tmp_path / "mc.cfg"
+        config.write_text(
+            "mc_draws = 1\nmc_adf_sample_size = 4\nmc_johansen_sample_size = 4\n"
+        )
+        assert cli.run(
+            ["verify-critical-values", "--config", str(config), "--out", str(tmp_path)]
+        ) == 0
+        _, rows = _read_csv(tmp_path / "critical_values.csv")
+        assert all(math.isfinite(float(x)) for row in rows for x in row[1:])
+
     def test_duplicated_series_degenerate(self, tmp_path, monkeypatch, capsys):
         panel = generate_synthetic_panel(
             3, SynthConfig(n_walks=1, n_days=200, start_price=500.0)
@@ -462,3 +568,21 @@ class TestConfigParsing:
         assert cli.config_hash(cli.parse_config_file(str(a))) == cli.config_hash(
             cli.parse_config_file(str(b))
         )
+
+    def test_every_scalar_field_has_one_parse_rule(self, tmp_path):
+        defaults = cli.RunConfig()
+        scalars = [
+            f.name for f in dataclasses.fields(cli.RunConfig)
+            if not isinstance(getattr(defaults, f.name), dict) and f.name != "out_dir"
+        ]
+        for name in scalars:
+            assert (name in cli._FLOAT_KEYS) != (name in cli._INT_KEYS), name
+        assert cli._FLOAT_KEYS | cli._INT_KEYS == set(scalars)
+        values = {name: 0.375 if name in cli._FLOAT_KEYS else 7 for name in scalars}
+        config = tmp_path / "all.cfg"
+        config.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        parsed = cli.parse_config_file(str(config))
+        for name, value in values.items():
+            assert value != getattr(defaults, name), name
+            got = getattr(parsed, name)
+            assert got == value and type(got) is type(value), name

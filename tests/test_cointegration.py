@@ -10,6 +10,7 @@ from mrpairs.cointegration import (
     johansen_test,
     scan_cointegration,
     select_var_lag,
+    simulate_johansen_null_trace,
 )
 from mrpairs.errors import (
     NoCointegrationError,
@@ -18,7 +19,7 @@ from mrpairs.errors import (
 )
 from mrpairs.market_data import PricePanel
 from mrpairs.spread_dynamics import SpreadSeries, compute_spread, estimate_half_life
-from mrpairs.unit_root import IntegrationOrder
+from mrpairs.unit_root import IntegrationOrder, simulate_adf_null_statistics
 
 I1_PAIR = [IntegrationOrder.I1, IntegrationOrder.I1]
 
@@ -220,3 +221,27 @@ class TestFitSubset:
         # (40 - 30) // 2 = 5 is the longest lag select_var_lag accepts here
         outcome, _ = fit_subset(short, var_max_lag=10)
         assert outcome.vecm_lag <= 4
+
+
+class TestNullTraceSimulation:
+    @pytest.mark.parametrize("sample_size", [50, 500])
+    def test_dim_one_is_the_squared_df_ratio(self, sample_size):
+        # 4001 draws span two batches of the shared walk generator; with
+        # one common trend the trace is n*log1p(t^2/(n-2)) of the walk's
+        # lag-0 Dickey-Fuller t-ratio.
+        trace = simulate_johansen_null_trace(4001, sample_size, dim=1, seed=7)
+        t = simulate_adf_null_statistics(4001, sample_size, seed=7)
+        n = sample_size - 1
+        assert trace.shape == (4001,)
+        np.testing.assert_allclose(trace, n * np.log1p(t**2 / (n - 2)), rtol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_same_seed_same_draws(self, dim):
+        a = simulate_johansen_null_trace(20, 120, dim=dim, seed=3)
+        b = simulate_johansen_null_trace(20, 120, dim=dim, seed=3)
+        assert np.array_equal(a, b)
+
+    def test_dim_two_finite_and_positive(self):
+        trace = simulate_johansen_null_trace(6, 200, dim=2, seed=1)
+        assert trace.shape == (6,)
+        assert np.all(np.isfinite(trace)) and np.all(trace > 0)

@@ -13,7 +13,6 @@ from mrpairs.fusion import (
     OptimizerConfig,
     WeightVector,
     combine_signals,
-    one_hot_encode,
     optimize_weights,
     signal_to_position,
 )
@@ -25,17 +24,6 @@ L, S, F = Signal.LONG, Signal.SHORT, Signal.FLAT
 
 def _series(dates, signals):
     return SignalSeries(dates=tuple(dates), signals=tuple(signals))
-
-
-class TestOneHot:
-    def test_long(self):
-        assert one_hot_encode(L) == (1, 0, 0)
-
-    def test_short(self):
-        assert one_hot_encode(S) == (0, 1, 0)
-
-    def test_flat(self):
-        assert one_hot_encode(F) == (0, 0, 1)
 
 
 class TestWeightVector:

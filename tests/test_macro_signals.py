@@ -107,7 +107,7 @@ class TestPrediction:
             biases=np.zeros(3),
             scaler_mean=np.zeros(2),
             scaler_std=np.ones(2),
-            epochs=0, l2=0.0, training_accuracy=0.0,
+            training_accuracy=0.0,
         )
 
     def test_tie_breaks_to_first_class(self):

@@ -62,6 +62,14 @@ class TestLoadPriceCsv:
         with pytest.raises(CsvParseError, match=":3:"):
             load_price_csv(str(path))
 
+    @pytest.mark.parametrize("close", ["nan", "inf", "-inf"])
+    def test_non_finite_close_is_a_bad_field(self, tmp_path, close):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,close\n2008-01-02,1.0\n2008-01-03,{close}\n")
+        with pytest.raises(CsvParseError) as info:
+            load_price_csv(str(path))
+        assert str(info.value) == f"{path}:3: bad close '{close}'"
+
     @pytest.mark.parametrize("day", ["20080103", "2008-W01-4"])
     def test_date_must_be_zero_padded_yyyy_mm_dd(self, tmp_path, day):
         path = tmp_path / "p.csv"
@@ -103,6 +111,14 @@ class TestLoadMonthlyCsv:
         assert str(info.value) == (
             f"{path}: months must be contiguous and ascending, got {months}"
         )
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value_is_a_bad_field(self, tmp_path, value):
+        path = tmp_path / "m.csv"
+        path.write_text(f"month,value\n2008-01,1.0\n2008-02,{value}\n")
+        with pytest.raises(CsvParseError) as info:
+            load_monthly_csv(str(path))
+        assert str(info.value) == f"{path}:3: bad value '{value}'"
 
     @pytest.mark.parametrize("month", ["2008-1", "2010-13", "2010-00", "08-01"])
     def test_month_must_be_zero_padded_yyyy_mm(self, tmp_path, month):

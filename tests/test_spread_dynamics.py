@@ -39,9 +39,8 @@ class TestComputeSpread:
         h = np.array([1.0, -0.4, 0.2])
         spread = compute_spread(p, h)
         assert np.array_equal(spread.values, h @ p.prices)
-        assert np.allclose(
-            spread.zscores, (spread.values - spread.mean) / spread.std
-        )
+        mean, std = spread.values.mean(), np.std(spread.values, ddof=1)
+        assert np.allclose(spread.zscores, (spread.values - mean) / std)
 
     def test_recipe_spread_is_scaled_ou(self, recipe_panel):
         spread = compute_spread(recipe_panel, np.array([1.0, -0.5]))
