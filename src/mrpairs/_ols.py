@@ -4,11 +4,12 @@ Normal equations square the condition number; lagged-difference regressor
 blocks are frequently near-collinear, so everything here goes through a
 thin QR factorization and explicit rank checks.
 
-Lag selection fits every column prefix of one design. `ols_qr` fits one
-design in full; `nested_residual_moments` takes the R factor of the widest
-design and yields each prefix's residual moments with the checks `ols_qr`
-would make. The R may come straight from the design's own QR (ADF) or
-from a column subset of a panel-wide factor (the VAR lags of a scan).
+`ols_qr` fits one design in full. `nested_residual_moments` takes the R
+factor of [X | Y] and yields the residual moments of Y on column prefixes
+of X, with the checks `ols_qr` would make. It serves ADF lag selection
+(every prefix; R from the design's own QR), VAR lag selection (every
+prefix; R from a column subset of a panel-wide factor) and the Johansen
+step (the one prefix Z; Y holds both dY_t and Y_{t-p}).
 """
 
 from __future__ import annotations

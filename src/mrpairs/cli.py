@@ -33,7 +33,12 @@ from . import fusion
 from . import macro_signals as ms
 from . import unit_root as ur
 from ._csv import parse_field, read_rows, write_csv
-from .errors import NoCointegrationError, PipelineError, ValidationError
+from .errors import (
+    CoverageError,
+    NoCointegrationError,
+    PipelineError,
+    ValidationError,
+)
 from .market_data import PricePanel, align_panel, load_monthly_csv, load_price_csv
 from .plot_data import emit_plot_data
 
@@ -286,7 +291,12 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
         raise ValidationError("no trading date falls in a month every forecast covers")
     run = slice(covered[0], covered[-1] + 1)
     sub = PricePanel(full.dates[run], full.prices[:, run], full.instrument_ids)
-    sources = [ms.expand_monthly_to_daily(s, sub.dates) for s in signal_maps]
+    sources = []
+    for indicator, signals in zip(indicators, signal_maps):
+        try:
+            sources.append(ms.expand_monthly_to_daily(signals, sub.dates))
+        except CoverageError as exc:
+            raise CoverageError(f"indicator {indicator!r}: {exc}") from exc
     sources.append(
         ms.SignalSeries(sub.dates, tuple(_MR_SIGNAL_FOR[p] for p in mr_positions[run]))
     )
@@ -364,6 +374,8 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
 
 def cmd_verify_critical_values(cfg: RunConfig) -> int:
     draws = cfg.mc_draws
+    for size in (cfg.mc_adf_sample_size, cfg.mc_johansen_sample_size):
+        ur.check_null_walk_size(draws, size)
     adf_stats = ur.simulate_adf_null_statistics(
         draws, sample_size=cfg.mc_adf_sample_size, seed=cfg.seed
     )

@@ -12,9 +12,10 @@ the longest lag,
     dY_t = Pi * Y_{t-p} + G_1*dY_{t-1} + ... + G_k*dY_{t-k} + mu + e_t.
 
 The constant is unrestricted (drift in the VAR, no trend in the
-cointegrating relation). Reduced-rank estimation follows the standard
-two-residual construction: R0 (differences net of short-run terms) and R1
-(lagged levels net of the same), moment matrices S_ij = R_i'R_j/n, and the
+cointegrating relation). Reduced-rank estimation takes the moment matrices
+S_ij = R_i'R_j/n of R0 (differences net of the short-run terms Z) and R1
+(lagged levels net of the same) from the trailing block of one R-only QR
+of [Z | dY_t | Y_{t-p}] (`_ols.nested_residual_moments`), and solves the
 generalized eigenproblem det(l*S11 - S10*S00^-1*S01) = 0. The trace
 statistic for rank <= r is -n * sum_{i>r} ln(1 - l_i).
 
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg as sla
 
-from ._ols import nested_residual_moments, ols_qr
+from ._ols import nested_residual_moments
 from .errors import (
     JohansenSingularityError,
     NoCointegrationError,
@@ -203,17 +204,14 @@ def johansen_trace_from_levels(Y: np.ndarray, var_lag: int):
         raise ValidationError(f"need T >= m*var_lag + 30, got T={T}")
     dY = np.diff(Y, axis=0)
     n = T - p
-    resp = dY[p - 1 :]                       # dY_t for t = p..T-1
-    lagged_levels = Y[: T - p]               # Y_{t-p}
+    kz = 1 + k * m                           # Z = [1, dY_{t-1}, ..., dY_{t-k}]
     cols = [np.ones((n, 1))]
     for i in range(1, k + 1):
         cols.append(dY[p - 1 - i : T - 1 - i])
-    Z = np.hstack(cols)
-    r0 = ols_qr(Z, resp).residuals
-    r1 = ols_qr(Z, lagged_levels).residuals
-    s00 = r0.T @ r0 / n
-    s11 = r1.T @ r1 / n
-    s01 = r0.T @ r1 / n
+    cols += [dY[p - 1 :], Y[: T - p]]        # dY_t, Y_{t-p} for t = p..T-1
+    r = np.linalg.qr(np.hstack(cols), mode="r")
+    (cross,) = nested_residual_moments(r, n, kz, [kz])
+    s00, s11, s01 = cross[:m, :m] / n, cross[m:, m:] / n, cross[:m, m:] / n
     if np.linalg.cond(s00) > _MAX_COND or np.linalg.cond(s11) > _MAX_COND:
         raise SingularityError("singular moment matrix in Johansen step")
     core = s01.T @ np.linalg.solve(s00, s01)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sopt
 
 from .backtest import PositionSeries, compute_pnl
 from .errors import (
@@ -134,6 +133,7 @@ def optimize_weights(
     evaluation is appended to the trace in order, making reruns with the
     same inputs byte-identical.
     """
+    from scipy import optimize as sopt  # slow to load; no other command needs it
     if config is None:
         config = OptimizerConfig()
     idx = _signal_index_matrix(signal_series)

@@ -165,11 +165,9 @@ def classify_integration_order(
     return IntegrationOrder.I2PLUS
 
 
-def null_walk_batches(n_draws: int, sample_size: int, seed: int):
-    """Driftless random walks for the null simulations, in batches.
+def check_null_walk_size(n_draws: int, sample_size: int) -> None:
+    """Raise ValidationError for sizes `null_walk_batches` cannot use.
 
-    Yields (xc, dc): per walk (row), the n = sample_size - 1 lagged levels
-    y_{t-1} and changes dy_t of the lag-0 regression, net of their means.
     At least 4 points leave the t-ratio n - 2 >= 1 degrees of freedom.
     """
     if n_draws < 1:
@@ -178,6 +176,15 @@ def null_walk_batches(n_draws: int, sample_size: int, seed: int):
         raise ValidationError(
             f"Monte Carlo sample size must be at least 4, got {sample_size}"
         )
+
+
+def null_walk_batches(n_draws: int, sample_size: int, seed: int):
+    """Driftless random walks for the null simulations, in batches.
+
+    Yields (xc, dc): per walk (row), the n = sample_size - 1 lagged levels
+    y_{t-1} and changes dy_t of the lag-0 regression, net of their means.
+    """
+    check_null_walk_size(n_draws, sample_size)
     rng = np.random.default_rng(seed)
     for start in range(0, n_draws, _NULL_BATCH):
         b = min(_NULL_BATCH, n_draws - start)

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -471,7 +475,7 @@ class TestErrorPaths:
             message = "no trading date falls in a month every forecast covers"
         else:
             rows = months[:3] + months[4:]
-            message = f"no monthly signal covers {months[3]}"
+            message = f"indicator 'oracle': no monthly signal covers {months[3]}"
         oracle = tmp_path / "oracle.csv"
         oracle.write_text("month,direction\n" + "".join(f"{m},up\n" for m in rows))
         code, err = self._main_exit(
@@ -510,6 +514,23 @@ class TestErrorPaths:
         assert code == 2
         assert err == f"ERR:validation:Monte Carlo {message}\n"
         assert not (out / "critical_values.csv").exists()
+
+    def test_verify_critical_values_checks_sizes_before_simulating(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("ADF Monte Carlo ran before the size check")
+
+        monkeypatch.setattr(cli.ur, "simulate_adf_null_statistics", no_simulation)
+        config = tmp_path / "mc.cfg"
+        config.write_text("mc_johansen_sample_size = 1\n")
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            ["verify-critical-values", "--config", str(config), "--out", str(tmp_path)],
+        )
+        assert code == 2
+        assert err == "ERR:validation:Monte Carlo sample size must be at least 4, got 1\n"
 
     def test_verify_critical_values_smallest_settings(self, tmp_path):
         config = tmp_path / "mc.cfg"
@@ -586,3 +607,17 @@ class TestConfigParsing:
             assert value != getattr(defaults, name), name
             got = getattr(parsed, name)
             assert got == value and type(got) is type(value), name
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize():
+    # Only `optimize` needs scipy.optimize, which is slow to import.
+    src = pathlib.Path(cli.__file__).parents[1]
+    probe = "import sys, mrpairs.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"

@@ -12,6 +12,8 @@ degenerate input.
 
 import datetime as dt
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -254,14 +256,16 @@ def test_scan_factors_the_panel_once_per_feasible_lag(
     monkeypatch, T, var_max_lag, expected_factors
 ):
     # Four instruments keep W taller than wide, so each subset's QR of a
-    # slice of R_W has fewer rows than the sample. Lag selection factors
-    # with mode "r" or "raw"; the Johansen and half-life fits use "reduced".
+    # slice of R_W has fewer rows than the sample. Lag selection and the
+    # Johansen step factor with mode "r" or "raw"; the half-life fits use
+    # "reduced". Each call is counted under the function that made it.
     Y = _six_panel(1, T)[:, [0, 1, 2, 5]]
     calls = []
     for owner in (np.linalg, scipy.linalg):
 
         def counting_qr(a, *args, _qr=owner.qr, **kwargs):
-            calls.append((np.shape(a)[0], kwargs.get("mode")))
+            caller = sys._getframe(1).f_code.co_name
+            calls.append((np.shape(a)[0], kwargs.get("mode"), caller))
             return _qr(a, *args, **kwargs)
 
         monkeypatch.setattr(owner, "qr", counting_qr)
@@ -269,7 +273,10 @@ def test_scan_factors_the_panel_once_per_feasible_lag(
         _price_panel(Y), var_max_lag=var_max_lag, orders=[IntegrationOrder.I1] * 4
     )
     assert len(rows) == 11 and all(r.skipped_reason is None for r in rows)
-    full_length = [
-        c for c in calls if c[1] in ("r", "raw") and c[0] >= T - var_max_lag
-    ]
-    assert len(full_length) == expected_factors
+    full_length = Counter(
+        c[2] for c in calls if c[1] in ("r", "raw") and c[0] >= T - var_max_lag
+    )
+    assert full_length == {
+        "_factor": expected_factors,
+        "johansen_trace_from_levels": len(rows),
+    }
