@@ -30,19 +30,30 @@ from .market_data import PricePanel
 TRADING_DAYS_PER_YEAR = 252
 
 
+def target_positions(values, n_dates: int, what: str) -> np.ndarray:
+    """`values` as an int8 array of target positions in {-1, 0, +1}.
+
+    Accepts any integer sequence, `Signal` members included (they are ints).
+    """
+    pos = np.asarray(values)
+    if pos.ndim != 1 or (pos.size and pos.dtype.kind not in "iu"):
+        raise ValidationError(f"{what} must be a 1-D sequence of integers")
+    if len(pos) != n_dates:
+        raise ValidationError(f"{what} and dates lengths differ")
+    if np.any((pos < -1) | (pos > 1)):
+        raise ValidationError(f"{what} must be in {{-1, 0, +1}}")
+    return pos.astype(np.int8, copy=False)
+
+
 @dataclass(frozen=True)
 class PositionSeries:
     """Units of the spread portfolio held per date: +1 long, -1 short, 0 flat."""
 
     dates: tuple
-    positions: np.ndarray  # int array
+    positions: np.ndarray  # int8
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=int)
-        if len(pos) != len(self.dates):
-            raise ValidationError("positions and dates lengths differ")
-        if not np.all(np.isin(pos, (-1, 0, 1))):
-            raise ValidationError("positions must be in {-1, 0, +1}")
+        pos = target_positions(self.positions, len(self.dates), "positions")
         object.__setattr__(self, "positions", pos)
 
     def __len__(self) -> int:
@@ -80,11 +91,15 @@ class BacktestReport:
     dates: tuple
     positions: np.ndarray
     daily_returns: np.ndarray
-    cumulative_returns: np.ndarray  # prod(1+r) - 1, running
     apr: float
     sharpe: float  # nan when return variance is zero
     max_drawdown: float
     total_transaction_cost: float
+
+    @property
+    def cumulative_returns(self) -> np.ndarray:
+        """Running prod(1 + r) - 1, computed on access so no report keeps it."""
+        return np.cumprod(1.0 + self.daily_returns) - 1.0
 
 
 def generate_mr_positions(
@@ -94,10 +109,14 @@ def generate_mr_positions(
     dates: tuple | None = None,
 ) -> PositionSeries:
     """Stateful scan of the entry/exit rules, starting flat."""
+    if not (math.isfinite(entry) and math.isfinite(exit)):
+        raise ValidationError(
+            f"entry and exit thresholds must be finite, got {entry!r} and {exit!r}"
+        )
     if exit >= entry:
         raise ValidationError("exit threshold must be below entry threshold")
     z = np.asarray(zscores, dtype=float)
-    out = np.zeros(len(z), dtype=int)
+    out = np.zeros(len(z), dtype=np.int8)
     state = 0
     for t, zt in enumerate(z):
         if state == 1 and zt > -exit:
@@ -186,7 +205,6 @@ def compute_pnl(
         dates=panel.dates,
         positions=pos,
         daily_returns=daily_returns,
-        cumulative_returns=np.cumprod(1.0 + daily_returns) - 1.0,
         apr=apr,
         sharpe=sharpe,
         max_drawdown=max_dd,

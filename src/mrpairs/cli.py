@@ -265,15 +265,17 @@ def cmd_forecast(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_MR_SIGNAL_FOR = {1: ms.Signal.LONG, -1: ms.Signal.SHORT, 0: ms.Signal.FLAT}
-
-
 def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
     """Fuse, optimize and backtest over the forecast-covered run of dates.
 
     The run spans the first to the last date whose month every forecast
     covers; the full-sample mean-reversion positions are cut to it.
     """
+    optimizer_config = fusion.OptimizerConfig(
+        grid_step=cfg.grid_step,
+        mr_weight_floor=cfg.mr_weight_floor,
+        simplex_max_iter=cfg.simplex_max_iter,
+    )
     full, _, portfolio = _fit_subset(cfg, _load_panel(cfg), subset_ids)
     mr_positions = _mr_positions(cfg, portfolio).positions
     indicators = sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
@@ -297,18 +299,9 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
             sources.append(ms.expand_monthly_to_daily(signals, sub.dates))
         except CoverageError as exc:
             raise CoverageError(f"indicator {indicator!r}: {exc}") from exc
-    sources.append(
-        ms.SignalSeries(sub.dates, tuple(_MR_SIGNAL_FOR[p] for p in mr_positions[run]))
-    )
+    sources.append(ms.SignalSeries(sub.dates, mr_positions[run]))
     hedge = portfolio.hedge_ratio
-    result = fusion.optimize_weights(
-        sources, sub, hedge,
-        fusion.OptimizerConfig(
-            grid_step=cfg.grid_step,
-            mr_weight_floor=cfg.mr_weight_floor,
-            simplex_max_iter=cfg.simplex_max_iter,
-        ),
-    )
+    result = fusion.optimize_weights(sources, sub, hedge, optimizer_config)
     write_csv(
         _out_path(cfg, "optimization_trace.csv"),
         ",".join(["probe_index"] + [f"w{i + 1}" for i in range(len(sources))] + ["apr"]),

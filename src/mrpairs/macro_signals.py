@@ -10,6 +10,10 @@ Direction-to-signal convention: the macro indicators move opposite to the
 majors-vs-USD exchange rates, so a forecast increase maps to Short, a
 decrease to Long, and flat to Flat. Monthly signals broadcast to every
 trading day of their month.
+
+A daily signal is held as its int8 target position (Long +1, Short -1,
+Flat 0), the form fusion and the backtest use; `Signal` names those
+values at the edges.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import parse_field, read_rows
+from .backtest import target_positions
 from .errors import CoverageError, DegenerateLabelsError, ValidationError
 from .market_data import MonthlySeries, _month_key
 
@@ -31,28 +36,31 @@ class DirectionLabel(enum.Enum):
     FLAT = "flat"
 
 
-class Signal(enum.Enum):
-    LONG = "long"
-    SHORT = "short"
-    FLAT = "flat"
+class Signal(enum.IntEnum):
+    """A trading signal, valued as its target position."""
+
+    LONG = 1
+    SHORT = -1
+    FLAT = 0
 
 
 CLASS_ORDER = (DirectionLabel.UP, DirectionLabel.DOWN, DirectionLabel.FLAT)
-SIGNAL_ORDER = (Signal.LONG, Signal.SHORT, Signal.FLAT)
 
 
 @dataclass(frozen=True)
 class SignalSeries:
-    """One trading signal per daily date."""
+    """One trading signal per daily date, stored as int8 target positions.
+
+    `signals` may be given as any sequence of `Signal` members or of the
+    integers -1, 0 and +1.
+    """
 
     dates: tuple
-    signals: tuple
+    signals: np.ndarray  # int8
 
     def __post_init__(self):
-        if len(self.dates) != len(self.signals):
-            raise ValidationError("dates and signals lengths differ")
-        if any(not isinstance(s, Signal) for s in self.signals):
-            raise ValidationError("signals must be Signal values")
+        sig = target_positions(self.signals, len(self.dates), "signals")
+        object.__setattr__(self, "signals", sig)
 
     def __len__(self) -> int:
         return len(self.signals)
@@ -197,13 +205,13 @@ def expand_monthly_to_daily(
     monthly_signals: dict[str, Signal], daily_dates: tuple
 ) -> SignalSeries:
     """Broadcast each month's signal to all its trading days."""
-    signals = []
-    for day in daily_dates:
+    signals = np.empty(len(daily_dates), dtype=np.int8)
+    for t, day in enumerate(daily_dates):
         month = f"{day.year:04d}-{day.month:02d}"
         if month not in monthly_signals:
             raise CoverageError(f"no monthly signal covers {month}")
-        signals.append(monthly_signals[month])
-    return SignalSeries(dates=tuple(daily_dates), signals=tuple(signals))
+        signals[t] = monthly_signals[month]
+    return SignalSeries(dates=tuple(daily_dates), signals=signals)
 
 
 def load_forecast_oracle_csv(path: str) -> dict[str, DirectionLabel]:

@@ -111,7 +111,7 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
     if max_lag is None:
         max_lag = schwert_max_lag(T)
     if max_lag < 0:
-        raise ValueError("max_lag must be non-negative")
+        raise ValidationError(f"max_lag must be non-negative, got {max_lag}")
     if T < max_lag + 10:
         raise DegenerateInputError(
             f"series length {T} too short for max_lag {max_lag}"

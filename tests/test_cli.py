@@ -561,6 +561,68 @@ class TestErrorPaths:
         assert code == 3
         assert err.startswith("ERR:degenerate:")
 
+    def _run_with(self, workspace, monkeypatch, capsys, tmp_path, command, setting):
+        config = tmp_path / "run.cfg"
+        config.write_text(pathlib.Path(workspace["config"]).read_text() + setting + "\n")
+        argv = ["--config", str(config), "--out", str(tmp_path / "out")]
+        if command != "scan":
+            argv += ["--subset", "SYN1,SYN2"]
+        return self._main_exit(monkeypatch, capsys, [command] + argv)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            # 1e-9 would allocate ~8 GB of ticks if the grid were built first
+            ("grid_step = 1e-9",
+             f"grid_step 1e-09 gives a grid of {1000000001 ** 2} points over 2 weights"),
+            ("grid_step = 0.001",
+             "grid_step 0.001 gives a grid of 1002001 points over 2 weights"),
+            ("grid_step = 0", "grid_step must be in (0, 1], got 0.0"),
+            ("mr_weight_floor = 1.5", "mr_weight_floor must be in [0, 1], got 1.5"),
+            ("mr_weight_floor = nan", "mr_weight_floor must be in [0, 1], got nan"),
+            ("mr_weight_floor = -1", "mr_weight_floor must be in [0, 1], got -1.0"),
+            ("simplex_max_iter = -1", "simplex_max_iter must be non-negative, got -1"),
+            ("simplex_max_iter = -3", "simplex_max_iter must be non-negative, got -3"),
+        ],
+    )
+    def test_bad_optimizer_settings(
+        self, pair_workspace, monkeypatch, capsys, tmp_path, setting, message
+    ):
+        code, err = self._run_with(
+            pair_workspace, monkeypatch, capsys, tmp_path, "optimize", setting
+        )
+        assert code == 2
+        assert err.startswith(f"ERR:validation:{message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "optimization_trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "setting, shown",
+        [
+            ("entry_z = nan", "nan and 0.0"),
+            ("entry_z = inf", "inf and 0.0"),
+            ("exit_z = nan", "1.0 and nan"),
+        ],
+    )
+    def test_non_finite_thresholds(
+        self, pair_workspace, monkeypatch, capsys, tmp_path, setting, shown
+    ):
+        code, err = self._run_with(
+            pair_workspace, monkeypatch, capsys, tmp_path, "backtest", setting
+        )
+        assert code == 2
+        assert err == (
+            f"ERR:validation:entry and exit thresholds must be finite, got {shown}\n"
+        )
+        assert not (tmp_path / "out" / "backtest_summary.csv").exists()
+
+    def test_negative_adf_max_lag(self, pair_workspace, monkeypatch, capsys, tmp_path):
+        code, err = self._run_with(
+            pair_workspace, monkeypatch, capsys, tmp_path, "scan", "adf_max_lag = -2"
+        )
+        assert code == 2
+        assert err == "ERR:validation:max_lag must be non-negative, got -2\n"
+
 
 class TestConfigParsing:
     def test_comments_and_overrides(self, tmp_path):
