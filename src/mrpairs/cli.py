@@ -2,8 +2,8 @@
 
 Subcommands: scan, backtest, forecast, optimize, report, and
 verify-critical-values. Configuration is a flat `key = value` text file
-(no nesting, diff-friendly); defaults reproduce the research settings
-(entry z 1.0, exit z 0.0, subset sizes 2..4, 95% confidence).
+(no nesting, diff-friendly) whose one schema is `RunConfig`: its field types
+parse the keys, and its defaults reproduce the research settings.
 
 Every CSV is read and written through `_csv`, so the file format lives in
 one place. Commands that take `--subset` fit it with
@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,10 +42,10 @@ from .errors import (
 from .market_data import PricePanel, align_panel, load_monthly_csv, load_price_csv
 from .plot_data import emit_plot_data
 
-EXIT_OK, EXIT_VALIDATION, EXIT_DEGENERATE, EXIT_IO = 0, 2, 3, 4
+EXIT_OK, EXIT_IO = 0, 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run needs; defaults mirror the research settings."""
 
@@ -71,26 +71,40 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "."
 
+    def __post_init__(self):  # the checks that no library function makes
+        for key, ok, rule in (
+            ("var_max_lag", self.var_max_lag >= 1, "at least 1"),
+            ("min_overlap", self.min_overlap >= 1, "at least 1"),
+            ("forecast_train_fraction", 0.0 < self.forecast_train_fraction < 1.0,
+             "in (0, 1)"),
+            ("seed", self.seed >= 0, "non-negative"),
+        ):
+            if not ok:
+                raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
-_FLOAT_KEYS = {
-    "entry_z", "exit_z", "flat_epsilon", "grid_step", "mr_weight_floor",
-    "forecast_train_fraction",
+
+# A scalar key parses with its field's type (annotations are strings here);
+# a dotted `<prefix>.<ID>` key fills a map field.
+_PARSERS = {"float": float, "int": int, "int | None": int, "str": str}
+_SCALAR_KEYS = {
+    f.name: _PARSERS[f.type] for f in fields(RunConfig) if not f.type.startswith("dict")
 }
-_INT_KEYS = {
-    "subset_min", "subset_max", "min_overlap", "var_max_lag", "adf_max_lag",
-    "simplex_max_iter", "mc_draws", "mc_adf_sample_size",
-    "mc_johansen_sample_size", "seed",
+_PREFIXES = {
+    "price": ("price_paths", str),
+    "macro_oracle": ("macro_oracle_paths", str),
+    "macro": ("macro_paths", str),
+    "cost": ("costs", float),
 }
 
 
 def parse_config_file(path: str) -> RunConfig:
     """Flat `key = value` format; dotted keys map instruments to files."""
-    cfg = RunConfig()
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not UTF-8 text") from None
+    values: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -99,30 +113,19 @@ def parse_config_file(path: str) -> RunConfig:
             raise ValidationError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        prefix, dot, name = key.partition(".")
+        if dot and prefix in _PREFIXES:
+            target, parse = _PREFIXES[prefix]
+            into = values.setdefault(target, {})
+        elif key in _SCALAR_KEYS:
+            into, name, parse = values, key, _SCALAR_KEYS[key]
+        else:
+            raise ValidationError(f"unknown config key {key!r}")
         try:
-            _apply_config_key(cfg, key, value)
-        except (ValueError, KeyError) as exc:
+            into[name] = parse(value)
+        except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key!r}") from exc
-    return cfg
-
-
-def _apply_config_key(cfg: RunConfig, key: str, value: str) -> None:
-    if key.startswith("price."):
-        cfg.price_paths[key[len("price."):]] = value
-    elif key.startswith("macro_oracle."):
-        cfg.macro_oracle_paths[key[len("macro_oracle."):]] = value
-    elif key.startswith("macro."):
-        cfg.macro_paths[key[len("macro."):]] = value
-    elif key.startswith("cost."):
-        cfg.costs[key[len("cost."):]] = float(value)
-    elif key == "out_dir":
-        cfg.out_dir = value
-    elif key in _FLOAT_KEYS:
-        setattr(cfg, key, float(value))
-    elif key in _INT_KEYS:
-        setattr(cfg, key, int(value))
-    else:
-        raise ValidationError(f"unknown config key {key!r}")
+    return RunConfig(**values)
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -435,30 +438,26 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     cfg = parse_config_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
+    overrides = {"seed": args.seed, "out_dir": args.out}
     if args.costs is not None:
-        cfg.costs = _load_costs_csv(args.costs)
+        overrides["costs"] = _load_costs_csv(args.costs)
+    if args.oracle_forecasts is not None:
+        keys = set(cfg.macro_paths) or {"oracle"}
+        overrides["macro_oracle_paths"] = {k: args.oracle_forecasts for k in keys}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     unknown = sorted(set(cfg.costs) - set(cfg.price_paths))
     if unknown:
         raise ValidationError(f"cost for unknown instrument(s): {unknown}")
-    if args.oracle_forecasts is not None:
-        keys = set(cfg.macro_paths) or {"oracle"}
-        cfg.macro_oracle_paths = {k: args.oracle_forecasts for k in keys}
     subset_ids = args.subset.split(",") if args.subset else None
+    if args.command in ("backtest", "optimize") and not subset_ids:
+        raise ValidationError(f"{args.command} requires --subset")
     if args.command == "scan":
         return cmd_scan(cfg)
     if args.command == "backtest":
-        if not subset_ids:
-            raise ValidationError("backtest requires --subset")
         return cmd_backtest(cfg, subset_ids)
     if args.command == "forecast":
         return cmd_forecast(cfg)
     if args.command == "optimize":
-        if not subset_ids:
-            raise ValidationError("optimize requires --subset")
         return cmd_optimize(cfg, subset_ids)
     if args.command == "report":
         return cmd_report(cfg, subset_ids)

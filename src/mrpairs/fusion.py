@@ -163,10 +163,12 @@ def optimize_weights(
     dates = signal_series[0].dates
     n_sources = len(masks)
     step = config.grid_step
-    n_ticks = math.ceil((1.0 + step / 2) / step)  # len() of the arange below
-    if n_ticks ** n_sources > MAX_GRID_POINTS:
+    n_ticks = (1.0 + step / 2) / step  # len() of the arange below, before ceil
+    # Below a step of ~5.6e-309 the quotient overflows; that grid counts as inf.
+    n_points = math.ceil(n_ticks) ** n_sources if n_ticks < math.inf else n_ticks
+    if n_points > MAX_GRID_POINTS:
         raise ValidationError(
-            f"grid_step {step!r} gives a grid of {n_ticks ** n_sources} points "
+            f"grid_step {step!r} gives a grid of {n_points} points "
             f"over {n_sources} weights, more than {MAX_GRID_POINTS}"
         )
     probe_weights: list[np.ndarray] = []
@@ -217,8 +219,10 @@ def optimize_weights(
         raise OptimizationDegenerateError(
             "every weight probe produced an all-zero return stream"
         )
+    # A grid tick may exceed 1 when the step does not divide 1; report the
+    # clipped weights the winning probe scored.
     return OptimizationResult(
-        weights=WeightVector(tuple(float(w) for w in best_w)),
+        weights=WeightVector(tuple(float(w) for w in np.clip(best_w, 0.0, 1.0))),
         apr=best_apr,
         baseline_apr=baseline_apr,
         probe_weights=np.array(probe_weights),

@@ -70,8 +70,10 @@ def label_directions(
     series: MonthlySeries, flat_epsilon: float = 0.0
 ) -> list[DirectionLabel]:
     """Direction of each month-over-month change; length = input - 1."""
-    if flat_epsilon < 0:
-        raise ValidationError("flat_epsilon must be non-negative")
+    if not 0.0 <= flat_epsilon < np.inf:
+        raise ValidationError(
+            f"flat_epsilon must be finite and non-negative, got {flat_epsilon!r}"
+        )
     if len(series) < 2:
         raise ValidationError("need at least 2 months to label directions")
     out = []
@@ -87,7 +89,6 @@ def label_directions(
 
 # Feature recipe: lagged levels (1-3 months), lagged changes (1-3 months),
 # and the 3-month mean of the changes. 7 features per month.
-N_FEATURES = 7
 _FEATURE_BURN_IN = 4  # first month index with a full feature vector
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import RECIPE_CONFIG, write_monthly_csv, write_price_csv
 from mrpairs import cli
@@ -18,7 +23,7 @@ from mrpairs.backtest import (
     generate_mr_positions,
 )
 from mrpairs.cointegration import fit_subset
-from mrpairs.errors import SharpeUndefinedError
+from mrpairs.errors import SharpeUndefinedError, ValidationError
 from mrpairs.market_data import PricePanel, SynthConfig, generate_synthetic_panel
 
 
@@ -79,6 +84,38 @@ def seven_workspace(tmp_path_factory):
         "".join(f"price.{iid} = {p}\n" for iid, p in sorted(paths.items()))
     )
     return {"root": root, "config": str(config)}
+
+
+@pytest.fixture(scope="module")
+def small_workspace(tmp_path_factory):
+    """Config text for a 500-day recipe pair and an indicator to train on.
+
+    The indicator starts 24 months before the panel, so its held-out 30%
+    of months falls inside the panel.
+    """
+    root = tmp_path_factory.mktemp("small")
+    panel = generate_synthetic_panel(1, dataclasses.replace(RECIPE_CONFIG, n_days=500))
+    paths = _write_panel_csvs(panel, root)
+    first = panel.dates[0].year * 12 + panel.dates[0].month - 1 - 24
+    months = [
+        f"{k // 12:04d}-{k % 12 + 1:02d}"
+        for k in range(first, first + 24 + len(_months_of(panel)))
+    ]
+    values = np.cumsum(np.random.default_rng(4).standard_normal(len(months)))
+    macro = write_monthly_csv(root / "m1.csv", months, values)
+    return "".join(f"price.{iid} = {p}\n" for iid, p in sorted(paths.items())) + (
+        f"macro.M1 = {macro}\n"
+    )
+
+
+def _run_main(argv):
+    """`cli.main` on argv: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "argv", ["mrpairs"] + argv):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc_info:
+                cli.main()
+    return exc_info.value.code, out.getvalue(), err.getvalue()
 
 
 def _read_csv(path):
@@ -653,22 +690,154 @@ class TestConfigParsing:
         )
 
     def test_every_scalar_field_has_one_parse_rule(self, tmp_path):
+        # Each scalar field parses with the type its annotation names.
+        samples = {"float": 0.375, "int": 7, "int | None": 7, "str": "elsewhere"}
         defaults = cli.RunConfig()
-        scalars = [
-            f.name for f in dataclasses.fields(cli.RunConfig)
-            if not isinstance(getattr(defaults, f.name), dict) and f.name != "out_dir"
-        ]
-        for name in scalars:
-            assert (name in cli._FLOAT_KEYS) != (name in cli._INT_KEYS), name
-        assert cli._FLOAT_KEYS | cli._INT_KEYS == set(scalars)
-        values = {name: 0.375 if name in cli._FLOAT_KEYS else 7 for name in scalars}
+        values = {
+            f.name: samples[f.type] for f in dataclasses.fields(cli.RunConfig)
+            if not isinstance(getattr(defaults, f.name), dict)
+        }
         config = tmp_path / "all.cfg"
-        config.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         parsed = cli.parse_config_file(str(config))
         for name, value in values.items():
             assert value != getattr(defaults, name), name
             got = getattr(parsed, name)
             assert got == value and type(got) is type(value), name
+
+    def test_config_is_frozen_and_checked_on_replace(self):
+        cfg = cli.RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 3
+        with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+            dataclasses.replace(cfg, seed=-1)
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        rows = [
+            [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `")
+        ]
+        table = {row[0]: row[2] for row in rows}
+        expected = {}
+        for f in dataclasses.fields(cli.RunConfig):
+            if f.default is dataclasses.MISSING:  # a map, filled by dotted keys
+                prefix = next(p for p, (name, _) in cli._PREFIXES.items() if name == f.name)
+                expected[f"{prefix}.<ID>"] = "none"
+            else:
+                expected[f.name] = str(f.default)
+        assert table == expected
+
+
+class TestConfigChecks:
+    """Keys that no library function checks fail in `RunConfig`, before any work."""
+
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            *(
+                ("forecast", f"forecast_train_fraction = {value}",
+                 f"forecast_train_fraction must be in (0, 1), got {shown}")
+                for value, shown in [
+                    ("nan", "nan"), ("inf", "inf"), ("-1", "-1.0"), ("0", "0.0"),
+                    ("1", "1.0"),
+                ]
+            ),
+            ("verify-critical-values", "seed = -1", "seed must be non-negative, got -1"),
+            ("scan", "var_max_lag = 0", "var_max_lag must be at least 1, got 0"),
+            ("scan", "var_max_lag = -3", "var_max_lag must be at least 1, got -3"),
+            ("scan", "min_overlap = -5", "min_overlap must be at least 1, got -5"),
+            ("forecast", "flat_epsilon = nan",
+             "flat_epsilon must be finite and non-negative, got nan"),
+            ("forecast", "flat_epsilon = inf",
+             "flat_epsilon must be finite and non-negative, got inf"),
+            ("optimize", "grid_step = 1e-310",
+             "grid_step 1e-310 gives a grid of inf points over 2 weights, more than 1000000"),
+        ],
+    )
+    def test_bad_setting_fails_before_any_output(
+        self, small_workspace, tmp_path, command, setting, message
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace + setting + "\n")
+        out = tmp_path / "out"
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--out", str(out), "--subset", "SYN1,SYN2"]
+        )
+        assert (code, err) == (2, f"ERR:validation:{message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["scan", "backtest", "forecast", "optimize", "report", "verify-critical-values"],
+    )
+    def test_negative_seed_flag_fails_every_command(
+        self, small_workspace, tmp_path, command
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace)
+        out = tmp_path / "out"
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--out", str(out),
+             "--subset", "SYN1,SYN2", "--seed", "-1"]
+        )
+        assert (code, err) == (2, "ERR:validation:seed must be non-negative, got -1\n")
+        assert not out.exists()
+
+
+_TRICKY = [
+    "nan", "-nan", "inf", "-inf", "1e-310", "5e-324", "0", "-0.0", "-1", "-3", "0.5",
+    "1", "1e308", "99999999999999999999", "-99999999999999999999", "1.5e3", "7",
+    "junk", "", "0x10", "1_000", "None",
+]
+_VALUES = st.one_of(
+    st.sampled_from(_TRICKY),
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(repr),
+)
+_KEYS = sorted(cli._SCALAR_KEYS) + [f"{p}.SYN1" for p in cli._PREFIXES]
+_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_KEYS + ["frob", ""]), _VALUES),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
+)
+
+
+class TestConfigFuzz:
+    """Any config either runs or ends in one `ERR:` line, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(_LINES, max_size=8))
+    def test_any_text_parses_or_fails_validation(self, tmp_path_factory, lines):
+        config = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        config.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            assert isinstance(cli.parse_config_file(str(config)), cli.RunConfig)
+        except ValidationError:
+            pass
+
+    # The Monte Carlo sizes are left out: a batch holds 4000 draws of
+    # sample-size floats. out_dir would write wherever it points.
+    @settings(max_examples=20, deadline=None)
+    @given(
+        key=st.sampled_from(
+            [k for k in cli._SCALAR_KEYS if not k.startswith("mc_") and k != "out_dir"]
+        ),
+        value=_VALUES,
+    )
+    @example(key="forecast_train_fraction", value="nan")
+    def test_one_tricky_key_runs_or_ends_in_one_err_line(
+        self, small_workspace, tmp_path_factory, key, value
+    ):
+        root = tmp_path_factory.mktemp("fuzz")
+        config = root / "run.cfg"
+        config.write_text(small_workspace + f"{key} = {value}\n")
+        for command in (["report", "--subset", "SYN1,SYN2"], ["forecast"]):
+            code, _, err = _run_main(
+                command + ["--config", str(config), "--out", str(root / "out")]
+            )
+            assert code in (0, 2, 3, 4), (command, err)
+            assert err.count("\n") <= 1 and err.startswith("ERR:") == bool(err), err
 
 
 def test_importing_the_cli_does_not_load_scipy_optimize():

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import RECIPE_CONFIG
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrpairs.backtest import CostModel, compute_pnl, generate_mr_positions
+from mrpairs.cointegration import fit_subset
 from mrpairs.errors import (
     AlignmentError,
     OptimizationDegenerateError,
@@ -17,6 +21,7 @@ from mrpairs.fusion import (
     signal_to_position,
 )
 from mrpairs.macro_signals import Signal, SignalSeries
+from mrpairs.market_data import generate_synthetic_panel
 from mrpairs.spread_dynamics import compute_spread
 
 L, S, F = Signal.LONG, Signal.SHORT, Signal.FLAT
@@ -183,3 +188,36 @@ class TestOptimizeWeights:
                 np.array([1.0, -0.5]),
                 OptimizerConfig(grid_step=0.5, simplex_max_iter=10),
             )
+
+    def test_step_that_overshoots_one_returns_the_clipped_winner(self):
+        # 0.6 gives the ticks 0, 0.6 and 1.2; the probes score 1.2 as 1.0.
+        panel = generate_synthetic_panel(
+            1, dataclasses.replace(RECIPE_CONFIG, n_days=500)
+        )
+        _, portfolio = fit_subset(panel, 10)
+        rng = np.random.default_rng(13)
+        sources = [
+            SignalSeries(panel.dates, np.repeat(rng.integers(-1, 2, 25), 21)[:500])
+            for _ in range(3)
+        ]
+        mr = generate_mr_positions(portfolio.spread.zscores, 1.0, 0.0)
+        sources.append(SignalSeries(panel.dates, mr.positions))
+        result = optimize_weights(
+            sources, panel, portfolio.hedge_ratio,
+            OptimizerConfig(grid_step=0.6, simplex_max_iter=5),
+        )
+        assert 1.0 in result.weights.weights
+        scored = [
+            p.apr for p in result.trace if p.weights == result.weights.weights
+        ]
+        assert scored and all(apr == result.apr for apr in scored)
+
+    @pytest.mark.parametrize("step", [5e-324, 1e-310])
+    def test_step_whose_tick_count_overflows_is_a_grid_size_error(
+        self, recipe_panel, step
+    ):
+        sources, hedge = _optimizer_fixture(recipe_panel)
+        with pytest.raises(
+            ValidationError, match=f"grid_step {step!r} gives a grid of inf points"
+        ):
+            optimize_weights(sources, recipe_panel, hedge, OptimizerConfig(step))

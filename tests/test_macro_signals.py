@@ -48,6 +48,11 @@ class TestLabelDirections:
         labels = label_directions(_monthly([1.0, 1.4, 0.8]), flat_epsilon=0.5)
         assert labels == [DirectionLabel.FLAT, DirectionLabel.DOWN]
 
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
+    def test_flat_band_must_be_finite_and_non_negative(self, epsilon):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            label_directions(_monthly([1.0, 1.4, 0.8]), flat_epsilon=epsilon)
+
 
 def _separable_set(seed, n_per_class=20):
     rng = np.random.default_rng(seed)
