@@ -13,7 +13,8 @@ close that generated the signal, so no same-bar look-ahead):
 where GMV_{t-1} = sum_i |h_i| * p_{i,t-1} is the gross market value and
 cost_t = |pos_t - pos_{t-1}| * sum_i |h_i| * per_unit_cost_i is charged
 only when the position changes. APR compounds geometrically over a
-252-day year; Sharpe uses sample std and a zero risk-free rate.
+252-day year; Sharpe uses sample std and a zero risk-free rate, and is
+nan when the daily returns do not vary.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, SharpeUndefinedError, ValidationError
+from .errors import DegenerateInputError, ValidationError
 from .market_data import PricePanel
 
 TRADING_DAYS_PER_YEAR = 252
@@ -102,6 +103,16 @@ class BacktestReport:
         return np.cumprod(1.0 + self.daily_returns) - 1.0
 
 
+def check_thresholds(entry: float, exit: float) -> None:
+    """Raise ValidationError unless both are finite and exit < entry."""
+    if not (math.isfinite(entry) and math.isfinite(exit)):
+        raise ValidationError(
+            f"entry and exit thresholds must be finite, got {entry!r} and {exit!r}"
+        )
+    if exit >= entry:
+        raise ValidationError("exit threshold must be below entry threshold")
+
+
 def generate_mr_positions(
     zscores: np.ndarray,
     entry: float = 1.0,
@@ -109,12 +120,7 @@ def generate_mr_positions(
     dates: tuple | None = None,
 ) -> PositionSeries:
     """Stateful scan of the entry/exit rules, starting flat."""
-    if not (math.isfinite(entry) and math.isfinite(exit)):
-        raise ValidationError(
-            f"entry and exit thresholds must be finite, got {entry!r} and {exit!r}"
-        )
-    if exit >= entry:
-        raise ValidationError("exit threshold must be below entry threshold")
+    check_thresholds(entry, exit)
     z = np.asarray(zscores, dtype=float)
     out = np.zeros(len(z), dtype=np.int8)
     state = 0
@@ -137,8 +143,8 @@ def generate_mr_positions(
 def compute_metrics(daily_returns: np.ndarray) -> Metrics:
     """APR (geometric, 252-day year), Sharpe (zero risk-free), max drawdown.
 
-    Zero return variance raises SharpeUndefinedError with the APR and max
-    drawdown attached, since both remain well defined.
+    At zero return variance Sharpe is undefined and reads nan; APR and max
+    drawdown remain well defined.
     """
     r = np.asarray(daily_returns, dtype=float)
     if len(r) < 2:
@@ -153,11 +159,7 @@ def compute_metrics(daily_returns: np.ndarray) -> Metrics:
     # ptp catches constant returns whose float mean is not exactly
     # representable, where std comes out tiny but nonzero
     if std == 0.0 or np.ptp(r) == 0.0:
-        raise SharpeUndefinedError(
-            "zero return variance, Sharpe undefined",
-            apr=apr,
-            max_drawdown=max_drawdown,
-        )
+        return Metrics(apr, math.nan, max_drawdown)
     sharpe = math.sqrt(TRADING_DAYS_PER_YEAR) * float(r.mean()) / std
     return Metrics(apr=apr, sharpe=sharpe, max_drawdown=max_drawdown)
 
@@ -196,11 +198,7 @@ def compute_pnl(
     pnl[1:] = pos[:-1] * np.diff(spread)
     denom = np.concatenate([[gmv[0]], gmv[:-1]])
     daily_returns = (pnl - trade_cost) / denom
-    try:
-        metrics = compute_metrics(daily_returns)
-        apr, sharpe, max_dd = metrics
-    except SharpeUndefinedError as exc:
-        apr, sharpe, max_dd = exc.apr, math.nan, exc.max_drawdown
+    apr, sharpe, max_dd = compute_metrics(daily_returns)
     return BacktestReport(
         dates=panel.dates,
         positions=pos,

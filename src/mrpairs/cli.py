@@ -71,7 +71,7 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "."
 
-    def __post_init__(self):  # the checks that no library function makes
+    def __post_init__(self):  # every check that needs no data, before any command
         for key, ok, rule in (
             ("var_max_lag", self.var_max_lag >= 1, "at least 1"),
             ("min_overlap", self.min_overlap >= 1, "at least 1"),
@@ -81,6 +81,13 @@ class RunConfig:
         ):
             if not ok:
                 raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        # The other ranges are the library's own checks, called here up front.
+        bt.check_thresholds(self.entry_z, self.exit_z)
+        ms.check_flat_epsilon(self.flat_epsilon)
+        bt.CostModel(self.costs)
+        fusion.OptimizerConfig(self.grid_step, self.mr_weight_floor, self.simplex_max_iter)
+        for size in (self.mc_adf_sample_size, self.mc_johansen_sample_size):
+            ur.check_null_walk_size(self.mc_draws, size)
 
 
 # A scalar key parses with its field's type (annotations are strings here);
@@ -178,12 +185,6 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 def _fit_subset(cfg: RunConfig, panel, subset_ids: list[str]):
     """The named subset's panel, Johansen outcome and portfolio (rank >= 1)."""
-    missing = [s for s in subset_ids if s not in panel.instrument_ids]
-    if missing:
-        raise ValidationError(f"unknown subset instrument(s): {missing}")
-    repeated = sorted({s for s in subset_ids if subset_ids.count(s) > 1})
-    if repeated:
-        raise ValidationError(f"repeated subset instrument(s): {repeated}")
     sub = panel.subpanel([panel.instrument_ids.index(s) for s in subset_ids])
     outcome, portfolio = ci.fit_subset(sub, cfg.var_max_lag)
     if portfolio is None:
@@ -348,11 +349,12 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     if subset_ids:
         sub, outcome, portfolio = _fit_subset(cfg, panel, subset_ids)
         _, report = _mr_backtest(cfg, sub, portfolio)
+        half_life = portfolio.half_life_days  # JSON has no inf: none measured is null
         payload["backtest"] = {
             "subset": subset_ids,
             "rank": outcome.rank,
             "hedge_ratio": [float(h) for h in portfolio.hedge_ratio],
-            "half_life_days": portfolio.half_life_days,
+            "half_life_days": half_life if math.isfinite(half_life) else None,
             "apr": report.apr,
             "sharpe": None if math.isnan(report.sharpe) else report.sharpe,
             "max_drawdown": report.max_drawdown,
@@ -370,13 +372,11 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
 
 def cmd_verify_critical_values(cfg: RunConfig) -> int:
     draws = cfg.mc_draws
-    for size in (cfg.mc_adf_sample_size, cfg.mc_johansen_sample_size):
-        ur.check_null_walk_size(draws, size)
     adf_stats = ur.simulate_adf_null_statistics(
         draws, sample_size=cfg.mc_adf_sample_size, seed=cfg.seed
     )
     adf_q = [float(q) for q in np.quantile(adf_stats, [0.10, 0.05, 0.01])]
-    adf_embedded = ur.adf_critical_value(cfg.mc_adf_sample_size - 1, 0.95)
+    adf_embedded = ur.adf_critical_value(cfg.mc_adf_sample_size - 1)
     joh_stats = ci.simulate_johansen_null_trace(
         draws, sample_size=cfg.mc_johansen_sample_size, dim=1, seed=cfg.seed + 1
     )
@@ -451,6 +451,13 @@ def run(argv: list[str]) -> int:
     subset_ids = args.subset.split(",") if args.subset else None
     if args.command in ("backtest", "optimize") and not subset_ids:
         raise ValidationError(f"{args.command} requires --subset")
+    if args.command in ("backtest", "optimize", "report") and subset_ids:
+        missing = [s for s in subset_ids if s not in cfg.price_paths]
+        if missing:
+            raise ValidationError(f"unknown subset instrument(s): {missing}")
+        repeated = sorted({s for s in subset_ids if subset_ids.count(s) > 1})
+        if repeated:
+            raise ValidationError(f"repeated subset instrument(s): {repeated}")
     if args.command == "scan":
         return cmd_scan(cfg)
     if args.command == "backtest":

@@ -233,7 +233,7 @@ def johansen_test(panel: PricePanel, var_lag: int) -> JohansenOutcome:
     m = panel.n_instruments
     if not 2 <= m <= 4:
         raise ValidationError(f"Johansen subset width must be 2..4, got {m}")
-    eigvals, eigvecs, trace, n = johansen_trace_from_levels(panel.levels(), var_lag)
+    eigvals, eigvecs, trace, n = johansen_trace_from_levels(panel.prices.T, var_lag)
     cvs = np.array([JOHANSEN_TRACE_CV_95[m - r] for r in range(m)])
     rank = m
     for r in range(m):

@@ -55,14 +55,5 @@ class DegenerateLabelsError(DegenerateInputError):
     """Classifier training set contains a single class."""
 
 
-class SharpeUndefinedError(DegenerateInputError):
-    """Zero return variance; APR and max drawdown are still available."""
-
-    def __init__(self, message: str, apr: float, max_drawdown: float):
-        super().__init__(message)
-        self.apr = apr
-        self.max_drawdown = max_drawdown
-
-
 class OptimizationDegenerateError(DegenerateInputError):
     """Every weight probe produced a degenerate backtest."""

@@ -66,25 +66,24 @@ class SignalSeries:
         return len(self.signals)
 
 
-def label_directions(
-    series: MonthlySeries, flat_epsilon: float = 0.0
-) -> list[DirectionLabel]:
-    """Direction of each month-over-month change; length = input - 1."""
+def check_flat_epsilon(flat_epsilon: float) -> None:
+    """Raise ValidationError unless the flat band is finite and non-negative."""
     if not 0.0 <= flat_epsilon < np.inf:
         raise ValidationError(
             f"flat_epsilon must be finite and non-negative, got {flat_epsilon!r}"
         )
+
+
+def label_directions(
+    series: MonthlySeries, flat_epsilon: float = 0.0
+) -> list[DirectionLabel]:
+    """Direction of each month-over-month change; length = input - 1."""
+    check_flat_epsilon(flat_epsilon)
     if len(series) < 2:
         raise ValidationError("need at least 2 months to label directions")
-    out = []
-    for change in np.diff(series.values):
-        if change > flat_epsilon:
-            out.append(DirectionLabel.UP)
-        elif change < -flat_epsilon:
-            out.append(DirectionLabel.DOWN)
-        else:
-            out.append(DirectionLabel.FLAT)
-    return out
+    d = np.diff(series.values)
+    classes = np.where(d > flat_epsilon, 0, np.where(d < -flat_epsilon, 1, 2))
+    return [CLASS_ORDER[i] for i in classes]
 
 
 # Feature recipe: lagged levels (1-3 months), lagged changes (1-3 months),
@@ -100,15 +99,12 @@ def build_direction_features(
     if len(v) < _FEATURE_BURN_IN + 2:
         raise ValidationError("too few months to build features")
     d = np.diff(v)
-    rows, labels, months = [], [], []
-    all_labels = label_directions(series, flat_epsilon)  # label[i] is month i+1
-    for t in range(_FEATURE_BURN_IN, len(v)):
-        lag_levels = [v[t - 1], v[t - 2], v[t - 3]]
-        lag_changes = [d[t - 2], d[t - 3], d[t - 4]]  # changes into months t-1..t-3
-        rows.append(lag_levels + lag_changes + [float(np.mean(lag_changes))])
-        labels.append(all_labels[t - 1])
-        months.append(series.months[t])
-    return np.array(rows), labels, tuple(months)
+    labels = label_directions(series, flat_epsilon)  # labels[i] is month i+1
+    t = np.arange(_FEATURE_BURN_IN, len(v))
+    c1, c2, c3 = d[t - 2], d[t - 3], d[t - 4]  # changes into months t-1..t-3
+    # Summed in this order, the mean equals np.mean of (c1, c2, c3) bitwise.
+    X = np.column_stack([v[t - 1], v[t - 2], v[t - 3], c1, c2, c3, (c1 + c2 + c3) / 3])
+    return X, labels[_FEATURE_BURN_IN - 1:], tuple(series.months[_FEATURE_BURN_IN:])
 
 
 # Subgradient descent: epochs, initial step size, L2 penalty on the weights.
@@ -155,9 +151,8 @@ def train_direction_classifier(
     n, d = Xs.shape
     W = np.zeros((len(CLASS_ORDER), d))
     b = np.zeros(len(CLASS_ORDER))
-    targets = np.array(
-        [[1.0 if lab is cls else -1.0 for lab in labels] for cls in CLASS_ORDER]
-    )
+    truth = np.array([CLASS_ORDER.index(lab) for lab in labels])
+    targets = np.where(truth == np.arange(len(CLASS_ORDER))[:, None], 1.0, -1.0)
     for epoch in range(TRAIN_EPOCHS):
         eta = LEARNING_RATE / np.sqrt(epoch + 1.0)
         margins = targets * (W @ Xs.T + b[:, None])
@@ -168,7 +163,6 @@ def train_direction_classifier(
         b -= eta * grad_b
     scores = W @ Xs.T + b[:, None]
     predicted = np.argmax(scores, axis=0)
-    truth = np.array([CLASS_ORDER.index(lab) for lab in labels])
     accuracy = float(np.mean(predicted == truth))
     return DirectionModel(
         weights=W,

@@ -108,10 +108,6 @@ class PricePanel:
             object.__setattr__(sub, name, value)
         return sub
 
-    def levels(self) -> np.ndarray:
-        """Observation-major copy, shape (n_dates, n_instruments)."""
-        return np.array(self.prices.T)
-
 
 @dataclass(frozen=True)
 class MonthlySeries:

@@ -68,56 +68,31 @@ def emit_plot_data(
 ) -> list[str]:
     """Write spread/zscore/returns CSVs and a matching SVG for each.
 
-    Returns the paths of the three CSVs.
+    Each figure is one row of a table: file stem, CSV header and rows, then
+    the SVG's title, x values and named series. Returns the three CSV paths.
     """
     os.makedirs(out_dir, exist_ok=True)
+    cumulative = report.cumulative_returns
+    figures = [
+        ("spread", "date,spread,half_life_days",
+         ((day, v, half_life_days) for day, v in zip(spread.dates, spread.values)),
+         f"Portfolio spread (half-life {half_life_days:.2f} days)",
+         spread.dates, {"spread": spread.values}),
+        ("zscore_positions", "date,zscore,position",
+         zip(spread.dates, spread.zscores, positions.positions),
+         "Standardized spread and positions",
+         spread.dates,
+         {"zscore": spread.zscores, "position": positions.positions.astype(float)}),
+        ("returns", "date,daily_return,cumulative_return",
+         zip(report.dates, report.daily_returns, cumulative),
+         "Daily and cumulative returns",
+         report.dates,
+         {"daily_return": report.daily_returns, "cumulative_return": cumulative}),
+    ]
     written = []
-
-    path = os.path.join(out_dir, "spread.csv")
-    write_csv(
-        path,
-        "date,spread,half_life_days",
-        ((day, value, half_life_days) for day, value in zip(spread.dates, spread.values)),
-    )
-    svg_line_chart(
-        os.path.join(out_dir, "spread.svg"),
-        f"Portfolio spread (half-life {half_life_days:.2f} days)",
-        spread.dates,
-        {"spread": spread.values},
-    )
-    written.append(path)
-
-    path = os.path.join(out_dir, "zscore_positions.csv")
-    write_csv(
-        path,
-        "date,zscore,position",
-        zip(spread.dates, spread.zscores, positions.positions),
-    )
-    svg_line_chart(
-        os.path.join(out_dir, "zscore_positions.svg"),
-        "Standardized spread and positions",
-        spread.dates,
-        {
-            "zscore": spread.zscores,
-            "position": positions.positions.astype(float),
-        },
-    )
-    written.append(path)
-
-    path = os.path.join(out_dir, "returns.csv")
-    write_csv(
-        path,
-        "date,daily_return,cumulative_return",
-        zip(report.dates, report.daily_returns, report.cumulative_returns),
-    )
-    svg_line_chart(
-        os.path.join(out_dir, "returns.svg"),
-        "Daily and cumulative returns",
-        report.dates,
-        {
-            "daily_return": report.daily_returns,
-            "cumulative_return": report.cumulative_returns,
-        },
-    )
-    written.append(path)
+    for name, header, rows, title, xs, series in figures:
+        path = os.path.join(out_dir, f"{name}.csv")
+        write_csv(path, header, rows)
+        svg_line_chart(os.path.join(out_dir, f"{name}.svg"), title, xs, series)
+        written.append(path)
     return written

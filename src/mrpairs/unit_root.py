@@ -13,8 +13,9 @@ in full, for its t-ratio. The maximum lag follows Schwert's rule
 floor(12*(T/100)^(1/4)).
 
 The t-ratio on b is compared against finite-sample critical values for the
-drift case, interpolated in 1/T between tabulated sample sizes. The 95%
-column can be re-verified by Monte Carlo via `simulate_adf_null_statistics`
+drift case, interpolated in 1/T between tabulated sample sizes. Only the
+95% level is tabulated, since the test uses no other; the table can be
+re-verified by Monte Carlo via `simulate_adf_null_statistics`
 (also wired to the `verify-critical-values` CLI command), which draws its
 walks from `null_walk_batches`, as the Johansen m-r=1 simulation does.
 """
@@ -30,25 +31,19 @@ import numpy as np
 from ._ols import nested_residual_moments, ols_qr
 from .errors import DegenerateInputError, ValidationError
 
-# Finite-sample critical values of the Dickey-Fuller t-statistic for the
+# Finite-sample 95% critical values of the Dickey-Fuller t-statistic for the
 # regression with constant and no trend, tabulated by effective sample size.
-# The asymptotic 95% value is -2.86; the 95% column has been re-verified by
-# Monte Carlo (see tests/test_acceptance.py, criterion 11).
+# The asymptotic value is -2.86; the table has been re-verified by Monte
+# Carlo (see tests/test_acceptance.py, criterion 11).
 _ADF_CV_SAMPLE_SIZES = (25, 50, 100, 250, 500, math.inf)
-ADF_CRITICAL_VALUES = {
-    0.90: (-2.63, -2.60, -2.58, -2.57, -2.57, -2.57),
-    0.95: (-3.00, -2.93, -2.89, -2.88, -2.87, -2.86),
-    0.99: (-3.75, -3.58, -3.51, -3.46, -3.44, -3.43),
-}
+ADF_CRITICAL_VALUES_95 = (-3.00, -2.93, -2.89, -2.88, -2.87, -2.86)
 
 _NULL_BATCH = 4000  # walks per Monte Carlo batch
 
 
-def adf_critical_value(sample_size: int, level: float = 0.95) -> float:
-    """Drift-case DF critical value, interpolated linearly in 1/T."""
-    if level not in ADF_CRITICAL_VALUES:
-        raise ValueError(f"no table for level {level}")
-    table = ADF_CRITICAL_VALUES[level]
+def adf_critical_value(sample_size: int) -> float:
+    """Drift-case 95% DF critical value, interpolated linearly in 1/T."""
+    table = ADF_CRITICAL_VALUES_95
     xs = [1.0 / t for t in _ADF_CV_SAMPLE_SIZES]  # descending in x
     x = 1.0 / max(sample_size, 1)
     if x >= xs[0]:

@@ -14,7 +14,7 @@ from mrpairs.backtest import (
     generate_mr_positions,
     max_drawdown_bruteforce,
 )
-from mrpairs.errors import SharpeUndefinedError, ValidationError
+from mrpairs.errors import ValidationError
 from mrpairs.market_data import PricePanel, trading_days
 
 
@@ -141,11 +141,10 @@ class TestComputePnl:
 class TestComputeMetrics:
     def test_constant_return_apr_closed_form(self):
         r = np.full(252, 0.0001)
-        with pytest.raises(SharpeUndefinedError) as exc_info:
-            compute_metrics(r)
-        apr = exc_info.value.apr
-        assert apr == pytest.approx(1.0001**252 - 1.0, abs=1e-12)
-        assert exc_info.value.max_drawdown == 0.0
+        m = compute_metrics(r)
+        assert m.apr == pytest.approx(1.0001**252 - 1.0, abs=1e-12)
+        assert m.max_drawdown == 0.0
+        assert math.isnan(m.sharpe)
 
     def test_known_equity_path_drawdown(self):
         # equity [1.0, 1.1, 0.99, 1.05, 1.2, 0.9] -> MaxDD = 0.9/1.2 - 1
@@ -180,8 +179,4 @@ class TestComputeMetrics:
     )
     def test_drawdown_matches_bruteforce_property(self, returns):
         r = np.array(returns)
-        try:
-            max_drawdown = compute_metrics(r).max_drawdown
-        except SharpeUndefinedError as exc:  # constant returns
-            max_drawdown = exc.max_drawdown
-        assert max_drawdown == max_drawdown_bruteforce(r)
+        assert compute_metrics(r).max_drawdown == max_drawdown_bruteforce(r)

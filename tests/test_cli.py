@@ -23,7 +23,7 @@ from mrpairs.backtest import (
     generate_mr_positions,
 )
 from mrpairs.cointegration import fit_subset
-from mrpairs.errors import SharpeUndefinedError, ValidationError
+from mrpairs.errors import ValidationError
 from mrpairs.market_data import PricePanel, SynthConfig, generate_synthetic_panel
 
 
@@ -697,6 +697,7 @@ class TestConfigParsing:
             f.name: samples[f.type] for f in dataclasses.fields(cli.RunConfig)
             if not isinstance(getattr(defaults, f.name), dict)
         }
+        values["exit_z"] = 0.125  # below entry_z, as the threshold check asks
         config = tmp_path / "all.cfg"
         config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         parsed = cli.parse_config_file(str(config))
@@ -784,6 +785,95 @@ class TestConfigChecks:
         )
         assert (code, err) == (2, "ERR:validation:seed must be non-negative, got -1\n")
         assert not out.exists()
+
+
+def _no_load(cfg):
+    raise AssertionError("a price file was read before the check")
+
+
+class TestChecksBeforeLoading:
+    """Every key and `--subset` id that needs no data is checked before any load."""
+
+    @pytest.mark.parametrize("command", ["scan", "report"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("entry_z = nan", "entry and exit thresholds must be finite, got nan and 0.0"),
+            ("entry_z = inf", "entry and exit thresholds must be finite, got inf and 0.0"),
+            ("exit_z = nan", "entry and exit thresholds must be finite, got 1.0 and nan"),
+            ("exit_z = inf", "entry and exit thresholds must be finite, got 1.0 and inf"),
+            ("exit_z = 1", "exit threshold must be below entry threshold"),
+            ("flat_epsilon = nan", "flat_epsilon must be finite and non-negative, got nan"),
+            ("flat_epsilon = inf", "flat_epsilon must be finite and non-negative, got inf"),
+            ("grid_step = nan", "grid_step must be in (0, 1], got nan"),
+            ("grid_step = inf", "grid_step must be in (0, 1], got inf"),
+            ("mr_weight_floor = nan", "mr_weight_floor must be in [0, 1], got nan"),
+            ("mr_weight_floor = inf", "mr_weight_floor must be in [0, 1], got inf"),
+            ("simplex_max_iter = -1", "simplex_max_iter must be non-negative, got -1"),
+            ("cost.SYN1 = nan", "cost for 'SYN1' must be finite and non-negative, got nan"),
+            ("cost.SYN1 = inf", "cost for 'SYN1' must be finite and non-negative, got inf"),
+            ("mc_draws = 0", "Monte Carlo needs at least 1 draw, got 0"),
+            ("mc_adf_sample_size = 3", "Monte Carlo sample size must be at least 4, got 3"),
+            ("mc_johansen_sample_size = 1",
+             "Monte Carlo sample size must be at least 4, got 1"),
+        ],
+    )
+    def test_bad_key_fails_every_command_before_loading(
+        self, small_workspace, tmp_path, monkeypatch, command, setting, message
+    ):
+        monkeypatch.setattr(cli, "_load_panel", _no_load)
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace + setting + "\n")
+        out = tmp_path / "out"
+        code, _, err = _run_main([command, "--config", str(config), "--out", str(out)])
+        assert (code, err) == (2, f"ERR:validation:{message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
+    @pytest.mark.parametrize(
+        "subset, message",
+        [
+            ("SYN1,NOPE", "unknown subset instrument(s): ['NOPE']"),
+            ("SYN1,SYN2,SYN1", "repeated subset instrument(s): ['SYN1']"),
+        ],
+    )
+    def test_subset_ids_fail_before_loading(
+        self, small_workspace, tmp_path, monkeypatch, command, subset, message
+    ):
+        monkeypatch.setattr(cli, "_load_panel", _no_load)
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace)
+        out = tmp_path / "out"
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--out", str(out), "--subset", subset]
+        )
+        assert (code, err) == (2, f"ERR:validation:{message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("half_life", [None, math.inf])
+    def test_report_manifest_is_strict_json(
+        self, small_workspace, tmp_path, monkeypatch, half_life
+    ):
+        if half_life is not None:  # a portfolio with no measured mean reversion
+            fit = cli.ci.fit_subset
+
+            def no_reversion(*args):
+                outcome, portfolio = fit(*args)
+                return outcome, dataclasses.replace(portfolio, half_life_days=half_life)
+
+            monkeypatch.setattr(cli.ci, "fit_subset", no_reversion)
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace)
+        argv = ["report", "--config", str(config), "--out", str(tmp_path)]
+        assert cli.run(argv + ["--subset", "SYN1,SYN2"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"manifest holds {constant}")
+
+        text = (tmp_path / "manifest.json").read_text(encoding="utf-8")
+        backtest = json.loads(text, parse_constant=reject)["backtest"]
+        if half_life is not None:
+            assert backtest["half_life_days"] is None
 
 
 _TRICKY = [

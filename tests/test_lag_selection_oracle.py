@@ -38,7 +38,7 @@ from mrpairs.unit_root import (
 )
 
 
-def adf_test_per_lag(y, max_lag=None, level=0.95):
+def adf_test_per_lag(y, max_lag=None):
     """ADF with BIC lag selection by one `ols_qr` fit per candidate lag."""
     y = np.asarray(y, float).ravel()
     if max_lag is None:
@@ -57,7 +57,7 @@ def adf_test_per_lag(y, max_lag=None, level=0.95):
     n, k = X.shape
     sigma2 = float(fit.rss) / (n - k)
     statistic = float(fit.coef[1]) / math.sqrt(sigma2 * fit.xtx_inv[1, 1])
-    cv = adf_critical_value(n, level)
+    cv = adf_critical_value(n)
     return AdfOutcome(
         statistic=statistic,
         chosen_lag=p,
