@@ -5,16 +5,18 @@ blocks are frequently near-collinear, so everything here goes through a
 thin QR factorization and explicit rank checks.
 
 `ols_qr` fits one design in full. `nested_residual_moments` takes the R
-factor of [X | Y] and yields the residual moments of Y on column prefixes
-of X, with the checks `ols_qr` would make. It serves ADF lag selection
-(every prefix; R from the design's own QR), VAR lag selection (every
-prefix; R from a column subset of a panel-wide factor) and the Johansen
-step (the one prefix Z; Y holds both dY_t and Y_{t-p}).
+factor of [X | Y], or a stack of them, and gives the residual moments of Y
+on column prefixes of X, with the outcome of each check `ols_qr` would
+make as a message rather than a raise, so one failing fit in a stack does
+not stop the others. It serves ADF lag selection (every prefix; R from the
+design's own QR), VAR lag selection (every prefix; R from column subsets
+of a panel-wide factor) and the Johansen step (the one prefix Z; Y holds
+both dY_t and Y_{t-p}).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import SingularityError
 
 # Relative tolerance on the diagonal of R for declaring rank deficiency.
 _RANK_RTOL = 1e-10
+_RANK_DEFICIENT = "regressor matrix is rank deficient"
 
 
 class OlsFit(NamedTuple):
@@ -36,15 +39,19 @@ def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("X must be 2-D with rows matching y")
 
 
+def _too_few(n: int, k: int) -> str:
+    return f"{n} observations for {k} regressors"
+
+
 def _require_observations(n: int, k: int) -> None:
     if n <= k:
-        raise SingularityError(f"{n} observations for {k} regressors")
+        raise SingularityError(_too_few(n, k))
 
 
 def _require_full_rank(diag: np.ndarray) -> None:
     """`diag` holds |R_jj| of the regressors' thin QR."""
     if diag.min() <= _RANK_RTOL * max(diag.max(), 1.0):
-        raise SingularityError("regressor matrix is rank deficient")
+        raise SingularityError(_RANK_DEFICIENT)
 
 
 def ols_qr(X: np.ndarray, y: np.ndarray) -> OlsFit:
@@ -65,26 +72,42 @@ def ols_qr(X: np.ndarray, y: np.ndarray) -> OlsFit:
 
 
 def nested_residual_moments(
-    r: np.ndarray, n: int, k_max: int, widths: Iterable[int]
-) -> Iterator[np.ndarray]:
+    r: np.ndarray, n: int, k_max: int, widths: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """Residual moments of Y on each column prefix X[:, :k], from one R.
 
     `r` is the R factor of a thin QR of [X | Y] with n rows, where X has
-    k_max columns and Y the rest. Any upper-triangular R with
-    R'R = [X | Y]'[X | Y] will do, such as the QR of a column subset of a
-    larger factor. The residual of Y on X[:, :k] is Q[:, k:] R[k:, k_max:],
-    so its cross-product is R[k:, k_max:]' R[k:, k_max:] (the RSS in the
-    1 x 1 case). Summing the trailing block avoids the cancellation of
-    Y'Y - |Q'Y|^2.
+    k_max columns and Y the rest, or a stack of such factors (..., K, C).
+    Any upper-triangular R with R'R = [X | Y]'[X | Y] will do, such as the
+    QR of a column subset of a larger factor. The residual of Y on
+    X[:, :k] is Q[:, k:] R[k:, k_max:], so its cross-product is
+    R[k:, k_max:]' R[k:, k_max:] (the RSS in the 1 x 1 case). Summing the
+    trailing block avoids the cancellation of Y'Y - |Q'Y|^2.
 
-    Yields one moment matrix per width, in order. Before each, the prefix
-    gets the checks `ols_qr(X[:, :k], Y)` would make, in its order and
-    with its messages, so a caller that interleaves its own checks raises
-    where a loop of separate fits would.
+    Returns the moment matrices stacked on axis -3 in width order, and per
+    factor and width the message of the first check that
+    `ols_qr(X[:, :k], Y)` would fail, in its order, or "" where it passes.
+    A caller that interleaves its own checks combines them per width with
+    `first_failures`, so each fit fails where a loop of separate fits would.
     """
-    diag = np.abs(np.diag(r[:, :k_max]))
-    for k in widths:
-        _require_observations(n, k)
-        _require_full_rank(diag[:k])
-        tail = r[k:, k_max:]
-        yield tail.T @ tail
+    diag = np.abs(np.diagonal(r[..., :k_max], axis1=-2, axis2=-1))
+    last = np.minimum(widths, diag.shape[-1]) - 1
+    low = np.minimum.accumulate(diag, axis=-1)[..., last]
+    high = np.maximum.accumulate(diag, axis=-1)[..., last]
+    deficient = low <= _RANK_RTOL * np.maximum(high, 1.0)
+    failures = np.where(deficient, _RANK_DEFICIENT, "").astype(object)
+    for j, k in enumerate(widths):
+        if n <= k:
+            failures[..., j] = _too_few(n, k)
+    tails = [r[..., k:, k_max:] for k in widths]
+    return np.stack([tail.mT @ tail for tail in tails], axis=-3), failures
+
+
+def first_failures(failures: np.ndarray) -> list[str | None]:
+    """Per row of (B, P) messages, the first non-empty one, or None."""
+    failed = failures != ""
+    at = failed.argmax(axis=-1)
+    return [
+        str(row[i]) if any_failed else None
+        for row, i, any_failed in zip(failures, at, failed.any(axis=-1))
+    ]

@@ -458,6 +458,16 @@ def run(argv: list[str]) -> int:
         repeated = sorted({s for s in subset_ids if subset_ids.count(s) > 1})
         if repeated:
             raise ValidationError(f"repeated subset instrument(s): {repeated}")
+        if not 2 <= len(subset_ids) <= 4:
+            raise ValidationError(
+                f"--subset must name 2 to 4 instruments, got {len(subset_ids)}"
+            )
+    n_ids = len(cfg.price_paths)
+    if args.command in ("scan", "report") and cfg.subset_max > 4 and n_ids > 4:
+        raise ValidationError(
+            f"subset_max must be at most 4 with {n_ids} instruments, "
+            f"got {cfg.subset_max}"
+        )
     if args.command == "scan":
         return cmd_scan(cfg)
     if args.command == "backtest":

@@ -19,9 +19,23 @@ of [Z | dY_t | Y_{t-p}] (`_ols.nested_residual_moments`), and solves the
 generalized eigenproblem det(l*S11 - S10*S00^-1*S01) = 0. The trace
 statistic for rank <= r is -n * sum_{i>r} ln(1 - l_i).
 
+Subsets are fit in stacks. The scan groups its tested subsets by width m
+for lag selection (`VarLagSelector.select_many`: one stacked QR of the
+R_W column subsets, stacked slogdets) and by (m, p) for the Johansen step
+(`_johansen_stack`: one stacked R-only QR, then stacked moments, cond,
+solve and eigh). numpy and scipy run the same LAPACK call on each matrix
+of a stack as on that matrix alone, so every figure is bit-identical to a
+fit of one subset. A check that fails for one subset becomes that
+subset's message, in the order the single fit would raise it; the single
+fits (`select_var_lag`, `johansen_test`, `fit_subset`) are stacks of one
+that raise it. Each stack is processed in chunks whose stacked design
+stays under `_CHUNK_BYTES` (0.5 MB), so the working set is bounded
+whatever the number of subsets.
+
 `fit_subset` is the one recipe for a subset: lag selection, Johansen
-test, and at rank >= 1 the hedge ratio, spread and half-life. The scan and
-the CLI both use it.
+test, and at rank >= 1 the hedge ratio, spread and half-life. The scan
+runs the same steps (`_fit_equal_width`); the portfolio steps run per
+ranked subset, in enumeration order.
 
 Critical values below are the 95% quantiles of the trace statistic under
 driftless random walks with this exact construction, estimated by Monte
@@ -35,12 +49,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import linalg as sla
 
-from ._ols import nested_residual_moments
+from ._ols import first_failures, nested_residual_moments
 from .errors import (
     JohansenSingularityError,
     NoCointegrationError,
@@ -65,6 +79,9 @@ JOHANSEN_TRACE_CV_95 = {
 }
 
 _MAX_COND = 1e12
+# A stack of subsets is fit in chunks whose stacked design stays under this
+# many bytes, so a scan's working set does not grow with its subset count.
+_CHUNK_BYTES = 512 * 1024
 
 
 def enumerate_combinations(
@@ -85,6 +102,13 @@ def enumerate_combinations(
     return out
 
 
+def _chunks(n_items: int, item_bytes: int) -> Iterator[slice]:
+    """Slices of a stack whose arrays stay under `_CHUNK_BYTES` each."""
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    for start in range(0, n_items, step):
+        yield slice(start, start + step)
+
+
 class VarLagSelector:
     """Schwarz-criterion VAR lags for subsets of one panel's instruments.
 
@@ -94,16 +118,17 @@ class VarLagSelector:
     is asked for. A subset's design [X | Y] is the column subset W[:, c] =
     Q*R_W[:, c], so a QR of the small R_W[:, c] gives the subset's own R
     factor, and with it every candidate lag's residual covariance
-    (`_ols.nested_residual_moments`).
+    (`_ols.nested_residual_moments`). `select_many` factors equal-width
+    subsets as stacks.
     """
 
     def __init__(self, panel: PricePanel | np.ndarray):
         # (T, N), observation-major; a panel's transpose is a view, not a copy
         if isinstance(panel, PricePanel):
-            self._levels = panel.prices.T
+            self.levels = panel.prices.T
         else:
-            self._levels = np.asarray(panel, float)
-        _, self.n_instruments = self._levels.shape
+            self.levels = np.asarray(panel, float)
+        _, self.n_instruments = self.levels.shape
         self._factors: dict[int, np.ndarray] = {}  # max lag -> R_W
 
     def select(self, columns: Sequence[int], max_lag: int) -> int:
@@ -113,8 +138,22 @@ class VarLagSelector:
         fit on the common sample left after trimming max_lag observations.
         Ties go to the smaller lag.
         """
-        T, N = self._levels.shape
-        m = len(columns)
+        lags, (failure,) = self.select_many([columns], max_lag)
+        if failure:
+            raise SingularityError(failure)
+        return int(lags[0])
+
+    def select_many(
+        self, subsets: Sequence[Sequence[int]], max_lag: int
+    ) -> tuple[np.ndarray, list[str | None]]:
+        """`select` for equal-width subsets, with failures as messages.
+
+        Returns each subset's lag, and the message `select` would raise
+        for it (the first failing check, in its order) or None.
+        """
+        T, N = self.levels.shape
+        columns = np.asarray(subsets, dtype=np.intp)
+        B, m = columns.shape
         if max_lag < 1:
             raise ValidationError("max_lag must be at least 1")
         if T < m * max_lag + 30:
@@ -124,21 +163,29 @@ class VarLagSelector:
         if max_lag not in self._factors:
             self._factors[max_lag] = self._factor(max_lag)
         r_w = self._factors[max_lag]
-        picked = [0] + [1 + i * N + j for i in range(max_lag + 1) for j in columns]
-        r = np.linalg.qr(r_w[:, picked], mode="r")
+        blocks = [1 + i * N + columns for i in range(max_lag + 1)]
+        picked = np.hstack([np.zeros((B, 1), np.intp)] + blocks)
         n = T - max_lag
-        widths = [1 + p * m for p in range(1, max_lag + 1)]
-        moments = nested_residual_moments(r, n, 1 + max_lag * m, widths)
-        best_p, best_sc = None, None
-        for p, cross in enumerate(moments, start=1):
-            sigma = cross / n
-            sign, logdet = np.linalg.slogdet(sigma)
-            if sign <= 0:
-                raise SingularityError("singular residual covariance in VAR fit")
-            sc = logdet + (math.log(n) / n) * (p * m * m + m)
-            if best_sc is None or sc < best_sc:
-                best_p, best_sc = p, sc
-        return best_p
+        lag_range = range(1, max_lag + 1)
+        widths = [1 + p * m for p in lag_range]
+        penalty = np.array([(math.log(n) / n) * (p * m * m + m) for p in lag_range])
+        lags = np.zeros(B, np.intp)
+        failures: list[str | None] = []
+        for chunk in _chunks(B, 8 * r_w.shape[0] * picked.shape[1]):
+            sliced = np.take(r_w, picked[chunk], axis=1).transpose(1, 0, 2)
+            r = np.linalg.qr(sliced, mode="r")
+            moments, failed = nested_residual_moments(r, n, 1 + max_lag * m, widths)
+            sign, logdet = np.linalg.slogdet(moments / n)
+            singular = (failed == "") & (sign <= 0)
+            failed[singular] = "singular residual covariance in VAR fit"
+            failures += first_failures(failed)
+            sc = logdet + penalty
+            best, best_sc = np.zeros(len(sc), np.intp), sc[:, 0]
+            for p in range(1, max_lag):  # strict, so ties keep the smaller lag
+                better = sc[:, p] < best_sc
+                best[better], best_sc = p, np.where(better, sc[:, p], best_sc)
+            lags[chunk] = best + 1
+        return lags, failures
 
     def _factor(self, max_lag: int) -> np.ndarray:
         """R_W for max lag p.
@@ -147,7 +194,7 @@ class VarLagSelector:
         n x (1 + (p+1)*N) array is its only copy; `np.linalg.qr` would add
         two more.
         """
-        Y = self._levels
+        Y = self.levels
         T, N = Y.shape
         W = np.empty((T - max_lag, 1 + (max_lag + 1) * N), order="F")
         W[:, 0] = 1.0
@@ -192,64 +239,107 @@ class CointegratedPortfolio:
     half_life_days: float  # math.inf marks no measured mean reversion
 
 
-def johansen_trace_from_levels(Y: np.ndarray, var_lag: int):
-    """Eigenvalues, eigenvectors and trace statistics for levels Y (T x m)."""
-    Y = np.asarray(Y, dtype=float)
-    T, m = Y.shape
+def _johansen_stack(levels: np.ndarray, subsets: np.ndarray, var_lag: int):
+    """Johansen eigenproblems of equal-width subsets at one VAR lag.
+
+    `levels` is T x N and `subsets` a B x m array of its column indices.
+    Returns eigenvalues (B, m), eigenvectors (B, m, m), trace statistics
+    (B, m), the sample size n and per subset the message that
+    `johansen_trace_from_levels` would raise for it, or None; a failed
+    subset's rows are nan.
+    """
+    T = levels.shape[0]
+    B, m = subsets.shape
     p = var_lag
     k = p - 1
     if p < 1:
         raise ValidationError("var_lag must be at least 1")
     if T < m * p + 30:
         raise ValidationError(f"need T >= m*var_lag + 30, got T={T}")
-    dY = np.diff(Y, axis=0)
     n = T - p
     kz = 1 + k * m                           # Z = [1, dY_{t-1}, ..., dY_{t-k}]
-    cols = [np.ones((n, 1))]
-    for i in range(1, k + 1):
-        cols.append(dY[p - 1 - i : T - 1 - i])
-    cols += [dY[p - 1 :], Y[: T - p]]        # dY_t, Y_{t-p} for t = p..T-1
-    r = np.linalg.qr(np.hstack(cols), mode="r")
-    (cross,) = nested_residual_moments(r, n, kz, [kz])
-    s00, s11, s01 = cross[:m, :m] / n, cross[m:, m:] / n, cross[:m, m:] / n
-    if np.linalg.cond(s00) > _MAX_COND or np.linalg.cond(s11) > _MAX_COND:
-        raise SingularityError("singular moment matrix in Johansen step")
-    core = s01.T @ np.linalg.solve(s00, s01)
-    core = (core + core.T) / 2.0
+    eigvals, trace = np.full((2, B, m), np.nan)
+    eigvecs = np.full((B, m, m), np.nan)
+    failures: list[str | None] = []
+    for chunk in _chunks(B, 8 * n * (kz + 2 * m)):
+        Y = levels.T[subsets[chunk]]         # (b, m, T)
+        dY = np.diff(Y, axis=-1)
+        # [Z | dY_t | Y_{t-p}] for t = p..T-1, one design per row, transposed
+        design = np.empty((len(Y), kz + 2 * m, n))
+        design[:, 0] = 1.0
+        for i in range(1, k + 1):
+            design[:, 1 + (i - 1) * m : 1 + i * m] = dY[:, :, p - 1 - i : T - 1 - i]
+        design[:, kz : kz + m] = dY[:, :, p - 1 :]
+        design[:, kz + m :] = Y[:, :, : T - p]
+        r = np.linalg.qr(design.mT, mode="r")
+        cross, failed = nested_residual_moments(r, n, kz, [kz])
+        cross = cross[:, 0]
+        s00, s11, s01 = cross[:, :m, :m] / n, cross[:, m:, m:] / n, cross[:, :m, m:] / n
+        ill = (np.linalg.cond(s00) > _MAX_COND) | (np.linalg.cond(s11) > _MAX_COND)
+        failed[(failed[:, 0] == "") & ill] = "singular moment matrix in Johansen step"
+        ok = np.flatnonzero(failed[:, 0] == "")
+        if len(ok):
+            s00, s11, s01 = s00[ok], s11[ok], s01[ok]
+            core = s01.mT @ np.linalg.solve(s00, s01)
+            vals, vecs = _generalized_eigh((core + core.mT) / 2.0, (s11 + s11.mT) / 2.0)
+            solved = ~np.isnan(vals[:, 0])
+            failed[ok[~solved]] = "generalized eigenproblem failed"
+            rows = chunk.start + ok[solved]
+            vals, vecs = vals[solved], vecs[solved]
+            order = np.argsort(vals, axis=-1)[:, ::-1]
+            vals = np.clip(np.take_along_axis(vals, order, -1), 0.0, 1.0 - 1e-15)
+            eigvals[rows] = vals
+            eigvecs[rows] = np.take_along_axis(vecs, order[:, None, :], -1)
+            tails = np.log(1.0 - vals)[:, ::-1].cumsum(axis=-1)[:, ::-1]  # i >= r
+            trace[rows] = -n * tails
+        failures += first_failures(failed)
+    return eigvals, eigvecs, trace, n, failures
+
+
+def _generalized_eigh(a: np.ndarray, b: np.ndarray):
+    """`sla.eigh(a, b)` of stacked pairs; a pair it fails on gets nan rows.
+
+    One failing pair fails the whole stack, so a failed stack is retried
+    one pair at a time.
+    """
     try:
-        eigvals, eigvecs = sla.eigh(core, (s11 + s11.T) / 2.0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SingularityError("generalized eigenproblem failed") from exc
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, 1.0 - 1e-15)
-    eigvecs = eigvecs[:, order]
-    tails = np.log(1.0 - eigvals)[::-1].cumsum()[::-1]  # sum over i >= r
-    trace = -n * tails
-    return eigvals, eigvecs, trace, n
+        return sla.eigh(a, b)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(a.shape[:2], np.nan), np.full(a.shape, np.nan)
+        parts = [_generalized_eigh(a[j : j + 1], b[j : j + 1]) for j in range(len(a))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def johansen_trace_from_levels(Y: np.ndarray, var_lag: int):
+    """Eigenvalues, eigenvectors and trace statistics for levels Y (T x m)."""
+    Y = np.asarray(Y, dtype=float)
+    subset = np.arange(Y.shape[1])[None]
+    eigvals, eigvecs, trace, n, (failure,) = _johansen_stack(Y, subset, var_lag)
+    if failure:
+        raise SingularityError(failure)
+    return eigvals[0], eigvecs[0], trace[0], n
+
+
+def _check_width(m: int) -> None:
+    if not 2 <= m <= 4:
+        raise ValidationError(f"Johansen subset width must be 2..4, got {m}")
+
+
+def _outcome(
+    subset: tuple[str, ...], eigvals, eigvecs, trace, var_lag: int, n: int
+) -> JohansenOutcome:
+    m = len(subset)
+    cvs = np.array([JOHANSEN_TRACE_CV_95[m - r] for r in range(m)])
+    rank = next((r for r in range(m) if trace[r] <= cvs[r]), m)
+    return JohansenOutcome(subset, eigvals, eigvecs, trace, cvs, rank, var_lag - 1, n)
 
 
 def johansen_test(panel: PricePanel, var_lag: int) -> JohansenOutcome:
     """Johansen trace test with unrestricted constant, VECM lag = var_lag - 1."""
-    m = panel.n_instruments
-    if not 2 <= m <= 4:
-        raise ValidationError(f"Johansen subset width must be 2..4, got {m}")
+    _check_width(panel.n_instruments)
     eigvals, eigvecs, trace, n = johansen_trace_from_levels(panel.prices.T, var_lag)
-    cvs = np.array([JOHANSEN_TRACE_CV_95[m - r] for r in range(m)])
-    rank = m
-    for r in range(m):
-        if trace[r] <= cvs[r]:
-            rank = r
-            break
-    return JohansenOutcome(
-        subset=panel.instrument_ids,
-        eigenvalues=eigvals,
-        eigenvectors=eigvecs,
-        trace_statistics=trace,
-        critical_values_95=cvs,
-        rank=rank,
-        vecm_lag=var_lag - 1,
-        n_obs=n,
-    )
+    return _outcome(panel.instrument_ids, eigvals, eigvecs, trace, var_lag, n)
 
 
 def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
@@ -270,9 +360,10 @@ def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
     return v / pivot
 
 
-def fit_subset(
-    sub: PricePanel, var_max_lag: int
-) -> tuple[JohansenOutcome, CointegratedPortfolio | None]:
+Fit = tuple[JohansenOutcome, CointegratedPortfolio | None]
+
+
+def fit_subset(sub: PricePanel, var_max_lag: int) -> Fit:
     """Johansen test of one subset and, at rank >= 1, its portfolio.
 
     The VAR lag is chosen up to var_max_lag, capped at the largest lag
@@ -280,33 +371,58 @@ def fit_subset(
     selection or Johansen step raises JohansenSingularityError; errors of
     the hedge, spread and half-life steps propagate as they are.
     """
-    columns = range(sub.n_instruments)
-    return _fit_subset(sub, var_max_lag, VarLagSelector(sub), columns)
+    _check_width(sub.n_instruments)
+    columns = [tuple(range(sub.n_instruments))]
+    (fit,) = _fit_equal_width(sub, VarLagSelector(sub), columns, var_max_lag)
+    if isinstance(fit, str):
+        raise JohansenSingularityError(fit)
+    return fit
 
 
-def _fit_subset(
-    sub: PricePanel, var_max_lag: int, lags: VarLagSelector, columns: Sequence[int]
-) -> tuple[JohansenOutcome, CointegratedPortfolio | None]:
-    """`fit_subset`, with the VAR lag from `lags` for the instruments at `columns`."""
-    feasible = max(1, min(var_max_lag, (sub.n_dates - 30) // sub.n_instruments))
-    try:
-        outcome = johansen_test(sub, lags.select(columns, feasible))
-    except SingularityError as exc:
-        raise JohansenSingularityError(str(exc)) from exc
-    if outcome.rank < 1:
-        return outcome, None
-    hedge = extract_hedge_ratio(outcome)
-    spread = compute_spread(sub, hedge)
-    portfolio = CointegratedPortfolio(
-        subset=outcome.subset,
-        hedge_ratio=hedge,
-        spread=spread,
-        half_life_days=estimate_half_life(spread).half_life_days,
-    )
-    return outcome, portfolio
+def _fit_equal_width(
+    panel: PricePanel,
+    lags: VarLagSelector,
+    subsets: Sequence[tuple[int, ...]],
+    var_max_lag: int,
+) -> Iterator[Fit | str]:
+    """`fit_subset` for equal-width subsets of `panel`, in their order.
+
+    The lags come from one `lags.select_many` and the Johansen steps from
+    one `_johansen_stack` per chosen lag; the portfolio steps run per
+    subset as each fit is taken, so their errors propagate in order. A
+    subset whose lag selection or Johansen step fails yields the message.
+    """
+    m = len(subsets[0])
+    feasible = max(1, min(var_max_lag, (panel.n_dates - 30) // m))
+    chosen, failures = lags.select_many(subsets, feasible)
+    fits: list[JohansenOutcome | str | None] = list(failures)
+    idx = np.asarray(subsets, dtype=np.intp)
+    ok = np.array([f is None for f in failures])
+    for p in map(int, np.unique(chosen[ok])):
+        members = np.flatnonzero(ok & (chosen == p))
+        eigvals, eigvecs, trace, n, errors = _johansen_stack(lags.levels, idx[members], p)
+        for j, i in enumerate(members):
+            ids = tuple(panel.instrument_ids[c] for c in subsets[i])
+            fits[i] = errors[j] or _outcome(
+                ids, eigvals[j], eigvecs[j], trace[j], p, n
+            )
+    for subset, outcome in zip(subsets, fits):
+        if isinstance(outcome, str):
+            yield outcome
+        elif outcome.rank < 1:
+            yield outcome, None
+        else:
+            hedge = extract_hedge_ratio(outcome)
+            spread = compute_spread(panel.subpanel(subset), hedge)
+            yield outcome, CointegratedPortfolio(
+                subset=outcome.subset,
+                hedge_ratio=hedge,
+                spread=spread,
+                half_life_days=estimate_half_life(spread).half_life_days,
+            )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRow:
     """One subset's line in the scan report."""
 
@@ -329,28 +445,35 @@ def scan_cointegration(
     """Test every instrument subset; rows come back in enumeration order.
 
     Subsets whose members are not all I(1) are skipped, not tested. The
-    report order is fixed by the enumeration. Every subset's VAR lag comes
+    report order is fixed by the enumeration. The tested subsets are fit
+    one width at a time (`_fit_equal_width`); every subset's VAR lag comes
     from one factor of the whole panel per distinct feasible max lag.
     """
+    subsets = enumerate_combinations(panel.n_instruments, min_size, max_size)
+    _check_width(len(subsets[-1]))
     if orders is None:
         orders = [
             classify_integration_order(panel.prices[i], max_lag=adf_max_lag)
             for i in range(panel.n_instruments)
         ]
     lags = VarLagSelector(panel)
+    tested = [s for s in subsets if all(orders[i] is IntegrationOrder.I1 for i in s)]
+    fits = itertools.chain.from_iterable(
+        _fit_equal_width(panel, lags, list(group), var_max_lag)
+        for _, group in itertools.groupby(tested, len)
+    )
+    tested = set(tested)
     rows: list[ScanRow] = []
-    for subset in enumerate_combinations(panel.n_instruments, min_size, max_size):
+    for subset in subsets:
         ids = tuple(panel.instrument_ids[i] for i in subset)
-        if any(orders[i] is not IntegrationOrder.I1 for i in subset):
+        if subset not in tested:
             rows.append(ScanRow(ids, "not all I(1)", None, None, None, None))
             continue
-        try:
-            outcome, portfolio = _fit_subset(
-                panel.subpanel(subset), var_max_lag, lags, subset
-            )
-        except JohansenSingularityError:
+        fit = next(fits)
+        if isinstance(fit, str):
             rows.append(ScanRow(ids, "singular", None, None, None, None))
             continue
+        outcome, portfolio = fit
         if portfolio is None:
             hedge, half_life = None, None
         else:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import nested_residual_moments, ols_qr
-from .errors import DegenerateInputError, ValidationError
+from ._ols import first_failures, nested_residual_moments, ols_qr
+from .errors import DegenerateInputError, SingularityError, ValidationError
 
 # Finite-sample 95% critical values of the Dickey-Fuller t-statistic for the
 # regression with constant and no trend, tabulated by effective sample size.
@@ -118,10 +118,13 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
     n = len(resp)
     best = None  # (bic, p)
     r = np.linalg.qr(np.column_stack([X, resp]), mode="r")
-    widths = range(2, max_lag + 3)
-    for p, moments in enumerate(nested_residual_moments(r, n, X.shape[1], widths)):
+    moments, failures = nested_residual_moments(r, n, X.shape[1], range(2, max_lag + 3))
+    (failure,) = first_failures(failures[None])
+    if failure:
+        raise SingularityError(failure)
+    for p, cross in enumerate(moments):
         k = p + 2
-        rss = max(float(moments[0, 0]), np.finfo(float).tiny)
+        rss = max(float(cross[0, 0]), np.finfo(float).tiny)
         bic = n * math.log(rss / n) + k * math.log(n)
         if best is None or bic < best[0]:
             best = (bic, p)

@@ -850,6 +850,47 @@ class TestChecksBeforeLoading:
         assert (code, err) == (2, f"ERR:validation:{message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
+    @pytest.mark.parametrize("subset", ["SYN1", "SYN1,SYN2,SYN3,SYN4,SYN5"])
+    def test_subset_width_fails_before_loading(
+        self, small_workspace, tmp_path, monkeypatch, command, subset
+    ):
+        monkeypatch.setattr(cli, "_load_panel", _no_load)
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace + "".join(
+            f"price.SYN{i} = {tmp_path / f'SYN{i}.csv'}\n" for i in range(3, 6)
+        ))
+        out = tmp_path / "out"
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--out", str(out), "--subset", subset]
+        )
+        width = len(subset.split(","))
+        message = f"--subset must name 2 to 4 instruments, got {width}"
+        assert (code, err) == (2, f"ERR:validation:{message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["scan", "report"])
+    def test_subset_max_above_four_fails_before_loading(
+        self, small_workspace, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.setattr(cli, "_load_panel", _no_load)
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace + "subset_max = 5\n" + "".join(
+            f"price.SYN{i} = {tmp_path / f'SYN{i}.csv'}\n" for i in range(3, 6)
+        ))
+        out = tmp_path / "out"
+        code, _, err = _run_main([command, "--config", str(config), "--out", str(out)])
+        message = "subset_max must be at most 4 with 5 instruments, got 5"
+        assert (code, err) == (2, f"ERR:validation:{message}\n")
+        assert not out.exists()
+
+    def test_subset_max_above_four_is_capped_by_a_pair(self, small_workspace, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace + "subset_max = 5\n")
+        assert cli.run(["scan", "--config", str(config), "--out", str(tmp_path)]) == 0
+        _, rows = _read_csv(tmp_path / "scan_report.csv")
+        assert [row[0] for row in rows] == ["SYN1+SYN2"]
+
     @pytest.mark.parametrize("half_life", [None, math.inf])
     def test_report_manifest_is_strict_json(
         self, small_workspace, tmp_path, monkeypatch, half_life

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,12 @@ from mrpairs.errors import (
     SingularityError,
     ValidationError,
 )
-from mrpairs.market_data import PricePanel
+from mrpairs.market_data import (
+    CointegrationRecipe,
+    PricePanel,
+    SynthConfig,
+    generate_synthetic_panel,
+)
 from mrpairs.spread_dynamics import SpreadSeries, compute_spread, estimate_half_life
 from mrpairs.unit_root import IntegrationOrder, simulate_adf_null_statistics
 
@@ -183,9 +190,65 @@ class TestScan:
         assert rows[0].rank is None
 
     def test_singular_johansen_marks_the_row(self, recipe_panel, monkeypatch):
-        monkeypatch.setattr(cointegration, "johansen_test", _raise_singular)
-        rows = scan_cointegration(recipe_panel, orders=I1_PAIR)
-        assert rows[0].skipped_reason == "singular"
+        # The pair plus an independent walk give four subsets; the stacked
+        # Johansen step reports the planted failure for (0, 2) alone.
+        p = recipe_panel
+        walk = 500.0 + np.cumsum(np.random.default_rng(5).standard_normal(p.n_dates))
+        panel = PricePanel(
+            dates=p.dates,
+            prices=np.vstack([p.prices, walk]),
+            instrument_ids=("A", "B", "C"),
+        )
+        orders = [IntegrationOrder.I1] * 3
+        stack = cointegration._johansen_stack
+
+        def planted(levels, subsets, var_lag):
+            *out, failures = stack(levels, subsets, var_lag)
+            marked = [s == (0, 2) for s in map(tuple, subsets)]
+            return *out, ["planted" if hit else f for hit, f in zip(marked, failures)]
+
+        clean = scan_cointegration(panel, orders=orders)
+        monkeypatch.setattr(cointegration, "_johansen_stack", planted)
+        rows = scan_cointegration(panel, orders=orders)
+        assert [r.skipped_reason for r in rows] == [None, "singular", None, None]
+        assert [r.subset for r in rows] == [
+            ("A", "B"), ("A", "C"), ("B", "C"), ("A", "B", "C")
+        ]
+        for row, before in zip(rows, clean):
+            if row.skipped_reason is None:
+                assert repr(row) == repr(before)
+
+    def test_scan_working_memory_is_bounded(self):
+        # 375 subsets of a 10 x 1000 panel: the stacks are fit in chunks, so
+        # the peak stays near the 0.9 MB panel factor (about 1.8 MB); one
+        # stack per group would peak near 44 MB.
+        panel = generate_synthetic_panel(0, SynthConfig(
+            n_walks=9, n_days=1000, noise_scale=1.0, start_price=1000.0,
+            recipe=CointegrationRecipe(weights=(2.0,) + (0.0,) * 8),
+        ))
+        orders = [IntegrationOrder.I1] * 10
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = scan_cointegration(panel, orders=orders)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 375 and sum(bool(r.rank) for r in rows) > 0
+        assert peak < 4e6
+
+    def test_width_above_four_fails_before_any_fit(
+        self, independent_panel, monkeypatch
+    ):
+        monkeypatch.setattr(cointegration, "_fit_equal_width", _raise_singular)
+        wide = PricePanel(
+            dates=independent_panel.dates,
+            prices=np.vstack([independent_panel.prices] * 3)
+            * np.arange(1, 7)[:, None],
+            instrument_ids=tuple("ABCDEF"),
+        )
+        with pytest.raises(ValidationError, match="width must be 2..4, got 5"):
+            scan_cointegration(wide, max_size=5, orders=[IntegrationOrder.I1] * 6)
 
     @pytest.mark.parametrize(
         "step", ["extract_hedge_ratio", "compute_spread", "estimate_half_life"]

@@ -249,6 +249,15 @@ def test_scan_marks_only_subsets_with_both_copies_singular():
     assert all(r.skipped_reason is None for r in rows if r.subset not in singular)
 
 
+def _rows_holding(prices, columns):
+    """For each column, the price row whose leading values it holds."""
+    n = columns.shape[0]
+    return tuple(
+        next(i for i, y in enumerate(prices) if np.array_equal(col, y[:n]))
+        for col in columns.T
+    )
+
+
 @pytest.mark.parametrize(
     "T, var_max_lag, expected_factors", [(500, 10, 1), (60, 10, 2)]
 )
@@ -258,25 +267,32 @@ def test_scan_factors_the_panel_once_per_feasible_lag(
     # Four instruments keep W taller than wide, so each subset's QR of a
     # slice of R_W has fewer rows than the sample. Lag selection and the
     # Johansen step factor with mode "r" or "raw"; the half-life fits use
-    # "reduced". Each call is counted under the function that made it.
+    # "reduced". Each call is counted under the function that made it, and
+    # each full-length Johansen design in a stack is traced back to its
+    # subset through its last m columns, the levels Y_{t-p}.
     Y = _six_panel(1, T)[:, [0, 1, 2, 5]]
-    calls = []
+    panel = _price_panel(Y)
+    calls, covered = [], []
     for owner in (np.linalg, scipy.linalg):
 
         def counting_qr(a, *args, _qr=owner.qr, **kwargs):
             caller = sys._getframe(1).f_code.co_name
-            calls.append((np.shape(a)[0], kwargs.get("mode"), caller))
+            calls.append((np.shape(a)[-2], kwargs.get("mode"), caller))
+            if caller == "_johansen_stack" and np.shape(a)[-2] >= T - var_max_lag:
+                for design in np.reshape(a, (-1,) + np.shape(a)[-2:]):
+                    n, c = design.shape  # n = T - p, c = 1 + (p+1)*m
+                    m = (c - 1) // (T - n + 1)
+                    covered.append(_rows_holding(panel.prices, design[:, -m:]))
             return _qr(a, *args, **kwargs)
 
         monkeypatch.setattr(owner, "qr", counting_qr)
     rows = scan_cointegration(
-        _price_panel(Y), var_max_lag=var_max_lag, orders=[IntegrationOrder.I1] * 4
+        panel, var_max_lag=var_max_lag, orders=[IntegrationOrder.I1] * 4
     )
     assert len(rows) == 11 and all(r.skipped_reason is None for r in rows)
     full_length = Counter(
         c[2] for c in calls if c[1] in ("r", "raw") and c[0] >= T - var_max_lag
     )
-    assert full_length == {
-        "_factor": expected_factors,
-        "johansen_trace_from_levels": len(rows),
-    }
+    assert full_length["_factor"] == expected_factors
+    assert set(full_length) == {"_factor", "_johansen_stack"}
+    assert Counter(covered) == Counter(enumerate_combinations(4, 2, 4))

@@ -1,0 +1,272 @@
+"""The stacked scan against the per-subset loop it replaced.
+
+`scan_cointegration` fits its tested subsets in stacks: one stacked QR of
+R_W column subsets per width for lag selection, and one stacked R-only QR
+per (width, lag) for the Johansen step, in chunks under a byte budget.
+The reference below is the loop the engine once ran: for each subset, its
+own QR of a slice of the panel factor with one slogdet per lag, then its
+own Johansen QR, cond, solve and eigh, raising at the first failed check.
+Both must give `repr`-identical rows (skip reason, rank, top eigenvalue,
+hedge ratio, half-life), the same message for every failed subset, and
+the same exception for an input the scan cannot fit.
+"""
+
+import datetime as dt
+import math
+
+import numpy as np
+import pytest
+from scipy import linalg as sla
+
+from mrpairs import cointegration
+from mrpairs.cointegration import (
+    JOHANSEN_TRACE_CV_95,
+    VarLagSelector,
+    enumerate_combinations,
+    extract_hedge_ratio,
+    scan_cointegration,
+)
+from mrpairs.errors import SingularityError, ValidationError
+from mrpairs.market_data import PricePanel, trading_days
+from mrpairs.spread_dynamics import compute_spread, estimate_half_life
+from mrpairs.unit_root import IntegrationOrder
+
+
+def _nested_moments(r, n, k_max, widths):
+    """Residual moments per column prefix, raising at the first failed check."""
+    diag = np.abs(np.diag(r[:, :k_max]))
+    for k in widths:
+        if n <= k:
+            raise SingularityError(f"{n} observations for {k} regressors")
+        if diag[:k].min() <= 1e-10 * max(diag[:k].max(), 1.0):
+            raise SingularityError("regressor matrix is rank deficient")
+        tail = r[k:, k_max:]
+        yield tail.T @ tail
+
+
+def select_lag_loop(levels, r_w, columns, max_lag):
+    """One subset's Schwarz-criterion lag from its own QR of R_W columns."""
+    T, N = levels.shape
+    m = len(columns)
+    if T < m * max_lag + 30:
+        raise ValidationError(
+            f"need T >= m*max_lag + 30, got T={T}, m={m}, max_lag={max_lag}"
+        )
+    picked = [0] + [1 + i * N + j for i in range(max_lag + 1) for j in columns]
+    r = np.linalg.qr(r_w[:, picked], mode="r")
+    n = T - max_lag
+    widths = [1 + p * m for p in range(1, max_lag + 1)]
+    best_p, best_sc = None, None
+    for p, cross in enumerate(_nested_moments(r, n, 1 + max_lag * m, widths), 1):
+        sign, logdet = np.linalg.slogdet(cross / n)
+        if sign <= 0:
+            raise SingularityError("singular residual covariance in VAR fit")
+        sc = logdet + (math.log(n) / n) * (p * m * m + m)
+        if best_sc is None or sc < best_sc:
+            best_p, best_sc = p, sc
+    return best_p
+
+
+def johansen_loop(Y, p):
+    """One subset's Johansen eigenproblem from its own R-only QR."""
+    T, m = Y.shape
+    k = p - 1
+    dY = np.diff(Y, axis=0)
+    n = T - p
+    kz = 1 + k * m
+    cols = [np.ones((n, 1))]
+    for i in range(1, k + 1):
+        cols.append(dY[p - 1 - i : T - 1 - i])
+    cols += [dY[p - 1 :], Y[: T - p]]
+    r = np.linalg.qr(np.hstack(cols), mode="r")
+    (cross,) = _nested_moments(r, n, kz, [kz])
+    s00, s11, s01 = cross[:m, :m] / n, cross[m:, m:] / n, cross[:m, m:] / n
+    if np.linalg.cond(s00) > 1e12 or np.linalg.cond(s11) > 1e12:
+        raise SingularityError("singular moment matrix in Johansen step")
+    core = s01.T @ np.linalg.solve(s00, s01)
+    core = (core + core.T) / 2.0
+    try:
+        eigvals, eigvecs = sla.eigh(core, (s11 + s11.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError("generalized eigenproblem failed") from exc
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.clip(eigvals[order], 0.0, 1.0 - 1e-15)
+    eigvecs = eigvecs[:, order]
+    trace = -n * np.log(1.0 - eigvals)[::-1].cumsum()[::-1]
+    cvs = [JOHANSEN_TRACE_CV_95[m - r] for r in range(m)]
+    rank = next((r for r in range(m) if trace[r] <= cvs[r]), m)
+    return eigvals, eigvecs, rank
+
+
+def scan_loop(panel, var_max_lag=10):
+    """Rows as the per-subset loop made them, with each subset's lag or message."""
+    levels = panel.prices.T
+    T = panel.n_dates
+    factors = {}
+    rows, fits = [], {}
+    for subset in enumerate_combinations(panel.n_instruments, 2, 4):
+        ids = tuple(panel.instrument_ids[i] for i in subset)
+        m = len(subset)
+        feasible = max(1, min(var_max_lag, (T - 30) // m))
+        if feasible not in factors:
+            factors[feasible] = VarLagSelector(panel)._factor(feasible)
+        try:
+            p = select_lag_loop(levels, factors[feasible], subset, feasible)
+            eigvals, eigvecs, rank = johansen_loop(levels[:, subset], p)
+        except SingularityError as exc:
+            fits[subset] = str(exc)
+            rows.append(_line(ids, "singular", None, None, None, None))
+            continue
+        fits[subset] = p
+        hedge = half_life = None
+        if rank >= 1:
+            outcome = cointegration.JohansenOutcome(
+                ids, eigvals, eigvecs, None, None, rank, p - 1, T - p
+            )
+            hedge = extract_hedge_ratio(outcome)
+            spread = compute_spread(panel.subpanel(subset), hedge)
+            half_life = estimate_half_life(spread).half_life_days
+        rows.append(_line(ids, None, rank, float(eigvals[0]), hedge, half_life))
+    return rows, fits
+
+
+def _line(subset, skipped_reason, rank, top_eigenvalue, hedge_ratio, half_life):
+    hedge = None if hedge_ratio is None else hedge_ratio.tolist()
+    return repr((subset, skipped_reason, rank, top_eigenvalue, hedge, half_life))
+
+
+def _lines(rows):
+    return [
+        _line(r.subset, r.skipped_reason, r.rank, r.top_eigenvalue,
+                 r.hedge_ratio, r.half_life_days)
+        for r in rows
+    ]
+
+
+def _ar1(rng, T, phi):
+    e = rng.standard_normal(T)
+    out = np.empty(T)
+    out[0] = e[0]
+    for t in range(1, T):
+        out[t] = phi * out[t - 1] + e[t]
+    return out
+
+
+def _six_panel(seed, T, degenerate=None):
+    """Five walks with AR(0..0.8) increments and one cointegrated column.
+
+    `degenerate` overwrites column 4 with a copy of column 1, a scaled
+    copy, a constant, or a copy plus 3e-7 white noise, which lag selection
+    accepts and the Johansen step's cond check does not.
+    """
+    rng = np.random.default_rng(seed)
+    walks = [np.cumsum(_ar1(rng, T, phi)) for phi in (0.0, 0.3, 0.5, 0.6, 0.8)]
+    Y = np.column_stack(walks + [walks[0] - 0.5 * walks[1] + _ar1(rng, T, 0.7)])
+    if degenerate == "duplicate":
+        Y[:, 4] = Y[:, 1]
+    elif degenerate == "scaled duplicate":
+        Y[:, 4] = 2.5 * Y[:, 1]
+    elif degenerate == "constant":
+        Y[:, 4] = 3.0
+    elif degenerate == "near duplicate":
+        Y[:, 4] = Y[:, 1] + 3e-7 * rng.standard_normal(T)
+    return PricePanel(
+        dates=trading_days(dt.date(2008, 1, 2), T),
+        prices=(1000.0 + Y).T,
+        instrument_ids=tuple(f"S{i}" for i in range(6)),
+    )
+
+
+def _stacked_fits(panel, var_max_lag=10):
+    """Each tested subset's lag or message from the stacked path, and the
+    max lags the panel was factored for."""
+    lags = VarLagSelector(panel)
+    fits = {}
+    for m in (2, 3, 4):
+        subsets = enumerate_combinations(panel.n_instruments, m, m)
+        for subset, fit in zip(
+            subsets,
+            cointegration._fit_equal_width(panel, lags, subsets, var_max_lag),
+        ):
+            fits[subset] = fit if isinstance(fit, str) else fit[0].vecm_lag + 1
+    return fits, set(lags._factors)
+
+
+ALL_I1 = [IntegrationOrder.I1] * 6
+PANELS = [(60, None), (250, None), (600, None), (300, "duplicate"),
+          (300, "scaled duplicate"), (300, "constant"), (300, "near duplicate")]
+# At the default budget the Johansen stacks of T = 600 span several chunks
+# and the others fit in one; the extremes are one subset per chunk and one
+# chunk per stack.
+BUDGETS = {"one subset per chunk": 1, "one chunk per stack": 1 << 40}
+
+
+@pytest.mark.parametrize("T, degenerate", PANELS)
+def test_scan_matches_per_subset_loop(T, degenerate):
+    _check_against_loop(T, degenerate)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("T, degenerate", [PANELS[i] for i in (0, 2, 3, 6)])
+def test_any_byte_budget_matches_per_subset_loop(monkeypatch, budget, T, degenerate):
+    monkeypatch.setattr(cointegration, "_CHUNK_BYTES", BUDGETS[budget])
+    _check_against_loop(T, degenerate)
+
+
+def _check_against_loop(T, degenerate):
+    lags_by_width, messages = {}, set()
+    for seed in range(2):
+        panel = _six_panel(seed, T, degenerate)
+        want_rows, want_fits = scan_loop(panel)
+        assert _lines(scan_cointegration(panel, orders=ALL_I1)) == want_rows
+        fits, factored = _stacked_fits(panel)
+        assert fits == want_fits
+        for subset, fit in want_fits.items():
+            if isinstance(fit, str):
+                messages.add(fit)
+            else:
+                lags_by_width.setdefault(len(subset), set()).add(fit)
+    if T == 60:  # (60 - 30) // m caps width 4 at lag 7; widths 2 and 3 keep 10
+        assert factored == {10, 7}
+    if degenerate is None:
+        # some width's group holds subsets whose chosen lags differ
+        assert any(len(lags) > 1 for lags in lags_by_width.values())
+    if degenerate in ("duplicate", "scaled duplicate", "constant"):
+        assert "regressor matrix is rank deficient" in messages
+    if degenerate == "near duplicate":
+        assert messages == {"singular moment matrix in Johansen step"}
+
+
+def test_failed_eigenproblem_marks_only_its_subset(monkeypatch):
+    # A stacked eigh fails as a whole; the failed pair alone must be marked.
+    panel = _six_panel(0, 250)
+    poisoned = {}
+
+    def failing_eigh(a, b, *args, _eigh=sla.eigh, **kwargs):
+        if a.ndim == 2 and not poisoned:
+            poisoned["core"] = a.copy()
+        stacked = a.reshape(-1, *a.shape[-2:])
+        if any(np.array_equal(x, poisoned["core"]) for x in stacked):
+            raise np.linalg.LinAlgError("planted failure")
+        return _eigh(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", failing_eigh)
+    want_rows, want_fits = scan_loop(panel)
+    assert list(want_fits.values()).count("generalized eigenproblem failed") == 1
+    assert _lines(scan_cointegration(panel, orders=ALL_I1)) == want_rows
+    assert _stacked_fits(panel)[0] == want_fits
+
+
+def _raised(fn, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def test_panel_too_short_for_width_four_raises_like_the_loop():
+    # T = 33: widths 2 and 3 fit at lag 1, width 4 needs T >= 34
+    panel = _six_panel(0, 33)
+    raised = _raised(scan_cointegration, panel, orders=ALL_I1)
+    assert raised == _raised(scan_loop, panel)
+    message = "need T >= m*max_lag + 30, got T=33, m=4, max_lag=1"
+    assert raised == (ValidationError, message)
