@@ -1,9 +1,10 @@
 """The CSV format of every input and output file.
 
-Inputs are two-column UTF-8 files under a fixed header (`date,close`,
-`month,value`, `month,direction`, `instrument,cost`). Blank or
-whitespace-only rows are skipped, every other row has exactly two fields,
-and each problem raises CsvParseError naming `path:line`.
+Inputs are two-column UTF-8 keyed tables under a fixed header (`date,close`,
+`month,value`, `month,direction`, `instrument,cost`), all read by `read_map`
+under one rule. Blank or whitespace-only rows are skipped, every other row
+has exactly two fields, keys are unique, and at least one row holds data;
+each problem raises CsvParseError naming `path:line` (or `path`).
 
 Outputs are comma-joined cells with `\\n` line ends and no quoting. Floats
 are written with `repr`, so they read back bit-exact; None is an empty cell.
@@ -16,7 +17,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CsvParseError, ValidationError
 
-T = TypeVar("T")
+K = TypeVar("K")
+V = TypeVar("V")
 
 
 def read_rows(path: str, header: str) -> Iterator[tuple[int, str, str]]:
@@ -48,14 +50,38 @@ def read_rows(path: str, header: str) -> Iterator[tuple[int, str, str]]:
         raise CsvParseError(f"{path}: not UTF-8 text") from None
 
 
-def parse_field(
-    path: str, line_num: int, what: str, text: str, parse: Callable[[str], T]
-) -> T:
-    """`parse(text)`, with a rejected field reported as CsvParseError at path:line."""
-    try:
-        return parse(text)
-    except (ValueError, ValidationError):
-        raise CsvParseError(f"{path}:{line_num}: bad {what} {text!r}") from None
+def read_map(
+    path: str,
+    header: str,
+    parse_key: Callable[[str], K],
+    parse_value: Callable[[str], V],
+) -> dict[K, V]:
+    """Each data row's parsed key -> parsed value, in file order.
+
+    A key is stripped before `parse_key` sees it. A field that its parser
+    rejects (ValueError or ValidationError) is reported as `bad <name>`,
+    with the name taken from the header; so is a repeated key, as
+    `duplicate <name>`. A file with no data rows is rejected too.
+    """
+    key_name, value_name = header.split(",")
+
+    def field(line, name, text, parse):
+        try:
+            return parse(text)
+        except (ValueError, ValidationError):
+            raise CsvParseError(f"{path}:{line}: bad {name} {text!r}") from None
+
+    out: dict[K, V] = {}
+    for line, key_text, value_text in read_rows(path, header):
+        key_text = key_text.strip()
+        key = field(line, key_name, key_text, parse_key)
+        value = field(line, value_name, value_text, parse_value)
+        if key in out:
+            raise CsvParseError(f"{path}:{line}: duplicate {key_name} {key_text}")
+        out[key] = value
+    if not out:
+        raise CsvParseError(f"{path}: no data rows")
+    return out
 
 
 def _cell(value) -> str:

@@ -32,7 +32,7 @@ from . import cointegration as ci
 from . import fusion
 from . import macro_signals as ms
 from . import unit_root as ur
-from ._csv import parse_field, read_rows, write_csv
+from ._csv import read_map, write_csv
 from .errors import (
     CoverageError,
     NoCointegrationError,
@@ -72,7 +72,17 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self):  # every check that needs no data, before any command
+        n_ids = len(self.price_paths)
         for key, ok, rule in (
+            ("subset_min", self.subset_min >= 2, "at least 2"),
+            ("subset_max", self.subset_max >= self.subset_min,
+             f"at least subset_min ({self.subset_min})"),
+            ("subset_min", n_ids < 2 or self.subset_min <= n_ids,
+             f"at most the number of price.<ID> keys ({n_ids})"),
+            ("subset_max", self.subset_max <= 4 or n_ids <= 4,
+             f"at most 4 with {n_ids} instruments"),
+            ("adf_max_lag", self.adf_max_lag is None or self.adf_max_lag >= 0,
+             "non-negative"),
             ("var_max_lag", self.var_max_lag >= 1, "at least 1"),
             ("min_overlap", self.min_overlap >= 1, "at least 1"),
             ("forecast_train_fraction", 0.0 < self.forecast_train_fraction < 1.0,
@@ -143,11 +153,8 @@ def config_hash(cfg: RunConfig) -> str:
 def _load_panel(cfg: RunConfig):
     if len(cfg.price_paths) < 2:
         raise ValidationError("config must name at least two price.<ID> files")
-    series = [
-        load_price_csv(path, instrument_id=iid)
-        for iid, path in cfg.price_paths.items()
-    ]
-    return align_panel(series, min_overlap=cfg.min_overlap)
+    closes = {iid: load_price_csv(path) for iid, path in cfg.price_paths.items()}
+    return align_panel(closes, min_overlap=cfg.min_overlap)
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -280,11 +287,12 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
         mr_weight_floor=cfg.mr_weight_floor,
         simplex_max_iter=cfg.simplex_max_iter,
     )
-    full, _, portfolio = _fit_subset(cfg, _load_panel(cfg), subset_ids)
-    mr_positions = _mr_positions(cfg, portfolio).positions
     indicators = sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
     if not indicators:
         raise ValidationError("optimize needs at least one macro indicator")
+    optimizer_config.check_grid_size(len(indicators) + 1)
+    full, _, portfolio = _fit_subset(cfg, _load_panel(cfg), subset_ids)
+    mr_positions = _mr_positions(cfg, portfolio).positions
     signal_maps = []
     for indicator in indicators:
         directions = _monthly_directions(cfg, indicator).items()
@@ -403,10 +411,7 @@ def cmd_verify_critical_values(cfg: RunConfig) -> int:
 
 
 def _load_costs_csv(path: str) -> dict[str, float]:
-    return {
-        instrument.strip(): parse_field(path, line, "cost", cost, float)
-        for line, instrument, cost in read_rows(path, "instrument,cost")
-    }
+    return read_map(path, "instrument,cost", str, float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,12 +467,6 @@ def run(argv: list[str]) -> int:
             raise ValidationError(
                 f"--subset must name 2 to 4 instruments, got {len(subset_ids)}"
             )
-    n_ids = len(cfg.price_paths)
-    if args.command in ("scan", "report") and cfg.subset_max > 4 and n_ids > 4:
-        raise ValidationError(
-            f"subset_max must be at most 4 with {n_ids} instruments, "
-            f"got {cfg.subset_max}"
-        )
     if args.command == "scan":
         return cmd_scan(cfg)
     if args.command == "backtest":

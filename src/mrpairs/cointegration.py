@@ -56,7 +56,6 @@ from scipy import linalg as sla
 
 from ._ols import first_failures, nested_residual_moments
 from .errors import (
-    JohansenSingularityError,
     NoCointegrationError,
     SingularityError,
     ValidationError,
@@ -368,14 +367,14 @@ def fit_subset(sub: PricePanel, var_max_lag: int) -> Fit:
 
     The VAR lag is chosen up to var_max_lag, capped at the largest lag
     `select_var_lag` accepts for the subset's length. A singular lag
-    selection or Johansen step raises JohansenSingularityError; errors of
+    selection or Johansen step raises SingularityError; errors of
     the hedge, spread and half-life steps propagate as they are.
     """
     _check_width(sub.n_instruments)
     columns = [tuple(range(sub.n_instruments))]
     (fit,) = _fit_equal_width(sub, VarLagSelector(sub), columns, var_max_lag)
     if isinstance(fit, str):
-        raise JohansenSingularityError(fit)
+        raise SingularityError(fit)
     return fit
 
 

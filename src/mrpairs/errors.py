@@ -43,10 +43,6 @@ class SingularityError(DegenerateInputError):
     """Rank-deficient regressor or moment matrix."""
 
 
-class JohansenSingularityError(SingularityError):
-    """Singular VAR lag selection or Johansen step; the scan marks the subset."""
-
-
 class NoCointegrationError(DegenerateInputError):
     """Hedge ratio requested from a rank-zero Johansen outcome."""
 

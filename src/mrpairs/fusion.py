@@ -117,6 +117,18 @@ class OptimizerConfig:
                 f"simplex_max_iter must be non-negative, got {self.simplex_max_iter!r}"
             )
 
+    def check_grid_size(self, n_sources: int) -> None:
+        """Reject a grid over `n_sources` weights of more than MAX_GRID_POINTS."""
+        step = self.grid_step
+        n_ticks = (1.0 + step / 2) / step  # len() of the grid's arange, before ceil
+        # Below a step of ~5.6e-309 the quotient overflows; that grid counts as inf.
+        n_points = math.ceil(n_ticks) ** n_sources if n_ticks < math.inf else n_ticks
+        if n_points > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid_step {step!r} gives a grid of {n_points} points "
+                f"over {n_sources} weights, more than {MAX_GRID_POINTS}"
+            )
+
 
 @dataclass(frozen=True)
 class ProbeRecord:
@@ -163,14 +175,7 @@ def optimize_weights(
     dates = signal_series[0].dates
     n_sources = len(masks)
     step = config.grid_step
-    n_ticks = (1.0 + step / 2) / step  # len() of the arange below, before ceil
-    # Below a step of ~5.6e-309 the quotient overflows; that grid counts as inf.
-    n_points = math.ceil(n_ticks) ** n_sources if n_ticks < math.inf else n_ticks
-    if n_points > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"grid_step {step!r} gives a grid of {n_points} points "
-            f"over {n_sources} weights, more than {MAX_GRID_POINTS}"
-        )
+    config.check_grid_size(n_sources)
     probe_weights: list[np.ndarray] = []
     probe_apr: list[float] = []
     saw_active_probe = False

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import parse_field, read_rows
+from ._csv import read_map
 from .backtest import target_positions
 from .errors import CoverageError, DegenerateLabelsError, ValidationError
-from .market_data import MonthlySeries, _month_key
+from .market_data import MonthlySeries, _month
 
 
 class DirectionLabel(enum.Enum):
@@ -211,17 +211,6 @@ def expand_monthly_to_daily(
 
 def load_forecast_oracle_csv(path: str) -> dict[str, DirectionLabel]:
     """Parse a `month,direction` CSV with direction in {up,down,flat}."""
-    out: dict[str, DirectionLabel] = {}
-    for line, month_text, direction_text in read_rows(path, "month,direction"):
-        month = month_text.strip()
-        parse_field(path, line, "month", month, _month_key)
-        direction = parse_field(
-            path, line, "direction", direction_text,
-            lambda s: DirectionLabel(s.strip().lower()),
-        )
-        if month in out:
-            raise ValidationError(f"{path}:{line}: duplicate month {month}")
-        out[month] = direction
-    if not out:
-        raise ValidationError(f"{path}: no data rows")
-    return out
+    return read_map(
+        path, "month,direction", _month, lambda s: DirectionLabel(s.strip().lower())
+    )

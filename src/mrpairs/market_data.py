@@ -3,12 +3,13 @@
 Daily close prices arrive as `date,close` CSVs with strict, zero-padded
 `YYYY-MM-DD` dates, one file per instrument. Monthly macro indicators
 arrive as `month,value` CSVs with strict, zero-padded `YYYY-MM` months.
-Both loaders read through `_csv.read_rows`, so a malformed file fails with
-a CsvParseError naming `path:line`, also for a close or value that is not
-finite. Statistics modules take plain arrays, not these series types.
-Panels are built by inner-joining the date sets so no price is ever
-fabricated; the minimum overlap (default 30 trading days) keeps downstream
-regressions well-posed.
+Both loaders read through `_csv.read_map`, so a malformed file fails with
+a CsvParseError naming `path:line`, also for a repeated date or month and
+for a close or value that is not finite (or, for a close, not positive).
+A price file loads as a `{date: close}` map; statistics modules take plain
+arrays, not these types. Panels are built by inner-joining the maps' date
+sets so no price is ever fabricated; the minimum overlap (default 30
+trading days) keeps downstream regressions well-posed.
 
 The synthetic generator produces random-walk panels, optionally planting a
 known cointegrating relationship: the last column is a weighted combination
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._csv import parse_field, read_rows
+from ._csv import read_map
 from .errors import InsufficientOverlapError, ValidationError
 
 DEFAULT_MIN_OVERLAP = 30
@@ -36,31 +37,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """One instrument's daily closes; dates strictly ascending, prices finite > 0."""
-
-    dates: tuple[dt.date, ...]
-    values: np.ndarray
-    instrument_id: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if len(self.dates) != len(self.values):
-            raise ValidationError("dates and values lengths differ")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise ValidationError("dates must be strictly ascending")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("series contains non-finite values")
-        if np.any(self.values <= 0):
-            raise ValidationError(
-                f"non-positive price in series {self.instrument_id!r}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.dates)
 
 
 @dataclass(frozen=True)
@@ -145,6 +121,12 @@ def _month_key(month: str) -> int:
     return int(month[:4]) * 12 + int(month[5:]) - 1
 
 
+def _month(text: str) -> str:
+    """A strict, zero-padded `YYYY-MM` month, as given."""
+    _month_key(text)
+    return text
+
+
 def _finite(text: str) -> float:
     """A float that is neither nan nor infinite."""
     value = float(text)
@@ -153,91 +135,61 @@ def _finite(text: str) -> float:
     return value
 
 
+def _close(text: str) -> float:
+    """A finite, positive close."""
+    value = _finite(text)
+    if value <= 0:
+        raise ValueError(f"non-positive close {text!r}")
+    return value
+
+
 def _date(text: str) -> dt.date:
     """A strict, zero-padded `YYYY-MM-DD` date."""
-    text = text.strip()
     if not _DATE.fullmatch(text):
         raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
     return dt.date.fromisoformat(text)
 
 
-def load_price_csv(path: str, instrument_id: str | None = None) -> PriceSeries:
-    """Parse a `date,close` CSV (dates `YYYY-MM-DD`) into a PriceSeries.
+def load_price_csv(path: str) -> dict[dt.date, float]:
+    """Parse a `date,close` CSV (dates `YYYY-MM-DD`) into `{date: close}`.
 
-    Rows are sorted by date. Rejects duplicate dates and closes that are
-    not finite and positive; parse failures name the offending line number.
+    Rows may come in any order; `align_panel` sorts the dates it keeps.
     """
-    rows: list[tuple[dt.date, float]] = []
-    for line, date_text, close_text in read_rows(path, "date,close"):
-        day = parse_field(path, line, "date", date_text, _date)
-        close = parse_field(path, line, "close", close_text, _finite)
-        if close <= 0:
-            raise ValidationError(f"{path}:{line}: non-positive close {close}")
-        rows.append((day, close))
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    for (a, _), (b, _) in zip(rows, rows[1:]):
-        if a == b:
-            raise ValidationError(f"{path}: duplicate date {a.isoformat()}")
-    name = instrument_id if instrument_id is not None else path
-    return PriceSeries(
-        dates=tuple(r[0] for r in rows),
-        values=np.array([r[1] for r in rows]),
-        instrument_id=name,
-    )
+    return read_map(path, "date,close", _date, _close)
 
 
 def load_monthly_csv(path: str) -> MonthlySeries:
     """Parse a `month,value` CSV (months `YYYY-MM`) into a MonthlySeries."""
-    rows: list[tuple[int, str, float]] = []
-    for line, month_text, value_text in read_rows(path, "month,value"):
-        month = month_text.strip()
-        key = parse_field(path, line, "month", month, _month_key)
-        value = parse_field(path, line, "value", value_text, _finite)
-        rows.append((key, month, value))
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
+    values = read_map(path, "month,value", _month, _finite)
+    months = sorted(values)  # zero-padded `YYYY-MM` sorts by date
     try:
-        return MonthlySeries(
-            months=tuple(r[1] for r in rows),
-            values=np.array([r[2] for r in rows]),
-        )
+        return MonthlySeries(tuple(months), np.array([values[m] for m in months]))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def align_panel(
-    series_list: Sequence[PriceSeries],
+    closes: dict[str, dict[dt.date, float]],
     min_overlap: int = DEFAULT_MIN_OVERLAP,
 ) -> PricePanel:
-    """Inner-join price series on their common dates.
+    """Inner-join instruments' `{date: close}` maps on their common dates.
 
-    Column order follows input order. Raises InsufficientOverlapError when
-    fewer than `min_overlap` dates are shared by every series.
+    Rows follow the order of `closes`. Raises InsufficientOverlapError when
+    fewer than `min_overlap` dates are shared by every instrument.
     """
-    if len(series_list) < 2:
+    if len(closes) < 2:
         raise ValidationError("need at least 2 series to build a panel")
-    for s in series_list:
-        if len(s) == 0:
-            raise ValidationError("cannot align an empty series")
-    common = set(series_list[0].dates)
-    for s in series_list[1:]:
-        common &= set(s.dates)
+    first, *rest = closes.values()
+    common = set(first).intersection(*rest)
     if len(common) < max(min_overlap, 1):
         raise InsufficientOverlapError(
             f"only {len(common)} common dates, need >= {min_overlap}"
         )
     dates = tuple(sorted(common))
-    cols = []
-    for s in series_list:
-        lookup = dict(zip(s.dates, s.values))
-        cols.append([lookup[d] for d in dates])
     return PricePanel(
         dates=dates,
-        prices=np.array(cols),
-        instrument_ids=tuple(s.instrument_id for s in series_list),
+        prices=np.array([[c[d] for d in dates] for c in closes.values()]),
+        instrument_ids=tuple(closes),
     )
 
 

@@ -1,9 +1,16 @@
 """Shared fixtures: synthetic panels and CSV fixture writers."""
 
-import numpy as np
-import pytest
+import os
 
-from mrpairs.market_data import (
+# One BLAS thread: the suite's matrices are tiny, and idle OpenBLAS threads
+# spin on them. This must run before anything imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from mrpairs.market_data import (  # noqa: E402
     CointegrationRecipe,
     SynthConfig,
     generate_synthetic_panel,

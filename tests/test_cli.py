@@ -376,6 +376,28 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith(f"ERR:validation:{costs}{message}")
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("SYN1,0.01\nSYN2,0.01\nSYN1,0.02\n", ":4: duplicate instrument SYN1"),
+         ("", ": no data rows")],
+    )
+    def test_costs_file_repeating_or_without_instruments(
+        self, pair_workspace, monkeypatch, capsys, tmp_path, rows, message
+    ):
+        costs = tmp_path / "costs.csv"
+        costs.write_text("instrument,cost\n" + rows)
+        out = tmp_path / "out"
+        code, err = self._main_exit(
+            monkeypatch,
+            capsys,
+            [
+                "backtest", "--config", pair_workspace["config"],
+                "--subset", "SYN1,SYN2", "--out", str(out), "--costs", str(costs),
+            ],
+        )
+        assert (code, err) == (2, f"ERR:validation:{costs}{message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
     def test_cost_not_finite_or_negative_in_config(
         self, pair_workspace, monkeypatch, capsys, tmp_path, value
@@ -658,7 +680,7 @@ class TestErrorPaths:
             pair_workspace, monkeypatch, capsys, tmp_path, "scan", "adf_max_lag = -2"
         )
         assert code == 2
-        assert err == "ERR:validation:max_lag must be non-negative, got -2\n"
+        assert err == "ERR:validation:adf_max_lag must be non-negative, got -2\n"
 
 
 class TestConfigParsing:
@@ -791,6 +813,11 @@ def _no_load(cfg):
     raise AssertionError("a price file was read before the check")
 
 
+_GRID_0001 = (
+    "grid_step 0.001 gives a grid of 1002001 points over 2 weights, more than 1000000"
+)
+
+
 class TestChecksBeforeLoading:
     """Every key and `--subset` id that needs no data is checked before any load."""
 
@@ -816,6 +843,11 @@ class TestChecksBeforeLoading:
             ("mc_adf_sample_size = 3", "Monte Carlo sample size must be at least 4, got 3"),
             ("mc_johansen_sample_size = 1",
              "Monte Carlo sample size must be at least 4, got 1"),
+            ("subset_min = 1", "subset_min must be at least 2, got 1"),
+            ("subset_max = 1", "subset_max must be at least subset_min (2), got 1"),
+            ("subset_min = 3",
+             "subset_min must be at most the number of price.<ID> keys (2), got 3"),
+            ("adf_max_lag = -2", "adf_max_lag must be non-negative, got -2"),
         ],
     )
     def test_bad_key_fails_every_command_before_loading(
@@ -881,6 +913,34 @@ class TestChecksBeforeLoading:
         out = tmp_path / "out"
         code, _, err = _run_main([command, "--config", str(config), "--out", str(out)])
         message = "subset_max must be at most 4 with 5 instruments, got 5"
+        assert (code, err) == (2, f"ERR:validation:{message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "drop_macro, setting, flags, message",
+        [
+            (True, "", [], "optimize needs at least one macro indicator"),
+            (False, "grid_step = 0.001\n", [], _GRID_0001),
+            # the flag adds the `oracle` indicator, whose weight the grid counts
+            (True, "grid_step = 0.001\n", ["--oracle-forecasts", "never-read.csv"],
+             _GRID_0001),
+        ],
+    )
+    def test_optimize_indicators_and_grid_fail_before_loading(
+        self, small_workspace, tmp_path, monkeypatch,
+        drop_macro, setting, flags, message,
+    ):
+        monkeypatch.setattr(cli, "_load_panel", _no_load)
+        text = small_workspace
+        if drop_macro:
+            text = text.replace("macro.", "# macro.")
+        config = tmp_path / "run.cfg"
+        config.write_text(text + setting)
+        out = tmp_path / "out"
+        code, _, err = _run_main(
+            ["optimize", "--config", str(config), "--out", str(out),
+             "--subset", "SYN1,SYN2", *flags]
+        )
         assert (code, err) == (2, f"ERR:validation:{message}\n")
         assert not out.exists()
 

@@ -83,6 +83,31 @@ _LOADERS = {
     "month,direction": load_forecast_oracle_csv,
     "instrument,cost": cli._load_costs_csv,
 }
+# Per format: a row, a later row that repeats its key, and the key as reported.
+_REPEATS = {
+    "date,close": ("2008-01-02,1.0", "2008-01-02,1.1", "date 2008-01-02"),
+    "month,value": ("2008-01,1.0", " 2008-01 ,2.0", "month 2008-01"),
+    "month,direction": ("2008-01,up", "2008-01,down", "month 2008-01"),
+    "instrument,cost": ("SYN1,0.01", "SYN1 ,0.02", "instrument SYN1"),
+}
+
+
+@pytest.mark.parametrize("header", sorted(_LOADERS))
+def test_every_format_rejects_a_repeated_key_and_a_table_without_rows(
+    tmp_path, header
+):
+    first, repeat, key = _REPEATS[header]
+    path = tmp_path / "in.csv"
+    path.write_text(f"{header}\n{first}\n\n{repeat}\n")
+    with pytest.raises(CsvParseError) as info:
+        _LOADERS[header](str(path))
+    assert str(info.value) == f"{path}:4: duplicate {key}"
+    path.write_text(f"{header}\n\n  \n")
+    with pytest.raises(CsvParseError) as info:
+        _LOADERS[header](str(path))
+    assert str(info.value) == f"{path}: no data rows"
+
+
 # Characters that make up valid rows of every format, plus a few that break them.
 _ALPHABET = "0123456789-.,\" \t\r\nEeinfaupdowlt+\xe9"
 

@@ -12,7 +12,6 @@ from mrpairs.errors import (
 from mrpairs.market_data import (
     CointegrationRecipe,
     PricePanel,
-    PriceSeries,
     SynthConfig,
     align_panel,
     generate_synthetic_panel,
@@ -21,9 +20,8 @@ from mrpairs.market_data import (
 )
 
 
-def _series(instrument_id, dates, values):
-    return PriceSeries(dates=tuple(dates), values=np.array(values, float),
-                       instrument_id=instrument_id)
+def _closes(dates, values):
+    return dict(zip(dates, map(float, values)))
 
 
 D = [dt.date(2008, 1, 2) + dt.timedelta(days=i) for i in range(10)]
@@ -33,28 +31,38 @@ class TestLoadPriceCsv:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "eur.csv"
         path.write_text("date,close\n2008-01-02,0.8804\n2008-01-03,0.8760\n")
-        s = load_price_csv(str(path), "EURUSD")
-        assert s.dates == (dt.date(2008, 1, 2), dt.date(2008, 1, 3))
-        assert s.values.tolist() == [0.8804, 0.8760]
+        closes = load_price_csv(str(path))
+        assert closes == {dt.date(2008, 1, 2): 0.8804, dt.date(2008, 1, 3): 0.8760}
 
     def test_out_of_order_rows_are_sorted(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,close\n2008-01-03,2.0\n2008-01-02,1.0\n")
-        s = load_price_csv(str(path))
-        assert s.dates[0] < s.dates[1]
-        assert s.values.tolist() == [1.0, 2.0]
+        closes = load_price_csv(str(path))
+        panel = align_panel({"A": closes, "B": closes}, min_overlap=2)
+        assert panel.dates == (dt.date(2008, 1, 2), dt.date(2008, 1, 3))
+        assert panel.prices.tolist() == [[1.0, 2.0], [1.0, 2.0]]
 
     def test_negative_price_names_the_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,close\n2008-01-02,1.0\n2008-01-03,-1.0\n")
-        with pytest.raises(ValidationError, match=":3:"):
+        with pytest.raises(CsvParseError) as info:
             load_price_csv(str(path))
+        assert str(info.value) == f"{path}:3: bad close '-1.0'"
+
+    @pytest.mark.parametrize("close", ["0", "-0.0"])
+    def test_zero_close_is_a_bad_field(self, tmp_path, close):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,close\n2008-01-02,1.0\n2008-01-03,{close}\n")
+        with pytest.raises(CsvParseError) as info:
+            load_price_csv(str(path))
+        assert str(info.value) == f"{path}:3: bad close '{close}'"
 
     def test_duplicate_date_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,close\n2008-01-02,1.0\n2008-01-02,1.1\n")
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(CsvParseError) as info:
             load_price_csv(str(path))
+        assert str(info.value) == f"{path}:3: duplicate date 2008-01-02"
 
     def test_malformed_row_has_line_number(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -99,18 +107,17 @@ class TestLoadMonthlyCsv:
             load_monthly_csv(str(path))
 
     @pytest.mark.parametrize(
-        "rows, months",
-        [("2008-01,1.0\n2008-03,3.0\n", "2008-01 then 2008-03"),
-         ("2008-02,1.0\n2008-01,1.0\n2008-02,2.0\n", "2008-02 then 2008-02")],
+        "rows, message",
+        [("2008-01,1.0\n2008-03,3.0\n",
+          ": months must be contiguous and ascending, got 2008-01 then 2008-03"),
+         ("2008-02,1.0\n2008-01,1.0\n2008-02,2.0\n", ":4: duplicate month 2008-02")],
     )
-    def test_gap_or_duplicate_names_file_and_months(self, tmp_path, rows, months):
+    def test_gap_or_duplicate_names_file_and_months(self, tmp_path, rows, message):
         path = tmp_path / "m.csv"
         path.write_text("month,value\n" + rows)
         with pytest.raises(ValidationError) as info:
             load_monthly_csv(str(path))
-        assert str(info.value) == (
-            f"{path}: months must be contiguous and ascending, got {months}"
-        )
+        assert str(info.value) == f"{path}{message}"
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_value_is_a_bad_field(self, tmp_path, value):
@@ -130,38 +137,38 @@ class TestLoadMonthlyCsv:
 
 class TestAlignPanel:
     def test_identical_dates_all_retained(self):
-        a = _series("A", D, range(1, 11))
-        b = _series("B", D, range(2, 12))
-        panel = align_panel([a, b], min_overlap=2)
+        a = _closes(D, range(1, 11))
+        b = _closes(D, range(2, 12))
+        panel = align_panel({"A": a, "B": b}, min_overlap=2)
         assert panel.dates == tuple(D)
         assert panel.instrument_ids == ("A", "B")
 
     def test_intersection_only(self):
-        a = _series("A", D[0:3], [1, 2, 3])
-        b = _series("B", D[1:4], [4, 5, 6])
-        panel = align_panel([a, b], min_overlap=1)
+        a = _closes(D[0:3], [1, 2, 3])
+        b = _closes(D[1:4], [4, 5, 6])
+        panel = align_panel({"A": a, "B": b}, min_overlap=1)
         assert panel.dates == tuple(D[1:3])
         assert panel.prices.tolist() == [[2, 3], [4, 5]]
 
     def test_disjoint_dates_raise(self):
-        a = _series("A", D[0:3], [1, 2, 3])
-        b = _series("B", D[5:8], [4, 5, 6])
+        a = _closes(D[0:3], [1, 2, 3])
+        b = _closes(D[5:8], [4, 5, 6])
         with pytest.raises(InsufficientOverlapError):
-            align_panel([a, b], min_overlap=1)
+            align_panel({"A": a, "B": b}, min_overlap=1)
 
     def test_default_floor_of_30(self):
-        a = _series("A", D, range(1, 11))
-        b = _series("B", D, range(2, 12))
+        a = _closes(D, range(1, 11))
+        b = _closes(D, range(2, 12))
         with pytest.raises(InsufficientOverlapError):
-            align_panel([a, b])
+            align_panel({"A": a, "B": b})
 
     def test_output_dates_subset_of_inputs(self):
-        a = _series("A", D[0:8], range(1, 9))
-        b = _series("B", D[2:10], range(1, 9))
-        panel = align_panel([a, b], min_overlap=1)
-        assert set(panel.dates) <= set(a.dates)
-        assert set(panel.dates) <= set(b.dates)
-        assert len(panel.dates) == len(set(a.dates) & set(b.dates))
+        a = _closes(D[0:8], range(1, 9))
+        b = _closes(D[2:10], range(1, 9))
+        panel = align_panel({"A": a, "B": b}, min_overlap=1)
+        assert set(panel.dates) <= set(a)
+        assert set(panel.dates) <= set(b)
+        assert len(panel.dates) == len(set(a) & set(b))
 
 
 class TestPricePanel:
