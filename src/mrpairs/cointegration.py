@@ -23,14 +23,14 @@ Subsets are fit in stacks. The scan groups its tested subsets by width m
 for lag selection (`VarLagSelector.select_many`: one stacked QR of the
 R_W column subsets, stacked slogdets) and by (m, p) for the Johansen step
 (`_johansen_stack`: one stacked R-only QR, then stacked moments, cond,
-solve and eigh). numpy and scipy run the same LAPACK call on each matrix
-of a stack as on that matrix alone, so every figure is bit-identical to a
-fit of one subset. A check that fails for one subset becomes that
-subset's message, in the order the single fit would raise it; the single
-fits (`select_var_lag`, `johansen_test`, `fit_subset`) are stacks of one
-that raise it. Each stack is processed in chunks whose stacked design
-stays under `_CHUNK_BYTES` (0.5 MB), so the working set is bounded
-whatever the number of subsets.
+solve, Cholesky and eigh). numpy's stacked linear algebra runs the same
+LAPACK call on each matrix of a stack as on that matrix alone, so every
+figure is bit-identical to a fit of one subset. A check that fails for
+one subset becomes that subset's message, in the order the single fit
+would raise it; the single fits (`select_var_lag`, `johansen_test`,
+`fit_subset`) are stacks of one that raise it. Each stack is processed
+in chunks whose stacked design stays under `_CHUNK_BYTES` (0.5 MB), so
+the working set is bounded whatever the number of subsets.
 
 `fit_subset` is the one recipe for a subset: lag selection, Johansen
 test, and at rank >= 1 the hedge ratio, spread and half-life. The scan
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from ._ols import first_failures, nested_residual_moments
 from .errors import (
@@ -189,9 +188,8 @@ class VarLagSelector:
     def _factor(self, max_lag: int) -> np.ndarray:
         """R_W for max lag p.
 
-        W is filled column-major and factored in place, so the one
-        n x (1 + (p+1)*N) array is its only copy; `np.linalg.qr` would add
-        two more.
+        W, n x (1 + (p+1)*N), is filled column-major; `np.linalg.qr`
+        factors a copy of it, so factoring briefly needs W's memory twice.
         """
         Y = self.levels
         T, N = Y.shape
@@ -200,8 +198,7 @@ class VarLagSelector:
         for i in range(1, max_lag + 1):
             W[:, 1 + (i - 1) * N : 1 + i * N] = Y[max_lag - i : T - i]
         W[:, 1 + max_lag * N :] = Y[max_lag:]
-        _, r_w = sla.qr(W, mode="raw", overwrite_a=True, check_finite=False)
-        return r_w
+        return np.linalg.qr(W, mode="r")
 
 
 def select_var_lag(panel: PricePanel | np.ndarray, max_lag: int) -> int:
@@ -296,13 +293,16 @@ def _johansen_stack(levels: np.ndarray, subsets: np.ndarray, var_lag: int):
 
 
 def _generalized_eigh(a: np.ndarray, b: np.ndarray):
-    """`sla.eigh(a, b)` of stacked pairs; a pair it fails on gets nan rows.
+    """Stacked a*v = l*b*v for symmetric a and positive definite b = L*L'.
 
-    One failing pair fails the whole stack, so a failed stack is retried
-    one pair at a time.
+    The eigenpairs (l, V) of L^-1*a*L^-T give the eigenvectors L^-T*V,
+    with V'*b*V = I. A pair it fails on gets nan rows; one failing pair
+    fails the whole stack, so a failed stack is retried one pair at a time.
     """
     try:
-        return sla.eigh(a, b)
+        l_inv = np.linalg.inv(np.linalg.cholesky(b))
+        vals, vecs = np.linalg.eigh(l_inv @ a @ l_inv.mT)
+        return vals, l_inv.mT @ vecs
     except np.linalg.LinAlgError:
         if len(a) == 1:
             return np.full(a.shape[:2], np.nan), np.full(a.shape, np.nan)
@@ -397,7 +397,7 @@ def _fit_equal_width(
     fits: list[JohansenOutcome | str | None] = list(failures)
     idx = np.asarray(subsets, dtype=np.intp)
     ok = np.array([f is None for f in failures])
-    for p in map(int, np.unique(chosen[ok])):
+    for p in sorted(set(chosen[ok].tolist())):  # np.unique would load numpy.ma
         members = np.flatnonzero(ok & (chosen == p))
         eigvals, eigvecs, trace, n, errors = _johansen_stack(lags.levels, idx[members], p)
         for j, i in enumerate(members):

@@ -38,7 +38,7 @@ from .errors import DegenerateInputError, SingularityError, ValidationError
 _ADF_CV_SAMPLE_SIZES = (25, 50, 100, 250, 500, math.inf)
 ADF_CRITICAL_VALUES_95 = (-3.00, -2.93, -2.89, -2.88, -2.87, -2.86)
 
-_NULL_BATCH = 4000  # walks per Monte Carlo batch
+_NULL_BATCH = 256  # walks per Monte Carlo batch, small enough to stay in cache
 
 
 def adf_critical_value(sample_size: int) -> float:

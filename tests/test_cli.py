@@ -1031,6 +1031,28 @@ class TestConfigFuzz:
             assert err.count("\n") <= 1 and err.startswith("ERR:") == bool(err), err
 
 
+def test_importing_the_cli_or_scanning_loads_no_scipy(seven_workspace, tmp_path):
+    # The scan path is numpy only; scipy loads only inside `optimize`.
+    src = pathlib.Path(cli.__file__).parents[1]
+    argv = ["scan", "--config", seven_workspace["config"], "--out", str(tmp_path)]
+    probe = (
+        "import sys, mrpairs.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print('scipy:', loaded())\n"
+        f"assert mrpairs.cli.run({argv!r}) == 0\n"
+        "print('scipy:', loaded())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    reports = [line for line in done.stdout.splitlines() if line.startswith("scipy:")]
+    assert reports == ["scipy: []", "scipy: []"]
+
+
 def test_importing_the_cli_does_not_load_scipy_optimize():
     # Only `optimize` needs scipy.optimize, which is slow to import.
     src = pathlib.Path(cli.__file__).parents[1]

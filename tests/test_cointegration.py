@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mrpairs import cointegration
+from mrpairs import cointegration, unit_root
 from mrpairs.cointegration import (
     JohansenOutcome,
     enumerate_combinations,
@@ -220,8 +220,9 @@ class TestScan:
 
     def test_scan_working_memory_is_bounded(self):
         # 375 subsets of a 10 x 1000 panel: the stacks are fit in chunks, so
-        # the peak stays near the 0.9 MB panel factor (about 1.8 MB); one
-        # stack per group would peak near 44 MB.
+        # the peak stays near the 0.9 MB panel design and the copy of it
+        # that `np.linalg.qr` factors (about 2.0 MB); one stack per group
+        # would peak near 44 MB.
         panel = generate_synthetic_panel(0, SynthConfig(
             n_walks=9, n_days=1000, noise_scale=1.0, start_price=1000.0,
             recipe=CointegrationRecipe(weights=(2.0,) + (0.0,) * 8),
@@ -289,7 +290,7 @@ class TestFitSubset:
 class TestNullTraceSimulation:
     @pytest.mark.parametrize("sample_size", [50, 500])
     def test_dim_one_is_the_squared_df_ratio(self, sample_size):
-        # 4001 draws span two batches of the shared walk generator; with
+        # 4001 draws span several batches of the shared walk generator; with
         # one common trend the trace is n*log1p(t^2/(n-2)) of the walk's
         # lag-0 Dickey-Fuller t-ratio.
         trace = simulate_johansen_null_trace(4001, sample_size, dim=1, seed=7)
@@ -297,6 +298,20 @@ class TestNullTraceSimulation:
         n = sample_size - 1
         assert trace.shape == (4001,)
         np.testing.assert_allclose(trace, n * np.log1p(t**2 / (n - 2)), rtol=1e-12)
+
+    def test_batch_size_does_not_change_the_statistics(self, monkeypatch):
+        # The walks are drawn row by row from one stream and reduced row by
+        # row, so a batch of 256 walks gives what a batch of 4000 gives;
+        # 8193 draws span three batches of 4000 and 33 of 256.
+        runs = []
+        for batch in (4000, 256):
+            monkeypatch.setattr(unit_root, "_NULL_BATCH", batch)
+            runs.append((
+                simulate_adf_null_statistics(8193, 100, seed=5),
+                simulate_johansen_null_trace(8193, 100, dim=1, seed=5),
+            ))
+        for big, small in zip(*runs):
+            assert big.shape == (8193,) and np.array_equal(big, small)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_same_seed_same_draws(self, dim):

@@ -17,7 +17,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from mrpairs._ols import ols_qr
 from mrpairs.cointegration import (
@@ -266,32 +265,31 @@ def test_scan_factors_the_panel_once_per_feasible_lag(
 ):
     # Four instruments keep W taller than wide, so each subset's QR of a
     # slice of R_W has fewer rows than the sample. Lag selection and the
-    # Johansen step factor with mode "r" or "raw"; the half-life fits use
-    # "reduced". Each call is counted under the function that made it, and
-    # each full-length Johansen design in a stack is traced back to its
-    # subset through its last m columns, the levels Y_{t-p}.
+    # Johansen step factor with mode "r"; the half-life fits use "reduced".
+    # Each call is counted under the function that made it, and each
+    # full-length Johansen design in a stack is traced back to its subset
+    # through its last m columns, the levels Y_{t-p}.
     Y = _six_panel(1, T)[:, [0, 1, 2, 5]]
     panel = _price_panel(Y)
     calls, covered = [], []
-    for owner in (np.linalg, scipy.linalg):
 
-        def counting_qr(a, *args, _qr=owner.qr, **kwargs):
-            caller = sys._getframe(1).f_code.co_name
-            calls.append((np.shape(a)[-2], kwargs.get("mode"), caller))
-            if caller == "_johansen_stack" and np.shape(a)[-2] >= T - var_max_lag:
-                for design in np.reshape(a, (-1,) + np.shape(a)[-2:]):
-                    n, c = design.shape  # n = T - p, c = 1 + (p+1)*m
-                    m = (c - 1) // (T - n + 1)
-                    covered.append(_rows_holding(panel.prices, design[:, -m:]))
-            return _qr(a, *args, **kwargs)
+    def counting_qr(a, *args, _qr=np.linalg.qr, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        calls.append((np.shape(a)[-2], kwargs.get("mode"), caller))
+        if caller == "_johansen_stack" and np.shape(a)[-2] >= T - var_max_lag:
+            for design in np.reshape(a, (-1,) + np.shape(a)[-2:]):
+                n, c = design.shape  # n = T - p, c = 1 + (p+1)*m
+                m = (c - 1) // (T - n + 1)
+                covered.append(_rows_holding(panel.prices, design[:, -m:]))
+        return _qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(owner, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     rows = scan_cointegration(
         panel, var_max_lag=var_max_lag, orders=[IntegrationOrder.I1] * 4
     )
     assert len(rows) == 11 and all(r.skipped_reason is None for r in rows)
     full_length = Counter(
-        c[2] for c in calls if c[1] in ("r", "raw") and c[0] >= T - var_max_lag
+        c[2] for c in calls if c[1] == "r" and c[0] >= T - var_max_lag
     )
     assert full_length["_factor"] == expected_factors
     assert set(full_length) == {"_factor", "_johansen_stack"}

@@ -5,7 +5,8 @@ R_W column subsets per width for lag selection, and one stacked R-only QR
 per (width, lag) for the Johansen step, in chunks under a byte budget.
 The reference below is the loop the engine once ran: for each subset, its
 own QR of a slice of the panel factor with one slogdet per lag, then its
-own Johansen QR, cond, solve and eigh, raising at the first failed check.
+own Johansen QR, cond, solve and generalized eigh (the engine's own
+`_generalized_eigh` on a stack of one), raising at the first failed check.
 Both must give `repr`-identical rows (skip reason, rank, top eigenvalue,
 hedge ratio, half-life), the same message for every failed subset, and
 the same exception for an input the scan cannot fit.
@@ -16,7 +17,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import linalg as sla
 
 from mrpairs import cointegration
 from mrpairs.cointegration import (
@@ -85,10 +85,12 @@ def johansen_loop(Y, p):
         raise SingularityError("singular moment matrix in Johansen step")
     core = s01.T @ np.linalg.solve(s00, s01)
     core = (core + core.T) / 2.0
-    try:
-        eigvals, eigvecs = sla.eigh(core, (s11 + s11.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("generalized eigenproblem failed") from exc
+    eigvals, eigvecs = cointegration._generalized_eigh(
+        core[None], ((s11 + s11.T) / 2.0)[None]
+    )
+    if np.isnan(eigvals).any():
+        raise SingularityError("generalized eigenproblem failed")
+    eigvals, eigvecs = eigvals[0], eigvecs[0]
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, 1.0 - 1e-15)
     eigvecs = eigvecs[:, order]
@@ -238,19 +240,20 @@ def _check_against_loop(T, degenerate):
 
 
 def test_failed_eigenproblem_marks_only_its_subset(monkeypatch):
-    # A stacked eigh fails as a whole; the failed pair alone must be marked.
+    # A stacked Cholesky fails as a whole, as it does when one S11 is not
+    # positive definite; the failed pair alone must be marked.
     panel = _six_panel(0, 250)
     poisoned = {}
 
-    def failing_eigh(a, b, *args, _eigh=sla.eigh, **kwargs):
-        if a.ndim == 2 and not poisoned:
-            poisoned["core"] = a.copy()
-        stacked = a.reshape(-1, *a.shape[-2:])
-        if any(np.array_equal(x, poisoned["core"]) for x in stacked):
+    def failing_cholesky(b, *args, _cholesky=np.linalg.cholesky, **kwargs):
+        if not poisoned:
+            poisoned["s11"] = b[0].copy()
+        stacked = b.reshape(-1, *b.shape[-2:])
+        if any(np.array_equal(x, poisoned["s11"]) for x in stacked):
             raise np.linalg.LinAlgError("planted failure")
-        return _eigh(a, b, *args, **kwargs)
+        return _cholesky(b, *args, **kwargs)
 
-    monkeypatch.setattr(sla, "eigh", failing_eigh)
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     want_rows, want_fits = scan_loop(panel)
     assert list(want_fits.values()).count("generalized eigenproblem failed") == 1
     assert _lines(scan_cointegration(panel, orders=ALL_I1)) == want_rows
