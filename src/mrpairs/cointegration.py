@@ -392,7 +392,9 @@ def _fit_equal_width(
     subset whose lag selection or Johansen step fails yields the message.
     """
     m = len(subsets[0])
-    feasible = max(1, min(var_max_lag, (panel.n_dates - 30) // m))
+    T = panel.n_dates
+    # The top candidate lag P must leave T - P > 1 + P*m observations.
+    feasible = max(1, min(var_max_lag, (T - 30) // m, (T - 2) // (m + 1)))
     chosen, failures = lags.select_many(subsets, feasible)
     fits: list[JohansenOutcome | str | None] = list(failures)
     idx = np.asarray(subsets, dtype=np.intp)

@@ -12,8 +12,11 @@ The APR objective is piecewise constant in the weights (it only moves when
 a vote flips), so a gradient-based program is ill-posed; the search is
 derivative-free instead: an exhaustive coarse grid (0.25 steps, at most
 MAX_GRID_POINTS points) followed by Nelder-Mead refinement from the best
-grid point, clipped to the box. Transaction costs are excluded from the
-objective and only re-enter in the final reported backtest.
+grid point, clipped to the box. The simplex is this module's numpy
+`_nelder_mead`, a port that probes the same points as the reference
+implementation (tests/test_simplex_oracle.py). Transaction costs are
+excluded from the objective and only re-enter in the final reported
+backtest.
 """
 
 from __future__ import annotations
@@ -101,6 +104,14 @@ def signal_to_position(combined: SignalSeries) -> PositionSeries:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Weight-search settings.
+
+    The simplex counts its initial simplex as iteration 1, as the
+    reference Nelder-Mead it ports does, so `simplex_max_iter` = N allows
+    N - 1 simplex steps; 0 and 1 both probe only the initial simplex
+    (n + 1 points) before the final re-probe of its best vertex.
+    """
+
     grid_step: float = 0.25
     mr_weight_floor: float = 0.0  # minimum grid value on the last (MR) axis
     simplex_max_iter: int = 200
@@ -168,7 +179,6 @@ def optimize_weights(
     evaluation is recorded in order, making reruns with the same inputs
     byte-identical. Each probe is one vectorized vote and one `compute_pnl`.
     """
-    from scipy import optimize as sopt  # slow to load; no other command needs it
     if config is None:
         config = OptimizerConfig()
     masks = _vote_masks(signal_series)
@@ -205,18 +215,10 @@ def optimize_weights(
         if apr > best_apr:
             best_w, best_apr = point, apr
 
-    result = sopt.minimize(
-        lambda w: -objective(w),
-        x0=np.array(best_w, dtype=float),
-        method="Nelder-Mead",
-        options={
-            "maxiter": config.simplex_max_iter,
-            "xatol": 1e-3,
-            "fatol": 1e-10,
-            "disp": False,
-        },
+    x = _nelder_mead(
+        lambda w: -objective(w), np.array(best_w, dtype=float), config.simplex_max_iter
     )
-    refined = np.clip(result.x, 0.0, 1.0)
+    refined = np.clip(x, 0.0, 1.0)
     refined_apr = objective(refined)
     if refined_apr > best_apr:
         best_w, best_apr = refined, refined_apr
@@ -233,3 +235,59 @@ def optimize_weights(
         probe_weights=np.array(probe_weights),
         probe_apr=np.array(probe_apr),
     )
+
+
+def _nelder_mead(f, x0: np.ndarray, max_iter: int) -> np.ndarray:
+    """Best vertex of a Nelder-Mead minimization of `f` from `x0`.
+
+    A port of the reference implementation's unbounded, non-adaptive
+    Nelder-Mead with xatol 1e-3 and fatol 1e-10, in its arithmetic and its
+    order: the same initial simplex, step expressions and `np.argsort`
+    after every step, so it probes the same points, bit for bit.
+    Iterations count from 1, the initial simplex, so `max_iter` = N allows
+    N - 1 steps. `f` is given views of the simplex and must not keep or
+    change them.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    for _ in range(2):  # the reference sorts twice here; ties may move
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+
+    iterations = 1
+    while iterations < max_iter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-3
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-10):
+            break
+        xbar = sim[:-1].sum(0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                keep = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0]

@@ -1031,16 +1031,31 @@ class TestConfigFuzz:
             assert err.count("\n") <= 1 and err.startswith("ERR:") == bool(err), err
 
 
-def test_importing_the_cli_or_scanning_loads_no_scipy(seven_workspace, tmp_path):
-    # The scan path is numpy only; scipy loads only inside `optimize`.
+def test_importing_the_cli_or_scanning_loads_no_scipy(
+    seven_workspace, pair_workspace, tmp_path
+):
+    # mrpairs needs numpy only: importing the CLI and running each of its
+    # six subcommands, one after another in one interpreter, loads no scipy.
     src = pathlib.Path(cli.__file__).parents[1]
-    argv = ["scan", "--config", seven_workspace["config"], "--out", str(tmp_path)]
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        pathlib.Path(pair_workspace["config"]).read_text()
+        + "mc_draws = 20\nmc_adf_sample_size = 50\nmc_johansen_sample_size = 50\n"
+    )
+    common = ["--config", str(config), "--out", str(tmp_path)]
+    runs = [["scan", "--config", seven_workspace["config"], "--out", str(tmp_path)]]
+    runs += [[command] + common for command in ("scan", "forecast", "verify-critical-values")]
+    runs += [
+        [command, "--subset", "SYN1,SYN2"] + common
+        for command in ("backtest", "optimize", "report")
+    ]
     probe = (
         "import sys, mrpairs.cli\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "print('scipy:', loaded())\n"
-        f"assert mrpairs.cli.run({argv!r}) == 0\n"
-        "print('scipy:', loaded())\n"
+        f"for argv in {runs!r}:\n"
+        "    assert mrpairs.cli.run(argv) == 0, argv\n"
+        "    print('scipy:', loaded())\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
@@ -1050,18 +1065,4 @@ def test_importing_the_cli_or_scanning_loads_no_scipy(seven_workspace, tmp_path)
         check=True,
     )
     reports = [line for line in done.stdout.splitlines() if line.startswith("scipy:")]
-    assert reports == ["scipy: []", "scipy: []"]
-
-
-def test_importing_the_cli_does_not_load_scipy_optimize():
-    # Only `optimize` needs scipy.optimize, which is slow to import.
-    src = pathlib.Path(cli.__file__).parents[1]
-    probe = "import sys, mrpairs.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert done.stdout == "False\n"
+    assert reports == ["scipy: []"] * (1 + len(runs))

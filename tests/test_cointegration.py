@@ -286,6 +286,21 @@ class TestFitSubset:
         outcome, _ = fit_subset(short, var_max_lag=10)
         assert outcome.vecm_lag <= 4
 
+    def test_lag_capped_so_the_top_candidate_lag_can_be_fit(self, recipe_panel):
+        short = PricePanel(
+            dates=recipe_panel.dates[:100],
+            prices=recipe_panel.prices[:, :100],
+            instrument_ids=recipe_panel.instrument_ids,
+        )
+        # Max lag (100 - 30) // 2 = 35 would fit every candidate lag p on
+        # 65 observations, too few for 1 + 2p regressors from p = 32 on;
+        # (100 - 2) // 3 = 32 leaves 68 observations for at most 65.
+        outcome, _ = fit_subset(short, var_max_lag=40)
+        assert outcome.vecm_lag <= 31
+        (row,) = scan_cointegration(short, var_max_lag=40, orders=I1_PAIR)
+        assert row.skipped_reason is None
+        assert row.rank == outcome.rank
+
 
 class TestNullTraceSimulation:
     @pytest.mark.parametrize("sample_size", [50, 500])

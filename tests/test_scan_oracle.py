@@ -109,7 +109,7 @@ def scan_loop(panel, var_max_lag=10):
     for subset in enumerate_combinations(panel.n_instruments, 2, 4):
         ids = tuple(panel.instrument_ids[i] for i in subset)
         m = len(subset)
-        feasible = max(1, min(var_max_lag, (T - 30) // m))
+        feasible = max(1, min(var_max_lag, (T - 30) // m, (T - 2) // (m + 1)))
         if feasible not in factors:
             factors[feasible] = VarLagSelector(panel)._factor(feasible)
         try:
