@@ -34,35 +34,23 @@ class OlsFit(NamedTuple):
     xtx_inv: np.ndarray     # (X'X)^-1, from R alone
 
 
-def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be 2-D with rows matching y")
-
-
 def _too_few(n: int, k: int) -> str:
     return f"{n} observations for {k} regressors"
-
-
-def _require_observations(n: int, k: int) -> None:
-    if n <= k:
-        raise SingularityError(_too_few(n, k))
-
-
-def _require_full_rank(diag: np.ndarray) -> None:
-    """`diag` holds |R_jj| of the regressors' thin QR."""
-    if diag.min() <= _RANK_RTOL * max(diag.max(), 1.0):
-        raise SingularityError(_RANK_DEFICIENT)
 
 
 def ols_qr(X: np.ndarray, y: np.ndarray) -> OlsFit:
     """OLS fit of y on X (no implicit intercept; add a ones column)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_shapes(X, y)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be 2-D with rows matching y")
     n, k = X.shape
-    _require_observations(n, k)
+    if n <= k:
+        raise SingularityError(_too_few(n, k))
     q, r = np.linalg.qr(X, mode="reduced")
-    _require_full_rank(np.abs(np.diag(r)))
+    diag = np.abs(np.diag(r))  # |R_jj| of the regressors' thin QR
+    if diag.min() <= _RANK_RTOL * max(diag.max(), 1.0):
+        raise SingularityError(_RANK_DEFICIENT)
     coef = np.linalg.solve(r, q.T @ y)
     residuals = y - X @ coef
     rss = np.sum(residuals * residuals, axis=0)

@@ -77,9 +77,6 @@ class CostModel:
                     f"cost for {key!r} must be finite and non-negative, got {value!r}"
                 )
 
-    def cost_for(self, instrument_id: str) -> float:
-        return float(self.per_unit_cost.get(instrument_id, 0.0))
-
 
 class Metrics(NamedTuple):
     apr: float
@@ -188,7 +185,10 @@ def compute_pnl(
     if np.any(gmv <= 0.0):
         raise DegenerateInputError("zero gross market value")
     per_unit_trade_cost = float(
-        sum(abs(hi) * costs.cost_for(iid) for hi, iid in zip(h, panel.instrument_ids))
+        sum(
+            abs(hi) * costs.per_unit_cost.get(iid, 0.0)
+            for hi, iid in zip(h, panel.instrument_ids)
+        )
     )
     pos = positions.positions
     prev_pos = np.concatenate([[0], pos[:-1]])

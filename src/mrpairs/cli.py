@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -95,9 +96,15 @@ class RunConfig:
         bt.check_thresholds(self.entry_z, self.exit_z)
         ms.check_flat_epsilon(self.flat_epsilon)
         bt.CostModel(self.costs)
-        fusion.OptimizerConfig(self.grid_step, self.mr_weight_floor, self.simplex_max_iter)
+        self.optimizer
         for size in (self.mc_adf_sample_size, self.mc_johansen_sample_size):
             ur.check_null_walk_size(self.mc_draws, size)
+
+    @property
+    def optimizer(self) -> fusion.OptimizerConfig:
+        return fusion.OptimizerConfig(
+            self.grid_step, self.mr_weight_floor, self.simplex_max_iter
+        )
 
 
 # A scalar key parses with its field's type (annotations are strings here);
@@ -112,6 +119,8 @@ _PREFIXES = {
     "macro": ("macro_paths", str),
     "cost": ("costs", float),
 }
+# An id names output files and fills `+`-joined subset and CSV cells.
+_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def parse_config_file(path: str) -> RunConfig:
@@ -132,6 +141,8 @@ def parse_config_file(path: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         prefix, dot, name = key.partition(".")
         if dot and prefix in _PREFIXES:
+            if not _ID.fullmatch(name):
+                raise ValidationError(f"{path}:{lineno}: bad id {name!r} in {key!r}")
             target, parse = _PREFIXES[prefix]
             into = values.setdefault(target, {})
         elif key in _SCALAR_KEYS:
@@ -172,7 +183,7 @@ def _scan(cfg: RunConfig, panel) -> list[ci.ScanRow]:
     )
 
 
-def cmd_scan(cfg: RunConfig) -> int:
+def cmd_scan(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     rows = _scan(cfg, _load_panel(cfg))
     path = _out_path(cfg, "scan_report.csv")
     write_csv(
@@ -260,7 +271,7 @@ def _monthly_directions(cfg: RunConfig, indicator: str) -> dict[str, ms.Directio
     return dict(zip(months[split:], ms.predict_directions(model, features[split:])))
 
 
-def cmd_forecast(cfg: RunConfig) -> int:
+def cmd_forecast(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     indicators = sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
     if not indicators:
         raise ValidationError("config names no macro.<ID> or macro_oracle.<ID> files")
@@ -282,11 +293,7 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
     The run spans the first to the last date whose month every forecast
     covers; the full-sample mean-reversion positions are cut to it.
     """
-    optimizer_config = fusion.OptimizerConfig(
-        grid_step=cfg.grid_step,
-        mr_weight_floor=cfg.mr_weight_floor,
-        simplex_max_iter=cfg.simplex_max_iter,
-    )
+    optimizer_config = cfg.optimizer
     indicators = sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
     if not indicators:
         raise ValidationError("optimize needs at least one macro indicator")
@@ -378,7 +385,7 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     return EXIT_OK
 
 
-def cmd_verify_critical_values(cfg: RunConfig) -> int:
+def cmd_verify_critical_values(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     draws = cfg.mc_draws
     adf_stats = ur.simulate_adf_null_statistics(
         draws, sample_size=cfg.mc_adf_sample_size, seed=cfg.seed
@@ -410,8 +417,13 @@ def cmd_verify_critical_values(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_costs_csv(path: str) -> dict[str, float]:
-    return read_map(path, "instrument,cost", str, float)
+# Each command's `--subset` rule: True required, False optional, None ignored.
+# `run` looks `cmd_<name>` up at call time, so a wrapper set on the module
+# attribute (as a tracer sets one) is the function that runs.
+COMMANDS = {
+    "scan": None, "backtest": True, "forecast": None, "optimize": True,
+    "report": False, "verify-critical-values": None,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,13 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mrpairs",
         description="Cointegration pairs-trading research engine",
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            "scan", "backtest", "forecast", "optimize", "report",
-            "verify-critical-values",
-        ],
-    )
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument(
@@ -445,7 +451,7 @@ def run(argv: list[str]) -> int:
     cfg = parse_config_file(args.config)
     overrides = {"seed": args.seed, "out_dir": args.out}
     if args.costs is not None:
-        overrides["costs"] = _load_costs_csv(args.costs)
+        overrides["costs"] = read_map(args.costs, "instrument,cost", str, float)
     if args.oracle_forecasts is not None:
         keys = set(cfg.macro_paths) or {"oracle"}
         overrides["macro_oracle_paths"] = {k: args.oracle_forecasts for k in keys}
@@ -454,9 +460,10 @@ def run(argv: list[str]) -> int:
     if unknown:
         raise ValidationError(f"cost for unknown instrument(s): {unknown}")
     subset_ids = args.subset.split(",") if args.subset else None
-    if args.command in ("backtest", "optimize") and not subset_ids:
+    rule = COMMANDS[args.command]
+    if rule and not subset_ids:
         raise ValidationError(f"{args.command} requires --subset")
-    if args.command in ("backtest", "optimize", "report") and subset_ids:
+    if rule is not None and subset_ids:
         missing = [s for s in subset_ids if s not in cfg.price_paths]
         if missing:
             raise ValidationError(f"unknown subset instrument(s): {missing}")
@@ -467,17 +474,7 @@ def run(argv: list[str]) -> int:
             raise ValidationError(
                 f"--subset must name 2 to 4 instruments, got {len(subset_ids)}"
             )
-    if args.command == "scan":
-        return cmd_scan(cfg)
-    if args.command == "backtest":
-        return cmd_backtest(cfg, subset_ids)
-    if args.command == "forecast":
-        return cmd_forecast(cfg)
-    if args.command == "optimize":
-        return cmd_optimize(cfg, subset_ids)
-    if args.command == "report":
-        return cmd_report(cfg, subset_ids)
-    return cmd_verify_critical_values(cfg)
+    return globals()["cmd_" + args.command.replace("-", "_")](cfg, subset_ids)
 
 
 def main() -> None:

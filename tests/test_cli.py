@@ -944,6 +944,52 @@ class TestChecksBeforeLoading:
         assert (code, err) == (2, f"ERR:validation:{message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("scan", "price.A,B = never-read.csv", "bad id 'A,B' in 'price.A,B'"),
+            ("scan", "price.A+B = never-read.csv", "bad id 'A+B' in 'price.A+B'"),
+            ("scan", "price. = never-read.csv", "bad id '' in 'price.'"),
+            ("scan", "price.A B = never-read.csv", "bad id 'A B' in 'price.A B'"),
+            ("forecast", "macro.a/b = never-read.csv", "bad id 'a/b' in 'macro.a/b'"),
+            ("forecast", "macro_oracle.a:b = never-read.csv",
+             "bad id 'a:b' in 'macro_oracle.a:b'"),
+            ("backtest", "cost.SYN1; = 0.01", "bad id 'SYN1;' in 'cost.SYN1;'"),
+        ],
+    )
+    def test_bad_id_fails_before_any_file_is_read(
+        self, small_workspace, tmp_path, monkeypatch, command, line, message
+    ):
+        monkeypatch.setattr(cli, "_load_panel", _no_load)
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace + line + "\n")
+        out = tmp_path / "out"
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--out", str(out), "--subset", "SYN1,SYN2"]
+        )
+        assert (code, err) == (2, f"ERR:validation:{config}:4: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "optimize"])
+    def test_missing_required_subset_fails_before_loading(
+        self, small_workspace, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.setattr(cli, "_load_panel", _no_load)
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace)
+        out = tmp_path / "out"
+        code, _, err = _run_main([command, "--config", str(config), "--out", str(out)])
+        assert (code, err) == (2, f"ERR:validation:{command} requires --subset\n")
+        assert not out.exists()
+
+    def test_report_runs_without_subset(self, small_workspace, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace)
+        assert cli.run(["report", "--config", str(config), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["scan"]["n_subsets"] == 1
+        assert "backtest" not in manifest
+
     def test_subset_max_above_four_is_capped_by_a_pair(self, small_workspace, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(small_workspace + "subset_max = 5\n")
@@ -975,6 +1021,33 @@ class TestChecksBeforeLoading:
         backtest = json.loads(text, parse_constant=reject)["backtest"]
         if half_life is not None:
             assert backtest["half_life_days"] is None
+
+
+@pytest.mark.parametrize(
+    "command, name, flags, subset_ids",
+    [
+        ("scan", "cmd_scan", ["--subset", "SYN1,SYN2"], ["SYN1", "SYN2"]),
+        ("verify-critical-values", "cmd_verify_critical_values", [], None),
+    ],
+)
+def test_dispatch_calls_the_module_attribute(
+    small_workspace, tmp_path, monkeypatch, command, name, flags, subset_ids
+):
+    # A tracer wraps a command by setting the module attribute, so `run`
+    # must look the command up there when it dispatches, not hold it.
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return 7
+
+    monkeypatch.setattr(cli, name, stub)
+    config = tmp_path / "run.cfg"
+    config.write_text(small_workspace)
+    out = str(tmp_path / "out")
+    assert cli.run([command, "--config", str(config), "--out", out, *flags]) == 7
+    expected = dataclasses.replace(cli.parse_config_file(str(config)), out_dir=out)
+    assert calls == [(expected, subset_ids)]
 
 
 _TRICKY = [

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mrpairs import cli
-from mrpairs._csv import read_rows, write_csv
+from mrpairs._csv import read_map, read_rows, write_csv
 from mrpairs.errors import CsvParseError, PipelineError
 from mrpairs.macro_signals import load_forecast_oracle_csv
 from mrpairs.market_data import load_monthly_csv, load_price_csv
@@ -81,7 +80,8 @@ _LOADERS = {
     "date,close": load_price_csv,
     "month,value": load_monthly_csv,
     "month,direction": load_forecast_oracle_csv,
-    "instrument,cost": cli._load_costs_csv,
+    # the `--costs` file, as `cli.run` reads it
+    "instrument,cost": lambda path: read_map(path, "instrument,cost", str, float),
 }
 # Per format: a row, a later row that repeats its key, and the key as reported.
 _REPEATS = {
