@@ -40,8 +40,9 @@ ranked subset, in enumeration order.
 Critical values below are the 95% quantiles of the trace statistic under
 driftless random walks with this exact construction, estimated by Monte
 Carlo at T=1000 (see `simulate_johansen_null_trace` and the
-`verify-critical-values` CLI command). For m - r = 1 the walks come from
-`unit_root.null_walk_batches`, shared with the ADF null simulation.
+`verify-critical-values` CLI command). Its walks come from
+`unit_root.null_walk_batches`, shared with the ADF null simulation, and
+for m - r >= 2 its statistics from the scan's own `_johansen_stack`.
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ def _johansen_stack(levels: np.ndarray, subsets: np.ndarray, var_lag: int):
     `levels` is T x N and `subsets` a B x m array of its column indices.
     Returns eigenvalues (B, m), eigenvectors (B, m, m), trace statistics
     (B, m), the sample size n and per subset the message that
-    `johansen_trace_from_levels` would raise for it, or None; a failed
-    subset's rows are nan.
+    `johansen_test` would raise for it, or None; a failed subset's rows
+    are nan.
     """
     T = levels.shape[0]
     B, m = subsets.shape
@@ -310,16 +311,6 @@ def _generalized_eigh(a: np.ndarray, b: np.ndarray):
         return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def johansen_trace_from_levels(Y: np.ndarray, var_lag: int):
-    """Eigenvalues, eigenvectors and trace statistics for levels Y (T x m)."""
-    Y = np.asarray(Y, dtype=float)
-    subset = np.arange(Y.shape[1])[None]
-    eigvals, eigvecs, trace, n, (failure,) = _johansen_stack(Y, subset, var_lag)
-    if failure:
-        raise SingularityError(failure)
-    return eigvals[0], eigvecs[0], trace[0], n
-
-
 def _check_width(m: int) -> None:
     if not 2 <= m <= 4:
         raise ValidationError(f"Johansen subset width must be 2..4, got {m}")
@@ -337,8 +328,11 @@ def _outcome(
 def johansen_test(panel: PricePanel, var_lag: int) -> JohansenOutcome:
     """Johansen trace test with unrestricted constant, VECM lag = var_lag - 1."""
     _check_width(panel.n_instruments)
-    eigvals, eigvecs, trace, n = johansen_trace_from_levels(panel.prices.T, var_lag)
-    return _outcome(panel.instrument_ids, eigvals, eigvecs, trace, var_lag, n)
+    levels, subset = panel.prices.T, np.arange(panel.n_instruments)[None]
+    eigvals, eigvecs, trace, n, (failure,) = _johansen_stack(levels, subset, var_lag)
+    if failure:
+        raise SingularityError(failure)
+    return _outcome(panel.instrument_ids, eigvals[0], eigvecs[0], trace[0], var_lag, n)
 
 
 def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
@@ -492,22 +486,28 @@ def simulate_johansen_null_trace(
 ) -> np.ndarray:
     """Trace statistics (rank <= 0) for independent driftless random walks.
 
-    dim=1 is fully vectorized (the eigenvalue is the squared correlation of
-    the demeaned level and change); higher dimensions loop over draws. Used
-    to verify the embedded critical values.
+    dim=1 takes the closed form: the eigenvalue is the squared correlation
+    of the demeaned level and change. Higher dimensions lay each batch of
+    walks out as the columns of one levels array and fit them as a stack
+    of subsets at VAR lag 1. Used to verify the embedded critical values.
     """
-    if dim == 1:
-        out = []
-        for xc, dc in null_walk_batches(n_draws, sample_size, seed):
+    out = []
+    for walks in null_walk_batches(n_draws, sample_size, seed, dim):
+        if dim == 1:
+            y = walks[:, :, 0]
+            x, d = y[:, :-1], np.diff(y, axis=1)
+            xc, dc = x - x.mean(axis=1, keepdims=True), d - d.mean(axis=1, keepdims=True)
             lam = np.sum(xc * dc, axis=1) ** 2 / (
                 np.sum(xc * xc, axis=1) * np.sum(dc * dc, axis=1)
             )
             out.append(-xc.shape[1] * np.log1p(-lam))
-        return np.concatenate(out)
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_draws)
-    for i in range(n_draws):
-        y = np.cumsum(rng.standard_normal((sample_size, dim)), axis=0)
-        _, _, trace, _ = johansen_trace_from_levels(y, var_lag=1)
-        out[i] = trace[0]
-    return out
+        else:
+            b = len(walks)
+            levels = walks.transpose(1, 0, 2).reshape(sample_size, b * dim)
+            subsets = np.arange(b * dim).reshape(b, dim)
+            _, _, trace, _, failures = _johansen_stack(levels, subsets, 1)
+            failure = next((f for f in failures if f), None)
+            if failure:
+                raise SingularityError(failure)
+            out.append(trace[:, 0])
+    return np.concatenate(out)

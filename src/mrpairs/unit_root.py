@@ -8,16 +8,16 @@ The lag order p is chosen by minimizing BIC = n*ln(RSS/n) + k*ln(n) with
 k = p + 2, over a common estimation sample (all candidates drop the first
 max_lag differences) so the criteria are comparable. Each candidate's
 design is a column prefix of the max-lag design, so one QR factorization
-of that design gives every candidate's RSS; only the chosen lag is refit
-in full, for its t-ratio. The maximum lag follows Schwert's rule
-floor(12*(T/100)^(1/4)).
+of that design gives every candidate's RSS; only the chosen lag's prefix
+is refit with `ols_qr`, for its t-ratio. The maximum lag follows Schwert's
+rule floor(12*(T/100)^(1/4)).
 
 The t-ratio on b is compared against finite-sample critical values for the
 drift case, interpolated in 1/T between tabulated sample sizes. Only the
 95% level is tabulated, since the test uses no other; the table can be
 re-verified by Monte Carlo via `simulate_adf_null_statistics`
 (also wired to the `verify-critical-values` CLI command), which draws its
-walks from `null_walk_batches`, as the Johansen m-r=1 simulation does.
+walks from `null_walk_batches`, as every Johansen null simulation does.
 """
 
 from __future__ import annotations
@@ -131,10 +131,8 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
 
     # Only the chosen lag needs (X'X)^-1 for the t-ratio.
     p = best[1]
-    X, resp = _adf_design(y, max_lag, p)
-    fit = ols_qr(X, resp)
-    k = X.shape[1]
-    sigma2 = float(fit.rss) / (n - k)
+    fit = ols_qr(X[:, : p + 2], resp)
+    sigma2 = float(fit.rss) / (n - p - 2)
     se_level = math.sqrt(sigma2 * fit.xtx_inv[1, 1])
     statistic = float(fit.coef[1]) / se_level
     cv = adf_critical_value(n)
@@ -163,7 +161,7 @@ def classify_integration_order(
     return IntegrationOrder.I2PLUS
 
 
-def check_null_walk_size(n_draws: int, sample_size: int) -> None:
+def check_null_walk_size(n_draws: int, sample_size: int, dim: int = 1) -> None:
     """Raise ValidationError for sizes `null_walk_batches` cannot use.
 
     At least 4 points leave the t-ratio n - 2 >= 1 degrees of freedom.
@@ -174,22 +172,21 @@ def check_null_walk_size(n_draws: int, sample_size: int) -> None:
         raise ValidationError(
             f"Monte Carlo sample size must be at least 4, got {sample_size}"
         )
+    if dim < 1:
+        raise ValidationError(f"Monte Carlo dimension must be at least 1, got {dim}")
 
 
-def null_walk_batches(n_draws: int, sample_size: int, seed: int):
+def null_walk_batches(n_draws: int, sample_size: int, seed: int, dim: int = 1):
     """Driftless random walks for the null simulations, in batches.
 
-    Yields (xc, dc): per walk (row), the n = sample_size - 1 lagged levels
-    y_{t-1} and changes dy_t of the lag-0 regression, net of their means.
+    Yields (b, sample_size, dim) arrays, walks along axis 1. Draw i reads
+    the same stretch of the seeded stream whatever the batch size.
     """
-    check_null_walk_size(n_draws, sample_size)
+    check_null_walk_size(n_draws, sample_size, dim)
     rng = np.random.default_rng(seed)
     for start in range(0, n_draws, _NULL_BATCH):
         b = min(_NULL_BATCH, n_draws - start)
-        y = np.cumsum(rng.standard_normal((b, sample_size)), axis=1)
-        x = y[:, :-1]
-        d = np.diff(y, axis=1)
-        yield x - x.mean(axis=1, keepdims=True), d - d.mean(axis=1, keepdims=True)
+        yield np.cumsum(rng.standard_normal((b, sample_size, dim)), axis=1)
 
 
 def simulate_adf_null_statistics(
@@ -203,7 +200,10 @@ def simulate_adf_null_statistics(
     draws, for Monte Carlo verification of the embedded critical values.
     """
     out = []
-    for xc, dc in null_walk_batches(n_draws, sample_size, seed):
+    for walks in null_walk_batches(n_draws, sample_size, seed):
+        y = walks[:, :, 0]
+        x, d = y[:, :-1], np.diff(y, axis=1)
+        xc, dc = x - x.mean(axis=1, keepdims=True), d - d.mean(axis=1, keepdims=True)
         n = xc.shape[1]
         sxx = np.sum(xc * xc, axis=1)
         sxy = np.sum(xc * dc, axis=1)

@@ -317,16 +317,50 @@ class TestNullTraceSimulation:
     def test_batch_size_does_not_change_the_statistics(self, monkeypatch):
         # The walks are drawn row by row from one stream and reduced row by
         # row, so a batch of 256 walks gives what a batch of 4000 gives;
-        # 8193 draws span three batches of 4000 and 33 of 256.
+        # 8193 draws span three batches of 4000 and 33 of 256, and the 600
+        # dim-2 draws one batch of 4000 and three of 256.
         runs = []
         for batch in (4000, 256):
             monkeypatch.setattr(unit_root, "_NULL_BATCH", batch)
             runs.append((
                 simulate_adf_null_statistics(8193, 100, seed=5),
                 simulate_johansen_null_trace(8193, 100, dim=1, seed=5),
+                simulate_johansen_null_trace(600, 100, dim=2, seed=5),
             ))
-        for big, small in zip(*runs):
-            assert big.shape == (8193,) and np.array_equal(big, small)
+        for big, small, n_draws in zip(*runs, (8193, 8193, 600)):
+            assert big.shape == (n_draws,) and np.array_equal(big, small)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_batched_null_equals_the_per_draw_loop(self, dim):
+        # The loop the batched null replaced: one walk per draw from the
+        # same stream, each fit as a stack of one. 300 draws span two
+        # batches of 256 walks.
+        rng = np.random.default_rng(2)
+        loop = np.empty(300)
+        for i in range(300):
+            y = np.cumsum(rng.standard_normal((120, dim)), axis=0)
+            _, _, trace, _, (failure,) = cointegration._johansen_stack(
+                y, np.arange(dim)[None], 1
+            )
+            assert failure is None
+            loop[i] = trace[0, 0]
+        batched = simulate_johansen_null_trace(300, 120, dim=dim, seed=2)
+        assert np.array_equal(batched, loop)
+
+    @pytest.mark.parametrize(
+        "n_draws, sample_size, dim, message",
+        [
+            (0, 1000, 2, "Monte Carlo needs at least 1 draw, got 0"),
+            (-3, 1000, 3, "Monte Carlo needs at least 1 draw, got -3"),
+            (100, 3, 2, "Monte Carlo sample size must be at least 4, got 3"),
+            (100, 1000, 0, "Monte Carlo dimension must be at least 1, got 0"),
+            (100, 1000, -1, "Monte Carlo dimension must be at least 1, got -1"),
+        ],
+    )
+    def test_every_dim_checks_the_sizes(self, n_draws, sample_size, dim, message):
+        with pytest.raises(ValidationError) as info:
+            simulate_johansen_null_trace(n_draws, sample_size, dim=dim, seed=0)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_same_seed_same_draws(self, dim):

@@ -1,11 +1,11 @@
 """The one-QR Johansen step against the two-fit construction it replaced.
 
-`johansen_trace_from_levels` takes S00, S11 and S01 from the trailing
-block of one R-only QR of [Z | dY_t | Y_{t-p}]. The reference below
-residualizes dY_t and Y_{t-p} on Z with two `ols_qr` fits, as the engine
-once did, and forms the moments from the residuals. Both must give the
-same rank, lag and sample size, the same eigenvalues, trace statistics and
-hedge ratio up to rounding, and the same exception for a degenerate input.
+`johansen_test` takes S00, S11 and S01 from the trailing block of one
+R-only QR of [Z | dY_t | Y_{t-p}]. The reference below residualizes dY_t
+and Y_{t-p} on Z with two `ols_qr` fits, as the engine once did, and forms
+the moments from the residuals. Both must give the same rank, lag and
+sample size, the same eigenvalues, trace statistics and hedge ratio up to
+rounding, and the same exception for a degenerate input.
 """
 
 import datetime as dt
@@ -16,11 +16,7 @@ from scipy import linalg as sla
 
 from mrpairs import cointegration
 from mrpairs._ols import ols_qr
-from mrpairs.cointegration import (
-    extract_hedge_ratio,
-    johansen_test,
-    johansen_trace_from_levels,
-)
+from mrpairs.cointegration import extract_hedge_ratio, johansen_test
 from mrpairs.errors import SingularityError, ValidationError
 from mrpairs.market_data import PricePanel, trading_days
 
@@ -88,24 +84,23 @@ def _panel(Y):
     )
 
 
-def _reference_test(monkeypatch, panel, var_lag):
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            cointegration, "johansen_trace_from_levels", johansen_trace_two_fits
-        )
-        return johansen_test(panel, var_lag)
+def _reference_test(panel, var_lag):
+    eigvals, eigvecs, trace, n = johansen_trace_two_fits(panel.prices.T, var_lag)
+    return cointegration._outcome(
+        panel.instrument_ids, eigvals, eigvecs, trace, var_lag, n
+    )
 
 
 @pytest.mark.parametrize("T", [60, 250, 2500])
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("cointegrated", [False, True])
-def test_matches_two_fit_construction(monkeypatch, T, m, cointegrated):
+def test_matches_two_fit_construction(T, m, cointegrated):
     hedged = 0
     for var_lag in (1, 2, 3):
         for seed in range(3):
             panel = _panel(_levels(seed, T, m, cointegrated))
             got = johansen_test(panel, var_lag)
-            want = _reference_test(monkeypatch, panel, var_lag)
+            want = _reference_test(panel, var_lag)
             assert (got.rank, got.vecm_lag, got.n_obs) == (
                 want.rank, want.vecm_lag, want.n_obs
             )
@@ -151,6 +146,6 @@ def test_raises_like_two_fit_construction(T, m, var_lag, degenerate, expected):
     Y = _levels(0, T, m, cointegrated=False)
     if degenerate is not None:
         Y = degenerate(Y)
-    raised = _raised(johansen_trace_from_levels, Y, var_lag)
+    raised = _raised(johansen_test, _panel(Y), var_lag)
     assert raised == _raised(johansen_trace_two_fits, Y, var_lag)
     assert raised == (SingularityError, expected)
