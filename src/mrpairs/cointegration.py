@@ -14,23 +14,28 @@ the longest lag,
 The constant is unrestricted (drift in the VAR, no trend in the
 cointegrating relation). Reduced-rank estimation takes the moment matrices
 S_ij = R_i'R_j/n of R0 (differences net of the short-run terms Z) and R1
-(lagged levels net of the same) from the trailing block of one R-only QR
+(lagged levels net of the same) from the trailing block of the R factor
 of [Z | dY_t | Y_{t-p}] (`_ols.nested_residual_moments`), and solves the
 generalized eigenproblem det(l*S11 - S10*S00^-1*S01) = 0. The trace
-statistic for rank <= r is -n * sum_{i>r} ln(1 - l_i).
+statistic for rank <= r is -n * sum_{i>r} ln(1 - l_i). That design, too,
+is a column subset of the panel-wide one, V = [1, dY_{t-1..t-k}, dY_t,
+Y_{t-p}], factored once per distinct chosen lag. Of the lag and Johansen
+work, only these panel factors grow with T.
 
-Subsets are fit in stacks. The scan groups its tested subsets by width m
-for lag selection (`VarLagSelector.select_many`: one stacked QR of the
-R_W column subsets, stacked slogdets) and by (m, p) for the Johansen step
-(`_johansen_stack`: one stacked R-only QR, then stacked moments, cond,
+Subsets are fit in stacks: by width m for lag selection
+(`VarLagSelector.select_many`: one stacked QR of the R_W column subsets,
+stacked slogdets) and by (m, p) for the Johansen step (`_johansen_stack`:
+one stacked QR of the R_V column subsets, then stacked moments, cond,
 solve, Cholesky and eigh). numpy's stacked linear algebra runs the same
-LAPACK call on each matrix of a stack as on that matrix alone, so every
-figure is bit-identical to a fit of one subset. A check that fails for
-one subset becomes that subset's message, in the order the single fit
-would raise it; the single fits (`select_var_lag`, `johansen_test`,
-`fit_subset`) are stacks of one that raise it. Each stack is processed
-in chunks whose stacked design stays under `_CHUNK_BYTES` (0.5 MB), so
-the working set is bounded whatever the number of subsets.
+LAPACK call on each matrix of a stack as on that matrix alone, so within
+one scan every figure is bit-identical whatever the stack and chunk
+sizes. Through the shared factors a subset's rounding depends on the
+panel's other columns: its figures are within about 1e-12 relative of a
+fit of that subset alone. A check that fails for one subset becomes that
+subset's message, in the order the single fit would raise it; the single
+fits (`select_var_lag`, `johansen_test`, `fit_subset`) are stacks of one
+that raise it. Each stack is processed in chunks under `_CHUNK_BYTES`
+(0.5 MB), so the working set is bounded whatever the number of subsets.
 
 `fit_subset` is the one recipe for a subset: lag selection, Johansen
 test, and at rank >= 1 the hedge ratio, spread and half-life. The scan
@@ -42,7 +47,9 @@ driftless random walks with this exact construction, estimated by Monte
 Carlo at T=1000 (see `simulate_johansen_null_trace` and the
 `verify-critical-values` CLI command). Its walks come from
 `unit_root.null_walk_batches`, shared with the ADF null simulation, and
-for m - r >= 2 its statistics from the scan's own `_johansen_stack`.
+for m - r >= 2 its statistics from the scan's own `_johansen_stack`, each
+draw's R from a QR of its own design, since its panel of unrelated walks
+is too wide to factor whole.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ import numpy as np
 
 from ._ols import first_failures, nested_residual_moments
 from .errors import (
+    ConstantSeriesError,
     NoCointegrationError,
     SingularityError,
     ValidationError,
@@ -108,6 +116,23 @@ def _chunks(n_items: int, item_bytes: int) -> Iterator[slice]:
         yield slice(start, start + step)
 
 
+def _sliced_factors(
+    r_panel: np.ndarray, subsets: np.ndarray, n_blocks: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Chunks of `subsets` and the R factors of their designs, stacked.
+
+    `r_panel` factors a lag-major panel design D = Q*R: a ones column, then
+    `n_blocks` blocks of one column per instrument. A subset's design is
+    D[:, c] = Q*R[:, c] for its columns c, so a QR of R[:, c] factors it.
+    """
+    B, N = len(subsets), (r_panel.shape[1] - 1) // n_blocks
+    blocks = [1 + i * N + subsets for i in range(n_blocks)]
+    picked = np.hstack([np.zeros((B, 1), np.intp)] + blocks)
+    for chunk in _chunks(B, 8 * r_panel.shape[0] * picked.shape[1]):
+        sliced = np.take(r_panel, picked[chunk], axis=1).transpose(1, 0, 2)
+        yield chunk, np.linalg.qr(sliced, mode="r")
+
+
 class VarLagSelector:
     """Schwarz-criterion VAR lags for subsets of one panel's instruments.
 
@@ -118,7 +143,8 @@ class VarLagSelector:
     Q*R_W[:, c], so a QR of the small R_W[:, c] gives the subset's own R
     factor, and with it every candidate lag's residual covariance
     (`_ols.nested_residual_moments`). `select_many` factors equal-width
-    subsets as stacks.
+    subsets as stacks. Each subset's Johansen design is likewise a column
+    subset of the panel's VECM design V (`_vecm_factor`).
     """
 
     def __init__(self, panel: PricePanel | np.ndarray):
@@ -129,6 +155,7 @@ class VarLagSelector:
             self.levels = np.asarray(panel, float)
         _, self.n_instruments = self.levels.shape
         self._factors: dict[int, np.ndarray] = {}  # max lag -> R_W
+        self._vecm_factors: dict[int, np.ndarray] = {}  # VAR lag -> R_V
 
     def select(self, columns: Sequence[int], max_lag: int) -> int:
         """VAR lag of the instruments at `columns`, in that order.
@@ -150,7 +177,7 @@ class VarLagSelector:
         Returns each subset's lag, and the message `select` would raise
         for it (the first failing check, in its order) or None.
         """
-        T, N = self.levels.shape
+        T = self.levels.shape[0]
         columns = np.asarray(subsets, dtype=np.intp)
         B, m = columns.shape
         if max_lag < 1:
@@ -161,18 +188,13 @@ class VarLagSelector:
             )
         if max_lag not in self._factors:
             self._factors[max_lag] = self._factor(max_lag)
-        r_w = self._factors[max_lag]
-        blocks = [1 + i * N + columns for i in range(max_lag + 1)]
-        picked = np.hstack([np.zeros((B, 1), np.intp)] + blocks)
         n = T - max_lag
         lag_range = range(1, max_lag + 1)
         widths = [1 + p * m for p in lag_range]
         penalty = np.array([(math.log(n) / n) * (p * m * m + m) for p in lag_range])
         lags = np.zeros(B, np.intp)
         failures: list[str | None] = []
-        for chunk in _chunks(B, 8 * r_w.shape[0] * picked.shape[1]):
-            sliced = np.take(r_w, picked[chunk], axis=1).transpose(1, 0, 2)
-            r = np.linalg.qr(sliced, mode="r")
+        for chunk, r in _sliced_factors(self._factors[max_lag], columns, max_lag + 1):
             moments, failed = nested_residual_moments(r, n, 1 + max_lag * m, widths)
             sign, logdet = np.linalg.slogdet(moments / n)
             singular = (failed == "") & (sign <= 0)
@@ -200,6 +222,17 @@ class VarLagSelector:
             W[:, 1 + (i - 1) * N : 1 + i * N] = Y[max_lag - i : T - i]
         W[:, 1 + max_lag * N :] = Y[max_lag:]
         return np.linalg.qr(W, mode="r")
+
+    def _vecm_factor(self, var_lag: int) -> np.ndarray:
+        """R_V for VAR lag p, factored the first time p is asked for.
+
+        V is the VECM design of all N instruments, lag-major like W.
+        """
+        if var_lag not in self._vecm_factors:
+            everything = np.arange(self.n_instruments)[None]
+            V = _vecm_designs(self.levels, everything, var_lag)[0].T
+            self._vecm_factors[var_lag] = np.linalg.qr(V, mode="r")
+        return self._vecm_factors[var_lag]
 
 
 def select_var_lag(panel: PricePanel | np.ndarray, max_lag: int) -> int:
@@ -236,10 +269,34 @@ class CointegratedPortfolio:
     half_life_days: float  # math.inf marks no measured mean reversion
 
 
-def _johansen_stack(levels: np.ndarray, subsets: np.ndarray, var_lag: int):
+def _vecm_designs(levels: np.ndarray, subsets: np.ndarray, var_lag: int) -> np.ndarray:
+    """[Z | dY_t | Y_{t-p}], t = p..T-1, of B subsets: (B, 1 + (p+1)*m, T - p).
+
+    Z = [1, dY_{t-1}, ..., dY_{t-k}], k = p - 1; columns are lag-major.
+    """
+    T = levels.shape[0]
+    m = subsets.shape[1]
+    p = var_lag
+    kz = 1 + (p - 1) * m
+    Y = levels.T[subsets]                    # (B, m, T)
+    dY = np.diff(Y, axis=-1)
+    design = np.empty((len(Y), kz + 2 * m, T - p))
+    design[:, 0] = 1.0
+    for i in range(1, p):
+        design[:, 1 + (i - 1) * m : 1 + i * m] = dY[:, :, p - 1 - i : T - 1 - i]
+    design[:, kz : kz + m] = dY[:, :, p - 1 :]
+    design[:, kz + m :] = Y[:, :, : T - p]
+    return design
+
+
+def _johansen_stack(
+    levels: np.ndarray, subsets: np.ndarray, var_lag: int, r_v: np.ndarray | None = None
+):
     """Johansen eigenproblems of equal-width subsets at one VAR lag.
 
     `levels` is T x N and `subsets` a B x m array of its column indices.
+    Each subset's R is a QR of its columns of `r_v` (the panel's
+    `VarLagSelector._vecm_factor`), or without it of its own design.
     Returns eigenvalues (B, m), eigenvectors (B, m, m), trace statistics
     (B, m), the sample size n and per subset the message that
     `johansen_test` would raise for it, or None; a failed subset's rows
@@ -248,27 +305,23 @@ def _johansen_stack(levels: np.ndarray, subsets: np.ndarray, var_lag: int):
     T = levels.shape[0]
     B, m = subsets.shape
     p = var_lag
-    k = p - 1
     if p < 1:
         raise ValidationError("var_lag must be at least 1")
     if T < m * p + 30:
         raise ValidationError(f"need T >= m*var_lag + 30, got T={T}")
     n = T - p
-    kz = 1 + k * m                           # Z = [1, dY_{t-1}, ..., dY_{t-k}]
+    kz = 1 + (p - 1) * m                     # Z = [1, dY_{t-1}, ..., dY_{t-k}]
     eigvals, trace = np.full((2, B, m), np.nan)
     eigvecs = np.full((B, m, m), np.nan)
     failures: list[str | None] = []
-    for chunk in _chunks(B, 8 * n * (kz + 2 * m)):
-        Y = levels.T[subsets[chunk]]         # (b, m, T)
-        dY = np.diff(Y, axis=-1)
-        # [Z | dY_t | Y_{t-p}] for t = p..T-1, one design per row, transposed
-        design = np.empty((len(Y), kz + 2 * m, n))
-        design[:, 0] = 1.0
-        for i in range(1, k + 1):
-            design[:, 1 + (i - 1) * m : 1 + i * m] = dY[:, :, p - 1 - i : T - 1 - i]
-        design[:, kz : kz + m] = dY[:, :, p - 1 :]
-        design[:, kz + m :] = Y[:, :, : T - p]
-        r = np.linalg.qr(design.mT, mode="r")
+    if r_v is None:
+        factors = (
+            (c, np.linalg.qr(_vecm_designs(levels, subsets[c], p).mT, mode="r"))
+            for c in _chunks(B, 8 * n * (kz + 2 * m))
+        )
+    else:
+        factors = _sliced_factors(r_v, subsets, p + 1)
+    for chunk, r in factors:
         cross, failed = nested_residual_moments(r, n, kz, [kz])
         cross = cross[:, 0]
         s00, s11, s01 = cross[:, :m, :m] / n, cross[:, m:, m:] / n, cross[:, :m, m:] / n
@@ -395,7 +448,9 @@ def _fit_equal_width(
     ok = np.array([f is None for f in failures])
     for p in sorted(set(chosen[ok].tolist())):  # np.unique would load numpy.ma
         members = np.flatnonzero(ok & (chosen == p))
-        eigvals, eigvecs, trace, n, errors = _johansen_stack(lags.levels, idx[members], p)
+        eigvals, eigvecs, trace, n, errors = _johansen_stack(
+            lags.levels, idx[members], p, lags._vecm_factor(p)
+        )
         for j, i in enumerate(members):
             ids = tuple(panel.instrument_ids[c] for c in subsets[i])
             fits[i] = errors[j] or _outcome(
@@ -429,28 +484,34 @@ class ScanRow:
     half_life_days: float | None
 
 
+def _integration_order(series: np.ndarray, max_lag: int | None):
+    """The series' I(d) class, or None for a constant series."""
+    try:
+        return classify_integration_order(series, max_lag=max_lag)
+    except ConstantSeriesError:
+        return None
+
+
 def scan_cointegration(
     panel: PricePanel,
     min_size: int = 2,
     max_size: int = 4,
     var_max_lag: int = 10,
     adf_max_lag: int | None = None,
-    orders: Sequence[IntegrationOrder] | None = None,
+    orders: Sequence[IntegrationOrder | None] | None = None,
 ) -> list[ScanRow]:
     """Test every instrument subset; rows come back in enumeration order.
 
-    Subsets whose members are not all I(1) are skipped, not tested. The
-    report order is fixed by the enumeration. The tested subsets are fit
-    one width at a time (`_fit_equal_width`); every subset's VAR lag comes
-    from one factor of the whole panel per distinct feasible max lag.
+    Subsets that hold a constant series (order None) or whose members are
+    not all I(1) are skipped, not tested. The report order is fixed by the
+    enumeration. The tested subsets are fit one width at a time
+    (`_fit_equal_width`); every subset's VAR lag and Johansen step come
+    from one factor of the whole panel per distinct lag.
     """
     subsets = enumerate_combinations(panel.n_instruments, min_size, max_size)
     _check_width(len(subsets[-1]))
     if orders is None:
-        orders = [
-            classify_integration_order(panel.prices[i], max_lag=adf_max_lag)
-            for i in range(panel.n_instruments)
-        ]
+        orders = [_integration_order(y, adf_max_lag) for y in panel.prices]
     lags = VarLagSelector(panel)
     tested = [s for s in subsets if all(orders[i] is IntegrationOrder.I1 for i in s)]
     fits = itertools.chain.from_iterable(
@@ -462,7 +523,9 @@ def scan_cointegration(
     for subset in subsets:
         ids = tuple(panel.instrument_ids[i] for i in subset)
         if subset not in tested:
-            rows.append(ScanRow(ids, "not all I(1)", None, None, None, None))
+            constant = any(orders[i] is None for i in subset)
+            reason = "constant series" if constant else "not all I(1)"
+            rows.append(ScanRow(ids, reason, None, None, None, None))
             continue
         fit = next(fits)
         if isinstance(fit, str):

@@ -39,6 +39,10 @@ class DegenerateInputError(PipelineError):
     exit_code = 3
 
 
+class ConstantSeriesError(DegenerateInputError):
+    """A series that never moves, which has no unit-root test."""
+
+
 class SingularityError(DegenerateInputError):
     """Rank-deficient regressor or moment matrix."""
 

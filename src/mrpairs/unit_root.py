@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ols import first_failures, nested_residual_moments, ols_qr
-from .errors import DegenerateInputError, SingularityError, ValidationError
+from .errors import ConstantSeriesError, DegenerateInputError
+from .errors import SingularityError, ValidationError
 
 # Finite-sample 95% critical values of the Dickey-Fuller t-statistic for the
 # regression with constant and no trend, tabulated by effective sample size.
@@ -112,7 +113,7 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
             f"series length {T} too short for max_lag {max_lag}"
         )
     if np.ptp(y) == 0.0:
-        raise DegenerateInputError("constant series has no unit-root test")
+        raise ConstantSeriesError("constant series has no unit-root test")
 
     X, resp = _adf_design(y, max_lag, max_lag)
     n = len(resp)
@@ -162,9 +163,11 @@ def classify_integration_order(
 
 
 def check_null_walk_size(n_draws: int, sample_size: int, dim: int = 1) -> None:
-    """Raise ValidationError for sizes `null_walk_batches` cannot use.
+    """Raise ValidationError for sizes the null simulations cannot use.
 
-    At least 4 points leave the t-ratio n - 2 >= 1 degrees of freedom.
+    At least 4 points leave the t-ratio n - 2 >= 1 degrees of freedom. A
+    Johansen null of dimension m >= 2 fits a VAR(1) of m walks, which
+    needs m + 30 points, as `cointegration.johansen_test` does.
     """
     if n_draws < 1:
         raise ValidationError(f"Monte Carlo needs at least 1 draw, got {n_draws}")
@@ -174,6 +177,11 @@ def check_null_walk_size(n_draws: int, sample_size: int, dim: int = 1) -> None:
         )
     if dim < 1:
         raise ValidationError(f"Monte Carlo dimension must be at least 1, got {dim}")
+    if dim >= 2 and sample_size < dim + 30:
+        raise ValidationError(
+            f"Monte Carlo sample size must be at least {dim + 30} for dimension "
+            f"{dim}, got {sample_size}"
+        )
 
 
 def null_walk_batches(n_draws: int, sample_size: int, seed: int, dim: int = 1):

@@ -151,6 +151,34 @@ class TestScan:
         assert 5.0 < float(half_life) < 20.0
 
 
+    def test_constant_series_is_skipped_not_fatal(self, tmp_path):
+        # Three walks and a series that never moves: the scan skips the
+        # constant's 7 subsets with their own reason and exits 0.
+        T = 300
+        dates = generate_synthetic_panel(
+            0, SynthConfig(n_walks=1, n_days=T, noise_scale=1.0, start_price=500.0)
+        ).dates
+        walks = 500.0 + np.cumsum(np.random.default_rng(3).standard_normal((3, T)), 1)
+        series = {"FLAT": np.full(T, 250.0), "W1": walks[0], "W2": walks[1],
+                  "W3": walks[2]}
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(
+            f"price.{iid} = {write_price_csv(tmp_path / f'{iid}.csv', dates, y)}\n"
+            for iid, y in series.items()
+        ))
+        out = tmp_path / "out"
+        code, stdout, stderr = _run_main(["scan", "--config", str(config),
+                                          "--out", str(out)])
+        assert (code, stderr) == (0, "")
+        _, rows = _read_csv(out / "scan_report.csv")
+        skipped = {row[0]: row[1] for row in rows}
+        assert len(skipped) == 11
+        assert [s for s, reason in skipped.items() if reason == "constant series"] == [
+            s for s in skipped if "FLAT" in s.split("+")
+        ]
+        assert sum("FLAT" in s.split("+") for s in skipped) == 7
+
+
 class TestBacktest:
     def test_outputs_and_roundtrip(self, pair_workspace, tmp_path):
         code = cli.run(

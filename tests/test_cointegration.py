@@ -1,3 +1,4 @@
+import datetime as dt
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from mrpairs.cointegration import (
     simulate_johansen_null_trace,
 )
 from mrpairs.errors import (
+    DegenerateInputError,
     NoCointegrationError,
     SingularityError,
     ValidationError,
@@ -24,6 +26,7 @@ from mrpairs.market_data import (
     PricePanel,
     SynthConfig,
     generate_synthetic_panel,
+    trading_days,
 )
 from mrpairs.spread_dynamics import SpreadSeries, compute_spread, estimate_half_life
 from mrpairs.unit_root import IntegrationOrder, simulate_adf_null_statistics
@@ -164,7 +167,33 @@ class TestExtractHedgeRatio:
             extract_hedge_ratio(self._outcome(0))
 
 
+def _walks_and_constant(T, seed=3):
+    """A constant series, then three independent walks."""
+    walks = 500.0 + np.cumsum(np.random.default_rng(seed).standard_normal((3, T)), 1)
+    return PricePanel(
+        dates=trading_days(dt.date(2008, 1, 2), T),
+        prices=np.vstack([np.full(T, 250.0), walks]),
+        instrument_ids=("K", "A", "B", "C"),
+    )
+
+
 class TestScan:
+    def test_constant_series_skips_its_subsets(self):
+        rows = scan_cointegration(_walks_and_constant(300))
+        assert len(rows) == 11
+        for row in rows:
+            if "K" in row.subset:
+                assert row.skipped_reason == "constant series"
+                assert row.rank is None and row.top_eigenvalue is None
+            else:
+                assert row.skipped_reason in (None, "not all I(1)")
+
+    def test_panel_too_short_with_a_constant_series_still_raises(self):
+        # Schwert's max lag for 15 points is 7, which needs 17 of them; the
+        # constant series is classified first and is too short first.
+        with pytest.raises(DegenerateInputError, match="series length 15 too short"):
+            scan_cointegration(_walks_and_constant(15))
+
     def test_rows_in_enumeration_order_with_skips(self, recipe_panel):
         orders = [IntegrationOrder.I1, IntegrationOrder.I1]
         rows = scan_cointegration(recipe_panel, orders=orders, var_max_lag=3)
@@ -202,8 +231,8 @@ class TestScan:
         orders = [IntegrationOrder.I1] * 3
         stack = cointegration._johansen_stack
 
-        def planted(levels, subsets, var_lag):
-            *out, failures = stack(levels, subsets, var_lag)
+        def planted(levels, subsets, var_lag, r_v=None):
+            *out, failures = stack(levels, subsets, var_lag, r_v)
             marked = [s == (0, 2) for s in map(tuple, subsets)]
             return *out, ["planted" if hit else f for hit, f in zip(marked, failures)]
 
@@ -222,7 +251,7 @@ class TestScan:
         # 375 subsets of a 10 x 1000 panel: the stacks are fit in chunks, so
         # the peak stays near the 0.9 MB panel design and the copy of it
         # that `np.linalg.qr` factors (about 2.0 MB); one stack per group
-        # would peak near 44 MB.
+        # would peak near 21 MB.
         panel = generate_synthetic_panel(0, SynthConfig(
             n_walks=9, n_days=1000, noise_scale=1.0, start_price=1000.0,
             recipe=CointegrationRecipe(weights=(2.0,) + (0.0,) * 8),
@@ -355,12 +384,26 @@ class TestNullTraceSimulation:
             (100, 3, 2, "Monte Carlo sample size must be at least 4, got 3"),
             (100, 1000, 0, "Monte Carlo dimension must be at least 1, got 0"),
             (100, 1000, -1, "Monte Carlo dimension must be at least 1, got -1"),
+            (10, 20, 2, "Monte Carlo sample size must be at least 32 for dimension 2, got 20"),
+            (10, 33, 4, "Monte Carlo sample size must be at least 34 for dimension 4, got 33"),
         ],
     )
-    def test_every_dim_checks_the_sizes(self, n_draws, sample_size, dim, message):
+    def test_every_dim_checks_the_sizes(
+        self, monkeypatch, n_draws, sample_size, dim, message
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("walks drawn before the sizes were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValidationError) as info:
             simulate_johansen_null_trace(n_draws, sample_size, dim=dim, seed=0)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_shortest_johansen_sample_runs(self, dim):
+        # dim + 30 points is what the VAR(1) fit of each draw accepts
+        trace = simulate_johansen_null_trace(3, dim + 30, dim=dim, seed=0)
+        assert trace.shape == (3,) and np.all(np.isfinite(trace))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_same_seed_same_draws(self, dim):

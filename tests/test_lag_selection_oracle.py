@@ -248,39 +248,30 @@ def test_scan_marks_only_subsets_with_both_copies_singular():
     assert all(r.skipped_reason is None for r in rows if r.subset not in singular)
 
 
-def _rows_holding(prices, columns):
-    """For each column, the price row whose leading values it holds."""
-    n = columns.shape[0]
-    return tuple(
-        next(i for i, y in enumerate(prices) if np.array_equal(col, y[:n]))
-        for col in columns.T
-    )
-
-
 @pytest.mark.parametrize(
     "T, var_max_lag, expected_factors", [(500, 10, 1), (60, 10, 2)]
 )
 def test_scan_factors_the_panel_once_per_feasible_lag(
     monkeypatch, T, var_max_lag, expected_factors
 ):
-    # Four instruments keep W taller than wide, so each subset's QR of a
-    # slice of R_W has fewer rows than the sample. Lag selection and the
-    # Johansen step factor with mode "r"; the half-life fits use "reduced".
-    # Each call is counted under the function that made it, and each
-    # full-length Johansen design in a stack is traced back to its subset
-    # through its last m columns, the levels Y_{t-p}.
+    # Four instruments keep W and V taller than wide, so each subset's QR
+    # of a slice of R_W or R_V has fewer rows than the sample. Lag
+    # selection and the Johansen step factor with mode "r"; the half-life
+    # fits use "reduced". Each call is counted under the function that
+    # made it. A full-length factor has n = T - p rows at lag p: one R_W
+    # per feasible max lag and one R_V per chosen lag, none per subset.
     Y = _six_panel(1, T)[:, [0, 1, 2, 5]]
     panel = _price_panel(Y)
-    calls, covered = [], []
+    subsets = enumerate_combinations(4, 2, 4)
+    chosen = {
+        select_var_lag_per_lag(Y[:, s], _feasible(T, len(s), var_max_lag))
+        for s in subsets
+    }
+    calls = []
 
     def counting_qr(a, *args, _qr=np.linalg.qr, **kwargs):
         caller = sys._getframe(1).f_code.co_name
-        calls.append((np.shape(a)[-2], kwargs.get("mode"), caller))
-        if caller == "_johansen_stack" and np.shape(a)[-2] >= T - var_max_lag:
-            for design in np.reshape(a, (-1,) + np.shape(a)[-2:]):
-                n, c = design.shape  # n = T - p, c = 1 + (p+1)*m
-                m = (c - 1) // (T - n + 1)
-                covered.append(_rows_holding(panel.prices, design[:, -m:]))
+        calls.append((np.shape(a), kwargs.get("mode"), caller))
         return _qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
@@ -288,9 +279,14 @@ def test_scan_factors_the_panel_once_per_feasible_lag(
         panel, var_max_lag=var_max_lag, orders=[IntegrationOrder.I1] * 4
     )
     assert len(rows) == 11 and all(r.skipped_reason is None for r in rows)
-    full_length = Counter(
-        c[2] for c in calls if c[1] == "r" and c[0] >= T - var_max_lag
-    )
-    assert full_length["_factor"] == expected_factors
-    assert set(full_length) == {"_factor", "_johansen_stack"}
-    assert Counter(covered) == Counter(enumerate_combinations(4, 2, 4))
+    full_length = [
+        (shape, caller)
+        for shape, mode, caller in calls
+        if mode == "r" and shape[-2] >= T - var_max_lag
+    ]
+    assert all(len(shape) == 2 for shape, _ in full_length)  # no stacks
+    assert Counter(caller for _, caller in full_length) == {
+        "_factor": expected_factors, "_vecm_factor": len(chosen)
+    }
+    vecm_shapes = [shape for shape, caller in full_length if caller == "_vecm_factor"]
+    assert {T - n for n, _ in vecm_shapes} == chosen

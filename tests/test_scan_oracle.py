@@ -1,15 +1,21 @@
-"""The stacked scan against the per-subset loop it replaced.
+"""The stacked scan against the per-subset loops it replaced.
 
 `scan_cointegration` fits its tested subsets in stacks: one stacked QR of
-R_W column subsets per width for lag selection, and one stacked R-only QR
-per (width, lag) for the Johansen step, in chunks under a byte budget.
-The reference below is the loop the engine once ran: for each subset, its
-own QR of a slice of the panel factor with one slogdet per lag, then its
-own Johansen QR, cond, solve and generalized eigh (the engine's own
-`_generalized_eigh` on a stack of one), raising at the first failed check.
-Both must give `repr`-identical rows (skip reason, rank, top eigenvalue,
-hedge ratio, half-life), the same message for every failed subset, and
-the same exception for an input the scan cannot fit.
+R_W column subsets per width for lag selection, and one stacked QR of
+R_V column subsets per (width, lag) for the Johansen step, in chunks under
+a byte budget. R_W and R_V are the R factors of the panel-wide VAR and
+VECM designs. The first reference below is the loop the engine once ran:
+for each subset, its own QR of a slice of each panel factor with one
+slogdet per lag, then its own cond, solve and generalized eigh (the
+engine's own `_generalized_eigh` on a stack of one), raising at the first
+failed check. Both must give `repr`-identical rows (skip reason, rank, top
+eigenvalue, hedge ratio, half-life), the same message for every failed
+subset, and the same exception for an input the scan cannot fit.
+
+The second reference takes each subset's Johansen R from a QR of its own
+full-length design, as the engine did before it sliced R_V. Its rounding
+does not depend on the panel's other columns, so it must agree exactly on
+every rank, lag and message, and on every figure to 1e-9 relative.
 """
 
 import datetime as dt
@@ -24,6 +30,7 @@ from mrpairs.cointegration import (
     VarLagSelector,
     enumerate_combinations,
     extract_hedge_ratio,
+    fit_subset,
     scan_cointegration,
 )
 from mrpairs.errors import SingularityError, ValidationError
@@ -67,18 +74,31 @@ def select_lag_loop(levels, r_w, columns, max_lag):
     return best_p
 
 
-def johansen_loop(Y, p):
-    """One subset's Johansen eigenproblem from its own R-only QR."""
-    T, m = Y.shape
-    k = p - 1
+def vecm_design(Y, p):
+    """[1 | dY_{t-1..t-k} | dY_t | Y_{t-p}] of the columns of Y, lag-major."""
+    T = len(Y)
     dY = np.diff(Y, axis=0)
-    n = T - p
-    kz = 1 + k * m
-    cols = [np.ones((n, 1))]
-    for i in range(1, k + 1):
-        cols.append(dY[p - 1 - i : T - 1 - i])
-    cols += [dY[p - 1 :], Y[: T - p]]
-    r = np.linalg.qr(np.hstack(cols), mode="r")
+    lagged = [dY[p - 1 - i : T - 1 - i] for i in range(1, p)]
+    return np.hstack([np.ones((T - p, 1))] + lagged + [dY[p - 1 :], Y[: T - p]])
+
+
+def johansen_loop(levels, r_v, columns, p):
+    """One subset's Johansen eigenproblem from its own QR of R_V columns."""
+    T, N = levels.shape
+    picked = [0] + [1 + i * N + j for i in range(p + 1) for j in columns]
+    r = np.linalg.qr(r_v[:, picked], mode="r")
+    return johansen_from_r(r, T - p, len(columns), p)
+
+
+def direct_johansen_loop(levels, columns, p):
+    """One subset's Johansen eigenproblem from the QR of its own design."""
+    r = np.linalg.qr(vecm_design(levels[:, list(columns)], p), mode="r")
+    return johansen_from_r(r, len(levels) - p, len(columns), p)
+
+
+def johansen_from_r(r, n, m, p):
+    """The Johansen step from the R factor of [Z | dY_t | Y_{t-p}]."""
+    kz = 1 + (p - 1) * m
     (cross,) = _nested_moments(r, n, kz, [kz])
     s00, s11, s01 = cross[:m, :m] / n, cross[m:, m:] / n, cross[:m, m:] / n
     if np.linalg.cond(s00) > 1e12 or np.linalg.cond(s11) > 1e12:
@@ -100,11 +120,15 @@ def johansen_loop(Y, p):
     return eigvals, eigvecs, rank
 
 
-def scan_loop(panel, var_max_lag=10):
-    """Rows as the per-subset loop made them, with each subset's lag or message."""
+def scan_loop(panel, var_max_lag=10, direct=False):
+    """Rows as the per-subset loop made them, with each subset's lag or message.
+
+    The Johansen step slices the panel's VECM factor (`johansen_loop`), or
+    with `direct` factors each subset's own design (`direct_johansen_loop`).
+    """
     levels = panel.prices.T
     T = panel.n_dates
-    factors = {}
+    factors, vecm = {}, {}
     rows, fits = [], {}
     for subset in enumerate_combinations(panel.n_instruments, 2, 4):
         ids = tuple(panel.instrument_ids[i] for i in subset)
@@ -114,10 +138,15 @@ def scan_loop(panel, var_max_lag=10):
             factors[feasible] = VarLagSelector(panel)._factor(feasible)
         try:
             p = select_lag_loop(levels, factors[feasible], subset, feasible)
-            eigvals, eigvecs, rank = johansen_loop(levels[:, subset], p)
+            if direct:
+                eigvals, eigvecs, rank = direct_johansen_loop(levels, subset, p)
+            else:
+                if p not in vecm:
+                    vecm[p] = np.linalg.qr(vecm_design(levels, p), mode="r")
+                eigvals, eigvecs, rank = johansen_loop(levels, vecm[p], subset, p)
         except SingularityError as exc:
             fits[subset] = str(exc)
-            rows.append(_line(ids, "singular", None, None, None, None))
+            rows.append(_row(ids, "singular", None, None, None, None))
             continue
         fits[subset] = p
         hedge = half_life = None
@@ -128,21 +157,48 @@ def scan_loop(panel, var_max_lag=10):
             hedge = extract_hedge_ratio(outcome)
             spread = compute_spread(panel.subpanel(subset), hedge)
             half_life = estimate_half_life(spread).half_life_days
-        rows.append(_line(ids, None, rank, float(eigvals[0]), hedge, half_life))
+        rows.append(_row(ids, None, rank, float(eigvals[0]), hedge, half_life))
     return rows, fits
 
 
-def _line(subset, skipped_reason, rank, top_eigenvalue, hedge_ratio, half_life):
+def _row(subset, skipped_reason, rank, top_eigenvalue, hedge_ratio, half_life):
     hedge = None if hedge_ratio is None else hedge_ratio.tolist()
-    return repr((subset, skipped_reason, rank, top_eigenvalue, hedge, half_life))
+    return subset, skipped_reason, rank, top_eigenvalue, hedge, half_life
+
+
+def _rows(scan_rows):
+    return [
+        _row(r.subset, r.skipped_reason, r.rank, r.top_eigenvalue,
+             r.hedge_ratio, r.half_life_days)
+        for r in scan_rows
+    ]
 
 
 def _lines(rows):
-    return [
-        _line(r.subset, r.skipped_reason, r.rank, r.top_eigenvalue,
-                 r.hedge_ratio, r.half_life_days)
-        for r in rows
-    ]
+    """Each row's repr, which is the same only for bit-identical figures."""
+    return [repr(row) for row in rows]
+
+
+def assert_rows_close(got, want, rtol=1e-9):
+    """Same subsets, skip reasons and ranks; figures within rtol relative.
+
+    A hedge ratio is compared against its largest component, so a
+    component near zero is not held to a relative bound of its own.
+    """
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:3] == w[:3]
+        for a, b in ((g[3], w[3]), (g[5], w[5])):  # top eigenvalue, half-life
+            if b is None or math.isinf(b):
+                assert a == b, (g, w)
+            else:
+                assert abs(a - b) <= rtol * abs(b), (g, w)
+        if w[4] is None:
+            assert g[4] is None
+        else:
+            hedge = np.array(w[4])
+            atol = rtol * np.abs(hedge).max()
+            np.testing.assert_allclose(g[4], hedge, rtol=0, atol=atol)
 
 
 def _ar1(rng, T, phi):
@@ -220,9 +276,13 @@ def _check_against_loop(T, degenerate):
     for seed in range(2):
         panel = _six_panel(seed, T, degenerate)
         want_rows, want_fits = scan_loop(panel)
-        assert _lines(scan_cointegration(panel, orders=ALL_I1)) == want_rows
+        rows = _rows(scan_cointegration(panel, orders=ALL_I1))
+        assert _lines(rows) == _lines(want_rows)
         fits, factored = _stacked_fits(panel)
         assert fits == want_fits
+        direct_rows, direct_fits = scan_loop(panel, direct=True)
+        assert direct_fits == want_fits
+        assert_rows_close(rows, direct_rows)
         for subset, fit in want_fits.items():
             if isinstance(fit, str):
                 messages.add(fit)
@@ -256,7 +316,7 @@ def test_failed_eigenproblem_marks_only_its_subset(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     want_rows, want_fits = scan_loop(panel)
     assert list(want_fits.values()).count("generalized eigenproblem failed") == 1
-    assert _lines(scan_cointegration(panel, orders=ALL_I1)) == want_rows
+    assert _lines(_rows(scan_cointegration(panel, orders=ALL_I1))) == _lines(want_rows)
     assert _stacked_fits(panel)[0] == want_fits
 
 
@@ -273,3 +333,48 @@ def test_panel_too_short_for_width_four_raises_like_the_loop():
     assert raised == _raised(scan_loop, panel)
     message = "need T >= m*max_lag + 30, got T=33, m=4, max_lag=1"
     assert raised == (ValidationError, message)
+
+
+def _with_column(panel, column):
+    return PricePanel(
+        dates=panel.dates,
+        prices=np.vstack([panel.prices, column]),
+        instrument_ids=panel.instrument_ids + ("X",),
+    )
+
+
+def _fit_alone(panel, ids):
+    """The scan row that `fit_subset` of the subset's own subpanel gives."""
+    sub = panel.subpanel([panel.instrument_ids.index(i) for i in ids])
+    try:
+        outcome, portfolio = fit_subset(sub, 10)
+    except SingularityError:
+        return _row(ids, "singular", None, None, None, None)
+    hedge = half_life = None
+    if portfolio is not None:
+        hedge, half_life = portfolio.hedge_ratio, portfolio.half_life_days
+    top = float(outcome.eigenvalues[0])
+    return _row(ids, None, outcome.rank, top, hedge, half_life)
+
+
+@pytest.mark.parametrize("extra", ["walk", "constant"])
+@pytest.mark.parametrize("seed", range(2))
+def test_an_appended_column_leaves_every_subset_as_it_was(seed, extra):
+    # A subset's R factors are slices of panel-wide factors, so its rounding
+    # depends on the panel's other columns; its outcome must not.
+    panel = _six_panel(seed, 300)
+    walk = np.cumsum(np.random.default_rng(100 + seed).standard_normal(300))
+    wider = _with_column(panel, 1000.0 + (walk if extra == "walk" else 0.0 * walk))
+    rows = _rows(scan_cointegration(panel))
+    wider_rows = _rows(scan_cointegration(wider))
+    kept = [row for row in wider_rows if "X" not in row[0]]
+    assert any(row[2] for row in rows)  # some subset has rank >= 1
+    assert_rows_close(kept, rows)
+    fits, wider_fits = _stacked_fits(panel)[0], _stacked_fits(wider)[0]
+    assert {s: fit for s, fit in wider_fits.items() if 6 not in s} == fits
+    if extra == "constant":
+        added = {row[1] for row in wider_rows if "X" in row[0]}
+        assert added == {"constant series"}
+    for row in wider_rows:
+        if row[1] in (None, "singular"):
+            assert_rows_close([row], [_fit_alone(wider, row[0])])
