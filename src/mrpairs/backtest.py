@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from . import cointegration as ci
+from .errors import DegenerateInputError, NoCointegrationError, ValidationError
 from .market_data import PricePanel
 
 TRADING_DAYS_PER_YEAR = 252
@@ -137,6 +138,23 @@ def generate_mr_positions(
     return PositionSeries(dates=dates, positions=out)
 
 
+def trade_subset(
+    panel: PricePanel, subset_ids: list[str], var_max_lag: int, entry: float, exit: float
+) -> tuple[PricePanel, ci.JohansenOutcome, ci.CointegratedPortfolio, PositionSeries]:
+    """The named subset's panel, Johansen outcome, portfolio and positions.
+
+    Fitted with `cointegration.fit_subset`, as the scan fits it, and traded
+    on its full-sample z-scores; rank 0 raises NoCointegrationError.
+    """
+    sub = panel.subpanel([panel.instrument_ids.index(s) for s in subset_ids])
+    outcome, portfolio = ci.fit_subset(sub, var_max_lag)
+    if portfolio is None:
+        raise NoCointegrationError(f"subset {outcome.subset} has cointegration rank 0")
+    spread = portfolio.spread
+    positions = generate_mr_positions(spread.zscores, entry, exit, spread.dates)
+    return sub, outcome, portfolio, positions
+
+
 def compute_metrics(daily_returns: np.ndarray) -> Metrics:
     """APR (geometric, 252-day year), Sharpe (zero risk-free), max drawdown.
 
@@ -208,15 +226,3 @@ def compute_pnl(
         max_drawdown=max_dd,
         total_transaction_cost=float(trade_cost.sum()),
     )
-
-
-def max_drawdown_bruteforce(daily_returns: np.ndarray) -> float:
-    """O(n^2) oracle: min over all peak<=trough pairs of trough/peak - 1."""
-    equity = np.concatenate(
-        [[1.0], np.cumprod(1.0 + np.asarray(daily_returns, dtype=float))]
-    )
-    worst = 0.0
-    for i in range(len(equity)):
-        for j in range(i, len(equity)):
-            worst = min(worst, equity[j] / equity[i] - 1.0)
-    return worst

@@ -6,10 +6,11 @@ verify-critical-values. Configuration is a flat `key = value` text file
 parse the keys, and its defaults reproduce the research settings.
 
 Every CSV is read and written through `_csv`, so the file format lives in
-one place. Commands that take `--subset` fit it with
-`cointegration.fit_subset`, the recipe the scan uses; `backtest` and
-`report` share one costed mean-reversion backtest, and `scan` and `report`
-one scan call.
+one place. Each command only loads, calls and writes. A `--subset` is
+fitted and traded by `backtest.trade_subset`, as the scan fits it;
+`backtest` and `report` backtest its positions with costs, `optimize`
+fuses them in `fusion.fuse_forecasts`, and `scan` and `report` share one
+scan call.
 
 Errors print a single machine-parsable line `ERR:<code>:<message>` and map
 to exit codes: 2 validation, 3 numerical degeneracy, 4 I/O.
@@ -34,13 +35,8 @@ from . import fusion
 from . import macro_signals as ms
 from . import unit_root as ur
 from ._csv import read_map, write_csv
-from .errors import (
-    CoverageError,
-    NoCointegrationError,
-    PipelineError,
-    ValidationError,
-)
-from .market_data import PricePanel, align_panel, load_monthly_csv, load_price_csv
+from .errors import PipelineError, ValidationError
+from .market_data import align_panel, load_monthly_csv, load_price_csv
 from .plot_data import emit_plot_data
 
 EXIT_OK, EXIT_IO = 0, 4
@@ -89,6 +85,7 @@ class RunConfig:
             ("forecast_train_fraction", 0.0 < self.forecast_train_fraction < 1.0,
              "in (0, 1)"),
             ("seed", self.seed >= 0, "non-negative"),
+            ("out_dir", self.out_dir != "", "a directory path"),
         ):
             if not ok:
                 raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -201,29 +198,6 @@ def cmd_scan(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     return EXIT_OK
 
 
-def _fit_subset(cfg: RunConfig, panel, subset_ids: list[str]):
-    """The named subset's panel, Johansen outcome and portfolio (rank >= 1)."""
-    sub = panel.subpanel([panel.instrument_ids.index(s) for s in subset_ids])
-    outcome, portfolio = ci.fit_subset(sub, cfg.var_max_lag)
-    if portfolio is None:
-        raise NoCointegrationError(f"subset {outcome.subset} has cointegration rank 0")
-    return sub, outcome, portfolio
-
-
-def _mr_positions(cfg: RunConfig, portfolio) -> bt.PositionSeries:
-    spread = portfolio.spread
-    return bt.generate_mr_positions(
-        spread.zscores, entry=cfg.entry_z, exit=cfg.exit_z, dates=spread.dates
-    )
-
-
-def _mr_backtest(cfg: RunConfig, sub, portfolio):
-    """Mean-reversion positions and their backtest with the configured costs."""
-    positions = _mr_positions(cfg, portfolio)
-    costs = bt.CostModel(cfg.costs)
-    return positions, bt.compute_pnl(sub, portfolio.hedge_ratio, positions, costs)
-
-
 def _write_summary(path: str, report: bt.BacktestReport) -> None:
     write_csv(
         path,
@@ -233,8 +207,11 @@ def _write_summary(path: str, report: bt.BacktestReport) -> None:
 
 
 def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
-    sub, _, portfolio = _fit_subset(cfg, _load_panel(cfg), subset_ids)
-    positions, report = _mr_backtest(cfg, sub, portfolio)
+    sub, _, portfolio, positions = bt.trade_subset(
+        _load_panel(cfg), subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
+    )
+    costs = bt.CostModel(cfg.costs)
+    report = bt.compute_pnl(sub, portfolio.hedge_ratio, positions, costs)
     write_csv(
         _out_path(cfg, "backtest.csv"),
         "date,position,daily_return,cumulative_return",
@@ -288,54 +265,33 @@ def cmd_forecast(cfg: RunConfig, subset_ids: list[str] | None) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
-    """Fuse, optimize and backtest over the forecast-covered run of dates.
-
-    The run spans the first to the last date whose month every forecast
-    covers; the full-sample mean-reversion positions are cut to it.
-    """
+    """Fuse, optimize and backtest over the dates every forecast covers."""
     optimizer_config = cfg.optimizer
     indicators = sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
     if not indicators:
         raise ValidationError("optimize needs at least one macro indicator")
     optimizer_config.check_grid_size(len(indicators) + 1)
-    full, _, portfolio = _fit_subset(cfg, _load_panel(cfg), subset_ids)
-    mr_positions = _mr_positions(cfg, portfolio).positions
-    signal_maps = []
+    sub, _, portfolio, positions = bt.trade_subset(
+        _load_panel(cfg), subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
+    )
+    forecasts = {}
     for indicator in indicators:
         directions = _monthly_directions(cfg, indicator).items()
-        signal_maps.append({m: ms.direction_to_signal(d) for m, d in directions})
-    covered = [
-        t for t, day in enumerate(full.dates)
-        if all(f"{day.year:04d}-{day.month:02d}" in s for s in signal_maps)
-    ]
-    if not covered:
-        raise ValidationError("no trading date falls in a month every forecast covers")
-    run = slice(covered[0], covered[-1] + 1)
-    sub = PricePanel(full.dates[run], full.prices[:, run], full.instrument_ids)
-    sources = []
-    for indicator, signals in zip(indicators, signal_maps):
-        try:
-            sources.append(ms.expand_monthly_to_daily(signals, sub.dates))
-        except CoverageError as exc:
-            raise CoverageError(f"indicator {indicator!r}: {exc}") from exc
-    sources.append(ms.SignalSeries(sub.dates, mr_positions[run]))
-    hedge = portfolio.hedge_ratio
-    result = fusion.optimize_weights(sources, sub, hedge, optimizer_config)
-    write_csv(
-        _out_path(cfg, "optimization_trace.csv"),
-        ",".join(["probe_index"] + [f"w{i + 1}" for i in range(len(sources))] + ["apr"]),
-        ((probe.probe_index, *probe.weights, probe.apr) for probe in result.trace),
+        forecasts[indicator] = {m: ms.direction_to_signal(d) for m, d in directions}
+    result, final = fusion.fuse_forecasts(
+        sub, portfolio.hedge_ratio, positions, forecasts, optimizer_config,
+        bt.CostModel(cfg.costs),
     )
     baseline = [0.0] * len(indicators) + [1.0]
+    write_csv(
+        _out_path(cfg, "optimization_trace.csv"),
+        ",".join(["probe_index"] + [f"w{i + 1}" for i in range(len(baseline))] + ["apr"]),
+        ((probe.probe_index, *probe.weights, probe.apr) for probe in result.trace),
+    )
     write_csv(
         _out_path(cfg, "optimization_summary.csv"),
         ",".join(indicators + ["mean_reversion", "apr"]),
         [(*baseline, result.baseline_apr), (*result.weights.weights, result.apr)],
-    )
-    # Final report re-includes transaction costs, unlike the objective.
-    fused = fusion.combine_signals(sources, result.weights)
-    final = bt.compute_pnl(
-        sub, hedge, fusion.signal_to_position(fused), bt.CostModel(cfg.costs)
     )
     _write_summary(_out_path(cfg, "optimized_backtest_summary.csv"), final)
     print(
@@ -362,8 +318,11 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
         },
     }
     if subset_ids:
-        sub, outcome, portfolio = _fit_subset(cfg, panel, subset_ids)
-        _, report = _mr_backtest(cfg, sub, portfolio)
+        sub, outcome, portfolio, positions = bt.trade_subset(
+            panel, subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
+        )
+        costs = bt.CostModel(cfg.costs)
+        report = bt.compute_pnl(sub, portfolio.hedge_ratio, positions, costs)
         half_life = portfolio.half_life_days  # JSON has no inf: none measured is null
         payload["backtest"] = {
             "subset": subset_ids,

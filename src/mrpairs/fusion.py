@@ -15,8 +15,9 @@ MAX_GRID_POINTS points) followed by Nelder-Mead refinement from the best
 grid point, clipped to the box. The simplex is this module's numpy
 `_nelder_mead`, a port that probes the same points as the reference
 implementation (tests/test_simplex_oracle.py). Transaction costs are
-excluded from the objective and only re-enter in the final reported
-backtest.
+excluded from the objective; `fuse_forecasts`, the fused half of a subset
+run after `backtest.trade_subset`, adds them back in the backtest of the
+winning weights it reports.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backtest import PositionSeries, compute_pnl
+from . import macro_signals as ms
+from .backtest import BacktestReport, CostModel, PositionSeries, compute_pnl
 from .errors import (
-    AlignmentError,
-    OptimizationDegenerateError,
-    ValidationError,
+    AlignmentError, CoverageError, OptimizationDegenerateError, ValidationError,
 )
 from .macro_signals import SignalSeries
 from .market_data import PricePanel
@@ -235,6 +235,37 @@ def optimize_weights(
         probe_weights=np.array(probe_weights),
         probe_apr=np.array(probe_apr),
     )
+
+
+def fuse_forecasts(
+    panel: PricePanel, hedge_ratio: np.ndarray, mr_positions: PositionSeries,
+    forecasts: dict[str, dict[str, ms.Signal]], config: OptimizerConfig, costs: CostModel,
+) -> tuple[OptimizationResult, BacktestReport]:
+    """Fuse monthly forecasts with mean reversion over the dates they cover.
+
+    The run spans the first to the last date of `panel` whose month every
+    indicator's forecast covers; the full-sample mean-reversion positions
+    are cut to it and vote last. The weights maximize the frictionless APR;
+    the report is the backtest of the winning weights with `costs`.
+    """
+    covered = [
+        t for t, month in enumerate(ms.month_keys(panel.dates))
+        if all(month in signals for signals in forecasts.values())
+    ]
+    if not covered:
+        raise ValidationError("no trading date falls in a month every forecast covers")
+    run = slice(covered[0], covered[-1] + 1)
+    sub = PricePanel(panel.dates[run], panel.prices[:, run], panel.instrument_ids)
+    sources = []
+    for indicator, signals in forecasts.items():
+        try:
+            sources.append(ms.expand_monthly_to_daily(signals, sub.dates))
+        except CoverageError as exc:
+            raise CoverageError(f"indicator {indicator!r}: {exc}") from exc
+    sources.append(SignalSeries(sub.dates, mr_positions.positions[run]))
+    result = optimize_weights(sources, sub, hedge_ratio, config)
+    fused = combine_signals(sources, result.weights)
+    return result, compute_pnl(sub, hedge_ratio, signal_to_position(fused), costs)
 
 
 def _nelder_mead(f, x0: np.ndarray, max_iter: int) -> np.ndarray:

@@ -196,13 +196,17 @@ def direction_to_signal(label: DirectionLabel) -> Signal:
     return Signal.FLAT
 
 
+def month_keys(daily_dates) -> list[str]:
+    """Each date's `YYYY-MM` month, the key of a monthly signal."""
+    return [f"{day.year:04d}-{day.month:02d}" for day in daily_dates]
+
+
 def expand_monthly_to_daily(
     monthly_signals: dict[str, Signal], daily_dates: tuple
 ) -> SignalSeries:
     """Broadcast each month's signal to all its trading days."""
     signals = np.empty(len(daily_dates), dtype=np.int8)
-    for t, day in enumerate(daily_dates):
-        month = f"{day.year:04d}-{day.month:02d}"
+    for t, month in enumerate(month_keys(daily_dates)):
         if month not in monthly_signals:
             raise CoverageError(f"no monthly signal covers {month}")
         signals[t] = monthly_signals[month]

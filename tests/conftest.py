@@ -47,6 +47,18 @@ def write_price_csv(path, dates, values):
     return str(path)
 
 
+def max_drawdown_bruteforce(daily_returns):
+    """O(n^2) oracle: min over all peak<=trough pairs of trough/peak - 1."""
+    equity = np.concatenate(
+        [[1.0], np.cumprod(1.0 + np.asarray(daily_returns, dtype=float))]
+    )
+    worst = 0.0
+    for i in range(len(equity)):
+        for j in range(i, len(equity)):
+            worst = min(worst, equity[j] / equity[i] - 1.0)
+    return worst
+
+
 def write_monthly_csv(path, months, values):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("month,value\n")

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import RECIPE_CONFIG, write_price_csv
+from conftest import RECIPE_CONFIG, max_drawdown_bruteforce, write_price_csv
 from mrpairs import cli
 from mrpairs._ols import ols_qr
 from mrpairs.backtest import (
@@ -16,7 +16,6 @@ from mrpairs.backtest import (
     compute_metrics,
     compute_pnl,
     generate_mr_positions,
-    max_drawdown_bruteforce,
 )
 from mrpairs.cointegration import (
     enumerate_combinations,

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import max_drawdown_bruteforce
 from mrpairs.backtest import (
     CostModel,
     PositionSeries,
     compute_metrics,
     compute_pnl,
     generate_mr_positions,
-    max_drawdown_bruteforce,
 )
 from mrpairs.errors import ValidationError
 from mrpairs.market_data import PricePanel, trading_days

@@ -577,6 +577,33 @@ class TestErrorPaths:
         assert code == 2
         assert err == f"ERR:validation:{message}\n"
 
+    def test_forecast_with_no_indicator(self, small_workspace, tmp_path):
+        # optimize's own message is checked before loading, in TestChecksBeforeLoading
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace.replace("macro.", "# macro."))
+        code, _, err = _run_main(
+            ["forecast", "--config", str(config), "--out", str(tmp_path / "out")]
+        )
+        message = "config names no macro.<ID> or macro_oracle.<ID> files"
+        assert (code, err) == (2, f"ERR:validation:{message}\n")
+
+    @pytest.mark.parametrize("command", ["forecast", "optimize"])
+    def test_indicator_too_short_to_hold_out_a_window(
+        self, small_workspace, tmp_path, command
+    ):
+        # 8 months give 4 labelled ones, fewer than the 24 the classifier trains on.
+        months = [f"2000-{m:02d}" for m in range(1, 9)]
+        macro = write_monthly_csv(tmp_path / "short.csv", months, np.arange(8.0))
+        prices = [line for line in small_workspace.splitlines(True) if "macro." not in line]
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(prices) + f"macro.M1 = {macro}\n")
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--out", str(tmp_path / "out"),
+             "--subset", "SYN1,SYN2"]
+        )
+        message = "indicator 'M1': too few months to hold out a forecast window"
+        assert (code, err) == (2, f"ERR:validation:{message}\n")
+
     @pytest.mark.parametrize(
         "setting, message",
         [
@@ -1010,6 +1037,25 @@ class TestChecksBeforeLoading:
         assert (code, err) == (2, f"ERR:validation:{command} requires --subset\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize(
+        "line, flags", [("", ["--out", ""]), ("out_dir =\n", [])], ids=["flag", "key"]
+    )
+    def test_empty_out_dir_fails_before_any_file_is_read(
+        self, tmp_path, command, line, flags
+    ):
+        # Reading a file, or simulating and then writing, would end in ERR:io.
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "price.SYN1 = never-read.csv\nprice.SYN2 = never-read.csv\n"
+            "macro.M1 = never-read.csv\nmc_draws = 1\n" + line
+        )
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--subset", "SYN1,SYN2", *flags]
+        )
+        message = "out_dir must be a directory path, got ''"
+        assert (code, err) == (2, f"ERR:validation:{message}\n")
+
     def test_report_runs_without_subset(self, small_workspace, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(small_workspace)
@@ -1076,6 +1122,61 @@ def test_dispatch_calls_the_module_attribute(
     assert cli.run([command, "--config", str(config), "--out", out, *flags]) == 7
     expected = dataclasses.replace(cli.parse_config_file(str(config)), out_dir=out)
     assert calls == [(expected, subset_ids)]
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of each `module.function`, wrapped at every binding in mrpairs.
+
+    A tracer wraps the same bindings, so a call that escapes this count
+    would escape the tracer too.
+    """
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in sys.modules.items() if key.startswith("mrpairs.")]
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        module, attr = name.split(".")
+        original = getattr(sys.modules[f"mrpairs.{module}"], attr)
+        wrapper = counted(name, original)
+        for m in modules:
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("command", ["backtest", "report", "optimize"])
+def test_a_subset_run_fits_once_and_backtests_once_per_probe(
+    pair_workspace, tmp_path, monkeypatch, command
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        pathlib.Path(pair_workspace["config"]).read_text()
+        + f"macro_oracle.GDP = {pair_workspace['oracle']}\n"
+    )
+    counts = _count_calls(monkeypatch, [
+        "cointegration.fit_subset", "backtest.generate_mr_positions",
+        "backtest.compute_pnl", "macro_signals.expand_monthly_to_daily",
+    ])
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--subset", "SYN1,SYN2", "--out", str(out)]
+    assert cli.run(argv) == 0
+    probes, indicators = 0, 0
+    if command == "optimize":  # every probe, then the costed winner
+        probes, indicators = len(_read_csv(out / "optimization_trace.csv")[1]), 2
+        assert probes > 1 + 3 ** 3  # the baseline, the 0.5-step grid, the simplex
+    assert counts == {
+        "cointegration.fit_subset": 1,
+        "backtest.generate_mr_positions": 1,
+        "backtest.compute_pnl": probes + 1,
+        "macro_signals.expand_monthly_to_daily": indicators,
+    }
 
 
 _TRICKY = [
