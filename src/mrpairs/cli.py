@@ -19,6 +19,7 @@ to exit codes: 2 validation, 3 numerical degeneracy, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -412,7 +413,7 @@ def run(argv: list[str]) -> int:
     if args.costs is not None:
         overrides["costs"] = read_map(args.costs, "instrument,cost", str, float)
     if args.oracle_forecasts is not None:
-        keys = set(cfg.macro_paths) or {"oracle"}
+        keys = set(cfg.macro_paths) | set(cfg.macro_oracle_paths) or {"oracle"}
         overrides["macro_oracle_paths"] = {k: args.oracle_forecasts for k in keys}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     unknown = sorted(set(cfg.costs) - set(cfg.price_paths))
@@ -433,6 +434,9 @@ def run(argv: list[str]) -> int:
             raise ValidationError(
                 f"--subset must name 2 to 4 instruments, got {len(subset_ids)}"
             )
+    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
+        # what `os.makedirs` raises at the first write, before any data is read
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), cfg.out_dir)
     return globals()["cmd_" + args.command.replace("-", "_")](cfg, subset_ids)
 
 

@@ -3,13 +3,17 @@
 Daily close prices arrive as `date,close` CSVs with strict, zero-padded
 `YYYY-MM-DD` dates, one file per instrument. Monthly macro indicators
 arrive as `month,value` CSVs with strict, zero-padded `YYYY-MM` months.
-Both loaders read through `_csv.read_map`, so a malformed file fails with
-a CsvParseError naming `path:line`, also for a repeated date or month and
-for a close or value that is not finite (or, for a close, not positive).
-A price file loads as a `{date: close}` map; statistics modules take plain
-arrays, not these types. Panels are built by inner-joining the maps' date
-sets so no price is ever fabricated; the minimum overlap (default 30
-trading days) keeps downstream regressions well-posed.
+A file in plain form (the exact header, then `key,value` lines with no
+quote, CR or blank line) is parsed as whole columns with numpy; any other
+file, or one that fails a column check, goes through `_csv.read_map`'s row
+loop. Both give the same values, and every error is the row loop's: a
+CsvParseError naming `path:line`, also for a repeated date or month and for
+a close or value that is not finite (or, for a close, not positive).
+A price file loads as a date-sorted structured array of `date`
+(`datetime64[D]`) and `close`; statistics modules take plain arrays, not
+these types. Panels are built by inner-joining the files' dates so no
+price is ever fabricated; the minimum overlap (default 30 trading days)
+keeps downstream regressions well-posed.
 
 The synthetic generator produces random-walk panels, optionally planting a
 known cointegrating relationship: the last column is a weighted combination
@@ -19,6 +23,7 @@ so tests can check that the scan recovers the planted hedge ratio.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import math
 import re
@@ -150,45 +155,90 @@ def _date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def load_price_csv(path: str) -> dict[dt.date, float]:
-    """Parse a `date,close` CSV (dates `YYYY-MM-DD`) into `{date: close}`.
+# Per input format: the key pattern of a plain-form line, the numpy key type,
+# the row loop's parsers, and the bound every value must exceed. Year 0000
+# goes to the row loop: numpy reads it as a date, `fromisoformat` does not.
+_FORMATS = {
+    "date,close": ("(?!0000)" + _DATE.pattern, "datetime64[D]", _date, _close, 0.0),
+    "month,value": (_MONTH.pattern, "U7", _month, _finite, -math.inf),
+}
 
-    Rows may come in any order; `align_panel` sorts the dates it keeps.
+
+def _read_table(path: str, header: str) -> np.ndarray:
+    """A `key,value` file as a key-sorted structured array, one row per row.
+
+    See the module docstring: a plain-form file is parsed as whole columns,
+    any other file, or one a column check rejects, by `read_map`.
     """
-    return read_map(path, "date,close", _date, _close)
+    key, key_type, parse_key, parse_value, floor = _FORMATS[header]
+    key_name, value_name = header.split(",")
+    dtype = np.dtype([(key_name, key_type), (value_name, float)])
+    # A value fits in `csv`'s field limit, as the row loop requires.
+    line = f'(?:{key}),[^,"\\r\\n]{{0,{csv.field_size_limit()}}}\\n'
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            head, _, body = fh.read().partition("\n")
+        if head != header or not re.fullmatch(f"(?:{line})+", body):
+            raise ValueError("not in plain form")
+        cells = body[:-1].replace("\n", ",").split(",")
+        table = np.empty(len(cells) // 2, dtype)
+        table[key_name], table[value_name] = cells[::2], list(map(float, cells[1::2]))
+        table = table[np.argsort(table[key_name], kind="stable")]
+        keys, values = table[key_name], table[value_name]
+        in_range = np.isfinite(values) & (values > floor)
+        if not in_range.all() or np.any(keys[1:] == keys[:-1]):
+            raise ValueError("a column check failed")
+    except ValueError:  # UnicodeDecodeError is one too
+        rows = read_map(path, header, parse_key, parse_value)
+        table = np.sort(np.array(list(rows.items()), dtype), order=key_name)
+    return table
+
+
+def load_price_csv(path: str) -> np.ndarray:
+    """Parse a `date,close` CSV (dates `YYYY-MM-DD`) into a date-sorted table.
+
+    The table is a structured array with fields `date` (`datetime64[D]`)
+    and `close`, one element per data row; rows may come in any order.
+    """
+    return _read_table(path, "date,close")
 
 
 def load_monthly_csv(path: str) -> MonthlySeries:
     """Parse a `month,value` CSV (months `YYYY-MM`) into a MonthlySeries."""
-    values = read_map(path, "month,value", _month, _finite)
-    months = sorted(values)  # zero-padded `YYYY-MM` sorts by date
+    table = _read_table(path, "month,value")
     try:
-        return MonthlySeries(tuple(months), np.array([values[m] for m in months]))
+        return MonthlySeries(tuple(table["month"].tolist()), table["value"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def align_panel(
-    closes: dict[str, dict[dt.date, float]],
+    closes: dict[str, np.ndarray],
     min_overlap: int = DEFAULT_MIN_OVERLAP,
 ) -> PricePanel:
-    """Inner-join instruments' `{date: close}` maps on their common dates.
+    """Inner-join instruments' price tables on their common dates.
 
-    Rows follow the order of `closes`. Raises InsufficientOverlapError when
-    fewer than `min_overlap` dates are shared by every instrument.
+    Each table is date-sorted with unique dates, as `load_price_csv` gives
+    it. Rows follow the order of `closes`. Raises InsufficientOverlapError
+    when fewer than `min_overlap` dates are shared by every instrument.
     """
     if len(closes) < 2:
         raise ValidationError("need at least 2 series to build a panel")
-    first, *rest = closes.values()
-    common = set(first).intersection(*rest)
+    # Days as int64: numpy sorts and searches them faster than datetime64.
+    days = [table["date"].view(np.int64) for table in closes.values()]
+    common = days[0]
+    for other in days[1:]:
+        common = np.intersect1d(common, other, assume_unique=True)
     if len(common) < max(min_overlap, 1):
         raise InsufficientOverlapError(
             f"only {len(common)} common dates, need >= {min_overlap}"
         )
-    dates = tuple(sorted(common))
     return PricePanel(
-        dates=dates,
-        prices=np.array([[c[d] for d in dates] for c in closes.values()]),
+        dates=tuple(common.view("datetime64[D]").astype(object)),
+        prices=np.array([
+            table["close"][np.searchsorted(d, common)]
+            for d, table in zip(days, closes.values())
+        ]),
         instrument_ids=tuple(closes),
     )
 

@@ -31,13 +31,6 @@ def svg_line_chart(path: str, title: str, xs, series: dict[str, np.ndarray]) -> 
         hi = lo + 1.0
     inner_w = _SVG_W - 2 * _SVG_PAD
     inner_h = _SVG_H - 2 * _SVG_PAD
-
-    def px(i: int) -> float:
-        return _SVG_PAD + inner_w * (i / max(n - 1, 1))
-
-    def py(v: float) -> float:
-        return _SVG_PAD + inner_h * (1.0 - (v - lo) / (hi - lo))
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
@@ -47,9 +40,10 @@ def svg_line_chart(path: str, title: str, xs, series: dict[str, np.ndarray]) -> 
         'fill="none" stroke="#cccccc"/>',
     ]
     for color, (name, values) in zip(colors, series.items()):
-        pts = " ".join(
-            f"{px(i):.2f},{py(float(v)):.2f}" for i, v in enumerate(values)
-        )
+        ys = np.asarray(values, dtype=float)
+        px = _SVG_PAD + inner_w * (np.arange(len(ys)) / max(n - 1, 1))
+        py = _SVG_PAD + inner_h * (1.0 - (ys - lo) / (hi - lo))
+        pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.2"><title>{name}</title></polyline>'

@@ -275,6 +275,20 @@ class TestOptimize:
         assert [float(x) for x in baseline[:2]] == [0.0, 1.0]
         assert float(optimized[2]) >= float(baseline[2])
 
+    def test_oracle_flag_stands_in_for_every_indicator(self, pair_workspace, tmp_path):
+        # CPI has a `macro_oracle.` key and no `macro.` twin; M1's file is never read.
+        config = tmp_path / "run.cfg"
+        with open(pair_workspace["config"], encoding="utf-8") as fh:
+            config.write_text(fh.read() + "macro.M1 = never-read.csv\n")
+        code = cli.run(
+            [
+                "optimize", "--config", str(config), "--subset", "SYN1,SYN2",
+                "--out", str(tmp_path), "--oracle-forecasts", pair_workspace["oracle"],
+            ]
+        )
+        header, _ = _read_csv(tmp_path / "optimization_summary.csv")
+        assert (code, header) == (0, ["CPI", "M1", "mean_reversion", "apr"])
+
     def test_trained_forecasts_fuse_over_the_months_they_cover(
         self, pair_workspace, tmp_path
     ):
@@ -562,7 +576,8 @@ class TestErrorPaths:
             message = "no trading date falls in a month every forecast covers"
         else:
             rows = months[:3] + months[4:]
-            message = f"indicator 'oracle': no monthly signal covers {months[3]}"
+            # the flag's file stands in for the config's one indicator, CPI
+            message = f"indicator 'CPI': no monthly signal covers {months[3]}"
         oracle = tmp_path / "oracle.csv"
         oracle.write_text("month,direction\n" + "".join(f"{m},up\n" for m in rows))
         code, err = self._main_exit(
@@ -1055,6 +1070,24 @@ class TestChecksBeforeLoading:
         )
         message = "out_dir must be a directory path, got ''"
         assert (code, err) == (2, f"ERR:validation:{message}\n")
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_out_dir_naming_a_file_fails_before_any_file_is_read(
+        self, tmp_path, command
+    ):
+        # Reading a price file first would end in `[Errno 2] No such file`.
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "price.SYN1 = never-read.csv\nprice.SYN2 = never-read.csv\n"
+            "macro.M1 = never-read.csv\nmc_draws = 1\n"
+        )
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--subset", "SYN1,SYN2",
+             "--out", str(afile)]
+        )
+        assert (code, err) == (4, f"ERR:io:[Errno 17] File exists: '{afile}'\n")
 
     def test_report_runs_without_subset(self, small_workspace, tmp_path):
         config = tmp_path / "run.cfg"

@@ -1,3 +1,5 @@
+import csv
+import datetime as dt
 import math
 import re
 
@@ -9,7 +11,16 @@ from hypothesis import strategies as st
 from mrpairs._csv import read_map, read_rows, write_csv
 from mrpairs.errors import CsvParseError, PipelineError
 from mrpairs.macro_signals import load_forecast_oracle_csv
-from mrpairs.market_data import load_monthly_csv, load_price_csv
+from mrpairs import market_data
+from mrpairs.market_data import (
+    _close,
+    _date,
+    _finite,
+    _month,
+    _read_table,
+    load_monthly_csv,
+    load_price_csv,
+)
 
 
 class TestWriteCsv:
@@ -137,3 +148,119 @@ def test_loaders_raise_only_pipeline_errors(tmp_path, case):
         _LOADERS[header](str(path))
     except PipelineError:
         pass
+
+
+# The row loop is the reference for the two whole-column loaders.
+_REFERENCE_PARSERS = {"date,close": (_date, _close), "month,value": (_month, _finite)}
+
+
+def _assert_matches_the_row_loop(path, header):
+    """`_read_table` gives `read_map`'s rows in key order, or its exact error."""
+    try:
+        rows = read_map(str(path), header, *_REFERENCE_PARSERS[header])
+    except CsvParseError as exc:
+        with pytest.raises(CsvParseError) as info:
+            _read_table(str(path), header)
+        assert str(info.value) == str(exc)
+    else:
+        table = _read_table(str(path), header)
+        assert [(k, repr(v)) for k, v in table.tolist()] == [
+            (k, repr(v)) for k, v in sorted(rows.items())
+        ]
+
+
+_LONG = "1." + "0" * csv.field_size_limit()  # float reads 1.0; csv rejects the field
+# Files on the edge of the plain form, each as (header, text).
+_NEAR_MISSES = {
+    "year 0000": ("date,close", "date,close\n2008-01-02,1.0\n0000-01-01,2.0\n"),
+    "month of year 0000": ("month,value", "month,value\n0000-01,1.0\n0000-02,2.0\n"),
+    "2021-02-29": ("date,close", "date,close\n2021-02-28,1.0\n2021-02-29,2.0\n"),
+    "crlf": ("date,close", "date,close\r\n2008-01-02,1.0\r\n2008-01-03,2.0\r\n"),
+    "lone cr before a value": ("date,close", "date,close\n2008-01-02,\r1.5\n"),
+    "bom": ("date,close", "\ufeffdate,close\n2008-01-02,1.0\n"),
+    "non-ascii digit": ("month,value", "month,value\n\u0662008-01,1.0\n"),
+    "quoted field": ("month,value", 'month,value\n2008-01,"1.0"\n2008-02,2.0\n'),
+    "padded key": ("date,close", "date,close\n 2008-01-02 ,1.0\n2008-01-03,2.0\n"),
+    "blank line": ("month,value", "month,value\n2008-01,1.0\n\n2008-02,2.0\n"),
+    "no final newline": ("date,close", "date,close\n2008-01-02,1.0\n2008-01-03,2.0"),
+    "field over the csv limit": ("date,close", f"date,close\n2008-01-02,{_LONG}\n"),
+    "nul byte": ("date,close", "date,close\n2008-01-02,1.0\n2008-01-03,2\x00\n"),
+    "underscore digits": ("date,close", "date,close\n2008-01-02,1_000\n"),
+    "nan": ("month,value", "month,value\n2008-01,1.0\n2008-02,nan\n"),
+    "inf": ("date,close", "date,close\n2008-01-02,inf\n"),
+    "negative close": ("date,close", "date,close\n2008-01-02,1.0\n2008-01-03,-1\n"),
+    "negative value": ("month,value", "month,value\n2008-01,-1\n"),
+    "repeated date": ("date,close", "date,close\n2008-01-02,1.0\n2008-01-02,1.0\n"),
+    "repeated month": ("month,value", "month,value\n2008-01,1.0\n2008-01,2.0\n"),
+    "unsorted rows": ("date,close", "date,close\n2008-01-04,3.0\n2008-01-02,1.0\n"
+                      "2008-01-03,2.0\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_MISSES))
+def test_near_miss_matches_the_row_loop(tmp_path, name):
+    header, text = _NEAR_MISSES[name]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    _assert_matches_the_row_loop(path, header)
+
+
+def test_plain_file_skips_the_row_loop_and_others_take_it(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        market_data, "read_map", lambda *args: calls.append(args) or read_map(*args)
+    )
+    path = tmp_path / "p.csv"
+    path.write_text("date,close\n2008-01-03,2.0\n2008-01-02,1.0\n")
+    assert len(load_price_csv(str(path))) == 2 and not calls
+    path.write_text("date,close\n2008-01-03,2.0\n2008-01-02,1.0")
+    assert len(load_price_csv(str(path))) == 2 and len(calls) == 1
+
+
+_NEAR_KEYS = {
+    "date,close": ["0000-01-01", "2021-02-29", "2008-01-32", "2008-1-02",
+                   " 2008-01-02", "\u0662008-01-02", "2008-01-02T00", ""],
+    "month,value": ["0000-01", "2008-13", "2008-1", " 2008-01", "\u0662008-01",
+                    "2008-01-01", ""],
+}
+_NEAR_VALUES = ["1_000", "nan", "inf", "-inf", "-1", "0", "-0.0", " 1.5", '"2.5"',
+                "\r1.5", "1e400", "1e-400", "", "1.0\x00", "0x1p0", "1,2", _LONG]
+
+
+@st.composite
+def _table_file(draw):
+    """A `date,close` or `month,value` file, mostly plain, with some near-misses."""
+    header = draw(st.sampled_from(sorted(_REFERENCE_PARSERS)))
+    if header == "date,close":
+        start = dt.date(2008, 1, 1)
+        key = st.dates(start, start + dt.timedelta(days=99)).map(dt.date.isoformat)
+    else:
+        key = st.integers(2007 * 12, 2007 * 12 + 99).map(
+            lambda k: f"{k // 12:04d}-{k % 12 + 1:02d}"
+        )
+    value = st.floats(min_value=1e-3, max_value=1e6).map(repr)
+    near = st.integers(0, 15).map(lambda i: i == 0)  # one draw in 16 is a near miss
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.sampled_from(_NEAR_KEYS[header]) if draw(near) else key)
+        v = draw(st.sampled_from(_NEAR_VALUES) if draw(near) else value)
+        end = draw(st.sampled_from(["\r\n", "\n\n", "\r"]) if draw(near)
+                   else st.just("\n"))
+        lines.append(f"{k},{v}{end}")
+    if draw(near):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    head = draw(st.sampled_from(["\ufeff" + header, header.upper()]) if draw(near)
+                else st.just(header))
+    return header, head + "\n" + "".join(lines)
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=st.one_of(st.sampled_from(list(_NEAR_MISSES.values())), _table_file()))
+def test_whole_column_loaders_match_the_row_loop(tmp_path, case):
+    header, text = case
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    _assert_matches_the_row_loop(path, header)

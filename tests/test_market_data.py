@@ -21,7 +21,11 @@ from mrpairs.market_data import (
 
 
 def _closes(dates, values):
-    return dict(zip(dates, map(float, values)))
+    """A price table as `load_price_csv` returns it (dates ascending)."""
+    return np.array(
+        list(zip(dates, map(float, values))),
+        [("date", "datetime64[D]"), ("close", float)],
+    )
 
 
 D = [dt.date(2008, 1, 2) + dt.timedelta(days=i) for i in range(10)]
@@ -32,7 +36,10 @@ class TestLoadPriceCsv:
         path = tmp_path / "eur.csv"
         path.write_text("date,close\n2008-01-02,0.8804\n2008-01-03,0.8760\n")
         closes = load_price_csv(str(path))
-        assert closes == {dt.date(2008, 1, 2): 0.8804, dt.date(2008, 1, 3): 0.8760}
+        assert closes.tolist() == [
+            (dt.date(2008, 1, 2), 0.8804),
+            (dt.date(2008, 1, 3), 0.8760),
+        ]
 
     def test_out_of_order_rows_are_sorted(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -166,9 +173,10 @@ class TestAlignPanel:
         a = _closes(D[0:8], range(1, 9))
         b = _closes(D[2:10], range(1, 9))
         panel = align_panel({"A": a, "B": b}, min_overlap=1)
-        assert set(panel.dates) <= set(a)
-        assert set(panel.dates) <= set(b)
-        assert len(panel.dates) == len(set(a) & set(b))
+        a_dates, b_dates = set(a["date"].tolist()), set(b["date"].tolist())
+        assert set(panel.dates) <= a_dates
+        assert set(panel.dates) <= b_dates
+        assert len(panel.dates) == len(a_dates & b_dates)
 
 
 class TestPricePanel:
