@@ -434,9 +434,13 @@ def run(argv: list[str]) -> int:
             raise ValidationError(
                 f"--subset must name 2 to 4 instruments, got {len(subset_ids)}"
             )
-    if os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
-        # what `os.makedirs` raises at the first write, before any data is read
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), cfg.out_dir)
+    # what `os.makedirs` raises at the first write, before any data is read
+    below, ancestor = None, cfg.out_dir
+    while ancestor and not os.path.exists(ancestor):
+        below, ancestor = ancestor, os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        code = errno.ENOTDIR if below else errno.EEXIST  # OSError picks the subclass
+        raise OSError(code, os.strerror(code), below or ancestor)
     return globals()["cmd_" + args.command.replace("-", "_")](cfg, subset_ids)
 
 

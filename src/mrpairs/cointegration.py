@@ -63,6 +63,7 @@ import numpy as np
 
 from ._ols import first_failures, nested_residual_moments
 from .errors import (
+    ConstantDifferencesError,
     ConstantSeriesError,
     NoCointegrationError,
     SingularityError,
@@ -124,12 +125,13 @@ def _sliced_factors(
     `r_panel` factors a lag-major panel design D = Q*R: a ones column, then
     `n_blocks` blocks of one column per instrument. A subset's design is
     D[:, c] = Q*R[:, c] for its columns c, so a QR of R[:, c] factors it.
+    Each R[:, c] is gathered as rows of R', so it is column-major for LAPACK.
     """
     B, N = len(subsets), (r_panel.shape[1] - 1) // n_blocks
     blocks = [1 + i * N + subsets for i in range(n_blocks)]
     picked = np.hstack([np.zeros((B, 1), np.intp)] + blocks)
     for chunk in _chunks(B, 8 * r_panel.shape[0] * picked.shape[1]):
-        sliced = np.take(r_panel, picked[chunk], axis=1).transpose(1, 0, 2)
+        sliced = np.take(r_panel.T, picked[chunk], axis=0).mT
         yield chunk, np.linalg.qr(sliced, mode="r")
 
 
@@ -485,11 +487,13 @@ class ScanRow:
 
 
 def _integration_order(series: np.ndarray, max_lag: int | None):
-    """The series' I(d) class, or None for a constant series."""
+    """The series' I(d) class, or the reason it has none."""
     try:
         return classify_integration_order(series, max_lag=max_lag)
+    except ConstantDifferencesError:
+        return "constant differences"
     except ConstantSeriesError:
-        return None
+        return "constant series"
 
 
 def scan_cointegration(
@@ -498,12 +502,13 @@ def scan_cointegration(
     max_size: int = 4,
     var_max_lag: int = 10,
     adf_max_lag: int | None = None,
-    orders: Sequence[IntegrationOrder | None] | None = None,
+    orders: Sequence[IntegrationOrder | str] | None = None,
 ) -> list[ScanRow]:
     """Test every instrument subset; rows come back in enumeration order.
 
-    Subsets that hold a constant series (order None) or whose members are
-    not all I(1) are skipped, not tested. The report order is fixed by the
+    Subsets not all I(1) are skipped, not tested: with the reason of their
+    first member that has no I(d) order ("constant series", "constant
+    differences"), else as "not all I(1)". The report order is fixed by the
     enumeration. The tested subsets are fit one width at a time
     (`_fit_equal_width`); every subset's VAR lag and Johansen step come
     from one factor of the whole panel per distinct lag.
@@ -523,8 +528,8 @@ def scan_cointegration(
     for subset in subsets:
         ids = tuple(panel.instrument_ids[i] for i in subset)
         if subset not in tested:
-            constant = any(orders[i] is None for i in subset)
-            reason = "constant series" if constant else "not all I(1)"
+            reasons = [orders[i] for i in subset if isinstance(orders[i], str)]
+            reason = reasons[0] if reasons else "not all I(1)"
             rows.append(ScanRow(ids, reason, None, None, None, None))
             continue
         fit = next(fits)

@@ -43,6 +43,10 @@ class ConstantSeriesError(DegenerateInputError):
     """A series that never moves, which has no unit-root test."""
 
 
+class ConstantDifferencesError(ConstantSeriesError):
+    """A series that moves by the same step every day, a straight line."""
+
+
 class SingularityError(DegenerateInputError):
     """Rank-deficient regressor or moment matrix."""
 

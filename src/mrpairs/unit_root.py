@@ -8,9 +8,11 @@ The lag order p is chosen by minimizing BIC = n*ln(RSS/n) + k*ln(n) with
 k = p + 2, over a common estimation sample (all candidates drop the first
 max_lag differences) so the criteria are comparable. Each candidate's
 design is a column prefix of the max-lag design, so one QR factorization
-of that design gives every candidate's RSS; only the chosen lag's prefix
-is refit with `ols_qr`, for its t-ratio. The maximum lag follows Schwert's
-rule floor(12*(T/100)^(1/4)).
+of that design gives every candidate's RSS. The design and its response
+are built as one column-major block, LAPACK's own layout, and factored
+as they are; only the chosen lag's prefix of the same block is refit
+with `ols_qr`, for its t-ratio. The maximum lag follows Schwert's rule
+floor(12*(T/100)^(1/4)). A constant series or a straight line has no test.
 
 The t-ratio on b is compared against finite-sample critical values for the
 drift case, interpolated in 1/T between tabulated sample sizes. Only the
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ols import first_failures, nested_residual_moments, ols_qr
-from .errors import ConstantSeriesError, DegenerateInputError
+from .errors import ConstantDifferencesError, ConstantSeriesError, DegenerateInputError
 from .errors import SingularityError, ValidationError
 
 # Finite-sample 95% critical values of the Dickey-Fuller t-statistic for the
@@ -83,16 +85,16 @@ class IntegrationOrder(enum.Enum):
     I2PLUS = "I2plus"
 
 
-def _adf_design(y: np.ndarray, max_lag: int, p: int):
-    """Design matrix and response for lag p on the common sample."""
+def _adf_design(y: np.ndarray, max_lag: int) -> np.ndarray:
+    """[1, y_{t-1}, dy_{t-1..max_lag} | dy_t] on the common sample, column-major."""
     dy = np.diff(y)
-    t0 = max_lag  # first usable index into dy
-    resp = dy[t0:]
-    n = resp.shape[0]
-    cols = [np.ones(n), y[t0 : len(y) - 1]]
-    for i in range(1, p + 1):
-        cols.append(dy[t0 - i : len(dy) - i])
-    return np.column_stack(cols), resp
+    windows = np.lib.stride_tricks.sliding_window_view(dy, max_lag + 1)
+    design = np.empty((len(windows), max_lag + 3), order="F")
+    design[:, 0] = 1.0
+    design[:, 1] = y[max_lag:-1]
+    design[:, 2:-1] = windows[:, -2::-1]
+    design[:, -1] = windows[:, -1]
+    return design
 
 
 def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
@@ -114,12 +116,14 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
         )
     if np.ptp(y) == 0.0:
         raise ConstantSeriesError("constant series has no unit-root test")
+    if np.ptp(np.diff(y)) == 0.0:
+        raise ConstantDifferencesError("constant differences have no unit-root test")
 
-    X, resp = _adf_design(y, max_lag, max_lag)
-    n = len(resp)
+    design = _adf_design(y, max_lag)
+    n = len(design)
     best = None  # (bic, p)
-    r = np.linalg.qr(np.column_stack([X, resp]), mode="r")
-    moments, failures = nested_residual_moments(r, n, X.shape[1], range(2, max_lag + 3))
+    r = np.linalg.qr(design, mode="r")
+    moments, failures = nested_residual_moments(r, n, max_lag + 2, range(2, max_lag + 3))
     (failure,) = first_failures(failures[None])
     if failure:
         raise SingularityError(failure)
@@ -132,7 +136,7 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
 
     # Only the chosen lag needs (X'X)^-1 for the t-ratio.
     p = best[1]
-    fit = ols_qr(X[:, : p + 2], resp)
+    fit = ols_qr(design[:, : p + 2], design[:, -1])
     sigma2 = float(fit.rss) / (n - p - 2)
     se_level = math.sqrt(sigma2 * fit.xtx_inv[1, 1])
     statistic = float(fit.coef[1]) / se_level

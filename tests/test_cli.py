@@ -1089,6 +1089,26 @@ class TestChecksBeforeLoading:
         )
         assert (code, err) == (4, f"ERR:io:[Errno 17] File exists: '{afile}'\n")
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("below, named", [("sub", "sub"), ("a/b", "a")])
+    def test_out_dir_below_a_file_fails_before_any_file_is_read(
+        self, small_workspace, tmp_path, monkeypatch, command, below, named
+    ):
+        # The message names the first directory `os.makedirs` would make.
+        monkeypatch.setattr(cli, "load_price_csv", _no_load)
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace + "mc_draws = 1\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--subset", "SYN1,SYN2",
+             "--out", f"{afile}/{below}"]
+        )
+        message = f"[Errno 20] Not a directory: '{afile}/{named}'"
+        assert (code, err) == (4, f"ERR:io:{message}\n")
+        assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == ""
+
     def test_report_runs_without_subset(self, small_workspace, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(small_workspace)

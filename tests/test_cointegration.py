@@ -188,6 +188,28 @@ class TestScan:
             else:
                 assert row.skipped_reason in (None, "not all I(1)")
 
+    def test_straight_line_skips_its_subsets_with_its_own_reason(self):
+        panel = _walks_and_constant(300)
+        line = PricePanel(
+            dates=panel.dates,
+            prices=np.vstack([panel.prices, 1000.0 + 0.5 * np.arange(300)]),
+            instrument_ids=panel.instrument_ids + ("L",),
+        )
+        rows = scan_cointegration(line)
+        assert len(rows) == 25
+        for row in rows:
+            if "K" in row.subset:
+                assert row.skipped_reason == "constant series"
+            elif "L" in row.subset:
+                assert row.skipped_reason == "constant differences"
+                assert row.rank is None and row.top_eigenvalue is None
+        kept = [row for row in rows if "L" not in row.subset]
+        for got, want in zip(kept, scan_cointegration(panel), strict=True):
+            assert (got.subset, got.skipped_reason, got.rank) == (
+                want.subset, want.skipped_reason, want.rank
+            )
+            assert got.top_eigenvalue == pytest.approx(want.top_eigenvalue, rel=1e-9)
+
     def test_panel_too_short_with_a_constant_series_still_raises(self):
         # Schwert's max lag for 15 points is 7, which needs 17 of them; the
         # constant series is classified first and is too short first.

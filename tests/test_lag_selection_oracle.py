@@ -43,8 +43,9 @@ def adf_test_per_lag(y, max_lag=None):
     if max_lag is None:
         max_lag = schwert_max_lag(len(y))
     best = None  # (bic, p, fit, X)
+    design = _adf_design(y, max_lag)
     for p in range(max_lag + 1):
-        X, resp = _adf_design(y, max_lag, p)
+        X, resp = design[:, : p + 2], design[:, -1]
         fit = ols_qr(X, resp)
         n = len(resp)
         k = p + 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrpairs.errors import DegenerateInputError, SingularityError
+from mrpairs.errors import ConstantDifferencesError, DegenerateInputError, SingularityError
 from mrpairs.unit_root import (
     IntegrationOrder,
     adf_critical_value,
@@ -52,6 +52,15 @@ class TestAdfTest:
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateInputError):
             adf_test(np.full(100, 3.0))
+
+    @pytest.mark.parametrize("max_lag", [None, 0, 3])
+    @pytest.mark.parametrize("step", [0.5, 1.0, -2.0])
+    def test_constant_differences_have_no_test(self, max_lag, step):
+        # Without the check the design is rank deficient, or at max_lag 0
+        # the t-ratio is read off rounding noise.
+        y = 1000.0 + step * np.arange(300)
+        with pytest.raises(ConstantDifferencesError, match="constant differences"):
+            adf_test(y, max_lag=max_lag)
 
     def test_reject_flag_matches_statistic(self):
         rng = np.random.default_rng(7)
