@@ -82,13 +82,17 @@ def nested_residual_moments(
     last = np.minimum(widths, diag.shape[-1]) - 1
     low = np.minimum.accumulate(diag, axis=-1)[..., last]
     high = np.maximum.accumulate(diag, axis=-1)[..., last]
-    deficient = low <= _RANK_RTOL * np.maximum(high, 1.0)
+    deficient = ~(low > _RANK_RTOL * np.maximum(high, 1.0))  # a nan diagonal too
     failures = np.where(deficient, _RANK_DEFICIENT, "").astype(object)
     for j, k in enumerate(widths):
         if n <= k:
             failures[..., j] = _too_few(n, k)
     tails = [r[..., k:, k_max:] for k in widths]
-    return np.stack([tail.mT @ tail for tail in tails], axis=-3), failures
+    # Data of 1e154 and up overflow the moments, and no caller uses them:
+    # such levels beside the unit intercept column fail the rank check
+    # above, and the Johansen step's `cond` check fails its moments.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([tail.mT @ tail for tail in tails], axis=-3), failures
 
 
 def first_failures(failures: np.ndarray) -> list[str | None]:

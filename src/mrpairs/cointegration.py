@@ -198,7 +198,8 @@ class VarLagSelector:
         failures: list[str | None] = []
         for chunk, r in _sliced_factors(self._factors[max_lag], columns, max_lag + 1):
             moments, failed = nested_residual_moments(r, n, 1 + max_lag * m, widths)
-            sign, logdet = np.linalg.slogdet(moments / n)
+            with np.errstate(invalid="ignore"):  # a failed fit's moments may not be finite
+                sign, logdet = np.linalg.slogdet(moments / n)
             singular = (failed == "") & (sign <= 0)
             failed[singular] = "singular residual covariance in VAR fit"
             failures += first_failures(failed)

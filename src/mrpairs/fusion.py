@@ -14,10 +14,11 @@ derivative-free instead: an exhaustive coarse grid (0.25 steps, at most
 MAX_GRID_POINTS points) followed by Nelder-Mead refinement from the best
 grid point, clipped to the box. The simplex is this module's numpy
 `_nelder_mead`, a port that probes the same points as the reference
-implementation (tests/test_simplex_oracle.py). Transaction costs are
-excluded from the objective; `fuse_forecasts`, the fused half of a subset
-run after `backtest.trade_subset`, adds them back in the backtest of the
-winning weights it reports.
+implementation (tests/test_simplex_oracle.py). Probes that fuse to the
+same positions share one backtest. Transaction costs are excluded from
+the objective; `fuse_forecasts`, the fused half of a subset run after
+`backtest.trade_subset`, adds them back in the backtest of the winning
+weights it reports.
 """
 
 from __future__ import annotations
@@ -153,8 +154,18 @@ class OptimizationResult:
     weights: WeightVector
     apr: float
     baseline_apr: float  # weights (0, ..., 0, 1)
-    probe_weights: np.ndarray  # (n_probes, n_sources), clipped, in probe order
-    probe_apr: np.ndarray  # (n_probes,)
+    grid_axes: tuple[np.ndarray, ...]  # the grid's ticks per source
+    simplex_weights: np.ndarray  # (n_simplex, n_sources), clipped: the probes after the grid
+    probe_apr: np.ndarray  # (n_probes,): the baseline, the grid, then the simplex
+
+    @property
+    def probe_weights(self) -> np.ndarray:
+        """(n_probes, n_sources) clipped weights in probe order, rebuilt on access."""
+        baseline = np.zeros((1, len(self.grid_axes)))
+        baseline[0, -1] = 1.0
+        grid = np.stack(np.meshgrid(*self.grid_axes, indexing="ij"), axis=-1)
+        grid = np.clip(grid.reshape(-1, len(self.grid_axes)), 0.0, 1.0)
+        return np.concatenate([baseline, grid, self.simplex_weights])
 
     @property
     def trace(self) -> tuple[ProbeRecord, ...]:
@@ -177,7 +188,10 @@ def optimize_weights(
     (0, ..., 0, 1), so the returned APR dominates it by construction. The
     simplex stage refines from the best grid point; every objective
     evaluation is recorded in order, making reruns with the same inputs
-    byte-identical. Each probe is one vectorized vote and one `compute_pnl`.
+    byte-identical. Each probe is one vectorized vote; `compute_pnl` runs
+    once per distinct fused position vector, and a probe that repeats one
+    records the same float. The result keeps the grid as its axes and only
+    the simplex's weights as rows; `probe_weights` rebuilds the rest.
     """
     if config is None:
         config = OptimizerConfig()
@@ -186,24 +200,31 @@ def optimize_weights(
     n_sources = len(masks)
     step = config.grid_step
     config.check_grid_size(n_sources)
-    probe_weights: list[np.ndarray] = []
+    rule_apr: dict[bytes, float] = {}  # fused positions -> their APR
     probe_apr: list[float] = []
+    simplex_weights: list[np.ndarray] = []
     saw_active_probe = False
 
     def objective(raw) -> float:
         nonlocal saw_active_probe
-        w = np.clip(np.asarray(raw, dtype=float), 0.0, 1.0)
-        positions = PositionSeries(dates, _fuse(masks, w))
-        report = compute_pnl(panel, hedge_ratio, positions)
-        if np.any(report.daily_returns != 0.0):
-            saw_active_probe = True
-        probe_weights.append(w)
-        probe_apr.append(report.apr)
-        return report.apr
+        fused = _fuse(masks, np.clip(np.asarray(raw, dtype=float), 0.0, 1.0))
+        key = fused.tobytes()  # equal positions backtest to the same APR
+        apr = rule_apr.get(key)
+        if apr is None:
+            report = compute_pnl(panel, hedge_ratio, PositionSeries(dates, fused))
+            if np.any(report.daily_returns != 0.0):
+                saw_active_probe = True
+            apr = rule_apr[key] = report.apr
+        probe_apr.append(apr)
+        return apr
+
+    def simplex_objective(raw) -> float:
+        simplex_weights.append(np.clip(np.asarray(raw, dtype=float), 0.0, 1.0))
+        return objective(simplex_weights[-1])
 
     ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
     mr_ticks = ticks[ticks >= config.mr_weight_floor]
-    axes = [ticks] * (n_sources - 1) + [mr_ticks]
+    axes = (ticks,) * (n_sources - 1) + (mr_ticks,)
 
     baseline = np.zeros(n_sources)
     baseline[-1] = 1.0
@@ -216,10 +237,11 @@ def optimize_weights(
             best_w, best_apr = point, apr
 
     x = _nelder_mead(
-        lambda w: -objective(w), np.array(best_w, dtype=float), config.simplex_max_iter
+        lambda w: -simplex_objective(w), np.array(best_w, dtype=float),
+        config.simplex_max_iter,
     )
     refined = np.clip(x, 0.0, 1.0)
-    refined_apr = objective(refined)
+    refined_apr = simplex_objective(refined)
     if refined_apr > best_apr:
         best_w, best_apr = refined, refined_apr
     if not saw_active_probe:
@@ -232,7 +254,8 @@ def optimize_weights(
         weights=WeightVector(tuple(float(w) for w in np.clip(best_w, 0.0, 1.0))),
         apr=best_apr,
         baseline_apr=baseline_apr,
-        probe_weights=np.array(probe_weights),
+        grid_axes=axes,
+        simplex_weights=np.array(simplex_weights),
         probe_apr=np.array(probe_apr),
     )
 

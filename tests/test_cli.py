@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from mrpairs.backtest import (
 )
 from mrpairs.cointegration import fit_subset
 from mrpairs.errors import ValidationError
+from mrpairs.fusion import WeightVector, combine_signals
 from mrpairs.market_data import PricePanel, SynthConfig, generate_synthetic_panel
 
 
@@ -564,6 +566,50 @@ class TestErrorPaths:
         assert code == 3
         assert err == (
             "ERR:degenerate:subset ('SYN1', 'SYN2') has cointegration rank 0\n"
+        )
+
+    @staticmethod
+    def _huge_pair_config(directory, scale):
+        """A 500-day recipe pair with every close multiplied by `scale`."""
+        panel = generate_synthetic_panel(1, dataclasses.replace(RECIPE_CONFIG, n_days=500))
+        huge = PricePanel(panel.dates, panel.prices * scale, panel.instrument_ids)
+        paths = _write_panel_csvs(huge, directory)
+        config = directory / "huge.cfg"
+        config.write_text(
+            "".join(f"price.{iid} = {p}\n" for iid, p in sorted(paths.items()))
+            + "macro_oracle.CPI = unused.csv\n"  # optimize fails before reading it
+        )
+        return config
+
+    # Closes near 1e300 overflow the regression moments; near 1e305 the QR
+    # itself gives a nan diagonal, which must fail the rank check.
+    @pytest.mark.parametrize("scale", [2e297, 2e302])
+    @pytest.mark.parametrize("command", ["scan", "backtest", "optimize", "report"])
+    def test_closes_near_the_float_limit_end_in_one_err_line(
+        self, monkeypatch, capsys, tmp_path, scale, command
+    ):
+        config = self._huge_pair_config(tmp_path, scale)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command != "scan":
+            argv += ["--subset", "SYN1,SYN2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = self._main_exit(monkeypatch, capsys, argv)
+        assert [str(w.message) for w in caught] == []
+        assert (code, err) == (3, "ERR:degenerate:regressor matrix is rank deficient\n")
+
+    def test_closes_near_1e300_print_only_the_err_line(self, tmp_path):
+        config = self._huge_pair_config(tmp_path, 2e297)
+        argv = ["backtest", "--config", str(config), "--subset", "SYN1,SYN2",
+                "--out", str(tmp_path / "out")]
+        done = subprocess.run(
+            [sys.executable, "-m", "mrpairs.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stderr) == (
+            3, "ERR:degenerate:regressor matrix is rank deficient\n"
         )
 
     @pytest.mark.parametrize("coverage", ["none", "gap"])
@@ -1177,18 +1223,19 @@ def test_dispatch_calls_the_module_attribute(
     assert calls == [(expected, subset_ids)]
 
 
-def _count_calls(monkeypatch, names):
-    """Count calls of each `module.function`, wrapped at every binding in mrpairs.
+def _record_calls(monkeypatch, names):
+    """Record the arguments of each call of each `module.function`, wrapped
+    at every binding in mrpairs.
 
-    A tracer wraps the same bindings, so a call that escapes this count
+    A tracer wraps the same bindings, so a call that escapes this record
     would escape the tracer too.
     """
-    counts = dict.fromkeys(names, 0)
+    calls = {name: [] for name in names}
     modules = [m for key, m in sys.modules.items() if key.startswith("mrpairs.")]
 
-    def counted(name, original):
+    def recorded(name, original):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            calls[name].append(args)
             return original(*args, **kwargs)
 
         return wrapper
@@ -1196,16 +1243,16 @@ def _count_calls(monkeypatch, names):
     for name in names:
         module, attr = name.split(".")
         original = getattr(sys.modules[f"mrpairs.{module}"], attr)
-        wrapper = counted(name, original)
+        wrapper = recorded(name, original)
         for m in modules:
             for key, value in list(vars(m).items()):
                 if value is original:
                     monkeypatch.setattr(m, key, wrapper)
-    return counts
+    return calls
 
 
 @pytest.mark.parametrize("command", ["backtest", "report", "optimize"])
-def test_a_subset_run_fits_once_and_backtests_once_per_probe(
+def test_a_subset_run_fits_once_and_backtests_each_distinct_fused_rule_once(
     pair_workspace, tmp_path, monkeypatch, command
 ):
     config = tmp_path / "run.cfg"
@@ -1213,22 +1260,34 @@ def test_a_subset_run_fits_once_and_backtests_once_per_probe(
         pathlib.Path(pair_workspace["config"]).read_text()
         + f"macro_oracle.GDP = {pair_workspace['oracle']}\n"
     )
-    counts = _count_calls(monkeypatch, [
+    calls = _record_calls(monkeypatch, [
         "cointegration.fit_subset", "backtest.generate_mr_positions",
         "backtest.compute_pnl", "macro_signals.expand_monthly_to_daily",
+        "fusion.optimize_weights",
     ])
     out = tmp_path / "out"
     argv = [command, "--config", str(config), "--subset", "SYN1,SYN2", "--out", str(out)]
     assert cli.run(argv) == 0
-    probes, indicators = 0, 0
-    if command == "optimize":  # every probe, then the costed winner
-        probes, indicators = len(_read_csv(out / "optimization_trace.csv")[1]), 2
-        assert probes > 1 + 3 ** 3  # the baseline, the 0.5-step grid, the simplex
-    assert counts == {
+    rules, indicators, optimizations = set(), 0, 0
+    if command == "optimize":  # each distinct rule of the trace, then the costed winner
+        (sources, *_), = calls["fusion.optimize_weights"]
+        trace = _read_csv(out / "optimization_trace.csv")[1]
+        assert len(trace) > 1 + 3 ** 3  # the baseline, the 0.5-step grid, the simplex
+        rules = {
+            combine_signals(sources, WeightVector(tuple(map(float, row[1:-1])))).signals.tobytes()
+            for row in trace
+        }
+        assert 1 < len(rules) < len(trace)
+        probed = [args[2].positions.tobytes() for args in calls["backtest.compute_pnl"][:-1]]
+        assert len(set(probed)) == len(probed)
+        assert set(probed) == rules
+        indicators, optimizations = 2, 1
+    assert {name: len(args) for name, args in calls.items()} == {
         "cointegration.fit_subset": 1,
         "backtest.generate_mr_positions": 1,
-        "backtest.compute_pnl": probes + 1,
+        "backtest.compute_pnl": len(rules) + 1,
         "macro_signals.expand_monthly_to_daily": indicators,
+        "fusion.optimize_weights": optimizations,
     }
 
 

@@ -5,19 +5,26 @@ is one-hot encoded over (Long, Short, Flat), weighted scores are summed
 source by source, the argmax class wins and any tie at the top resolves to
 Flat. The vote must give the same positions for any weights, exact float
 ties included, and every optimizer probe must carry the APR of a fresh
-backtest of the reference positions.
+backtest of the reference positions. `optimize_weights_every_probe` keeps
+the search as it was before it backtested each distinct fused rule once:
+the memoized search must record the same probes, APRs and winner, bit
+for bit.
 """
 
 import dataclasses
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RECIPE_CONFIG
+from mrpairs import fusion
 from mrpairs.backtest import PositionSeries, compute_pnl, generate_mr_positions
+from mrpairs.errors import OptimizationDegenerateError
 from mrpairs.fusion import (
     OptimizerConfig,
     WeightVector,
@@ -26,7 +33,7 @@ from mrpairs.fusion import (
     signal_to_position,
 )
 from mrpairs.macro_signals import SignalSeries
-from mrpairs.market_data import generate_synthetic_panel
+from mrpairs.market_data import PricePanel, generate_synthetic_panel
 from mrpairs.spread_dynamics import compute_spread
 
 _ROW_OF = {1: 0, -1: 1, 0: 2}  # Long, Short, Flat rows of the one-hot scores
@@ -160,3 +167,141 @@ def test_result_keeps_at_most_64_bytes_per_probe():
     n_probes = len(result.probe_apr)
     assert n_probes > 625
     assert kept / n_probes <= 64, f"{kept / n_probes:.0f} B per probe"
+
+
+def optimize_weights_every_probe(signal_series, panel, hedge_ratio, config):
+    """The weight search before its memo: a fresh backtest of every probe.
+
+    Returns the winning weights, the APR, the baseline APR, every probe's
+    clipped weights and every probe's APR.
+    """
+    masks = fusion._vote_masks(signal_series)
+    dates = signal_series[0].dates
+    n_sources = len(masks)
+    step = config.grid_step
+    probe_weights, probe_apr = [], []
+    saw_active_probe = False
+
+    def objective(raw):
+        nonlocal saw_active_probe
+        w = np.clip(np.asarray(raw, dtype=float), 0.0, 1.0)
+        report = compute_pnl(panel, hedge_ratio, PositionSeries(dates, fusion._fuse(masks, w)))
+        if np.any(report.daily_returns != 0.0):
+            saw_active_probe = True
+        probe_weights.append(w)
+        probe_apr.append(report.apr)
+        return report.apr
+
+    ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
+    axes = [ticks] * (n_sources - 1) + [ticks[ticks >= config.mr_weight_floor]]
+    baseline = np.zeros(n_sources)
+    baseline[-1] = 1.0
+    baseline_apr = objective(baseline)
+    best_w, best_apr = baseline, baseline_apr
+    for point in itertools.product(*axes):
+        apr = objective(point)
+        if apr > best_apr:
+            best_w, best_apr = point, apr
+    x = fusion._nelder_mead(
+        lambda w: -objective(w), np.array(best_w, dtype=float), config.simplex_max_iter
+    )
+    refined = np.clip(x, 0.0, 1.0)
+    refined_apr = objective(refined)
+    if refined_apr > best_apr:
+        best_w, best_apr = refined, refined_apr
+    if not saw_active_probe:
+        raise OptimizationDegenerateError("every weight probe produced an all-zero return stream")
+    return (
+        WeightVector(tuple(float(w) for w in np.clip(best_w, 0.0, 1.0))),
+        best_apr,
+        baseline_apr,
+        np.array(probe_weights),
+        np.array(probe_apr),
+    )
+
+
+def _assert_same_search(sources, panel, hedge, config):
+    """The memoized search against the reference; both results, or None."""
+    try:
+        expected = optimize_weights_every_probe(sources, panel, hedge, config)
+    except OptimizationDegenerateError as exc:
+        with pytest.raises(OptimizationDegenerateError, match=str(exc)):
+            optimize_weights(sources, panel, hedge, config)
+        return None
+    weights, apr, baseline_apr, probe_weights, probe_apr = expected
+    result = optimize_weights(sources, panel, hedge, config)
+    assert result.probe_weights.shape == probe_weights.shape
+    assert result.probe_weights.tobytes() == probe_weights.tobytes()
+    assert result.probe_apr.tobytes() == probe_apr.tobytes()
+    assert result.weights == weights
+    assert np.array([result.apr, result.baseline_apr]).tobytes() == (
+        np.array([apr, baseline_apr]).tobytes()
+    )
+    return result, expected
+
+
+_PAIR = generate_synthetic_panel(3, dataclasses.replace(RECIPE_CONFIG, n_days=60))
+_PAIR_HEDGE = np.array([1.0, -0.5])
+
+
+@st.composite
+def search_cases(draw):
+    """2-5 sources over a short pair: all-Flat, one-class, copied and noisy
+    signals, so that many probes fuse to the same positions and weights tie."""
+    n_sources = draw(st.integers(2, 5))
+    n_days = draw(st.integers(5, len(_PAIR.dates)))
+    panel = PricePanel(_PAIR.dates[:n_days], _PAIR.prices[:, :n_days], _PAIR.instrument_ids)
+    rows = []
+    for _ in range(n_sources):
+        kind = draw(st.sampled_from(["flat", "one class", "copy", "noise"]))
+        if kind == "flat":
+            rows.append([0] * n_days)
+        elif kind == "one class":
+            rows.append([draw(st.sampled_from([1, -1]))] * n_days)
+        elif kind == "copy" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            alphabet = draw(st.sampled_from([[1, -1, 0], [1, 0], [-1, 0], [1, -1]]))
+            rows.append(draw(st.lists(
+                st.sampled_from(alphabet), min_size=n_days, max_size=n_days
+            )))
+    steps = [0.25, 0.5, 0.6, 1.0] if n_sources <= 3 else [0.5, 0.6, 1.0]
+    config = OptimizerConfig(
+        grid_step=draw(st.sampled_from(steps)),
+        mr_weight_floor=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        simplex_max_iter=draw(st.integers(0, 40)),
+    )
+    return [SignalSeries(panel.dates, row) for row in rows], panel, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases())
+def test_memoized_search_equals_a_backtest_of_every_probe(case):
+    sources, panel, config = case
+    _assert_same_search(sources, panel, _PAIR_HEDGE, config)
+
+
+def test_all_flat_sources_still_raise_degenerate():
+    dates = _PAIR.dates
+    sources = [SignalSeries(dates, [0] * len(dates)) for _ in range(4)]
+    assert _assert_same_search(sources, _PAIR, _PAIR_HEDGE, OptimizerConfig()) is None
+
+
+def test_a_0_1_step_search_keeps_its_trace_and_only_the_simplex_rows():
+    panel, hedge, sources = _fixture(120)
+    sources = [sources[0], sources[1], sources[3]]  # 11**3 grid points
+    result, expected = _assert_same_search(sources, panel, hedge, OptimizerConfig(grid_step=0.1))
+    _, _, _, probe_weights, probe_apr = expected
+
+    def trace_bytes(rows):  # the layout of optimization_trace.csv
+        return "".join(
+            ",".join(map(repr, (i, *map(float, w), float(apr)))) + "\n" for i, w, apr in rows
+        ).encode()
+
+    assert trace_bytes((p.probe_index, p.weights, p.apr) for p in result.trace) == (
+        trace_bytes(zip(itertools.count(), probe_weights, probe_apr))
+    )
+    grid = 11 ** 3
+    assert [len(axis) for axis in result.grid_axes] == [11] * 3
+    assert len(result.simplex_weights) == len(probe_apr) - 1 - grid > 0
+    assert result.simplex_weights.tobytes() == probe_weights[1 + grid:].tobytes()
