@@ -14,16 +14,18 @@ derivative-free instead: an exhaustive coarse grid (0.25 steps, at most
 MAX_GRID_POINTS points) followed by Nelder-Mead refinement from the best
 grid point, clipped to the box. The simplex is this module's numpy
 `_nelder_mead`, a port that probes the same points as the reference
-implementation (tests/test_simplex_oracle.py). Probes that fuse to the
-same positions share one backtest. Transaction costs are excluded from
-the objective; `fuse_forecasts`, the fused half of a subset run after
-`backtest.trade_subset`, adds them back in the backtest of the winning
-weights it reports.
+implementation (tests/test_simplex_oracle.py). A date's fused class
+depends only on its vote pattern, the (Long, Short, Flat) vote of every
+source, so a probe votes once per distinct pattern, not once per date, and
+the grid votes in blocks of probes at a time. Probes that fuse to the same
+rule, a class per pattern, share one backtest. Transaction costs are
+excluded from the objective; `fuse_forecasts`, the fused half of a subset
+run after `backtest.trade_subset`, adds them back in the backtest of the
+winning weights it reports.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +42,8 @@ from .market_data import PricePanel
 # Largest coarse grid the search enumerates, counted over the full box
 # before the mean-reversion floor trims the last axis.
 MAX_GRID_POINTS = 1_000_000
+# Class scores the grid search votes at once: 256 KiB of float64 per block.
+_BLOCK_SCORES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -72,16 +76,36 @@ def _vote_masks(series_list: list[SignalSeries]) -> np.ndarray:
     return (signals == np.array([1, -1, 0])[:, None]).astype(float)
 
 
+def _vote_patterns(series_list: list[SignalSeries]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct daily vote patterns and each date's pattern index.
+
+    Returns the (source, class, pattern) `_vote_masks` columns of each
+    pattern's first date, patterns in ascending code order, and the
+    (date,) index of each date's pattern. A date's code is
+    sum_k (s_k + 1) * 3**k; callers cap the sources at 19 through
+    `check_grid_size` (a grid of at least 2 ticks per weight), so the codes
+    stay below 3**19 and cannot overflow int64.
+    """
+    masks = _vote_masks(series_list)
+    signals = np.stack([s.signals for s in series_list]).astype(np.int64) + 1
+    codes = 3 ** np.arange(len(signals), dtype=np.int64) @ signals
+    _, first, day_pattern = np.unique(codes, return_index=True, return_inverse=True)
+    return masks[:, :, first], day_pattern
+
+
 def _fuse(masks: np.ndarray, w: np.ndarray) -> np.ndarray:
     """int8 target positions of the weighted vote; ties resolve to Flat.
 
-    Each class score adds the weights in source order, so its float sums,
-    and so its ties, match a one-hot score table summed source by source.
+    `masks` is (source, class, column). Given one weight per source, `w`
+    returns the (column,) positions; given (source, probe) weights, the
+    (probe, column) positions of every probe. Each class score adds the
+    weights in source order, so its float sums, and so its ties, match a
+    one-hot score table summed source by source, for every probe alike.
     """
-    scores = w[0] * masks[0]
+    scores = np.multiply.outer(w[0], masks[0])
     for k in range(1, len(masks)):
-        scores += w[k] * masks[k]
-    long_, short, flat = scores
+        scores += np.multiply.outer(w[k], masks[k])
+    long_, short, flat = np.moveaxis(scores, -2, 0)
     is_long = (long_ > short) & (long_ > flat)
     is_short = (short > long_) & (short > flat)
     return is_long.astype(np.int8) - is_short.astype(np.int8)
@@ -128,16 +152,37 @@ class OptimizerConfig:
             raise ValidationError(
                 f"simplex_max_iter must be non-negative, got {self.simplex_max_iter!r}"
             )
+        # Every grid has at least 2 axes; a step too fine for that fails
+        # check_grid_size instead, without building its ticks here.
+        if self._grid_points(2) <= MAX_GRID_POINTS:
+            ticks, mr_ticks = self.ticks()
+            if not len(mr_ticks):
+                raise ValidationError(
+                    f"grid_step {self.grid_step!r} has no tick at or above "
+                    f"mr_weight_floor {self.mr_weight_floor!r} (largest {float(ticks[-1])!r})"
+                )
 
-    def check_grid_size(self, n_sources: int) -> None:
-        """Reject a grid over `n_sources` weights of more than MAX_GRID_POINTS."""
+    def ticks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid's ticks on each indicator's axis and on the last (MR) axis.
+
+        A tick may exceed 1 when the step does not divide 1; probes clip it.
+        """
+        step = self.grid_step
+        ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
+        return ticks, ticks[ticks >= self.mr_weight_floor]
+
+    def _grid_points(self, n_sources: int) -> float:
         step = self.grid_step
         n_ticks = (1.0 + step / 2) / step  # len() of the grid's arange, before ceil
         # Below a step of ~5.6e-309 the quotient overflows; that grid counts as inf.
-        n_points = math.ceil(n_ticks) ** n_sources if n_ticks < math.inf else n_ticks
+        return math.ceil(n_ticks) ** n_sources if n_ticks < math.inf else n_ticks
+
+    def check_grid_size(self, n_sources: int) -> None:
+        """Reject a grid over `n_sources` weights of more than MAX_GRID_POINTS."""
+        n_points = self._grid_points(n_sources)
         if n_points > MAX_GRID_POINTS:
             raise ValidationError(
-                f"grid_step {step!r} gives a grid of {n_points} points "
+                f"grid_step {self.grid_step!r} gives a grid of {n_points} points "
                 f"over {n_sources} weights, more than {MAX_GRID_POINTS}"
             )
 
@@ -188,53 +233,69 @@ def optimize_weights(
     (0, ..., 0, 1), so the returned APR dominates it by construction. The
     simplex stage refines from the best grid point; every objective
     evaluation is recorded in order, making reruns with the same inputs
-    byte-identical. Each probe is one vectorized vote; `compute_pnl` runs
-    once per distinct fused position vector, and a probe that repeats one
-    records the same float. The result keeps the grid as its axes and only
-    the simplex's weights as rows; `probe_weights` rebuilds the rest.
+    byte-identical. A probe votes over the distinct daily vote patterns,
+    not over the dates; the grid is voted in blocks of probes, one
+    `_fuse` call per block, and the simplex one probe per call.
+    `compute_pnl` runs once per distinct fused rule (a class per pattern),
+    and a probe that repeats one records the same float. The result keeps
+    the grid as its axes and only the simplex's weights as rows;
+    `probe_weights` rebuilds the rest.
     """
     if config is None:
         config = OptimizerConfig()
-    masks = _vote_masks(signal_series)
-    dates = signal_series[0].dates
-    n_sources = len(masks)
-    step = config.grid_step
+    n_sources = len(signal_series)
     config.check_grid_size(n_sources)
-    rule_apr: dict[bytes, float] = {}  # fused positions -> their APR
-    probe_apr: list[float] = []
+    masks, day_pattern = _vote_patterns(signal_series)
+    dates = signal_series[0].dates
+    rule_apr: dict[bytes, float] = {}  # fused class per pattern -> its APR
+    simplex_apr: list[float] = []
     simplex_weights: list[np.ndarray] = []
     saw_active_probe = False
 
-    def objective(raw) -> float:
+    def backtest(rule: np.ndarray) -> float:
         nonlocal saw_active_probe
-        fused = _fuse(masks, np.clip(np.asarray(raw, dtype=float), 0.0, 1.0))
-        key = fused.tobytes()  # equal positions backtest to the same APR
+        key = rule.tobytes()  # equal rules backtest to the same APR
         apr = rule_apr.get(key)
         if apr is None:
-            report = compute_pnl(panel, hedge_ratio, PositionSeries(dates, fused))
+            positions = PositionSeries(dates, rule[day_pattern])
+            report = compute_pnl(panel, hedge_ratio, positions)
             if np.any(report.daily_returns != 0.0):
                 saw_active_probe = True
             apr = rule_apr[key] = report.apr
-        probe_apr.append(apr)
         return apr
 
     def simplex_objective(raw) -> float:
         simplex_weights.append(np.clip(np.asarray(raw, dtype=float), 0.0, 1.0))
-        return objective(simplex_weights[-1])
+        simplex_apr.append(backtest(_fuse(masks, simplex_weights[-1])))
+        return simplex_apr[-1]
 
-    ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
-    mr_ticks = ticks[ticks >= config.mr_weight_floor]
+    ticks, mr_ticks = config.ticks()
     axes = (ticks,) * (n_sources - 1) + (mr_ticks,)
+    shape = tuple(len(axis) for axis in axes)
+
+    def grid_weights(index) -> np.ndarray:
+        """Unclipped weights of grid points by their index in "ij" meshgrid order."""
+        return np.stack([axis[i] for axis, i in zip(axes, np.unravel_index(index, shape))])
 
     baseline = np.zeros(n_sources)
     baseline[-1] = 1.0
-    baseline_apr = objective(baseline)
+    baseline_apr = backtest(_fuse(masks, baseline))
 
+    # A block of grid points at a time, so that no (grid, class, pattern)
+    # score array is ever whole.
+    grid_apr = np.empty(math.prod(shape))
+    block = max(1, _BLOCK_SCORES // (3 * masks.shape[2]))
+    for start in range(0, len(grid_apr), block):
+        index = np.arange(start, min(start + block, len(grid_apr)))
+        rules = _fuse(masks, np.clip(grid_weights(index), 0.0, 1.0))
+        grid_apr[index] = [backtest(rule) for rule in rules]
+
+    # The first grid point of the highest APR, if it beats the baseline: the
+    # winner of a strict `>` scan, which no NaN APR can take.
+    best = int(np.argmax(np.where(np.isnan(grid_apr), -np.inf, grid_apr)))
     best_w, best_apr = baseline, baseline_apr
-    for point in itertools.product(*axes):  # the order of an "ij" meshgrid
-        apr = objective(point)
-        if apr > best_apr:
-            best_w, best_apr = point, apr
+    if grid_apr[best] > best_apr:
+        best_w, best_apr = grid_weights(best), float(grid_apr[best])
 
     x = _nelder_mead(
         lambda w: -simplex_objective(w), np.array(best_w, dtype=float),
@@ -256,7 +317,7 @@ def optimize_weights(
         baseline_apr=baseline_apr,
         grid_axes=axes,
         simplex_weights=np.array(simplex_weights),
-        probe_apr=np.array(probe_apr),
+        probe_apr=np.concatenate([[baseline_apr], grid_apr, simplex_apr]),
     )
 
 
@@ -271,11 +332,12 @@ def fuse_forecasts(
     are cut to it and vote last. The weights maximize the frictionless APR;
     the report is the backtest of the winning weights with `costs`.
     """
-    covered = [
-        t for t, month in enumerate(ms.month_keys(panel.dates))
-        if all(month in signals for signals in forecasts.values())
-    ]
-    if not covered:
+    keys, day_month = ms._month_index(panel.dates)
+    month_covered = np.array(
+        [all(key in signals for signals in forecasts.values()) for key in keys], dtype=bool
+    )
+    covered = np.flatnonzero(month_covered[day_month])
+    if not len(covered):
         raise ValidationError("no trading date falls in a month every forecast covers")
     run = slice(covered[0], covered[-1] + 1)
     sub = PricePanel(panel.dates[run], panel.prices[:, run], panel.instrument_ids)

@@ -196,21 +196,33 @@ def direction_to_signal(label: DirectionLabel) -> Signal:
     return Signal.FLAT
 
 
+def _month_index(daily_dates) -> tuple[list[str], np.ndarray]:
+    """The distinct `YYYY-MM` months of the dates, ascending, and each
+    date's index into them; each month is formatted once."""
+    months = np.fromiter(
+        (day.year * 12 + day.month - 1 for day in daily_dates), np.int64, len(daily_dates)
+    )
+    distinct, day_month = np.unique(months, return_inverse=True)
+    return [f"{m // 12:04d}-{m % 12 + 1:02d}" for m in distinct.tolist()], day_month
+
+
 def month_keys(daily_dates) -> list[str]:
     """Each date's `YYYY-MM` month, the key of a monthly signal."""
-    return [f"{day.year:04d}-{day.month:02d}" for day in daily_dates]
+    keys, day_month = _month_index(daily_dates)
+    return [keys[i] for i in day_month.tolist()]
 
 
 def expand_monthly_to_daily(
     monthly_signals: dict[str, Signal], daily_dates: tuple
 ) -> SignalSeries:
     """Broadcast each month's signal to all its trading days."""
-    signals = np.empty(len(daily_dates), dtype=np.int8)
-    for t, month in enumerate(month_keys(daily_dates)):
-        if month not in monthly_signals:
-            raise CoverageError(f"no monthly signal covers {month}")
-        signals[t] = monthly_signals[month]
-    return SignalSeries(dates=tuple(daily_dates), signals=signals)
+    keys, day_month = _month_index(daily_dates)
+    missing = np.array([key not in monthly_signals for key in keys], dtype=bool)
+    if missing.any():  # name the month of the first uncovered date
+        first = day_month[np.argmax(missing[day_month])]
+        raise CoverageError(f"no monthly signal covers {keys[first]}")
+    signals = np.array([monthly_signals[key] for key in keys], dtype=np.int8)
+    return SignalSeries(dates=tuple(daily_dates), signals=signals[day_month])
 
 
 def load_forecast_oracle_csv(path: str) -> dict[str, DirectionLabel]:

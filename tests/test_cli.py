@@ -756,6 +756,10 @@ class TestErrorPaths:
             ("mr_weight_floor = 1.5", "mr_weight_floor must be in [0, 1], got 1.5"),
             ("mr_weight_floor = nan", "mr_weight_floor must be in [0, 1], got nan"),
             ("mr_weight_floor = -1", "mr_weight_floor must be in [0, 1], got -1.0"),
+            ("grid_step = 0.3\nmr_weight_floor = 1.0",
+             "grid_step 0.3 has no tick at or above mr_weight_floor 1.0 (largest 0.9)"),
+            ("grid_step = 0.7\nmr_weight_floor = 0.9",
+             "grid_step 0.7 has no tick at or above mr_weight_floor 0.9 (largest 0.7)"),
             ("simplex_max_iter = -1", "simplex_max_iter must be non-negative, got -1"),
             ("simplex_max_iter = -3", "simplex_max_iter must be non-negative, got -3"),
         ],
@@ -1037,6 +1041,8 @@ class TestChecksBeforeLoading:
         [
             (True, "", [], "optimize needs at least one macro indicator"),
             (False, "grid_step = 0.001\n", [], _GRID_0001),
+            (False, "grid_step = 0.3\nmr_weight_floor = 1.0\n", [],
+             "grid_step 0.3 has no tick at or above mr_weight_floor 1.0 (largest 0.9)"),
             # the flag adds the `oracle` indicator, whose weight the grid counts
             (True, "grid_step = 0.001\n", ["--oracle-forecasts", "never-read.csv"],
              _GRID_0001),

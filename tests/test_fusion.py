@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -221,3 +222,26 @@ class TestOptimizeWeights:
             ValidationError, match=f"grid_step {step!r} gives a grid of inf points"
         ):
             optimize_weights(sources, recipe_panel, hedge, OptimizerConfig(step))
+
+    @pytest.mark.parametrize(
+        "step, floor, largest", [(0.3, 1.0, 0.9), (0.4, 0.9, 0.8), (0.7, 0.9, 0.7)]
+    )
+    def test_a_floor_above_every_tick_is_rejected(self, step, floor, largest):
+        # The mean-reversion axis would have no tick, and the grid no point.
+        message = (
+            f"grid_step {step} has no tick at or above mr_weight_floor {floor} "
+            f"(largest {largest})"
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            OptimizerConfig(grid_step=step, mr_weight_floor=floor)
+
+    @pytest.mark.parametrize("step, floor", [(0.3, 0.9), (0.25, 1.0), (0.6, 1.0), (1.0, 1.0)])
+    def test_the_search_grids_the_configs_ticks(self, recipe_panel, step, floor):
+        sources, hedge = _optimizer_fixture(recipe_panel)
+        config = OptimizerConfig(grid_step=step, mr_weight_floor=floor, simplex_max_iter=2)
+        ticks, mr_ticks = config.ticks()
+        assert len(mr_ticks) and mr_ticks.min() >= floor
+        result = optimize_weights(sources, recipe_panel, hedge, config)
+        assert [axis.tolist() for axis in result.grid_axes] == (
+            [ticks.tolist()] * 3 + [mr_ticks.tolist()]
+        )

@@ -8,7 +8,9 @@ ties included, and every optimizer probe must carry the APR of a fresh
 backtest of the reference positions. `optimize_weights_every_probe` keeps
 the search as it was before it backtested each distinct fused rule once:
 the memoized search must record the same probes, APRs and winner, bit
-for bit.
+for bit. The search votes over the distinct daily vote patterns and the
+grid a block of probes at a time: `_fuse` over a block, and over the
+patterns, must give the bytes of one probe over every date.
 """
 
 import dataclasses
@@ -92,6 +94,36 @@ def test_vote_equals_one_hot_argmax(case):
     fused = combine_signals(sources, WeightVector(weights))
     expected = reference_combine(class_rows(sources), weights)
     assert signal_to_position(fused).positions.tolist() == expected.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sources_and_weights(), st.data())
+def test_a_block_of_probes_fuses_as_one_probe_at_a_time(case, data):
+    sources, weights = case
+    weight = st.sampled_from([st.floats(0.0, 1.0), st.sampled_from(_TIE_PRONE)])
+    more = data.draw(st.lists(
+        st.lists(data.draw(weight), min_size=len(weights), max_size=len(weights)),
+        max_size=12,
+    ))
+    w = np.array([weights, *more]).T  # (source, probe)
+    for masks in (fusion._vote_masks(sources), fusion._vote_patterns(sources)[0]):
+        one_at_a_time = np.stack([fusion._fuse(masks, w[:, g]) for g in range(w.shape[1])])
+        block = fusion._fuse(masks, w)
+        assert block.dtype == np.int8
+        assert block.tobytes() == one_at_a_time.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sources_and_weights())
+def test_the_vote_of_each_pattern_is_the_vote_of_its_dates(case):
+    sources, weights = case
+    masks = fusion._vote_masks(sources)
+    patterns, day_pattern = fusion._vote_patterns(sources)
+    assert masks.tobytes() == patterns[:, :, day_pattern].tobytes()
+    columns = {patterns[:, :, p].tobytes() for p in range(patterns.shape[2])}
+    assert len(columns) == patterns.shape[2]  # each pattern once
+    w = np.asarray(weights)
+    assert fusion._fuse(patterns, w)[day_pattern].tobytes() == fusion._fuse(masks, w).tobytes()
 
 
 def test_exact_ties_resolve_flat():
@@ -305,3 +337,33 @@ def test_a_0_1_step_search_keeps_its_trace_and_only_the_simplex_rows():
     assert [len(axis) for axis in result.grid_axes] == [11] * 3
     assert len(result.simplex_weights) == len(probe_apr) - 1 - grid > 0
     assert result.simplex_weights.tobytes() == probe_weights[1 + grid:].tobytes()
+
+
+class _Report:
+    """What the search reads of a backtest, for a stand-in `compute_pnl`."""
+
+    def __init__(self, panel, hedge, positions):
+        self.daily_returns = positions.positions
+        self.apr = float(positions.positions @ np.arange(len(positions.positions)))
+
+
+def test_a_161_051_point_grid_is_voted_in_blocks(monkeypatch):
+    # Five sources of random votes over 60 days: 5 ** 11 grid points over
+    # nearly as many vote patterns as days. Voted whole, the grid's float
+    # class scores alone would be over 200 MB. The backtest is a stand-in,
+    # so that this measures the search's own working set in little time.
+    rng = np.random.default_rng(5)
+    sources = [SignalSeries(_PAIR.dates, rng.integers(-1, 2, len(_PAIR.dates))) for _ in range(5)]
+    n_patterns = fusion._vote_patterns(sources)[0].shape[2]
+    assert 11 ** 5 * 3 * n_patterns * 8 > 200 * 2 ** 20
+    monkeypatch.setattr(fusion, "compute_pnl", _Report)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = optimize_weights(sources, _PAIR, _PAIR_HEDGE, OptimizerConfig(grid_step=0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(axis) for axis in result.grid_axes] == [11] * 5
+    assert len(result.probe_apr) > 1 + 11 ** 5
+    assert peak < 64 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"

@@ -19,6 +19,7 @@ from mrpairs.macro_signals import (
     expand_monthly_to_daily,
     label_directions,
     load_forecast_oracle_csv,
+    month_keys,
     predict_directions,
     train_direction_classifier,
 )
@@ -143,6 +144,21 @@ class TestDirectionToSignal:
         assert direction_to_signal(DirectionLabel.FLAT) is Signal.FLAT
 
 
+def _reference_month_keys(days):
+    """The per-date formatting the month index replaced."""
+    return [f"{day.year:04d}-{day.month:02d}" for day in days]
+
+
+def _reference_expand(monthly, days):
+    """The per-date expansion loop the month index replaced."""
+    signals = np.empty(len(days), dtype=np.int8)
+    for t, month in enumerate(_reference_month_keys(days)):
+        if month not in monthly:
+            raise CoverageError(f"no monthly signal covers {month}")
+        signals[t] = monthly[month]
+    return signals
+
+
 class TestExpandMonthlyToDaily:
     def test_broadcast_within_month(self):
         days = trading_days(dt.date(2010, 3, 1), 23)
@@ -168,6 +184,40 @@ class TestExpandMonthlyToDaily:
         days = trading_days(dt.date(2010, 1, 1), 25)
         with pytest.raises(CoverageError, match="2010-02"):
             expand_monthly_to_daily({"2010-01": Signal.LONG}, days)
+
+    @pytest.mark.parametrize(
+        "days",
+        [
+            [dt.date(2010, 3, 2), dt.date(2009, 12, 31), dt.date(2010, 1, 5), dt.date(2010, 3, 1)],
+            [dt.date(2011, 5, 3), dt.date(2011, 2, 1), dt.date(2011, 5, 4), dt.date(2011, 2, 2),
+             dt.date(2010, 5, 3), dt.date(2011, 5, 5)],
+            [dt.date(999, 12, 1), dt.date(1, 1, 1), dt.date(45, 7, 9), dt.date(1000, 1, 1)],
+            [dt.date(2024, 2, 29)],
+            trading_days(dt.date(2010, 1, 1), 70),
+        ],
+        ids=["unsorted", "months repeated out of order", "years below 1000",
+             "a single date", "three months"],
+    )
+    # Uncovered months by their rank; with two, the error must name the one
+    # of the first uncovered date, which in unsorted dates may be the later.
+    @pytest.mark.parametrize("holes", [(), (0,), (-1,), ("middle",), (0, -1)])
+    def test_matches_the_per_date_loop(self, days, holes):
+        keys = _reference_month_keys(days)
+        months = sorted(set(keys))
+        missing = {months[len(months) // 2 if h == "middle" else h] for h in holes}
+        monthly = {m: Signal(i % 3 - 1) for i, m in enumerate(months) if m not in missing}
+        assert month_keys(days) == keys
+        try:
+            expected = _reference_expand(monthly, days)
+        except CoverageError as exc:
+            with pytest.raises(CoverageError) as raised:
+                expand_monthly_to_daily(monthly, days)
+            assert str(raised.value) == str(exc)
+        else:
+            series = expand_monthly_to_daily(monthly, days)
+            assert series.dates == tuple(days)
+            assert series.signals.dtype == np.int8
+            assert series.signals.tobytes() == expected.tobytes()
 
 
 class TestFeatures:
