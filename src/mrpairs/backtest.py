@@ -15,6 +15,10 @@ cost_t = |pos_t - pos_{t-1}| * sum_i |h_i| * per_unit_cost_i is charged
 only when the position changes. APR compounds geometrically over a
 252-day year; Sharpe uses sample std and a zero risk-free rate, and is
 nan when the daily returns do not vary.
+
+Without costs r_t depends only on pos_{t-1}, so `FrictionlessScorer`
+tabulates it per held position once and scores positions from the table,
+to `compute_pnl`'s APR bit for bit, through the same checks and APR line.
 """
 
 from __future__ import annotations
@@ -155,6 +159,16 @@ def trade_subset(
     return sub, outcome, portfolio, positions
 
 
+def _equity_and_apr(growth: np.ndarray, n_returns: int) -> tuple[np.ndarray, float]:
+    """Running equity and APR of the daily growth factors 1 + r, after their checks."""
+    if n_returns < 2:
+        raise DegenerateInputError("need at least 2 returns for metrics")
+    if np.any(growth <= 0.0):
+        raise DegenerateInputError("a daily return wiped out the equity")
+    equity = np.cumprod(growth)
+    return equity, float(equity[-1] ** (TRADING_DAYS_PER_YEAR / n_returns) - 1.0)
+
+
 def compute_metrics(daily_returns: np.ndarray) -> Metrics:
     """APR (geometric, 252-day year), Sharpe (zero risk-free), max drawdown.
 
@@ -162,12 +176,8 @@ def compute_metrics(daily_returns: np.ndarray) -> Metrics:
     drawdown remain well defined.
     """
     r = np.asarray(daily_returns, dtype=float)
-    if len(r) < 2:
-        raise DegenerateInputError("need at least 2 returns for metrics")
-    if np.any(1.0 + r <= 0.0):
-        raise DegenerateInputError("a daily return wiped out the equity")
-    equity = np.concatenate([[1.0], np.cumprod(1.0 + r)])  # unit starting equity
-    apr = float(equity[-1] ** (TRADING_DAYS_PER_YEAR / len(r)) - 1.0)
+    equity, apr = _equity_and_apr(1.0 + r, len(r))
+    equity = np.concatenate([[1.0], equity])  # unit starting equity
     peaks = np.maximum.accumulate(equity)
     max_drawdown = float(np.min(equity / peaks - 1.0))
     std = float(np.std(r, ddof=1))
@@ -177,6 +187,28 @@ def compute_metrics(daily_returns: np.ndarray) -> Metrics:
         return Metrics(apr, math.nan, max_drawdown)
     sharpe = math.sqrt(TRADING_DAYS_PER_YEAR) * float(r.mean()) / std
     return Metrics(apr=apr, sharpe=sharpe, max_drawdown=max_drawdown)
+
+
+def _spread_and_gmv(
+    panel: PricePanel, hedge_ratio: np.ndarray, n_positions: int, costs: CostModel
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The spread, the GMV and the per-unit trade cost, after the input checks."""
+    h = np.asarray(hedge_ratio, dtype=float)
+    if h.shape != (panel.n_instruments,):
+        raise ValidationError("hedge ratio length does not match panel width")
+    if n_positions != panel.n_dates:
+        raise ValidationError("positions length does not match panel dates")
+    spread = h @ panel.prices
+    gmv = np.abs(h) @ panel.prices
+    if np.any(gmv <= 0.0):
+        raise DegenerateInputError("zero gross market value")
+    per_unit_trade_cost = float(
+        sum(
+            abs(hi) * costs.per_unit_cost.get(iid, 0.0)
+            for hi, iid in zip(h, panel.instrument_ids)
+        )
+    )
+    return spread, gmv, per_unit_trade_cost
 
 
 def compute_pnl(
@@ -191,22 +223,8 @@ def compute_pnl(
     day's position earns the spread change. The position before the window
     is flat.
     """
-    h = np.asarray(hedge_ratio, dtype=float)
-    if h.shape != (panel.n_instruments,):
-        raise ValidationError("hedge ratio length does not match panel width")
-    if len(positions) != panel.n_dates:
-        raise ValidationError("positions length does not match panel dates")
-    if costs is None:
-        costs = CostModel()
-    spread = h @ panel.prices
-    gmv = np.abs(h) @ panel.prices
-    if np.any(gmv <= 0.0):
-        raise DegenerateInputError("zero gross market value")
-    per_unit_trade_cost = float(
-        sum(
-            abs(hi) * costs.per_unit_cost.get(iid, 0.0)
-            for hi, iid in zip(h, panel.instrument_ids)
-        )
+    spread, gmv, per_unit_trade_cost = _spread_and_gmv(
+        panel, hedge_ratio, len(positions), costs or CostModel()
     )
     pos = positions.positions
     prev_pos = np.concatenate([[0], pos[:-1]])
@@ -226,3 +244,28 @@ def compute_pnl(
         max_drawdown=max_dd,
         total_transaction_cost=float(trade_cost.sum()),
     )
+
+
+class FrictionlessScorer:
+    """`compute_pnl(...).apr` without costs, for any positions on one panel.
+
+    Each day's return at each held position -1, 0, +1 is tabulated once in
+    `compute_pnl`'s own expression. Day 0's growth factor is 1.0, so the
+    product from day 1 on is the same float.
+    """
+
+    def __init__(self, panel: PricePanel, hedge_ratio: np.ndarray, n_dates: int):
+        spread, gmv, cost = _spread_and_gmv(panel, hedge_ratio, n_dates, CostModel())
+        held = np.array([[-1], [0], [1]], dtype=np.int8)
+        self._returns = ((held * np.diff(spread) - cost) / gmv[:-1]).T.ravel()
+        self._growth = 1.0 + self._returns
+        self._day = 3 * np.arange(n_dates - 1) + 1  # day t held at p: 3t + 1 + p
+        self._n_dates = n_dates
+
+    def apr(self, positions: np.ndarray) -> float:
+        growth = self._growth.take(self._day + positions[:-1])
+        return _equity_and_apr(growth, self._n_dates)[1]
+
+    def active(self, positions: np.ndarray) -> bool:
+        """Whether any of the positions' daily returns is not 0.0."""
+        return bool(np.any(self._returns.take(self._day + positions[:-1]) != 0.0))

@@ -18,7 +18,9 @@ implementation (tests/test_simplex_oracle.py). A date's fused class
 depends only on its vote pattern, the (Long, Short, Flat) vote of every
 source, so a probe votes once per distinct pattern, not once per date, and
 the grid votes in blocks of probes at a time. Probes that fuse to the same
-rule, a class per pattern, share one backtest. Transaction costs are
+rule, a class per pattern, share one score from a per-search day-factor
+table (`backtest.FrictionlessScorer`), bit-equal to `compute_pnl`'s APR.
+Transaction costs are
 excluded from the objective; `fuse_forecasts`, the fused half of a subset
 run after `backtest.trade_subset`, adds them back in the backtest of the
 winning weights it reports.
@@ -32,7 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import macro_signals as ms
-from .backtest import BacktestReport, CostModel, PositionSeries, compute_pnl
+from .backtest import (
+    BacktestReport, CostModel, FrictionlessScorer, PositionSeries, compute_pnl,
+)
 from .errors import (
     AlignmentError, CoverageError, OptimizationDegenerateError, ValidationError,
 )
@@ -236,37 +240,36 @@ def optimize_weights(
     byte-identical. A probe votes over the distinct daily vote patterns,
     not over the dates; the grid is voted in blocks of probes, one
     `_fuse` call per block, and the simplex one probe per call.
-    `compute_pnl` runs once per distinct fused rule (a class per pattern),
-    and a probe that repeats one records the same float. The result keeps
-    the grid as its axes and only the simplex's weights as rows;
-    `probe_weights` rebuilds the rest.
+    Each distinct fused rule (a class per pattern) is scored once, from a
+    per-search day-factor table, to `compute_pnl`'s frictionless APR bit
+    for bit, and a probe that repeats one records the same float. The
+    result keeps the grid as its axes and only the simplex's weights as
+    rows; `probe_weights` rebuilds the rest.
     """
     if config is None:
         config = OptimizerConfig()
     n_sources = len(signal_series)
     config.check_grid_size(n_sources)
     masks, day_pattern = _vote_patterns(signal_series)
-    dates = signal_series[0].dates
+    scorer = FrictionlessScorer(panel, hedge_ratio, len(day_pattern))
     rule_apr: dict[bytes, float] = {}  # fused class per pattern -> its APR
     simplex_apr: list[float] = []
     simplex_weights: list[np.ndarray] = []
     saw_active_probe = False
 
-    def backtest(rule: np.ndarray) -> float:
+    def score(rule: np.ndarray) -> float:
         nonlocal saw_active_probe
-        key = rule.tobytes()  # equal rules backtest to the same APR
+        key = rule.tobytes()  # equal rules score the same APR
         apr = rule_apr.get(key)
         if apr is None:
-            positions = PositionSeries(dates, rule[day_pattern])
-            report = compute_pnl(panel, hedge_ratio, positions)
-            if np.any(report.daily_returns != 0.0):
-                saw_active_probe = True
-            apr = rule_apr[key] = report.apr
+            positions = rule[day_pattern]
+            saw_active_probe = saw_active_probe or scorer.active(positions)
+            apr = rule_apr[key] = scorer.apr(positions)
         return apr
 
     def simplex_objective(raw) -> float:
         simplex_weights.append(np.clip(np.asarray(raw, dtype=float), 0.0, 1.0))
-        simplex_apr.append(backtest(_fuse(masks, simplex_weights[-1])))
+        simplex_apr.append(score(_fuse(masks, simplex_weights[-1])))
         return simplex_apr[-1]
 
     ticks, mr_ticks = config.ticks()
@@ -279,7 +282,7 @@ def optimize_weights(
 
     baseline = np.zeros(n_sources)
     baseline[-1] = 1.0
-    baseline_apr = backtest(_fuse(masks, baseline))
+    baseline_apr = score(_fuse(masks, baseline))
 
     # A block of grid points at a time, so that no (grid, class, pattern)
     # score array is ever whole.
@@ -288,7 +291,7 @@ def optimize_weights(
     for start in range(0, len(grid_apr), block):
         index = np.arange(start, min(start + block, len(grid_apr)))
         rules = _fuse(masks, np.clip(grid_weights(index), 0.0, 1.0))
-        grid_apr[index] = [backtest(rule) for rule in rules]
+        grid_apr[index] = [score(rule) for rule in rules]
 
     # The first grid point of the highest APR, if it beats the baseline: the
     # winner of a strict `>` scan, which no NaN APR can take.

@@ -155,13 +155,11 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
 def classify_integration_order(
     series: np.ndarray, max_lag: int | None = None
 ) -> IntegrationOrder:
-    """I(0)/I(1)/I(2+) from ADF on levels and on first differences."""
+    """I(0)/I(1)/I(2+) from ADF on levels, then, unless I(0), on differences."""
     y = np.asarray(series, float)
-    levels = adf_test(y, max_lag=max_lag)
-    diffs = adf_test(np.diff(y), max_lag=max_lag)
-    if levels.reject_unit_root:
+    if adf_test(y, max_lag=max_lag).reject_unit_root:
         return IntegrationOrder.I0
-    if diffs.reject_unit_root:
+    if adf_test(np.diff(y), max_lag=max_lag).reject_unit_root:
         return IntegrationOrder.I1
     return IntegrationOrder.I2PLUS
 

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from conftest import max_drawdown_bruteforce
 from mrpairs.backtest import (
     CostModel,
+    FrictionlessScorer,
     PositionSeries,
     compute_metrics,
     compute_pnl,
     generate_mr_positions,
 )
-from mrpairs.errors import ValidationError
+from mrpairs.errors import DegenerateInputError, ValidationError
 from mrpairs.market_data import PricePanel, trading_days
 
 
@@ -180,3 +181,87 @@ class TestComputeMetrics:
     def test_drawdown_matches_bruteforce_property(self, returns):
         r = np.array(returns)
         assert compute_metrics(r).max_drawdown == max_drawdown_bruteforce(r)
+
+
+def _outcome(call):
+    """The call's result, or the type and text of what it raised."""
+    try:
+        return call()
+    except (ValidationError, DegenerateInputError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_apr(a, b):
+    """Byte-equal floats, any NaN matching any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _score(panel, hedge, positions):
+    """The scorer's APR and active flag for `positions`, built for them alone."""
+    scorer = FrictionlessScorer(panel, hedge, len(positions))
+    return scorer.apr(positions), scorer.active(positions)
+
+
+@st.composite
+def scorer_cases(draw):
+    """Random-walk closes (calm, or with jumps that wipe out a position),
+    near 1 or near 1e300, a hedge with negative, zero or huge parts and
+    random positions, now and then of the wrong length or width."""
+    n_instruments = draw(st.integers(1, 4))
+    n_dates = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    volatility = draw(st.sampled_from([0.0, 0.02, 1.5]))
+    scale = draw(st.sampled_from([1.0, 2e297]))  # the CLI tests' closes near 1e300
+    steps = volatility * rng.standard_normal((n_instruments, n_dates))
+    prices = 100.0 * np.exp(np.clip(np.cumsum(steps, axis=1), -15.0, 15.0)) * scale
+    part = st.one_of(
+        st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, -1.0, 1e10, -1e10])
+    )
+    width = draw(st.sampled_from([n_instruments] * 8 + [n_instruments + 1]))
+    hedge = np.array(draw(st.lists(part, min_size=width, max_size=width)))
+    n_positions = draw(st.sampled_from([n_dates] * 8 + [n_dates - 1, n_dates + 1]))
+    alphabet = draw(st.sampled_from([[1, -1, 0], [0], [1], [-1], [1, 0]]))
+    positions = rng.choice(np.array(alphabet, dtype=np.int8), n_positions)
+    return _panel(prices), hedge, positions
+
+
+@settings(max_examples=400, deadline=None)
+@given(scorer_cases())
+def test_the_scorer_is_compute_pnl_bit_for_bit(case):
+    panel, hedge, positions = case
+    series = PositionSeries(dates=tuple(range(len(positions))), positions=positions)
+    with np.errstate(all="ignore"):  # spreads past the float limit are part of the oracle
+        expected = _outcome(lambda: compute_pnl(panel, hedge, series))
+        scored = _outcome(lambda: _score(panel, hedge, positions))
+    if isinstance(expected, tuple):
+        assert scored == expected
+    else:
+        apr, active = scored
+        assert _same_apr(apr, expected.apr)
+        assert active == bool(np.any(expected.daily_returns != 0.0))
+
+
+def test_the_scorer_raises_as_compute_pnl_does():
+    panel = _panel([[100.0, 300.0, 100.0]])
+    short = np.array([-1, -1, -1], dtype=np.int8)  # the day-1 return is -2
+    flat = np.array([0, 0, 0], dtype=np.int8)
+    cases = [
+        (panel, np.array([1.0, 1.0]), short, "hedge ratio length does not match panel width"),
+        (panel, np.array([1.0]), short[:2], "positions length does not match panel dates"),
+        (panel, np.array([0.0]), short, "zero gross market value"),
+        (_panel([[100.0]]), np.array([1.0]), short[:1], "need at least 2 returns for metrics"),
+        (panel, np.array([1.0]), short, "a daily return wiped out the equity"),
+    ]
+    for case_panel, hedge, positions, message in cases:
+        series = PositionSeries(dates=tuple(range(len(positions))), positions=positions)
+        with pytest.raises((ValidationError, DegenerateInputError), match=message) as raised:
+            compute_pnl(case_panel, hedge, series)
+        with pytest.raises(raised.type, match=message):
+            _score(case_panel, hedge, positions)
+    # a scorer built on a panel serves every positions series, wiped out or not
+    scorer = FrictionlessScorer(panel, np.array([1.0]), 3)
+    assert scorer.apr(flat) == 0.0 and not scorer.active(flat)
+    with pytest.raises(DegenerateInputError, match="wiped out"):
+        scorer.apr(short)

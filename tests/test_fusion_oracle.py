@@ -8,9 +8,11 @@ ties included, and every optimizer probe must carry the APR of a fresh
 backtest of the reference positions. `optimize_weights_every_probe` keeps
 the search as it was before it backtested each distinct fused rule once:
 the memoized search must record the same probes, APRs and winner, bit
-for bit. The search votes over the distinct daily vote patterns and the
-grid a block of probes at a time: `_fuse` over a block, and over the
-patterns, must give the bytes of one probe over every date.
+for bit. Both call `compute_pnl`, which the search itself never calls: they
+are the oracle of its per-search day-factor scorer. The search votes over
+the distinct daily vote patterns and the grid a block of probes at a time:
+`_fuse` over a block, and over the patterns, must give the bytes of one
+probe over every date.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RECIPE_CONFIG
-from mrpairs import fusion
+from mrpairs import backtest, fusion
 from mrpairs.backtest import PositionSeries, compute_pnl, generate_mr_positions
 from mrpairs.errors import OptimizationDegenerateError
 from mrpairs.fusion import (
@@ -184,6 +186,17 @@ def test_every_probe_apr_is_a_fresh_backtest_of_the_reference():
     assert result.apr == best
 
 
+def test_the_search_makes_no_backtest(monkeypatch):
+    panel, hedge, sources = _fixture(300)
+
+    def no_backtest(*args, **kwargs):
+        raise AssertionError("the weight search called compute_pnl")
+
+    for module in (backtest, fusion):
+        monkeypatch.setattr(module, "compute_pnl", no_backtest)
+    assert len(optimize_weights(sources, panel, hedge).probe_apr) > 625
+
+
 def test_result_keeps_at_most_64_bytes_per_probe():
     panel, hedge, sources = _fixture(2500)
     optimize_weights(sources, panel, hedge, OptimizerConfig(grid_step=1.0))  # warm
@@ -339,24 +352,15 @@ def test_a_0_1_step_search_keeps_its_trace_and_only_the_simplex_rows():
     assert result.simplex_weights.tobytes() == probe_weights[1 + grid:].tobytes()
 
 
-class _Report:
-    """What the search reads of a backtest, for a stand-in `compute_pnl`."""
-
-    def __init__(self, panel, hedge, positions):
-        self.daily_returns = positions.positions
-        self.apr = float(positions.positions @ np.arange(len(positions.positions)))
-
-
-def test_a_161_051_point_grid_is_voted_in_blocks(monkeypatch):
+def test_a_161_051_point_grid_is_voted_in_blocks():
     # Five sources of random votes over 60 days: 5 ** 11 grid points over
     # nearly as many vote patterns as days. Voted whole, the grid's float
-    # class scores alone would be over 200 MB. The backtest is a stand-in,
-    # so that this measures the search's own working set in little time.
+    # class scores alone would be over 200 MB. Each distinct rule is scored
+    # for real, so the peak counts the memo and the day-return table too.
     rng = np.random.default_rng(5)
     sources = [SignalSeries(_PAIR.dates, rng.integers(-1, 2, len(_PAIR.dates))) for _ in range(5)]
     n_patterns = fusion._vote_patterns(sources)[0].shape[2]
     assert 11 ** 5 * 3 * n_patterns * 8 > 200 * 2 ** 20
-    monkeypatch.setattr(fusion, "compute_pnl", _Report)
     gc.collect()
     tracemalloc.start()
     try:

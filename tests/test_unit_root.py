@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mrpairs import unit_root
 from mrpairs.errors import ConstantDifferencesError, DegenerateInputError, SingularityError
 from mrpairs.unit_root import (
     IntegrationOrder,
@@ -121,6 +122,30 @@ class TestClassifyIntegrationOrder:
         rng = np.random.default_rng(0)
         y = np.cumsum(np.cumsum(rng.standard_normal(500)))
         assert classify_integration_order(y) is IntegrationOrder.I2PLUS
+
+    def test_levels_that_reject_make_one_adf_test(self, monkeypatch):
+        tested = []
+
+        def counted(series, max_lag=None):
+            tested.append(len(series))
+            return adf_test(series, max_lag=max_lag)
+
+        monkeypatch.setattr(unit_root, "adf_test", counted)
+        rng = np.random.default_rng(0)
+        assert classify_integration_order(rng.standard_normal(500)) is IntegrationOrder.I0
+        assert tested == [500]
+        y = np.cumsum(rng.standard_normal(500))
+        assert classify_integration_order(y) is IntegrationOrder.I1
+        assert tested == [500, 500, 499]
+
+    def test_levels_that_reject_need_no_testable_differences(self):
+        # 10 points are the fewest a test at max_lag 0 takes, so their 9
+        # differences have no test of their own
+        rng = np.random.default_rng(0)
+        y = (-1.0) ** np.arange(10) + 0.1 * rng.standard_normal(10)
+        with pytest.raises(DegenerateInputError, match="too short"):
+            adf_test(np.diff(y), max_lag=0)
+        assert classify_integration_order(y, max_lag=0) is IntegrationOrder.I0
 
 
 class TestNullSimulation:
