@@ -17,8 +17,9 @@ only when the position changes. APR compounds geometrically over a
 nan when the daily returns do not vary.
 
 Without costs r_t depends only on pos_{t-1}, so `FrictionlessScorer`
-tabulates it per held position once and scores positions from the table,
-to `compute_pnl`'s APR bit for bit, through the same checks and APR line.
+tabulates it per held position once and scores positions with one gather
+from the table: `compute_pnl`'s APR bit for bit, through the same checks
+and APR line, and whether any return is non-zero.
 """
 
 from __future__ import annotations
@@ -250,22 +251,19 @@ class FrictionlessScorer:
     """`compute_pnl(...).apr` without costs, for any positions on one panel.
 
     Each day's return at each held position -1, 0, +1 is tabulated once in
-    `compute_pnl`'s own expression. Day 0's growth factor is 1.0, so the
-    product from day 1 on is the same float.
+    `compute_pnl`'s own expression, and a score gathers the positions'
+    returns once. Day 0's growth factor is 1.0, so the product from day 1
+    on is the same float.
     """
 
     def __init__(self, panel: PricePanel, hedge_ratio: np.ndarray, n_dates: int):
         spread, gmv, cost = _spread_and_gmv(panel, hedge_ratio, n_dates, CostModel())
         held = np.array([[-1], [0], [1]], dtype=np.int8)
         self._returns = ((held * np.diff(spread) - cost) / gmv[:-1]).T.ravel()
-        self._growth = 1.0 + self._returns
         self._day = 3 * np.arange(n_dates - 1) + 1  # day t held at p: 3t + 1 + p
         self._n_dates = n_dates
 
-    def apr(self, positions: np.ndarray) -> float:
-        growth = self._growth.take(self._day + positions[:-1])
-        return _equity_and_apr(growth, self._n_dates)[1]
-
-    def active(self, positions: np.ndarray) -> bool:
-        """Whether any of the positions' daily returns is not 0.0."""
-        return bool(np.any(self._returns.take(self._day + positions[:-1]) != 0.0))
+    def score(self, positions: np.ndarray) -> tuple[float, bool]:
+        """The positions' APR, and whether any of their daily returns is not 0.0."""
+        returns = self._returns.take(self._day + positions[:-1])
+        return _equity_and_apr(1.0 + returns, self._n_dates)[1], bool(np.any(returns != 0.0))

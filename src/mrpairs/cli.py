@@ -207,12 +207,18 @@ def _write_summary(path: str, report: bt.BacktestReport) -> None:
     )
 
 
-def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
-    sub, _, portfolio, positions = bt.trade_subset(
-        _load_panel(cfg), subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
+def _backtest(cfg: RunConfig, panel, subset_ids: list[str]):
+    """The subset's Johansen outcome, portfolio and positions, and their
+    backtest with `cfg.costs`."""
+    sub, outcome, portfolio, positions = bt.trade_subset(
+        panel, subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
     )
-    costs = bt.CostModel(cfg.costs)
-    report = bt.compute_pnl(sub, portfolio.hedge_ratio, positions, costs)
+    report = bt.compute_pnl(sub, portfolio.hedge_ratio, positions, bt.CostModel(cfg.costs))
+    return outcome, portfolio, positions, report
+
+
+def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
+    _, portfolio, positions, report = _backtest(cfg, _load_panel(cfg), subset_ids)
     write_csv(
         _out_path(cfg, "backtest.csv"),
         "date,position,daily_return,cumulative_return",
@@ -249,8 +255,13 @@ def _monthly_directions(cfg: RunConfig, indicator: str) -> dict[str, ms.Directio
     return dict(zip(months[split:], ms.predict_directions(model, features[split:])))
 
 
+def _indicators(cfg: RunConfig) -> list[str]:
+    """Every indicator named by a macro.<ID> or macro_oracle.<ID> key, sorted."""
+    return sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
+
+
 def cmd_forecast(cfg: RunConfig, subset_ids: list[str] | None) -> int:
-    indicators = sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
+    indicators = _indicators(cfg)
     if not indicators:
         raise ValidationError("config names no macro.<ID> or macro_oracle.<ID> files")
     for indicator in indicators:
@@ -268,7 +279,7 @@ def cmd_forecast(cfg: RunConfig, subset_ids: list[str] | None) -> int:
 def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
     """Fuse, optimize and backtest over the dates every forecast covers."""
     optimizer_config = cfg.optimizer
-    indicators = sorted(set(cfg.macro_paths) | set(cfg.macro_oracle_paths))
+    indicators = _indicators(cfg)
     if not indicators:
         raise ValidationError("optimize needs at least one macro indicator")
     optimizer_config.check_grid_size(len(indicators) + 1)
@@ -319,11 +330,7 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
         },
     }
     if subset_ids:
-        sub, outcome, portfolio, positions = bt.trade_subset(
-            panel, subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
-        )
-        costs = bt.CostModel(cfg.costs)
-        report = bt.compute_pnl(sub, portfolio.hedge_ratio, positions, costs)
+        outcome, portfolio, _, report = _backtest(cfg, panel, subset_ids)
         half_life = portfolio.half_life_days  # JSON has no inf: none measured is null
         payload["backtest"] = {
             "subset": subset_ids,
@@ -413,7 +420,7 @@ def run(argv: list[str]) -> int:
     if args.costs is not None:
         overrides["costs"] = read_map(args.costs, "instrument,cost", str, float)
     if args.oracle_forecasts is not None:
-        keys = set(cfg.macro_paths) | set(cfg.macro_oracle_paths) or {"oracle"}
+        keys = _indicators(cfg) or ["oracle"]
         overrides["macro_oracle_paths"] = {k: args.oracle_forecasts for k in keys}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     unknown = sorted(set(cfg.costs) - set(cfg.price_paths))

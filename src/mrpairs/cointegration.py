@@ -159,25 +159,15 @@ class VarLagSelector:
         self._factors: dict[int, np.ndarray] = {}  # max lag -> R_W
         self._vecm_factors: dict[int, np.ndarray] = {}  # VAR lag -> R_V
 
-    def select(self, columns: Sequence[int], max_lag: int) -> int:
-        """VAR lag of the instruments at `columns`, in that order.
-
-        SC(p) = ln det(Sigma_e) + (ln n / n) * (p*m^2 + m), all candidates
-        fit on the common sample left after trimming max_lag observations.
-        Ties go to the smaller lag.
-        """
-        lags, (failure,) = self.select_many([columns], max_lag)
-        if failure:
-            raise SingularityError(failure)
-        return int(lags[0])
-
     def select_many(
         self, subsets: Sequence[Sequence[int]], max_lag: int
     ) -> tuple[np.ndarray, list[str | None]]:
-        """`select` for equal-width subsets, with failures as messages.
+        """VAR lags of equal-width subsets of instruments, with failures as messages.
 
-        Returns each subset's lag, and the message `select` would raise
-        for it (the first failing check, in its order) or None.
+        SC(p) = ln det(Sigma_e) + (ln n / n) * (p*m^2 + m), all candidates
+        fit on the common sample left after trimming max_lag observations.
+        Ties go to the smaller lag. Returns each subset's lag, and the
+        message of its first failing check, in order, or None.
         """
         T = self.levels.shape[0]
         columns = np.asarray(subsets, dtype=np.intp)
@@ -245,7 +235,10 @@ def select_var_lag(panel: PricePanel | np.ndarray, max_lag: int) -> int:
     columns; see `VarLagSelector`, which a scan shares across subsets.
     """
     lags = VarLagSelector(panel)
-    return lags.select(range(lags.n_instruments), max_lag)
+    (lag,), (failure,) = lags.select_many([range(lags.n_instruments)], max_lag)
+    if failure:
+        raise SingularityError(failure)
+    return int(lag)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ grid point, clipped to the box. The simplex is this module's numpy
 `_nelder_mead`, a port that probes the same points as the reference
 implementation (tests/test_simplex_oracle.py). A date's fused class
 depends only on its vote pattern, the (Long, Short, Flat) vote of every
-source, so a probe votes once per distinct pattern, not once per date, and
-the grid votes in blocks of probes at a time. Probes that fuse to the same
-rule, a class per pattern, share one score from a per-search day-factor
-table (`backtest.FrictionlessScorer`), bit-equal to `compute_pnl`'s APR.
+source, so `combine_signals` and every probe vote once per distinct
+pattern (`_vote_patterns`), not once per date, and the grid votes in blocks
+of probes at a time. Probes that fuse to the same rule, a class per
+pattern, share one score from a per-search day-factor table
+(`backtest.FrictionlessScorer`), bit-equal to `compute_pnl`'s APR.
 Transaction costs are
 excluded from the objective; `fuse_forecasts`, the fused half of a subset
 run after `backtest.trade_subset`, adds them back in the backtest of the
@@ -68,33 +69,27 @@ class WeightVector:
         return len(self.weights)
 
 
-def _vote_masks(series_list: list[SignalSeries]) -> np.ndarray:
-    """(source, class, date) 0/1 votes, classes in (Long, Short, Flat) order."""
+def _vote_patterns(series_list: list[SignalSeries]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct daily vote patterns and each date's pattern index.
+
+    A date's pattern is its vote row, one signal per source. Returns the
+    (source, class, pattern) 0/1 votes of each distinct row, classes in
+    (Long, Short, Flat) order, and the (date,) index of each date's row.
+    Rows are told apart by their bytes, so any number of sources works.
+    """
     if len(series_list) < 2:
         raise ValidationError("need at least 2 signal sources to fuse")
     calendar = series_list[0].dates
     for s in series_list[1:]:
         if s.dates != calendar:
             raise AlignmentError("signal sources do not share a calendar")
-    signals = np.stack([s.signals for s in series_list])[:, None, :]
-    return (signals == np.array([1, -1, 0])[:, None]).astype(float)
-
-
-def _vote_patterns(series_list: list[SignalSeries]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct daily vote patterns and each date's pattern index.
-
-    Returns the (source, class, pattern) `_vote_masks` columns of each
-    pattern's first date, patterns in ascending code order, and the
-    (date,) index of each date's pattern. A date's code is
-    sum_k (s_k + 1) * 3**k; callers cap the sources at 19 through
-    `check_grid_size` (a grid of at least 2 ticks per weight), so the codes
-    stay below 3**19 and cannot overflow int64.
-    """
-    masks = _vote_masks(series_list)
-    signals = np.stack([s.signals for s in series_list]).astype(np.int64) + 1
-    codes = 3 ** np.arange(len(signals), dtype=np.int64) @ signals
-    _, first, day_pattern = np.unique(codes, return_index=True, return_inverse=True)
-    return masks[:, :, first], day_pattern
+    votes = np.stack([s.signals for s in series_list], axis=1)  # (date, source) int8
+    rows = votes.view(np.dtype((np.void, votes.shape[1])))[:, 0]
+    _, first, day_pattern = np.unique(rows, return_index=True, return_inverse=True)
+    # (source, pattern) in C order: `_fuse` is slower on a strided view
+    patterns = np.ascontiguousarray(votes[first].T)
+    masks = patterns[:, None, :] == np.array([1, -1, 0])[:, None]
+    return masks.astype(float), day_pattern
 
 
 def _fuse(masks: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -118,12 +113,12 @@ def _fuse(masks: np.ndarray, w: np.ndarray) -> np.ndarray:
 def combine_signals(
     series_list: list[SignalSeries], weights: WeightVector
 ) -> SignalSeries:
-    """Datewise weighted vote of the sources; ties resolve to Flat."""
-    masks = _vote_masks(series_list)
+    """Datewise weighted vote, once per distinct vote pattern; ties resolve to Flat."""
+    masks, day_pattern = _vote_patterns(series_list)
     if len(weights) != len(series_list):
         raise ValidationError("one weight per signal source required")
     w = np.asarray(weights.weights, dtype=float)
-    return SignalSeries(dates=series_list[0].dates, signals=_fuse(masks, w))
+    return SignalSeries(dates=series_list[0].dates, signals=_fuse(masks, w)[day_pattern])
 
 
 def signal_to_position(combined: SignalSeries) -> PositionSeries:
@@ -212,8 +207,8 @@ class OptimizationResult:
         """(n_probes, n_sources) clipped weights in probe order, rebuilt on access."""
         baseline = np.zeros((1, len(self.grid_axes)))
         baseline[0, -1] = 1.0
-        grid = np.stack(np.meshgrid(*self.grid_axes, indexing="ij"), axis=-1)
-        grid = np.clip(grid.reshape(-1, len(self.grid_axes)), 0.0, 1.0)
+        n_grid = math.prod(len(axis) for axis in self.grid_axes)
+        grid = np.clip(_grid_weights(self.grid_axes, np.arange(n_grid)).T, 0.0, 1.0)
         return np.concatenate([baseline, grid, self.simplex_weights])
 
     @property
@@ -223,6 +218,12 @@ class OptimizationResult:
             ProbeRecord(i, tuple(w), float(apr))
             for i, (w, apr) in enumerate(zip(self.probe_weights, self.probe_apr))
         )
+
+
+def _grid_weights(axes: tuple[np.ndarray, ...], index) -> np.ndarray:
+    """Unclipped (source, ...) weights of the grid points at `index`, in "ij" order."""
+    shape = tuple(len(axis) for axis in axes)
+    return np.stack([axis[i] for axis, i in zip(axes, np.unravel_index(index, shape))])
 
 
 def optimize_weights(
@@ -262,9 +263,9 @@ def optimize_weights(
         key = rule.tobytes()  # equal rules score the same APR
         apr = rule_apr.get(key)
         if apr is None:
-            positions = rule[day_pattern]
-            saw_active_probe = saw_active_probe or scorer.active(positions)
-            apr = rule_apr[key] = scorer.apr(positions)
+            apr, active = scorer.score(rule[day_pattern])
+            rule_apr[key] = apr
+            saw_active_probe = saw_active_probe or active
         return apr
 
     def simplex_objective(raw) -> float:
@@ -274,23 +275,17 @@ def optimize_weights(
 
     ticks, mr_ticks = config.ticks()
     axes = (ticks,) * (n_sources - 1) + (mr_ticks,)
-    shape = tuple(len(axis) for axis in axes)
-
-    def grid_weights(index) -> np.ndarray:
-        """Unclipped weights of grid points by their index in "ij" meshgrid order."""
-        return np.stack([axis[i] for axis, i in zip(axes, np.unravel_index(index, shape))])
-
     baseline = np.zeros(n_sources)
     baseline[-1] = 1.0
     baseline_apr = score(_fuse(masks, baseline))
 
     # A block of grid points at a time, so that no (grid, class, pattern)
     # score array is ever whole.
-    grid_apr = np.empty(math.prod(shape))
+    grid_apr = np.empty(math.prod(len(axis) for axis in axes))
     block = max(1, _BLOCK_SCORES // (3 * masks.shape[2]))
     for start in range(0, len(grid_apr), block):
         index = np.arange(start, min(start + block, len(grid_apr)))
-        rules = _fuse(masks, np.clip(grid_weights(index), 0.0, 1.0))
+        rules = _fuse(masks, np.clip(_grid_weights(axes, index), 0.0, 1.0))
         grid_apr[index] = [score(rule) for rule in rules]
 
     # The first grid point of the highest APR, if it beats the baseline: the
@@ -298,7 +293,7 @@ def optimize_weights(
     best = int(np.argmax(np.where(np.isnan(grid_apr), -np.inf, grid_apr)))
     best_w, best_apr = baseline, baseline_apr
     if grid_apr[best] > best_apr:
-        best_w, best_apr = grid_weights(best), float(grid_apr[best])
+        best_w, best_apr = _grid_weights(axes, best), float(grid_apr[best])
 
     x = _nelder_mead(
         lambda w: -simplex_objective(w), np.array(best_w, dtype=float),

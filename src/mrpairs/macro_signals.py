@@ -206,12 +206,6 @@ def _month_index(daily_dates) -> tuple[list[str], np.ndarray]:
     return [f"{m // 12:04d}-{m % 12 + 1:02d}" for m in distinct.tolist()], day_month
 
 
-def month_keys(daily_dates) -> list[str]:
-    """Each date's `YYYY-MM` month, the key of a monthly signal."""
-    keys, day_month = _month_index(daily_dates)
-    return [keys[i] for i in day_month.tolist()]
-
-
 def expand_monthly_to_daily(
     monthly_signals: dict[str, Signal], daily_dates: tuple
 ) -> SignalSeries:

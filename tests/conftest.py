@@ -59,6 +59,14 @@ def max_drawdown_bruteforce(daily_returns):
     return worst
 
 
+def date_vote_masks(series_list):
+    """(source, class, date) 0/1 votes, classes in (Long, Short, Flat) order:
+    the vote of every date, which the search and `combine_signals` take per
+    distinct vote pattern instead."""
+    signals = np.stack([s.signals for s in series_list])[:, None, :]
+    return (signals == np.array([1, -1, 0])[:, None]).astype(float)
+
+
 def write_monthly_csv(path, months, values):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("month,value\n")

@@ -200,8 +200,7 @@ def _same_apr(a, b):
 
 def _score(panel, hedge, positions):
     """The scorer's APR and active flag for `positions`, built for them alone."""
-    scorer = FrictionlessScorer(panel, hedge, len(positions))
-    return scorer.apr(positions), scorer.active(positions)
+    return FrictionlessScorer(panel, hedge, len(positions)).score(positions)
 
 
 @st.composite
@@ -262,6 +261,6 @@ def test_the_scorer_raises_as_compute_pnl_does():
             _score(case_panel, hedge, positions)
     # a scorer built on a panel serves every positions series, wiped out or not
     scorer = FrictionlessScorer(panel, np.array([1.0]), 3)
-    assert scorer.apr(flat) == 0.0 and not scorer.active(flat)
+    assert scorer.score(flat) == (0.0, False)
     with pytest.raises(DegenerateInputError, match="wiped out"):
-        scorer.apr(short)
+        scorer.score(short)

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -1273,13 +1274,13 @@ def test_a_subset_run_fits_once_and_backtests_each_distinct_fused_rule_once(
         "fusion.optimize_weights",
     ])
     scored = []
-    apr = FrictionlessScorer.apr
+    score = FrictionlessScorer.score
 
-    def recorded_apr(self, positions):
+    def recorded_score(self, positions):
         scored.append(positions.tobytes())
-        return apr(self, positions)
+        return score(self, positions)
 
-    monkeypatch.setattr(FrictionlessScorer, "apr", recorded_apr)
+    monkeypatch.setattr(FrictionlessScorer, "score", recorded_score)
     out = tmp_path / "out"
     argv = [command, "--config", str(config), "--subset", "SYN1,SYN2", "--out", str(out)]
     assert cli.run(argv) == 0
@@ -1305,6 +1306,49 @@ def test_a_subset_run_fits_once_and_backtests_each_distinct_fused_rule_once(
         "fusion.optimize_weights": optimizations,
     }
 
+
+
+# sha256 of each file `optimize` writes: on the oracle pair (two sources,
+# 0.5 grid) and with a trained indicator (two sources, default grid). The
+# vote, the search and the costed backtest of the winner must keep them
+# byte for byte.
+PINNED_OPTIMIZE = {
+    "oracle forecasts": {
+        "optimization_trace.csv":
+            "6d8aed27873156ce6d25976ef4b1fb742f8dc768f812780eac114fb65b5c9948",
+        "optimization_summary.csv":
+            "804127a127711b3ea17b5182e2aaeef305eb56b863f665733f3b20400f2c6336",
+        "optimized_backtest_summary.csv":
+            "e89bac41a3ff2ab582e348478f25afd5f780c3d963f1ee19bf94be836d5f18d6",
+    },
+    "trained indicator": {
+        "optimization_trace.csv":
+            "8e951a860089683e88d78073f51626c3a8448e736544911d892fb413fc1e2bbf",
+        "optimization_summary.csv":
+            "81b4368d06f21da57782e53141b38d4167f60512bbcbcdda519199e3032b1ed9",
+        "optimized_backtest_summary.csv":
+            "03a52d9e87a941569f4965bb832ff701223ff77f6a6d7348404e531f800e041b",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OPTIMIZE))
+def test_optimize_outputs_are_byte_identical_to_the_pinned_ones(
+    pair_workspace, small_workspace, tmp_path, name
+):
+    config = tmp_path / "run.cfg"
+    if name == "oracle forecasts":
+        config.write_text(pathlib.Path(pair_workspace["config"]).read_text())
+    else:
+        config.write_text(small_workspace)
+    out = tmp_path / "out"
+    argv = ["optimize", "--config", str(config), "--subset", "SYN1,SYN2", "--out", str(out)]
+    assert cli.run(argv) == 0
+    digests = {
+        file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+        for file in PINNED_OPTIMIZE[name]
+    }
+    assert digests == PINNED_OPTIMIZE[name]
 
 _TRICKY = [
     "nan", "-nan", "inf", "-inf", "1e-310", "5e-324", "0", "-0.0", "-1", "-3", "0.5",

@@ -112,8 +112,15 @@ class TestCombineSignals:
     def test_calendar_mismatch(self):
         a = _series(range(3), (L, S, F))
         b = _series(range(1, 4), (L, S, F))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(AlignmentError, match="signal sources do not share a calendar"):
             combine_signals([a, b], WeightVector((1, 1)))
+
+    def test_one_source_or_a_weight_too_many(self):
+        a = _series(range(3), (L, S, F))
+        with pytest.raises(ValidationError, match="need at least 2 signal sources to fuse"):
+            combine_signals([a], WeightVector((1,)))
+        with pytest.raises(ValidationError, match="one weight per signal source required"):
+            combine_signals([a, a], WeightVector((1, 1, 1)))
 
 
 class TestSignalToPosition:

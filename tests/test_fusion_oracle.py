@@ -9,10 +9,11 @@ backtest of the reference positions. `optimize_weights_every_probe` keeps
 the search as it was before it backtested each distinct fused rule once:
 the memoized search must record the same probes, APRs and winner, bit
 for bit. Both call `compute_pnl`, which the search itself never calls: they
-are the oracle of its per-search day-factor scorer. The search votes over
-the distinct daily vote patterns and the grid a block of probes at a time:
-`_fuse` over a block, and over the patterns, must give the bytes of one
-probe over every date.
+are the oracle of its per-search day-factor scorer. The search and
+`combine_signals` vote over the distinct daily vote patterns, the grid a
+block of probes at a time: `_fuse` over a block, and over the patterns,
+must give the bytes of one probe over every date (`date_vote_masks`), for
+any number of sources.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RECIPE_CONFIG
+from conftest import RECIPE_CONFIG, date_vote_masks
 from mrpairs import backtest, fusion
 from mrpairs.backtest import PositionSeries, compute_pnl, generate_mr_positions
 from mrpairs.errors import OptimizationDegenerateError
@@ -108,7 +109,7 @@ def test_a_block_of_probes_fuses_as_one_probe_at_a_time(case, data):
         max_size=12,
     ))
     w = np.array([weights, *more]).T  # (source, probe)
-    for masks in (fusion._vote_masks(sources), fusion._vote_patterns(sources)[0]):
+    for masks in (date_vote_masks(sources), fusion._vote_patterns(sources)[0]):
         one_at_a_time = np.stack([fusion._fuse(masks, w[:, g]) for g in range(w.shape[1])])
         block = fusion._fuse(masks, w)
         assert block.dtype == np.int8
@@ -119,7 +120,7 @@ def test_a_block_of_probes_fuses_as_one_probe_at_a_time(case, data):
 @given(sources_and_weights())
 def test_the_vote_of_each_pattern_is_the_vote_of_its_dates(case):
     sources, weights = case
-    masks = fusion._vote_masks(sources)
+    masks = date_vote_masks(sources)
     patterns, day_pattern = fusion._vote_patterns(sources)
     assert masks.tobytes() == patterns[:, :, day_pattern].tobytes()
     columns = {patterns[:, :, p].tobytes() for p in range(patterns.shape[2])}
@@ -154,6 +155,40 @@ def test_scores_add_in_source_order():
     fused = combine_signals(sources, WeightVector(weights))
     assert fused.signals.tolist() == [1]
     assert reference_combine(class_rows(sources), weights).tolist() == [1]
+
+
+def _votes_coded_2_to_the_64():
+    """41 votes whose base-3 code, sum_k (s_k + 1) * 3**k, is 2**64.
+
+    In int64 arithmetic, which wraps modulo 2**64, that code equals 0, the
+    code of 41 Short votes.
+    """
+    votes, n = [], 2 ** 64
+    while n:
+        n, digit = divmod(n, 3)
+        votes.append(digit - 1)
+    return votes
+
+
+@pytest.mark.parametrize("n_sources", [20, 41])
+def test_many_sources_vote_as_the_one_hot_argmax(n_sources):
+    # 20 is one past the 19 sources the search's grid allows; at 41 a base-3
+    # int64 code of a date's votes overflows (3**40 > 2**63).
+    rng = np.random.default_rng(n_sources)
+    votes = rng.integers(-1, 2, (n_sources, 300))
+    if n_sources == 41:
+        votes[:, 0] = -1
+        votes[:, 1] = _votes_coded_2_to_the_64()
+    dates = tuple(range(votes.shape[1]))
+    sources = [SignalSeries(dates, row) for row in votes]
+    rows = class_rows(sources)
+    # equal weights tie whenever the top two classes have as many votes
+    equal = [0.5] * n_sources
+    for weights in (equal, rng.choice(_TIE_PRONE, n_sources), rng.uniform(0.0, 1.0, n_sources)):
+        fused = combine_signals(sources, WeightVector(tuple(weights))).signals
+        assert fused.tolist() == reference_combine(rows, weights).tolist()
+    if n_sources == 41:  # 41 Short votes, then 9 Short, 16 Flat and 16 Long
+        assert combine_signals(sources, WeightVector(tuple(equal))).signals[:2].tolist() == [-1, 0]
 
 
 def _fixture(n_days):
@@ -220,7 +255,7 @@ def optimize_weights_every_probe(signal_series, panel, hedge_ratio, config):
     Returns the winning weights, the APR, the baseline APR, every probe's
     clipped weights and every probe's APR.
     """
-    masks = fusion._vote_masks(signal_series)
+    masks = date_vote_masks(signal_series)
     dates = signal_series[0].dates
     n_sources = len(masks)
     step = config.grid_step

@@ -10,6 +10,7 @@ from mrpairs.errors import (
     ValidationError,
 )
 from mrpairs.macro_signals import (
+    _month_index,
     CLASS_ORDER,
     DirectionLabel,
     DirectionModel,
@@ -19,7 +20,6 @@ from mrpairs.macro_signals import (
     expand_monthly_to_daily,
     label_directions,
     load_forecast_oracle_csv,
-    month_keys,
     predict_directions,
     train_direction_classifier,
 )
@@ -206,7 +206,8 @@ class TestExpandMonthlyToDaily:
         months = sorted(set(keys))
         missing = {months[len(months) // 2 if h == "middle" else h] for h in holes}
         monthly = {m: Signal(i % 3 - 1) for i, m in enumerate(months) if m not in missing}
-        assert month_keys(days) == keys
+        distinct, day_month = _month_index(days)
+        assert distinct == months and [distinct[i] for i in day_month] == keys
         try:
             expected = _reference_expand(monthly, days)
         except CoverageError as exc:

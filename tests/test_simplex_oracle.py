@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import optimize as sopt
 
-from conftest import RECIPE_CONFIG
+from conftest import RECIPE_CONFIG, date_vote_masks
 from test_acceptance import _fusion_sources, _recipe_panel
 from mrpairs import fusion
 from mrpairs.backtest import PositionSeries, compute_pnl
@@ -176,7 +176,7 @@ def optimize_weights_scipy(signal_series, panel, hedge_ratio, config=None):
     """The weight search as it was when its simplex was scipy's."""
     if config is None:
         config = OptimizerConfig()
-    masks = fusion._vote_masks(signal_series)
+    masks = date_vote_masks(signal_series)
     dates = signal_series[0].dates
     n_sources = len(masks)
     step = config.grid_step
