@@ -245,7 +245,10 @@ def _monthly_directions(cfg: RunConfig, indicator: str) -> dict[str, ms.Directio
     if indicator in cfg.macro_oracle_paths:
         return ms.load_forecast_oracle_csv(cfg.macro_oracle_paths[indicator])
     series = load_monthly_csv(cfg.macro_paths[indicator])
-    features, labels, months = ms.build_direction_features(series, cfg.flat_epsilon)
+    try:
+        features, labels, months = ms.build_direction_features(series, cfg.flat_epsilon)
+    except ValidationError as exc:
+        raise ValidationError(f"indicator {indicator!r}: {exc}") from exc
     split = max(24, int(len(months) * cfg.forecast_train_fraction))
     if split >= len(months):
         raise ValidationError(

@@ -6,6 +6,17 @@ regularized hinge loss and deterministic full-batch subgradient descent
 forecasts the direction; a `month,direction` oracle CSV can stand in for
 the model so the downstream fusion pipeline is testable on its own.
 
+Training is 400 epochs, each two BLAS products (the margins and the
+weight gradient), the bias sums as a small third, and about a dozen
+in-place ufuncs on buffers allocated once per training: at a few hundred
+months the cost is numpy call overhead, not arithmetic. The tests keep the
+earlier loop, a fresh array for every step, as an oracle the weights must
+equal bit for bit. The scaler's moments are scale-free: each column is
+divided by a power of two near its largest |value| and the moments scaled
+back, which is exact, so an indicator quoted in huge or tiny units trains
+the model of the same indicator in units near 1. A month-over-month change
+that overflows is rejected, not trained on.
+
 Direction-to-signal convention: the macro indicators move opposite to the
 majors-vs-USD exchange rates, so a forecast increase maps to Short, a
 decrease to Long, and flat to Flat. Monthly signals broadcast to every
@@ -98,12 +109,19 @@ def build_direction_features(
     v = series.values
     if len(v) < _FEATURE_BURN_IN + 2:
         raise ValidationError("too few months to build features")
-    d = np.diff(v)
-    labels = label_directions(series, flat_epsilon)  # labels[i] is month i+1
     t = np.arange(_FEATURE_BURN_IN, len(v))
-    c1, c2, c3 = d[t - 2], d[t - 3], d[t - 4]  # changes into months t-1..t-3
-    # Summed in this order, the mean equals np.mean of (c1, c2, c3) bitwise.
-    X = np.column_stack([v[t - 1], v[t - 2], v[t - 3], c1, c2, c3, (c1 + c2 + c3) / 3])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        d = np.diff(v)
+        c1, c2, c3 = d[t - 2], d[t - 3], d[t - 4]  # changes into months t-1..t-3
+        # Summed in this order, the mean equals np.mean of (c1, c2, c3) bitwise.
+        total = c1 + c2 + c3
+    over = ~np.isfinite(d)
+    over[t - 2] |= ~np.isfinite(total)  # a 3-month sum, at its latest change
+    if over.any():
+        month = series.months[np.argmax(over) + 1]
+        raise ValidationError(f"the month-over-month changes overflow at {month}")
+    labels = label_directions(series, flat_epsilon)  # labels[i] is month i+1
+    X = np.column_stack([v[t - 1], v[t - 2], v[t - 3], c1, c2, c3, total / 3])
     return X, labels[_FEATURE_BURN_IN - 1:], tuple(series.months[_FEATURE_BURN_IN:])
 
 
@@ -135,7 +153,10 @@ def train_direction_classifier(
 
     Each class gets a +1/-1 one-vs-rest problem; the step size decays as
     lr/sqrt(epoch). No randomness enters the updates, so identical inputs
-    give bitwise-identical weights.
+    give bitwise-identical weights. An epoch is `grad_w = L2*W - (active @
+    Xs)/n`, `grad_b = -active.sum(axis=1)/n`, `W -= eta*grad_w` and `b -=
+    eta*grad_b`, made with the same float operations in the same order, in
+    place on buffers allocated once per call.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or len(X) != len(labels):
@@ -144,23 +165,44 @@ def train_direction_classifier(
         raise ValidationError("need at least 24 training rows")
     if len({lab for lab in labels}) < 2:
         raise DegenerateLabelsError("training labels contain a single class")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    # Each column's moments are taken on it divided by the power of two above
+    # its largest |value|, then scaled back. That is exact, so they equal
+    # X.mean and X.std bit for bit in range, and the squares of a column in
+    # huge or tiny units neither overflow nor underflow to a zero std.
+    _, exponent = np.frexp(np.abs(X).max(axis=0))
+    scaled = np.ldexp(X, -exponent)
+    mean = np.ldexp(scaled.mean(axis=0), exponent)
+    std = np.ldexp(scaled.std(axis=0), exponent)
     std = np.where(std == 0.0, 1.0, std)
     Xs = (X - mean) / std
     n, d = Xs.shape
-    W = np.zeros((len(CLASS_ORDER), d))
-    b = np.zeros(len(CLASS_ORDER))
+    k = len(CLASS_ORDER)
+    W = np.zeros((k, d))
+    b = np.zeros(k)
     truth = np.array([CLASS_ORDER.index(lab) for lab in labels])
-    targets = np.where(truth == np.arange(len(CLASS_ORDER))[:, None], 1.0, -1.0)
-    for epoch in range(TRAIN_EPOCHS):
-        eta = LEARNING_RATE / np.sqrt(epoch + 1.0)
-        margins = targets * (W @ Xs.T + b[:, None])
-        active = (margins < 1.0).astype(float) * targets
-        grad_w = L2_PENALTY * W - (active @ Xs) / n
-        grad_b = -active.sum(axis=1) / n
-        W -= eta * grad_w
-        b -= eta * grad_b
+    targets = np.where(truth == np.arange(k)[:, None], 1.0, -1.0)
+    step_sizes = (LEARNING_RATE / np.sqrt(np.arange(1.0, TRAIN_EPOCHS + 1.0))).tolist()
+    margins, active = np.empty((k, n)), np.empty((k, n))
+    pull_w, step_w = np.empty((k, d)), np.empty((k, d))
+    pull_b, ones = np.empty(k), np.ones(n)
+    for eta in step_sizes:
+        np.dot(W, Xs.T, out=margins)
+        margins += b[:, None]
+        margins *= targets
+        np.less(margins, 1.0, out=active)
+        active *= targets
+        # The bias sum is its own product: a ones column folded into
+        # `active @ Xs` changes OpenBLAS's tiling and the other columns' bits.
+        np.dot(active, Xs, out=pull_w)
+        np.dot(active, ones, out=pull_b)  # exact: a sum of +-1 and +-0
+        pull_w /= n
+        np.multiply(W, L2_PENALTY, out=step_w)
+        step_w -= pull_w
+        step_w *= eta
+        W -= step_w
+        pull_b /= n
+        pull_b *= eta
+        b += pull_b  # b - eta*(-s/n) is b + eta*(s/n): negation is exact
     scores = W @ Xs.T + b[:, None]
     predicted = np.argmax(scores, axis=0)
     accuracy = float(np.mean(predicted == truth))

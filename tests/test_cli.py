@@ -242,6 +242,21 @@ class TestBacktest:
         assert math.isnan(float(summary[0][1]))
 
 
+def _rescaled_indicator(small_workspace, directory, values_of):
+    """`small_workspace`'s config with M1's values replaced by values_of(values)."""
+    lines = small_workspace.splitlines(True)
+    (macro,) = [line.split(" = ", 1)[1].strip() for line in lines if "macro." in line]
+    _, rows = _read_csv(macro)
+    months = [month for month, _ in rows]
+    values = values_of(np.array([float(value) for _, value in rows]))
+    path = write_monthly_csv(directory / "m1.csv", months, values)
+    config = directory / "run.cfg"
+    config.write_text(
+        "".join(line for line in lines if "macro." not in line) + f"macro.M1 = {path}\n"
+    )
+    return str(config), months
+
+
 class TestForecast:
     def test_oracle_round_trip(self, pair_workspace, tmp_path):
         code = cli.run(
@@ -251,6 +266,29 @@ class TestForecast:
         _, rows = _read_csv(tmp_path / "forecast_CPI.csv")
         _, oracle_rows = _read_csv(pair_workspace["oracle"])
         assert sorted(map(tuple, rows)) == sorted(map(tuple, oracle_rows))
+
+    # Taken in the indicator's units, the squares of the scaler's std would
+    # overflow at 2**532 and underflow to a zero std at 2**-560. Scaling by a
+    # power of two is exact, so the forecasts must be the same.
+    @pytest.mark.parametrize("exponent", [532, -560])
+    def test_an_indicator_in_huge_or_tiny_units_forecasts_the_same(
+        self, small_workspace, tmp_path, exponent
+    ):
+        forecasts = []
+        for scale in (1.0, 2.0**exponent):
+            directory = tmp_path / f"scale{scale!r}"
+            directory.mkdir()
+            config, _ = _rescaled_indicator(
+                small_workspace, directory, lambda values: values * scale
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, err = _run_main(
+                    ["forecast", "--config", config, "--out", str(directory)]
+                )
+            assert ([str(w.message) for w in caught], code, err) == ([], 0, "")
+            forecasts.append((directory / "forecast_M1.csv").read_bytes())
+        assert forecasts[0] == forecasts[1]
 
 
 class TestOptimize:
@@ -649,6 +687,25 @@ class TestErrorPaths:
         )
         message = "config names no macro.<ID> or macro_oracle.<ID> files"
         assert (code, err) == (2, f"ERR:validation:{message}\n")
+
+    @pytest.mark.parametrize("command", ["forecast", "optimize"])
+    def test_indicator_changes_that_overflow(self, small_workspace, tmp_path, command):
+        config, months = _rescaled_indicator(
+            small_workspace,
+            tmp_path,
+            lambda values: np.where(np.arange(len(values)) % 2 == 0, 1.5e308, -1.5e308),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = _run_main(
+                [command, "--config", config, "--out", str(tmp_path / "out"),
+                 "--subset", "SYN1,SYN2"]
+            )
+        message = f"indicator 'M1': the month-over-month changes overflow at {months[1]}"
+        assert ([str(w.message) for w in caught], code, err) == (
+            [], 2, f"ERR:validation:{message}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["forecast", "optimize"])
     def test_indicator_too_short_to_hold_out_a_window(
@@ -1349,6 +1406,26 @@ def test_optimize_outputs_are_byte_identical_to_the_pinned_ones(
         for file in PINNED_OPTIMIZE[name]
     }
     assert digests == PINNED_OPTIMIZE[name]
+
+
+# sha256 of `forecast_M1.csv` from `mrpairs forecast` on `small_workspace`:
+# at flat_epsilon 0 the classifier trains on two labels, at 0.5 on three.
+PINNED_FORECAST = {
+    "0.0": "6d3bd01620f28ef2c7d56a2c37b2bace9362bcbf654b49821bb23628485a1aa9",
+    "0.5": "b263b92f8303ff9dddf70ba60bb50f32787e9198a7aab04eb8d28177903ed526",
+}
+
+
+@pytest.mark.parametrize("flat_epsilon", list(PINNED_FORECAST))
+def test_forecasts_are_byte_identical_to_the_pinned_ones(
+    small_workspace, tmp_path, flat_epsilon
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(small_workspace + f"flat_epsilon = {flat_epsilon}\n")
+    out = tmp_path / "out"
+    assert cli.run(["forecast", "--config", str(config), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "forecast_M1.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_FORECAST[flat_epsilon]
 
 _TRICKY = [
     "nan", "-nan", "inf", "-inf", "1e-310", "5e-324", "0", "-0.0", "-1", "-3", "0.5",

@@ -6,6 +6,11 @@ the earlier construction: one month at a time, a change strictly above
 (the band's edges included) is Flat, and each feature row is built from
 Python lists with the 3-month mean taken by `np.mean`. The array versions
 must give bitwise-equal features and the same labels and months.
+
+`reference_train_direction_classifier` keeps the classifier's earlier
+epoch loop, a fresh array for every step of the update, and the moments
+of `X.mean` and `X.std`. The buffered loop must give bitwise-equal
+weights, biases, scaler and training accuracy, and the same predictions.
 """
 
 import numpy as np
@@ -13,9 +18,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrpairs.macro_signals import (
+    CLASS_ORDER,
+    L2_PENALTY,
+    LEARNING_RATE,
+    TRAIN_EPOCHS,
     DirectionLabel,
+    DirectionModel,
     build_direction_features,
     label_directions,
+    predict_directions,
+    train_direction_classifier,
 )
 from mrpairs.market_data import MonthlySeries
 
@@ -88,3 +100,74 @@ def test_features_labels_and_months_match_the_loops(case):
     assert label_directions(series, epsilon) == reference_label_directions(
         series, epsilon
     )
+
+
+def reference_train_direction_classifier(features, labels):
+    X = np.asarray(features, dtype=float)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std == 0.0, 1.0, std)
+    Xs = (X - mean) / std
+    n, d = Xs.shape
+    W = np.zeros((len(CLASS_ORDER), d))
+    b = np.zeros(len(CLASS_ORDER))
+    truth = np.array([CLASS_ORDER.index(lab) for lab in labels])
+    targets = np.where(truth == np.arange(len(CLASS_ORDER))[:, None], 1.0, -1.0)
+    for epoch in range(TRAIN_EPOCHS):
+        eta = LEARNING_RATE / np.sqrt(epoch + 1.0)
+        margins = targets * (W @ Xs.T + b[:, None])
+        active = (margins < 1.0).astype(float) * targets
+        grad_w = L2_PENALTY * W - (active @ Xs) / n
+        grad_b = -active.sum(axis=1) / n
+        W -= eta * grad_w
+        b -= eta * grad_b
+    scores = W @ Xs.T + b[:, None]
+    predicted = np.argmax(scores, axis=0)
+    accuracy = float(np.mean(predicted == truth))
+    return DirectionModel(
+        weights=W,
+        biases=b,
+        scaler_mean=mean,
+        scaler_std=std,
+        training_accuracy=accuracy,
+    )
+
+
+@st.composite
+def training_problems(draw):
+    """Features with column scales from 2**-40 to 2**40, some rounded to
+    integers or held constant, and labels from two or three classes, drawn
+    at random or from a noisy linear rule of the features."""
+    n = draw(st.integers(24, 700))
+    d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+    X += rng.standard_normal(d) * draw(st.sampled_from([0.0, 1.0, 100.0]))
+    if draw(st.booleans()):
+        X = np.round(X)
+    if draw(st.booleans()):
+        X[:, rng.integers(d)] = draw(st.sampled_from([0.0, 1.0, -3.5]))
+    X = np.ldexp(X, rng.integers(-40, 41, d))
+    n_classes = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        score = X @ rng.standard_normal(d) / (np.abs(X).max(axis=0) @ np.ones(d) + 1.0)
+        classes = np.digitize(
+            score + 0.1 * rng.standard_normal(n), np.quantile(score, [1 / 3, 2 / 3])
+        ) % n_classes
+    else:
+        classes = rng.integers(n_classes, size=n)
+    classes[:n_classes] = np.arange(n_classes)  # every class at least once
+    return X, [CLASS_ORDER[c] for c in classes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(training_problems())
+def test_the_buffered_loop_trains_the_weights_of_the_reference_loop(problem):
+    X, labels = problem
+    model = train_direction_classifier(X, labels)
+    ref = reference_train_direction_classifier(X, labels)
+    for field in ("weights", "biases", "scaler_mean", "scaler_std"):
+        got, want = getattr(model, field), getattr(ref, field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+    assert model.training_accuracy == ref.training_accuracy
+    assert predict_directions(model, X) == predict_directions(ref, X)

@@ -1,7 +1,10 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrpairs.errors import (
     CoverageError,
@@ -104,6 +107,44 @@ class TestTraining:
             predicted = predict_directions(model, X[60:])
             hits.append(np.mean([p is t for p, t in zip(predicted, labels[60:])]))
         assert all(h >= 0.95 for h in hits)
+
+    @staticmethod
+    def _forecast(values):
+        X, labels, months = build_direction_features(_monthly(values))
+        split = int(len(months) * 0.7)
+        model = train_direction_classifier(X[:split], labels[:split])
+        return model, predict_directions(model, X[split:])
+
+    # At flat_epsilon 0 the labels are signs, and scaling by a power of two
+    # is exact, so an indicator quoted in other units trains the same model.
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 300), data=st.data())
+    def test_a_power_of_two_rescaling_trains_the_same_model(self, seed, n, data):
+        values = np.cumsum(np.random.default_rng(seed).standard_normal(n))
+        features, _, _ = build_direction_features(_monthly(values))
+        model, predicted = self._forecast(values)
+        moves = np.concatenate(
+            [values, np.diff(values), features[:, -1], model.scaler_mean, model.scaler_std]
+        )
+        magnitudes = np.abs(moves[moves != 0.0])
+        # Every k that keeps the values, their changes and 3-month mean
+        # changes, and the scaler's column moments normal, with two bits to
+        # spare at the top for the 3-month sums and the deviations from the
+        # column means.
+        lowest = -1021 - np.frexp(magnitudes.min())[1]
+        highest = 1022 - np.frexp(magnitudes.max())[1]
+        k = data.draw(st.integers(lowest, highest))
+        for shift in (lowest, k, highest):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled, scaled_predicted = self._forecast(np.ldexp(values, shift))
+            assert scaled.weights.tobytes() == model.weights.tobytes()
+            assert scaled.biases.tobytes() == model.biases.tobytes()
+            assert scaled.training_accuracy == model.training_accuracy
+            assert scaled_predicted == predicted
+            for field in ("scaler_mean", "scaler_std"):
+                want = np.ldexp(getattr(model, field), shift)
+                assert getattr(scaled, field).tobytes() == want.tobytes()
 
 
 class TestPrediction:
@@ -233,6 +274,23 @@ class TestFeatures:
         series = _monthly(np.arange(40.0))
         _, labels, _ = build_direction_features(series)
         assert set(labels) == {DirectionLabel.UP}
+
+    @pytest.mark.parametrize(
+        "values, month",
+        [
+            ([1.5e308, -1.5e308] * 20, "2000-02"),
+            # every change is finite, but the three up to 2000-07 sum past the limit
+            ([0.0] * 4 + [-1.5e308, -0.5e308, 0.5e308, 0.5e308], "2000-07"),
+        ],
+    )
+    def test_changes_that_overflow_are_rejected_without_a_warning(self, values, month):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValidationError,
+                match=f"^the month-over-month changes overflow at {month}$",
+            ):
+                build_direction_features(_monthly(values))
 
 
 class TestOracleCsv:
