@@ -255,7 +255,11 @@ def _monthly_directions(cfg: RunConfig, indicator: str) -> dict[str, ms.Directio
             f"indicator {indicator!r}: too few months to hold out a forecast window"
         )
     model = ms.train_direction_classifier(features[:split], labels[:split])
-    return dict(zip(months[split:], ms.predict_directions(model, features[split:])))
+    try:
+        predicted = ms.predict_directions(model, features[split:])
+    except ValidationError as exc:
+        raise ValidationError(f"indicator {indicator!r}: {exc}") from exc
+    return dict(zip(months[split:], predicted))
 
 
 def _indicators(cfg: RunConfig) -> list[str]:

@@ -61,11 +61,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._ols import first_failures, nested_residual_moments
+from ._ols import failure_error, first_failures, nested_residual_moments
 from .errors import (
     ConstantDifferencesError,
     ConstantSeriesError,
     NoCointegrationError,
+    RankDeficientError,
     SingularityError,
     ValidationError,
 )
@@ -237,7 +238,7 @@ def select_var_lag(panel: PricePanel | np.ndarray, max_lag: int) -> int:
     lags = VarLagSelector(panel)
     (lag,), (failure,) = lags.select_many([range(lags.n_instruments)], max_lag)
     if failure:
-        raise SingularityError(failure)
+        raise failure_error(failure)
     return int(lag)
 
 
@@ -380,7 +381,7 @@ def johansen_test(panel: PricePanel, var_lag: int) -> JohansenOutcome:
     levels, subset = panel.prices.T, np.arange(panel.n_instruments)[None]
     eigvals, eigvecs, trace, n, (failure,) = _johansen_stack(levels, subset, var_lag)
     if failure:
-        raise SingularityError(failure)
+        raise failure_error(failure)
     return _outcome(panel.instrument_ids, eigvals[0], eigvecs[0], trace[0], var_lag, n)
 
 
@@ -417,7 +418,7 @@ def fit_subset(sub: PricePanel, var_max_lag: int) -> Fit:
     columns = [tuple(range(sub.n_instruments))]
     (fit,) = _fit_equal_width(sub, VarLagSelector(sub), columns, var_max_lag)
     if isinstance(fit, str):
-        raise SingularityError(fit)
+        raise failure_error(fit)
     return fit
 
 
@@ -480,6 +481,9 @@ class ScanRow:
     half_life_days: float | None
 
 
+_SINGULAR_UNIT_ROOT = "singular unit-root fit"
+
+
 def _integration_order(series: np.ndarray, max_lag: int | None):
     """The series' I(d) class, or the reason it has none."""
     try:
@@ -488,6 +492,8 @@ def _integration_order(series: np.ndarray, max_lag: int | None):
         return "constant differences"
     except ConstantSeriesError:
         return "constant series"
+    except RankDeficientError:
+        return _SINGULAR_UNIT_ROOT
 
 
 def scan_cointegration(
@@ -502,19 +508,24 @@ def scan_cointegration(
 
     Subsets not all I(1) are skipped, not tested: with the reason of their
     first member that has no I(d) order ("constant series", "constant
-    differences"), else as "not all I(1)". The report order is fixed by the
-    enumeration. The tested subsets are fit one width at a time
-    (`_fit_equal_width`); every subset's VAR lag and Johansen step come
-    from one factor of the whole panel per distinct lag.
+    differences", "singular unit-root fit"), else as "not all I(1)". The
+    report order is fixed by the enumeration. The tested subsets are fit one
+    width at a time (`_fit_equal_width`); every subset's VAR lag and
+    Johansen step come from one factor of the whole panel per distinct lag.
+    A series whose unit-root fit is singular is left out of those factors,
+    so the other rows read as a scan without it.
     """
     subsets = enumerate_combinations(panel.n_instruments, min_size, max_size)
     _check_width(len(subsets[-1]))
     if orders is None:
         orders = [_integration_order(y, adf_max_lag) for y in panel.prices]
-    lags = VarLagSelector(panel)
     tested = [s for s in subsets if all(orders[i] is IntegrationOrder.I1 for i in s)]
+    factored = [i for i, order in enumerate(orders) if order != _SINGULAR_UNIT_ROOT]
+    at = {c: j for j, c in enumerate(factored)}
+    fitted = panel.subpanel(factored)
+    lags = VarLagSelector(fitted)
     fits = itertools.chain.from_iterable(
-        _fit_equal_width(panel, lags, list(group), var_max_lag)
+        _fit_equal_width(fitted, lags, [tuple(at[i] for i in s) for s in group], var_max_lag)
         for _, group in itertools.groupby(tested, len)
     )
     tested = set(tested)
@@ -570,6 +581,6 @@ def simulate_johansen_null_trace(
             _, _, trace, _, failures = _johansen_stack(levels, subsets, 1)
             failure = next((f for f in failures if f), None)
             if failure:
-                raise SingularityError(failure)
+                raise failure_error(failure)
             out.append(trace[:, 0])
     return np.concatenate(out)

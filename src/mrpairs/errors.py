@@ -51,6 +51,10 @@ class SingularityError(DegenerateInputError):
     """Rank-deficient regressor or moment matrix."""
 
 
+class RankDeficientError(SingularityError):
+    """A regressor matrix that fails the rank check on its R factor's diagonal."""
+
+
 class NoCointegrationError(DegenerateInputError):
     """Hedge ratio requested from a rank-zero Johansen outcome."""
 

@@ -11,11 +11,14 @@ weight gradient), the bias sums as a small third, and about a dozen
 in-place ufuncs on buffers allocated once per training: at a few hundred
 months the cost is numpy call overhead, not arithmetic. The tests keep the
 earlier loop, a fresh array for every step, as an oracle the weights must
-equal bit for bit. The scaler's moments are scale-free: each column is
-divided by a power of two near its largest |value| and the moments scaled
-back, which is exact, so an indicator quoted in huge or tiny units trains
-the model of the same indicator in units near 1. A month-over-month change
-that overflows is rejected, not trained on.
+equal bit for bit. The scaler is scale-free: each column is divided by a
+power of two near its largest training |value|, kept in the model, and is
+standardized and its moments taken in those units. That is exact, so in
+range it changes no bit, and an indicator quoted in huge or tiny units
+trains the model of the same indicator in units near 1, where no
+deviation from a column mean can overflow. A month-over-month change that
+overflows is rejected, not trained on, and so is a forecast row whose
+class scores are not finite.
 
 Direction-to-signal convention: the macro indicators move opposite to the
 majors-vs-USD exchange rates, so a forecast increase maps to Short, a
@@ -137,8 +140,9 @@ class DirectionModel:
 
     weights: np.ndarray       # (3, n_features), rows in CLASS_ORDER
     biases: np.ndarray        # (3,)
-    scaler_mean: np.ndarray
-    scaler_std: np.ndarray
+    scaler_mean: np.ndarray   # in the features' own units
+    scaler_std: np.ndarray    # 1 where a column does not vary
+    scaler_exponent: np.ndarray  # columns are standardized divided by 2**exponent
     training_accuracy: float
 
     @property
@@ -165,16 +169,23 @@ def train_direction_classifier(
         raise ValidationError("need at least 24 training rows")
     if len({lab for lab in labels}) < 2:
         raise DegenerateLabelsError("training labels contain a single class")
-    # Each column's moments are taken on it divided by the power of two above
-    # its largest |value|, then scaled back. That is exact, so they equal
-    # X.mean and X.std bit for bit in range, and the squares of a column in
-    # huge or tiny units neither overflow nor underflow to a zero std.
+    # Each column is divided by the power of two above its largest |value|
+    # and standardized in those units. That is exact, so its moments scaled
+    # back equal X.mean and X.std, and Xs equals (X - mean) / std, bit for
+    # bit in range; a column in huge or tiny units neither overflows in its
+    # squares or deviations nor underflows to a zero std.
     _, exponent = np.frexp(np.abs(X).max(axis=0))
     scaled = np.ldexp(X, -exponent)
-    mean = np.ldexp(scaled.mean(axis=0), exponent)
-    std = np.ldexp(scaled.std(axis=0), exponent)
-    std = np.where(std == 0.0, 1.0, std)
-    Xs = (X - mean) / std
+    scaled_mean, scaled_std = scaled.mean(axis=0), scaled.std(axis=0)
+    mean = np.ldexp(scaled_mean, exponent)
+    std = np.ldexp(scaled_std, exponent)
+    std[std == 0.0] = 1.0
+    constant = scaled_std == 0.0
+    scaled_std[constant] = 1.0
+    Xs = (scaled - scaled_mean) / scaled_std
+    # A column that never moved has deviations 0 here and a zero weight;
+    # forecasts take its deviations in its own units, as (X - mean) / 1.
+    exponent[constant] = 0
     n, d = Xs.shape
     k = len(CLASS_ORDER)
     W = np.zeros((k, d))
@@ -211,6 +222,7 @@ def train_direction_classifier(
         biases=b,
         scaler_mean=mean,
         scaler_std=std,
+        scaler_exponent=exponent,
         training_accuracy=accuracy,
     )
 
@@ -218,14 +230,29 @@ def train_direction_classifier(
 def predict_directions(
     model: DirectionModel, features: np.ndarray
 ) -> list[DirectionLabel]:
-    """Argmax of class scores; ties break toward the first class in order."""
+    """Argmax of class scores; ties break toward the first class in order.
+
+    The rows are standardized in the units the model was trained in, each
+    column divided by 2**exponent, which in range is bit for bit
+    (X - mean) / std. A row whose scores are not finite, one far outside
+    what the model was trained on, raises ValidationError.
+    """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValidationError(
             f"feature width {X.shape} does not match model ({model.n_features})"
         )
-    Xs = (X - model.scaler_mean) / model.scaler_std
-    scores = model.weights @ Xs.T + model.biases[:, None]
+    shift = -model.scaler_exponent
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
+        deviations = np.ldexp(X, shift) - np.ldexp(model.scaler_mean, shift)
+        Xs = deviations / np.ldexp(model.scaler_std, shift)
+        scores = model.weights @ Xs.T + model.biases[:, None]
+    unscored = ~np.isfinite(scores).all(axis=0)
+    if unscored.any():
+        raise ValidationError(
+            f"forecast row {np.argmax(unscored)} is too far outside the training "
+            "features to score"
+        )
     return [CLASS_ORDER[i] for i in np.argmax(scores, axis=0)]
 
 

@@ -7,12 +7,15 @@ The ADF regression includes a drift term but no time trend:
 The lag order p is chosen by minimizing BIC = n*ln(RSS/n) + k*ln(n) with
 k = p + 2, over a common estimation sample (all candidates drop the first
 max_lag differences) so the criteria are comparable. Each candidate's
-design is a column prefix of the max-lag design, so one QR factorization
-of that design gives every candidate's RSS. The design and its response
-are built as one column-major block, LAPACK's own layout, and factored
-as they are; only the chosen lag's prefix of the same block is refit
-with `ols_qr`, for its t-ratio. The maximum lag follows Schwert's rule
-floor(12*(T/100)^(1/4)). A constant series or a straight line has no test.
+design is a column prefix of the max-lag design, so the one R factor of
+[design | response] gives everything: with X = Q*R, the residual of the
+response on the first k columns is Q[:, k:]*R[k:, -1], so every
+candidate's RSS is a reversed cumulative sum of squares of R's last
+column, and the chosen lag's coefficients and (X'X)^-1 come from R's
+leading k x k block. Nothing is refit. The design and its response are
+built as one column-major block, LAPACK's own layout, and factored as
+they are. The maximum lag follows Schwert's rule floor(12*(T/100)^(1/4)).
+A constant series or a straight line has no test.
 
 The t-ratio on b is compared against finite-sample critical values for the
 drift case, interpolated in 1/T between tabulated sample sizes. Only the
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import first_failures, nested_residual_moments, ols_qr
+from ._ols import failure_error, first_prefix_failure
 from .errors import ConstantDifferencesError, ConstantSeriesError, DegenerateInputError
-from .errors import SingularityError, ValidationError
+from .errors import ValidationError
 
 # Finite-sample 95% critical values of the Dickey-Fuller t-statistic for the
 # regression with constant and no trend, tabulated by effective sample size.
@@ -101,8 +104,8 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
     """ADF test with drift, BIC lag selection, Schwert max lag.
 
     All candidate lags are fit on the sample left after trimming max_lag
-    observations, so their BIC values are comparable, and all come from
-    one factorization of the max-lag design.
+    observations, so their BIC values are comparable, and every figure
+    comes from one factorization of the max-lag design.
     """
     y = np.asarray(series, float).ravel()
     T = len(y)
@@ -121,34 +124,32 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
 
     design = _adf_design(y, max_lag)
     n = len(design)
-    best = None  # (bic, p)
+    k_max = max_lag + 2
     r = np.linalg.qr(design, mode="r")
-    moments, failures = nested_residual_moments(r, n, max_lag + 2, range(2, max_lag + 3))
-    (failure,) = first_failures(failures[None])
+    diag = np.abs(np.diagonal(r)[:k_max])
+    failure = first_prefix_failure(diag, n, range(2, k_max + 1))
     if failure:
-        raise SingularityError(failure)
-    for p, cross in enumerate(moments):
-        k = p + 2
-        rss = max(float(cross[0, 0]), np.finfo(float).tiny)
-        bic = n * math.log(rss / n) + k * math.log(n)
-        if best is None or bic < best[0]:
-            best = (bic, p)
-
-    # Only the chosen lag needs (X'X)^-1 for the t-ratio.
-    p = best[1]
-    fit = ols_qr(design[:, : p + 2], design[:, -1])
-    sigma2 = float(fit.rss) / (n - p - 2)
-    se_level = math.sqrt(sigma2 * fit.xtx_inv[1, 1])
-    statistic = float(fit.coef[1]) / se_level
+        raise failure_error(failure)
+    # R is (k_max + 1) square now. Row i of its last column is the response's
+    # part along Q[:, i], so rows k.. hold the residual at width k = 2..k_max.
+    rss = np.cumsum(np.square(r[:1:-1, -1]))[::-1]
+    widths = np.arange(2, k_max + 1)
+    bic = n * np.log(np.maximum(rss, np.finfo(float).tiny) / n) + widths * math.log(n)
+    p = int(np.argmin(bic))  # the first minimum, so ties keep the smaller lag
+    k = p + 2
+    r_inv = np.linalg.inv(r[:k, :k])  # (X'X)^-1 = R^-1 R^-T
+    coef = r_inv @ r[:k, -1]
+    sigma2 = float(rss[p]) / (n - k)
+    statistic = float(coef[1]) / math.sqrt(sigma2 * float(r_inv[1] @ r_inv[1]))
     cv = adf_critical_value(n)
     return AdfOutcome(
         statistic=statistic,
         chosen_lag=p,
         critical_value_95=cv,
         reject_unit_root=statistic < cv,
-        intercept=float(fit.coef[0]),
-        level_coefficient=float(fit.coef[1]),
-        lag_coefficients=tuple(float(c) for c in fit.coef[2:]),
+        intercept=float(coef[0]),
+        level_coefficient=float(coef[1]),
+        lag_coefficients=tuple(coef[2:].tolist()),
     )
 
 

@@ -182,6 +182,40 @@ class TestScan:
         ]
         assert sum("FLAT" in s.split("+") for s in skipped) == 7
 
+    def test_near_constant_series_is_skipped_not_fatal(self, tmp_path):
+        # A constant plus 1e-12 noise fails its unit-root fit's rank check:
+        # the scan skips its 7 subsets with their own reason and exits 0,
+        # and the other 4 rows are byte for byte a scan of the walks alone.
+        T = 1500
+        dates = generate_synthetic_panel(
+            0, SynthConfig(n_walks=1, n_days=T, noise_scale=1.0, start_price=500.0)
+        ).dates
+        rng = np.random.default_rng(3)
+        walks = 500.0 + np.cumsum(rng.standard_normal((3, T)), 1)
+        walks[2] = 0.5 * walks[0] + 250.0 + rng.standard_normal(T)  # W1+W3 cointegrate
+        near = 250.0 + 1e-12 * np.random.default_rng(9).standard_normal(T)
+        series = {"NEAR": near, "W1": walks[0], "W2": walks[1], "W3": walks[2]}
+        paths = {
+            iid: write_price_csv(tmp_path / f"{iid}.csv", dates, y)
+            for iid, y in series.items()
+        }
+        reports = {}
+        for name, ids in (("all", list(series)), ("walks", ["W1", "W2", "W3"])):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text("".join(f"price.{iid} = {paths[iid]}\n" for iid in ids))
+            out = tmp_path / name
+            code, _, stderr = _run_main(["scan", "--config", str(config), "--out", str(out)])
+            assert (code, stderr) == (0, "")
+            reports[name] = _read_csv(out / "scan_report.csv")[1]
+        near_rows = [row for row in reports["all"] if "NEAR" in row[0].split("+")]
+        assert len(near_rows) == 7
+        assert {tuple(row[1:]) for row in near_rows} == {
+            ("singular unit-root fit", "", "", "", "")
+        }
+        kept = [row for row in reports["all"] if "NEAR" not in row[0].split("+")]
+        assert kept == reports["walks"]
+        assert any(row[4] and row[5] for row in kept)  # a hedge and a half-life
+
 
 class TestBacktest:
     def test_outputs_and_roundtrip(self, pair_workspace, tmp_path):
@@ -624,19 +658,35 @@ class TestErrorPaths:
     # Closes near 1e300 overflow the regression moments; near 1e305 the QR
     # itself gives a nan diagonal, which must fail the rank check.
     @pytest.mark.parametrize("scale", [2e297, 2e302])
-    @pytest.mark.parametrize("command", ["scan", "backtest", "optimize", "report"])
+    @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
     def test_closes_near_the_float_limit_end_in_one_err_line(
         self, monkeypatch, capsys, tmp_path, scale, command
     ):
         config = self._huge_pair_config(tmp_path, scale)
-        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
-        if command != "scan":
-            argv += ["--subset", "SYN1,SYN2"]
+        argv = [command, "--config", str(config), "--subset", "SYN1,SYN2",
+                "--out", str(tmp_path / "out")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, err = self._main_exit(monkeypatch, capsys, argv)
         assert [str(w.message) for w in caught] == []
         assert (code, err) == (3, "ERR:degenerate:regressor matrix is rank deficient\n")
+
+    # The scan has no subset to fit: each series' unit-root fit fails the
+    # same rank check, which skips that series' subsets instead.
+    @pytest.mark.parametrize("scale", [2e297, 2e302])
+    def test_closes_near_the_float_limit_skip_every_subset_of_a_scan(
+        self, monkeypatch, capsys, tmp_path, scale
+    ):
+        config = self._huge_pair_config(tmp_path, scale)
+        out = tmp_path / "out"
+        argv = ["scan", "--config", str(config), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = self._main_exit(monkeypatch, capsys, argv)
+        assert [str(w.message) for w in caught] == []
+        assert (code, err) == (0, "")
+        _, rows = _read_csv(out / "scan_report.csv")
+        assert rows == [["SYN1+SYN2", "singular unit-root fit", "", "", "", ""]]
 
     def test_closes_near_1e300_print_only_the_err_line(self, tmp_path):
         config = self._huge_pair_config(tmp_path, 2e297)
@@ -706,6 +756,28 @@ class TestErrorPaths:
             [], 2, f"ERR:validation:{message}\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "optimize"])
+    def test_forecast_months_far_outside_the_training_ones(
+        self, small_workspace, tmp_path, command
+    ):
+        # Trained on values near 1e-300, the held-out months near 1e300 have
+        # no finite class score; forecasting from nan would pick a class.
+        def values_of(values):
+            held_out = np.arange(len(values)) >= len(values) - 5
+            return np.where(held_out, 1e300, 1e-300) * values
+
+        config, _ = _rescaled_indicator(small_workspace, tmp_path, values_of)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = _run_main(
+                [command, "--config", config, "--out", str(tmp_path / "out"),
+                 "--subset", "SYN1,SYN2"]
+            )
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("ERR:validation:indicator 'M1': forecast row ")
+        assert err.endswith(" is too far outside the training features to score\n")
 
     @pytest.mark.parametrize("command", ["forecast", "optimize"])
     def test_indicator_too_short_to_hold_out_a_window(
@@ -860,6 +932,17 @@ class TestErrorPaths:
         )
         assert code == 2
         assert err == "ERR:validation:adf_max_lag must be non-negative, got -2\n"
+
+    def test_adf_max_lag_too_large_for_the_panel(
+        self, pair_workspace, monkeypatch, capsys, tmp_path
+    ):
+        # A max lag that leaves 9 rows for its unit-root fits is a setting
+        # the panel cannot meet, not a singular series: the scan fails.
+        max_lag = pair_workspace["panel"].n_dates - 10
+        code, err = self._run_with(
+            pair_workspace, monkeypatch, capsys, tmp_path, "scan", f"adf_max_lag = {max_lag}"
+        )
+        assert (code, err) == (3, "ERR:degenerate:9 observations for 9 regressors\n")
 
 
 class TestConfigParsing:

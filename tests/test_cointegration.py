@@ -210,6 +210,20 @@ class TestScan:
             )
             assert got.top_eigenvalue == pytest.approx(want.top_eigenvalue, rel=1e-9)
 
+    def test_a_panel_in_huge_units_skips_every_subset(self):
+        # Walks quoted in units of 2^40: each series' unit-root fit fails its
+        # rank check against the unit intercept column, so every subset is
+        # skipped and none raises.
+        panel = _walks_and_constant(300)
+        walks = PricePanel(
+            dates=panel.dates,
+            prices=np.ldexp(panel.prices[1:], 40),
+            instrument_ids=panel.instrument_ids[1:],
+        )
+        rows = scan_cointegration(walks)
+        assert len(rows) == 4
+        assert {row.skipped_reason for row in rows} == {"singular unit-root fit"}
+
     def test_panel_too_short_with_a_constant_series_still_raises(self):
         # Schwert's max lag for 15 points is 7, which needs 17 of them; the
         # constant series is classified first and is too short first.

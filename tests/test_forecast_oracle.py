@@ -129,6 +129,7 @@ def reference_train_direction_classifier(features, labels):
         biases=b,
         scaler_mean=mean,
         scaler_std=std,
+        scaler_exponent=np.zeros(d, int),  # standardized in the features' own units
         training_accuracy=accuracy,
     )
 

@@ -1,13 +1,14 @@
 """Nested-QR lag selection against the per-lag loops it replaced.
 
-`adf_test` takes every candidate lag's residual moments from one QR of the
-max-lag design; `select_var_lag` and the scan take them from a column
-subset of one QR of the panel-wide design (`VarLagSelector`). The
-reference functions below refit each candidate lag of each subset
-separately with `ols_qr`, as the engine once did, and must agree on the
-chosen lag, on every figure the ADF outcome reports (bit for bit, since the
-chosen lag is refit by the same call), and on the exception raised for a
-degenerate input.
+`adf_test` reads every candidate lag's RSS, and the chosen lag's
+coefficients and t-ratio, off one QR of the max-lag design; `select_var_lag`
+and the scan take their residual moments from a column subset of one QR of
+the panel-wide design (`VarLagSelector`). The reference functions below
+refit each candidate lag of each subset separately with `ols_qr`, as the
+engine once did, and must agree on the chosen lag and on the exception
+raised for a degenerate input. The ADF verdict and critical value must
+be equal too; its statistic and coefficients, summed in another order
+than a refit sums them, are held to a few hundred ulps relative.
 """
 
 import datetime as dt
@@ -18,6 +19,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mrpairs import _ols, unit_root
 from mrpairs._ols import ols_qr
 from mrpairs.cointegration import (
     VarLagSelector,
@@ -25,7 +27,7 @@ from mrpairs.cointegration import (
     scan_cointegration,
     select_var_lag,
 )
-from mrpairs.errors import SingularityError
+from mrpairs.errors import RankDeficientError, SingularityError
 from mrpairs.market_data import PricePanel, trading_days
 from mrpairs.unit_root import (
     AdfOutcome,
@@ -117,18 +119,77 @@ def _raised(fn, *args):
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize("T", [250, 1000, 2500])
+# The ADF corpus's series as quoted in other units: shifted and scaled
+# (prices far from zero), scaled down exactly, and so large beside the unit
+# intercept column that every fit fails the rank check.
+UNITS = {
+    "as drawn": lambda y: y,
+    "1e6 + 1e3 y": lambda y: 1e6 + 1e3 * y,
+    "2^-30 y": lambda y: 2.0**-30 * y,
+    "2^45 + 2^40 y": lambda y: 2.0**45 + 2.0**40 * y,
+}
+
+
+def _coefficients(outcome):
+    return np.array((outcome.intercept, outcome.level_coefficient) + outcome.lag_coefficients)
+
+
+def assert_adf_close(got, want):
+    """Same lag, verdict and critical value; figures within a few hundred ulps.
+
+    `adf_test` sums each RSS from R's last column and solves with R's
+    leading block, where the loop refits the chosen lag on its own, so the
+    last bits of the figures differ.
+    """
+    assert (got.chosen_lag, got.reject_unit_root, got.critical_value_95) == (
+        want.chosen_lag, want.reject_unit_root, want.critical_value_95
+    )
+    assert abs(got.statistic - want.statistic) <= 1e-12 * max(1.0, abs(want.statistic))
+    coef, ref = _coefficients(got), _coefficients(want)
+    assert coef.shape == ref.shape
+    assert np.all(np.abs(coef - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("T", [250, 1000, 2500, 5000])
 @pytest.mark.parametrize("kind", ["walk", "ar1", "ar_increments"])
 def test_adf_matches_per_lag_loop(kind, T):
-    chosen = set()
-    for seed in range(4):
+    chosen, raised = set(), Counter()
+    # The reference test of one series at T = 5000 takes about 80 ms.
+    seeds = range(2) if T > 2500 else range(4)
+    for seed in seeds:
         y = _series(kind, seed, T)
-        for series in (y, np.diff(y)):
-            expected = adf_test_per_lag(series)
-            assert adf_test(series) == expected
-            chosen.add(expected.chosen_lag)
+        for units, scaled in UNITS.items():
+            for series in (scaled(y), np.diff(scaled(y))):
+                try:
+                    expected = adf_test_per_lag(series)
+                except SingularityError:
+                    assert _raised(adf_test, series) == _raised(adf_test_per_lag, series)
+                    raised[units] += 1
+                    continue
+                assert_adf_close(adf_test(series), expected)
+                chosen.add(expected.chosen_lag)
+    assert raised == {"2^45 + 2^40 y": 2 * len(seeds)}
     if kind == "ar_increments":
         assert chosen != {0}
+
+
+def test_adf_factors_once_and_refits_nothing(monkeypatch):
+    calls = []
+
+    def counting_qr(a, *args, _qr=np.linalg.qr, **kwargs):
+        calls.append((np.shape(a), kwargs.get("mode")))
+        return _qr(a, *args, **kwargs)
+
+    def no_refit(*args, **kwargs):
+        raise AssertionError("adf_test refit a lag with ols_qr")
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(_ols, "ols_qr", no_refit)
+    monkeypatch.setattr(unit_root, "ols_qr", no_refit, raising=False)
+    y = _series("ar_increments", 0, 2500)
+    outcome = adf_test(y)
+    assert outcome.chosen_lag > 0
+    assert calls == [((2500 - 1 - schwert_max_lag(2500), schwert_max_lag(2500) + 3), "r")]
 
 
 def _var_panel(seed, m, cointegrated, T=1000):
@@ -151,7 +212,7 @@ def test_adf_rank_deficient_raises_like_per_lag_loop():
     y = np.tile([1.0, 2.0], 50)
     raised = _raised(adf_test, y, 4)
     assert raised == _raised(adf_test_per_lag, y, 4)
-    assert raised == (SingularityError, "regressor matrix is rank deficient")
+    assert raised == (RankDeficientError, "regressor matrix is rank deficient")
 
 
 def test_adf_too_few_observations_raises_like_per_lag_loop():
@@ -162,12 +223,33 @@ def test_adf_too_few_observations_raises_like_per_lag_loop():
     assert raised == (SingularityError, "9 observations for 9 regressors")
 
 
+def test_first_prefix_failure_is_the_first_of_every_widths_checks():
+    # Its widest-width test stands for all widths; check it never disagrees.
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(2000):
+        diag = np.abs(rng.standard_normal(12)) * 10.0 ** rng.integers(-12, 12, 12)
+        diag[rng.integers(12)] = rng.choice([1.0, 0.0, np.nan, 1e-11])
+        n, widths = int(rng.integers(2, 16)), range(2, int(rng.integers(3, 13)))
+        (want,) = _ols.first_failures(_ols.prefix_failures(diag, n, widths)[None])
+        assert _ols.first_prefix_failure(diag, n, widths) == want
+        seen.add(want if want is None else want.split()[-1])
+    assert seen == {None, "regressors", "deficient"}
+
+
+def test_ols_qr_counts_a_nan_design_as_rank_deficient():
+    X = np.column_stack([np.ones(50), np.arange(50.0)])
+    X[7, 1] = np.nan
+    raised = _raised(ols_qr, X, np.arange(50.0))
+    assert raised == (RankDeficientError, "regressor matrix is rank deficient")
+
+
 def test_var_rank_deficient_raises_like_per_lag_loop():
     walk = np.cumsum(np.random.default_rng(1).standard_normal(500))
     Y = np.column_stack([walk, walk])
     raised = _raised(select_var_lag, Y, 5)
     assert raised == _raised(select_var_lag_per_lag, Y, 5)
-    assert raised == (SingularityError, "regressor matrix is rank deficient")
+    assert raised == (RankDeficientError, "regressor matrix is rank deficient")
 
 
 def test_var_too_few_observations_raises_like_per_lag_loop():
@@ -205,7 +287,7 @@ def _outcome(fn, *args):
     try:
         return fn(*args)
     except SingularityError as exc:
-        return type(exc), str(exc)
+        return "raised", str(exc)
 
 
 @pytest.mark.parametrize(
@@ -222,7 +304,7 @@ def test_every_subset_lag_matches_per_lag_loop(T, degenerate):
             max_lag = _feasible(T, len(subset))
             expected = _outcome(select_var_lag_per_lag, Y[:, subset], max_lag)
             (lag,), (failure,) = lags.select_many([subset], max_lag)
-            assert ((SingularityError, failure) if failure else lag) == expected, subset
+            assert (("raised", failure) if failure else lag) == expected, subset
             chosen.add(expected)
             feasible.add(max_lag)
     if degenerate is None:
@@ -230,7 +312,7 @@ def test_every_subset_lag_matches_per_lag_loop(T, degenerate):
     if T == 60:
         assert feasible == {10, 7}
     if degenerate is not None:
-        assert (SingularityError, "regressor matrix is rank deficient") in chosen
+        assert ("raised", "regressor matrix is rank deficient") in chosen
 
 
 def _price_panel(Y):

@@ -146,6 +146,28 @@ class TestTraining:
                 want = np.ldexp(getattr(model, field), shift)
                 assert getattr(scaled, field).tobytes() == want.tobytes()
 
+    def test_an_indicator_spanning_the_float_range_forecasts_as_in_units_near_1(self):
+        # From -1.59e308 to +1.56e308 in finite steps: every deviation from a
+        # column mean taken in the indicator's own units would overflow.
+        rng = np.random.default_rng(0)
+        c = np.clip(np.arange(60) / 59 + 0.03 * rng.standard_normal(60), 0.0, 1.0)
+        c[0], c[-1] = 0.0, 1.0
+        values = -1.59e308 * (1.0 - c) + 1.56e308 * c
+
+        def forecast(values):
+            X, labels, _ = build_direction_features(_monthly(values))
+            model = train_direction_classifier(X[:40], labels[:40])
+            return model, predict_directions(model, X[40:])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, predicted = forecast(values)
+            near_1, near_1_predicted = forecast(np.ldexp(values, -1020))
+        assert model.weights.tobytes() == near_1.weights.tobytes()
+        assert model.biases.tobytes() == near_1.biases.tobytes()
+        assert predicted == near_1_predicted
+        assert len(predicted) == 60 - 4 - 40  # the first 4 months have no features
+
 
 class TestPrediction:
     def _zero_model(self):
@@ -154,6 +176,7 @@ class TestPrediction:
             biases=np.zeros(3),
             scaler_mean=np.zeros(2),
             scaler_std=np.ones(2),
+            scaler_exponent=np.zeros(2, int),
             training_accuracy=0.0,
         )
 
@@ -168,6 +191,20 @@ class TestPrediction:
         model = train_direction_classifier(X, labels)
         row = np.tile(X[3], (5, 1))
         assert len(set(predict_directions(model, row))) == 1
+
+    def test_rows_far_outside_the_training_features_raise(self):
+        # Trained on values near 1e-300, a forecast row near 1e300 has no
+        # finite standardized value, so no finite class score.
+        values = np.cumsum(np.random.default_rng(2).standard_normal(60))
+        X, labels, _ = build_direction_features(_monthly(1e-300 * values))
+        model = train_direction_classifier(X, labels)
+        huge, _, _ = build_direction_features(_monthly(1e300 * values))
+        rows = np.vstack([X[:3], huge[3:5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^forecast row 3 is too far outside"):
+                predict_directions(model, rows)
+            assert len(predict_directions(model, rows[:3])) == 3
 
     def test_width_mismatch(self):
         with pytest.raises(ValidationError):

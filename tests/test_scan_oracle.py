@@ -358,14 +358,23 @@ def _fit_alone(panel, ids):
     return _row(ids, None, outcome.rank, top, hedge, half_life)
 
 
-@pytest.mark.parametrize("extra", ["walk", "constant"])
+# The appended column, from a walk, and the skip reason its subsets get.
+APPENDED = {
+    "walk": (lambda walk: walk, None),
+    "constant": (lambda walk: 0.0 * walk, "constant series"),
+    "near constant": (lambda walk: 1e-12 * walk, "singular unit-root fit"),
+}
+
+
+@pytest.mark.parametrize("extra", list(APPENDED))
 @pytest.mark.parametrize("seed", range(2))
 def test_an_appended_column_leaves_every_subset_as_it_was(seed, extra):
     # A subset's R factors are slices of panel-wide factors, so its rounding
     # depends on the panel's other columns; its outcome must not.
     panel = _six_panel(seed, 300)
     walk = np.cumsum(np.random.default_rng(100 + seed).standard_normal(300))
-    wider = _with_column(panel, 1000.0 + (walk if extra == "walk" else 0.0 * walk))
+    column, reason = APPENDED[extra]
+    wider = _with_column(panel, 1000.0 + column(walk))
     rows = _rows(scan_cointegration(panel))
     wider_rows = _rows(scan_cointegration(wider))
     kept = [row for row in wider_rows if "X" not in row[0]]
@@ -373,9 +382,11 @@ def test_an_appended_column_leaves_every_subset_as_it_was(seed, extra):
     assert_rows_close(kept, rows)
     fits, wider_fits = _stacked_fits(panel)[0], _stacked_fits(wider)[0]
     assert {s: fit for s, fit in wider_fits.items() if 6 not in s} == fits
-    if extra == "constant":
+    if reason:
         added = {row[1] for row in wider_rows if "X" in row[0]}
-        assert added == {"constant series"}
+        assert added == {reason}
+    if reason == "singular unit-root fit":  # left out of the panel factors
+        assert _lines(kept) == _lines(rows)
     for row in wider_rows:
         if row[1] in (None, "singular"):
             assert_rows_close([row], [_fit_alone(wider, row[0])])
