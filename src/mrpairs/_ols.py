@@ -12,9 +12,10 @@ not stop the others. It serves VAR lag selection (every prefix; R from
 column subsets of a panel-wide factor) and the Johansen step (the one
 prefix Z; Y holds both dY_t and Y_{t-p}). ADF lag selection needs only
 each prefix's RSS, which it reads off its own R factor; it takes the same
-checks, in the same order, from `first_prefix_failure`, and raises the
-first failure as `ols_qr` would (`failure_error`). Every fit shares one
-rank rule, `rank_deficient`; a failure of it raises `RankDeficientError`.
+checks, in the same order, from `prefix_failures` and `first_failures`,
+and raises the first failure as `ols_qr` would (`failure_error`). Every
+fit shares one rank rule, `rank_deficient`; a failure of it raises
+`RankDeficientError`.
 """
 
 from __future__ import annotations
@@ -86,21 +87,6 @@ def prefix_failures(diag: np.ndarray, n: int, widths: Sequence[int]) -> np.ndarr
         if n <= k:
             failures[..., j] = _too_few(n, k)
     return failures
-
-
-def first_prefix_failure(diag: np.ndarray, n: int, widths: Sequence[int]) -> str | None:
-    """The first message of one factor's `prefix_failures`, or None.
-
-    A width fails each check that a narrower one fails: n <= k grows with
-    k, and the running min and max of the diagonal only spread. So the
-    widest width alone tells whether any fails, and only then are the
-    widths taken one by one for the first failure.
-    """
-    widest = diag[: widths[-1]]
-    if n > widths[-1] and not rank_deficient(widest.min(), widest.max()):
-        return None
-    (failure,) = first_failures(prefix_failures(diag, n, widths)[None])
-    return failure
 
 
 def nested_residual_moments(

@@ -59,9 +59,7 @@ class RunConfig:
     min_overlap: int = 30
     var_max_lag: int = 10
     adf_max_lag: int | None = None
-    grid_step: float = 0.25
     mr_weight_floor: float = 0.0
-    simplex_max_iter: int = 200
     forecast_train_fraction: float = 0.7
     mc_draws: int = 100_000
     mc_adf_sample_size: int = 500
@@ -100,9 +98,7 @@ class RunConfig:
 
     @property
     def optimizer(self) -> fusion.OptimizerConfig:
-        return fusion.OptimizerConfig(
-            self.grid_step, self.mr_weight_floor, self.simplex_max_iter
-        )
+        return fusion.OptimizerConfig(self.mr_weight_floor)
 
 
 # A scalar key parses with its field's type (annotations are strings here);
@@ -154,8 +150,15 @@ def parse_config_file(path: str) -> RunConfig:
     return RunConfig(**values)
 
 
+def _settings(cfg: RunConfig) -> dict:
+    """Every setting of a run: the config's keys and the weight search's fixed two."""
+    return asdict(cfg) | {
+        "grid_step": fusion.OptimizerConfig.grid_step, "simplex_max_iter": fusion.SIMPLEX_MAX_ITER,
+    }
+
+
 def config_hash(cfg: RunConfig) -> str:
-    canon = json.dumps(asdict(cfg), sort_keys=True, default=str)
+    canon = json.dumps(_settings(cfg), sort_keys=True, default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -285,11 +288,10 @@ def cmd_forecast(cfg: RunConfig, subset_ids: list[str] | None) -> int:
 
 def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
     """Fuse, optimize and backtest over the dates every forecast covers."""
-    optimizer_config = cfg.optimizer
     indicators = _indicators(cfg)
     if not indicators:
         raise ValidationError("optimize needs at least one macro indicator")
-    optimizer_config.check_grid_size(len(indicators) + 1)
+    fusion.check_grid_size(len(indicators) + 1)
     sub, _, portfolio, positions = bt.trade_subset(
         _load_panel(cfg), subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
     )
@@ -298,7 +300,7 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
         directions = _monthly_directions(cfg, indicator).items()
         forecasts[indicator] = {m: ms.direction_to_signal(d) for m, d in directions}
     result, final = fusion.fuse_forecasts(
-        sub, portfolio.hedge_ratio, positions, forecasts, optimizer_config,
+        sub, portfolio.hedge_ratio, positions, forecasts, cfg.optimizer,
         bt.CostModel(cfg.costs),
     )
     baseline = [0.0] * len(indicators) + [1.0]
@@ -325,7 +327,7 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     scan_rows = _scan(cfg, panel)
     cointegrated = [r for r in scan_rows if r.rank]
     payload = {
-        "config": asdict(cfg),
+        "config": _settings(cfg),
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "instruments": list(panel.instrument_ids),

@@ -189,17 +189,15 @@ class VarLagSelector:
         failures: list[str | None] = []
         for chunk, r in _sliced_factors(self._factors[max_lag], columns, max_lag + 1):
             moments, failed = nested_residual_moments(r, n, 1 + max_lag * m, widths)
-            with np.errstate(invalid="ignore"):  # a failed fit's moments may not be finite
+            # A failed fit's moments may not be finite, or may be exactly zero.
+            with np.errstate(divide="ignore", invalid="ignore"):
                 sign, logdet = np.linalg.slogdet(moments / n)
             singular = (failed == "") & (sign <= 0)
             failed[singular] = "singular residual covariance in VAR fit"
             failures += first_failures(failed)
-            sc = logdet + penalty
-            best, best_sc = np.zeros(len(sc), np.intp), sc[:, 0]
-            for p in range(1, max_lag):  # strict, so ties keep the smaller lag
-                better = sc[:, p] < best_sc
-                best[better], best_sc = p, np.where(better, sc[:, p], best_sc)
-            lags[chunk] = best + 1
+            # The first minimum, so ties keep the smaller lag; a failed
+            # subset's lag is never read.
+            lags[chunk] = np.argmin(logdet + penalty, axis=1) + 1
         return lags, failures
 
     def _factor(self, max_lag: int) -> np.ndarray:

@@ -10,9 +10,11 @@ reproduce the pure mean-reversion strategy exactly.
 
 The APR objective is piecewise constant in the weights (it only moves when
 a vote flips), so a gradient-based program is ill-posed; the search is
-derivative-free instead: an exhaustive coarse grid (0.25 steps, at most
-MAX_GRID_POINTS points) followed by Nelder-Mead refinement from the best
-grid point, clipped to the box. The simplex is this module's numpy
+derivative-free instead: an exhaustive coarse grid (GRID_TICKS on every
+axis, so at most 8 sources), then at most SIMPLEX_MAX_ITER Nelder-Mead
+iterations from the best grid point, clipped to the box. Both are fixed;
+the one setting, `OptimizerConfig.mr_weight_floor`, trims the last (MR)
+axis. The simplex is this module's numpy
 `_nelder_mead`, a port that probes the same points as the reference
 implementation (tests/test_simplex_oracle.py). A date's fused class
 depends only on its vote pattern, the (Long, Short, Flat) vote of every
@@ -44,9 +46,14 @@ from .errors import (
 from .macro_signals import SignalSeries
 from .market_data import PricePanel
 
+# The grid's ticks on every weight's axis; the floor trims the last (MR) one.
+GRID_TICKS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+GRID_TICKS.setflags(write=False)  # shared by every result's grid_axes
 # Largest coarse grid the search enumerates, counted over the full box
-# before the mean-reversion floor trims the last axis.
+# before the mean-reversion floor trims the last axis: at most 8 sources.
 MAX_GRID_POINTS = 1_000_000
+# The simplex's iteration cap; its initial simplex counts as iteration 1.
+SIMPLEX_MAX_ITER = 200
 # Class scores the grid search votes at once: 256 KiB of float64 per block.
 _BLOCK_SCORES = 1 << 15
 
@@ -126,63 +133,26 @@ def signal_to_position(combined: SignalSeries) -> PositionSeries:
     return PositionSeries(dates=combined.dates, positions=combined.signals)
 
 
+def check_grid_size(n_sources: int) -> None:
+    """Reject a grid over `n_sources` weights of more than MAX_GRID_POINTS."""
+    if len(GRID_TICKS) ** n_sources > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"{n_sources} signal sources give a grid of more than {MAX_GRID_POINTS} "
+            f"points ({len(GRID_TICKS)} ticks per weight)"
+        )
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Weight-search settings.
+    """Weight-search settings: the floor on the mean-reversion weight."""
 
-    The simplex counts its initial simplex as iteration 1, as the
-    reference Nelder-Mead it ports does, so `simplex_max_iter` = N allows
-    N - 1 simplex steps; 0 and 1 both probe only the initial simplex
-    (n + 1 points) before the final re-probe of its best vertex.
-    """
-
-    grid_step: float = 0.25
     mr_weight_floor: float = 0.0  # minimum grid value on the last (MR) axis
-    simplex_max_iter: int = 200
+    grid_step = float(GRID_TICKS[1] - GRID_TICKS[0])  # a class constant, not a field
 
     def __post_init__(self):
-        if not 0.0 < self.grid_step <= 1.0:
-            raise ValidationError(f"grid_step must be in (0, 1], got {self.grid_step!r}")
         if not 0.0 <= self.mr_weight_floor <= 1.0:
             raise ValidationError(
                 f"mr_weight_floor must be in [0, 1], got {self.mr_weight_floor!r}"
-            )
-        if self.simplex_max_iter < 0:
-            raise ValidationError(
-                f"simplex_max_iter must be non-negative, got {self.simplex_max_iter!r}"
-            )
-        # Every grid has at least 2 axes; a step too fine for that fails
-        # check_grid_size instead, without building its ticks here.
-        if self._grid_points(2) <= MAX_GRID_POINTS:
-            ticks, mr_ticks = self.ticks()
-            if not len(mr_ticks):
-                raise ValidationError(
-                    f"grid_step {self.grid_step!r} has no tick at or above "
-                    f"mr_weight_floor {self.mr_weight_floor!r} (largest {float(ticks[-1])!r})"
-                )
-
-    def ticks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The grid's ticks on each indicator's axis and on the last (MR) axis.
-
-        A tick may exceed 1 when the step does not divide 1; probes clip it.
-        """
-        step = self.grid_step
-        ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
-        return ticks, ticks[ticks >= self.mr_weight_floor]
-
-    def _grid_points(self, n_sources: int) -> float:
-        step = self.grid_step
-        n_ticks = (1.0 + step / 2) / step  # len() of the grid's arange, before ceil
-        # Below a step of ~5.6e-309 the quotient overflows; that grid counts as inf.
-        return math.ceil(n_ticks) ** n_sources if n_ticks < math.inf else n_ticks
-
-    def check_grid_size(self, n_sources: int) -> None:
-        """Reject a grid over `n_sources` weights of more than MAX_GRID_POINTS."""
-        n_points = self._grid_points(n_sources)
-        if n_points > MAX_GRID_POINTS:
-            raise ValidationError(
-                f"grid_step {self.grid_step!r} gives a grid of {n_points} points "
-                f"over {n_sources} weights, more than {MAX_GRID_POINTS}"
             )
 
 
@@ -204,11 +174,11 @@ class OptimizationResult:
 
     @property
     def probe_weights(self) -> np.ndarray:
-        """(n_probes, n_sources) clipped weights in probe order, rebuilt on access."""
+        """(n_probes, n_sources) weights in probe order, rebuilt on access."""
         baseline = np.zeros((1, len(self.grid_axes)))
         baseline[0, -1] = 1.0
         n_grid = math.prod(len(axis) for axis in self.grid_axes)
-        grid = np.clip(_grid_weights(self.grid_axes, np.arange(n_grid)).T, 0.0, 1.0)
+        grid = _grid_weights(self.grid_axes, np.arange(n_grid)).T
         return np.concatenate([baseline, grid, self.simplex_weights])
 
     @property
@@ -221,7 +191,7 @@ class OptimizationResult:
 
 
 def _grid_weights(axes: tuple[np.ndarray, ...], index) -> np.ndarray:
-    """Unclipped (source, ...) weights of the grid points at `index`, in "ij" order."""
+    """(source, ...) weights of the grid points at `index`, in "ij" order."""
     shape = tuple(len(axis) for axis in axes)
     return np.stack([axis[i] for axis, i in zip(axes, np.unravel_index(index, shape))])
 
@@ -250,7 +220,7 @@ def optimize_weights(
     if config is None:
         config = OptimizerConfig()
     n_sources = len(signal_series)
-    config.check_grid_size(n_sources)
+    check_grid_size(n_sources)
     masks, day_pattern = _vote_patterns(signal_series)
     scorer = FrictionlessScorer(panel, hedge_ratio, len(day_pattern))
     rule_apr: dict[bytes, float] = {}  # fused class per pattern -> its APR
@@ -273,8 +243,8 @@ def optimize_weights(
         simplex_apr.append(score(_fuse(masks, simplex_weights[-1])))
         return simplex_apr[-1]
 
-    ticks, mr_ticks = config.ticks()
-    axes = (ticks,) * (n_sources - 1) + (mr_ticks,)
+    mr_ticks = GRID_TICKS[GRID_TICKS >= config.mr_weight_floor]
+    axes = (GRID_TICKS,) * (n_sources - 1) + (mr_ticks,)
     baseline = np.zeros(n_sources)
     baseline[-1] = 1.0
     baseline_apr = score(_fuse(masks, baseline))
@@ -285,7 +255,7 @@ def optimize_weights(
     block = max(1, _BLOCK_SCORES // (3 * masks.shape[2]))
     for start in range(0, len(grid_apr), block):
         index = np.arange(start, min(start + block, len(grid_apr)))
-        rules = _fuse(masks, np.clip(_grid_weights(axes, index), 0.0, 1.0))
+        rules = _fuse(masks, _grid_weights(axes, index))
         grid_apr[index] = [score(rule) for rule in rules]
 
     # The first grid point of the highest APR, if it beats the baseline: the
@@ -296,8 +266,7 @@ def optimize_weights(
         best_w, best_apr = _grid_weights(axes, best), float(grid_apr[best])
 
     x = _nelder_mead(
-        lambda w: -simplex_objective(w), np.array(best_w, dtype=float),
-        config.simplex_max_iter,
+        lambda w: -simplex_objective(w), np.array(best_w, dtype=float), SIMPLEX_MAX_ITER
     )
     refined = np.clip(x, 0.0, 1.0)
     refined_apr = simplex_objective(refined)
@@ -307,10 +276,8 @@ def optimize_weights(
         raise OptimizationDegenerateError(
             "every weight probe produced an all-zero return stream"
         )
-    # A grid tick may exceed 1 when the step does not divide 1; report the
-    # clipped weights the winning probe scored.
     return OptimizationResult(
-        weights=WeightVector(tuple(float(w) for w in np.clip(best_w, 0.0, 1.0))),
+        weights=WeightVector(tuple(float(w) for w in best_w)),
         apr=best_apr,
         baseline_apr=baseline_apr,
         grid_axes=axes,

@@ -286,7 +286,6 @@ def simulate_ou(
     n: int,
     half_life_days: float,
     noise_scale: float,
-    x0: float = 0.0,
 ) -> np.ndarray:
     """Mean-reverting path via the Euler step x_t = x_{t-1}(1 - k) + noise.
 
@@ -300,7 +299,7 @@ def simulate_ou(
     kappa = math.log(2.0) / half_life_days
     eps = rng.standard_normal(n) * noise_scale
     x = np.empty(n)
-    prev = x0
+    prev = 0.0
     for t in range(n):
         prev = prev * (1.0 - kappa) + eps[t]
         x[t] = prev

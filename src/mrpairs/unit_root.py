@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import failure_error, first_prefix_failure
+from ._ols import failure_error, first_failures, prefix_failures
 from .errors import ConstantDifferencesError, ConstantSeriesError, DegenerateInputError
 from .errors import ValidationError
 
@@ -127,7 +127,7 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
     k_max = max_lag + 2
     r = np.linalg.qr(design, mode="r")
     diag = np.abs(np.diagonal(r)[:k_max])
-    failure = first_prefix_failure(diag, n, range(2, k_max + 1))
+    (failure,) = first_failures(prefix_failures(diag, n, range(2, k_max + 1))[None])
     if failure:
         raise failure_error(failure)
     # R is (k_max + 1) square now. Row i of its last column is the response's

@@ -24,7 +24,6 @@ from mrpairs.cointegration import (
     select_var_lag,
 )
 from mrpairs.fusion import (
-    OptimizerConfig,
     WeightVector,
     combine_signals,
     optimize_weights,
@@ -243,9 +242,7 @@ def test_09_optimizer_dominance():
     start = time.monotonic()
     panel = _recipe_panel(1)
     sources, hedge, _ = _fusion_sources(panel)
-    result = optimize_weights(
-        sources, panel, hedge, OptimizerConfig(grid_step=0.25)
-    )
+    result = optimize_weights(sources, panel, hedge)
     # independent exhaustive sweep of the same 0.25-step grid
     ticks = np.linspace(0.0, 1.0, 5)
     best_grid = -math.inf
@@ -327,7 +324,6 @@ def test_12_optimize_determinism(tmp_path):
     config.write_text(
         "".join(f"price.{iid} = {p}\n" for iid, p in sorted(paths.items()))
         + f"macro_oracle.RATES = {oracle}\n"
-        + "grid_step = 0.25\n"
     )
     args = ["optimize", "--config", str(config), "--subset", "SYN1,SYN2"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"

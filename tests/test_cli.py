@@ -70,8 +70,6 @@ def pair_workspace(tmp_path_factory):
         "# recipe pair\n"
         + "".join(f"price.{iid} = {p}\n" for iid, p in sorted(paths.items()))
         + f"macro_oracle.CPI = {oracle}\n"
-        + "grid_step = 0.5\n"
-        + "simplex_max_iter = 40\n"
     )
     return {"root": root, "panel": panel, "config": str(config), "oracle": oracle}
 
@@ -378,8 +376,7 @@ class TestOptimize:
             prices = [line for line in fh if line.startswith("price.")]
         config = tmp_path / "trained.cfg"
         config.write_text(
-            "".join(prices) + f"macro.M1 = {macro}\ngrid_step = 0.5\n"
-            "simplex_max_iter = 40\n"
+            "".join(prices) + f"macro.M1 = {macro}\n"
         )
         args = ["--config", str(config), "--subset", "SYN1,SYN2"]
         args += ["--out", str(tmp_path)]
@@ -417,6 +414,10 @@ class TestReport:
             hashes.append(payload["manifest_hash"])
             assert payload["config_hash"]
             assert payload["scan"]["n_subsets"] == 1
+            # the search's fixed settings, under the keys that once set them
+            assert (payload["config"]["grid_step"], payload["config"]["simplex_max_iter"]) == (
+                0.25, 200
+            )
         assert hashes[0] == hashes[1]
 
 
@@ -702,6 +703,25 @@ class TestErrorPaths:
             3, "ERR:degenerate:regressor matrix is rank deficient\n"
         )
 
+    # Both VAR residual series are exactly zero, so slogdet takes log 0;
+    # the rank check's message is the one line printed.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
+    def test_a_tiny_walk_and_an_exact_alternation_end_in_one_err_line(
+        self, tmp_path, command
+    ):
+        panel = generate_synthetic_panel(0, dataclasses.replace(RECIPE_CONFIG, n_days=60))
+        walk = np.cumsum(np.random.default_rng(0).standard_normal(60))
+        closes = {"A": 1e-300 * (1.5 + np.abs(walk)), "B": np.resize([1.0, 2.0], 60)}
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(
+            f"price.{iid} = {write_price_csv(tmp_path / f'{iid}.csv', panel.dates, v)}\n"
+            for iid, v in closes.items()
+        ) + "macro.M1 = never-read.csv\n")
+        code, _, err = _run_main([command, "--config", str(config), "--subset", "A,B",
+                                  "--out", str(tmp_path / "out")])
+        assert (code, err) == (3, "ERR:degenerate:regressor matrix is rank deficient\n")
+
     @pytest.mark.parametrize("coverage", ["none", "gap"])
     def test_forecasts_that_miss_the_run(
         self, pair_workspace, monkeypatch, capsys, tmp_path, coverage
@@ -878,21 +898,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "setting, message",
         [
-            # 1e-9 would allocate ~8 GB of ticks if the grid were built first
-            ("grid_step = 1e-9",
-             f"grid_step 1e-09 gives a grid of {1000000001 ** 2} points over 2 weights"),
-            ("grid_step = 0.001",
-             "grid_step 0.001 gives a grid of 1002001 points over 2 weights"),
-            ("grid_step = 0", "grid_step must be in (0, 1], got 0.0"),
             ("mr_weight_floor = 1.5", "mr_weight_floor must be in [0, 1], got 1.5"),
             ("mr_weight_floor = nan", "mr_weight_floor must be in [0, 1], got nan"),
             ("mr_weight_floor = -1", "mr_weight_floor must be in [0, 1], got -1.0"),
-            ("grid_step = 0.3\nmr_weight_floor = 1.0",
-             "grid_step 0.3 has no tick at or above mr_weight_floor 1.0 (largest 0.9)"),
-            ("grid_step = 0.7\nmr_weight_floor = 0.9",
-             "grid_step 0.7 has no tick at or above mr_weight_floor 0.9 (largest 0.7)"),
-            ("simplex_max_iter = -1", "simplex_max_iter must be non-negative, got -1"),
-            ("simplex_max_iter = -3", "simplex_max_iter must be non-negative, got -3"),
+            ("mr_weight_floor = inf", "mr_weight_floor must be in [0, 1], got inf"),
+            ("mr_weight_floor = -inf", "mr_weight_floor must be in [0, 1], got -inf"),
         ],
     )
     def test_bad_optimizer_settings(
@@ -1037,8 +1047,6 @@ class TestConfigChecks:
              "flat_epsilon must be finite and non-negative, got nan"),
             ("forecast", "flat_epsilon = inf",
              "flat_epsilon must be finite and non-negative, got inf"),
-            ("optimize", "grid_step = 1e-310",
-             "grid_step 1e-310 gives a grid of inf points over 2 weights, more than 1000000"),
         ],
     )
     def test_bad_setting_fails_before_any_output(
@@ -1075,9 +1083,7 @@ def _no_load(cfg):
     raise AssertionError("a price file was read before the check")
 
 
-_GRID_0001 = (
-    "grid_step 0.001 gives a grid of 1002001 points over 2 weights, more than 1000000"
-)
+_GRID_OF_9 = "9 signal sources give a grid of more than 1000000 points (5 ticks per weight)"
 
 
 class TestChecksBeforeLoading:
@@ -1094,11 +1100,8 @@ class TestChecksBeforeLoading:
             ("exit_z = 1", "exit threshold must be below entry threshold"),
             ("flat_epsilon = nan", "flat_epsilon must be finite and non-negative, got nan"),
             ("flat_epsilon = inf", "flat_epsilon must be finite and non-negative, got inf"),
-            ("grid_step = nan", "grid_step must be in (0, 1], got nan"),
-            ("grid_step = inf", "grid_step must be in (0, 1], got inf"),
             ("mr_weight_floor = nan", "mr_weight_floor must be in [0, 1], got nan"),
             ("mr_weight_floor = inf", "mr_weight_floor must be in [0, 1], got inf"),
-            ("simplex_max_iter = -1", "simplex_max_iter must be non-negative, got -1"),
             ("cost.SYN1 = nan", "cost for 'SYN1' must be finite and non-negative, got nan"),
             ("cost.SYN1 = inf", "cost for 'SYN1' must be finite and non-negative, got inf"),
             ("mc_draws = 0", "Monte Carlo needs at least 1 draw, got 0"),
@@ -1182,12 +1185,12 @@ class TestChecksBeforeLoading:
         "drop_macro, setting, flags, message",
         [
             (True, "", [], "optimize needs at least one macro indicator"),
-            (False, "grid_step = 0.001\n", [], _GRID_0001),
-            (False, "grid_step = 0.3\nmr_weight_floor = 1.0\n", [],
-             "grid_step 0.3 has no tick at or above mr_weight_floor 1.0 (largest 0.9)"),
-            # the flag adds the `oracle` indicator, whose weight the grid counts
-            (True, "grid_step = 0.001\n", ["--oracle-forecasts", "never-read.csv"],
-             _GRID_0001),
+            # M1 and 7 more: 8 indicators and mean reversion, 5 ** 9 grid points
+            (False, "".join(f"macro.M{i} = never-read.csv\n" for i in range(2, 9)), [],
+             _GRID_OF_9),
+            # the flag stands in for every indicator's file and keeps their count
+            (True, "".join(f"macro_oracle.M{i} = never-read.csv\n" for i in range(1, 9)),
+             ["--oracle-forecasts", "never-read.csv"], _GRID_OF_9),
         ],
     )
     def test_optimize_indicators_and_grid_fail_before_loading(
@@ -1206,6 +1209,22 @@ class TestChecksBeforeLoading:
              "--subset", "SYN1,SYN2", *flags]
         )
         assert (code, err) == (2, f"ERR:validation:{message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["grid_step = 0.25", "simplex_max_iter = 200"])
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_a_removed_search_key_fails_before_any_file_is_read(self, tmp_path, command, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "price.A = never-read.csv\nprice.B = never-read.csv\n"
+            f"macro.M1 = never-read.csv\n{key}\n"
+        )
+        out = tmp_path / "out"
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--out", str(out), "--subset", "A,B"]
+        )
+        name = key.split(" ")[0]
+        assert (code, err) == (2, f"ERR:validation:unknown config key {name!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1428,7 +1447,7 @@ def test_a_subset_run_fits_once_and_backtests_each_distinct_fused_rule_once(
     if command == "optimize":  # the search scores each distinct rule of the trace
         (sources, *_), = calls["fusion.optimize_weights"]
         trace = _read_csv(out / "optimization_trace.csv")[1]
-        assert len(trace) > 1 + 3 ** 3  # the baseline, the 0.5-step grid, the simplex
+        assert len(trace) > 1 + 5 ** 3  # the baseline, the 0.25-step grid, the simplex
         rules = {
             combine_signals(sources, WeightVector(tuple(map(float, row[1:-1])))).signals.tobytes()
             for row in trace
@@ -1448,14 +1467,13 @@ def test_a_subset_run_fits_once_and_backtests_each_distinct_fused_rule_once(
 
 
 
-# sha256 of each file `optimize` writes: on the oracle pair (two sources,
-# 0.5 grid) and with a trained indicator (two sources, default grid). The
-# vote, the search and the costed backtest of the winner must keep them
-# byte for byte.
+# sha256 of each file `optimize` writes: on the oracle pair and with a
+# trained indicator (two sources each). The vote, the search and the costed
+# backtest of the winner must keep them byte for byte.
 PINNED_OPTIMIZE = {
     "oracle forecasts": {
         "optimization_trace.csv":
-            "6d8aed27873156ce6d25976ef4b1fb742f8dc768f812780eac114fb65b5c9948",
+            "a1fffd7527fa0d56d47d59a8ea3577a90b666cdf23cc5cdf592f5c9bb4684aa4",
         "optimization_summary.csv":
             "804127a127711b3ea17b5182e2aaeef305eb56b863f665733f3b20400f2c6336",
         "optimized_backtest_summary.csv":

@@ -3,12 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from conftest import RECIPE_CONFIG
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrpairs.backtest import CostModel, compute_pnl, generate_mr_positions
-from mrpairs.cointegration import fit_subset
 from mrpairs.errors import (
     AlignmentError,
     OptimizationDegenerateError,
@@ -17,12 +15,12 @@ from mrpairs.errors import (
 from mrpairs.fusion import (
     OptimizerConfig,
     WeightVector,
+    check_grid_size,
     combine_signals,
     optimize_weights,
     signal_to_position,
 )
 from mrpairs.macro_signals import Signal, SignalSeries
-from mrpairs.market_data import generate_synthetic_panel
 from mrpairs.spread_dynamics import compute_spread
 
 L, S, F = Signal.LONG, Signal.SHORT, Signal.FLAT
@@ -166,9 +164,8 @@ class TestOptimizeWeights:
 
     def test_trace_is_deterministic(self, recipe_panel):
         sources, hedge = _optimizer_fixture(recipe_panel)
-        cfg = OptimizerConfig(grid_step=0.5, simplex_max_iter=40)
-        a = optimize_weights(sources, recipe_panel, hedge, cfg)
-        b = optimize_weights(sources, recipe_panel, hedge, cfg)
+        a = optimize_weights(sources, recipe_panel, hedge)
+        b = optimize_weights(sources, recipe_panel, hedge)
         assert a.trace == b.trace
         assert a.weights == b.weights
 
@@ -194,61 +191,33 @@ class TestOptimizeWeights:
                 [flat, flat, flat, flat],
                 recipe_panel,
                 np.array([1.0, -0.5]),
-                OptimizerConfig(grid_step=0.5, simplex_max_iter=10),
             )
 
-    def test_step_that_overshoots_one_returns_the_clipped_winner(self):
-        # 0.6 gives the ticks 0, 0.6 and 1.2; the probes score 1.2 as 1.0.
-        panel = generate_synthetic_panel(
-            1, dataclasses.replace(RECIPE_CONFIG, n_days=500)
-        )
-        _, portfolio = fit_subset(panel, 10)
-        rng = np.random.default_rng(13)
-        sources = [
-            SignalSeries(panel.dates, np.repeat(rng.integers(-1, 2, 25), 21)[:500])
-            for _ in range(3)
-        ]
-        mr = generate_mr_positions(portfolio.spread.zscores, 1.0, 0.0)
-        sources.append(SignalSeries(panel.dates, mr.positions))
-        result = optimize_weights(
-            sources, panel, portfolio.hedge_ratio,
-            OptimizerConfig(grid_step=0.6, simplex_max_iter=5),
-        )
-        assert 1.0 in result.weights.weights
-        scored = [
-            p.apr for p in result.trace if p.weights == result.weights.weights
-        ]
-        assert scored and all(apr == result.apr for apr in scored)
+    def test_the_floor_is_the_one_setting(self):
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["mr_weight_floor"]
+        assert OptimizerConfig().grid_step == 0.25  # read to count the grid's probes
 
-    @pytest.mark.parametrize("step", [5e-324, 1e-310])
-    def test_step_whose_tick_count_overflows_is_a_grid_size_error(
-        self, recipe_panel, step
+    @pytest.mark.parametrize("floor", [-0.25, 1.5, float("nan"), float("inf"), -float("inf")])
+    def test_a_floor_outside_0_1_is_rejected(self, floor):
+        with pytest.raises(ValidationError, match=re.escape(f"in [0, 1], got {floor!r}")):
+            OptimizerConfig(mr_weight_floor=floor)
+
+    def test_the_grid_takes_at_most_8_sources(self):
+        check_grid_size(8)  # 5 ** 8 = 390 625 points
+        message = "9 signal sources give a grid of more than 1000000 points (5 ticks per weight)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            check_grid_size(9)
+
+    @pytest.mark.parametrize("floor, mr_ticks", [
+        (0.0, [0.0, 0.25, 0.5, 0.75, 1.0]), (0.25, [0.25, 0.5, 0.75, 1.0]),
+        (0.3, [0.5, 0.75, 1.0]), (0.75, [0.75, 1.0]), (0.9, [1.0]), (1.0, [1.0]),
+    ])
+    def test_the_search_grids_the_ticks_at_or_above_the_floor(
+        self, recipe_panel, floor, mr_ticks
     ):
         sources, hedge = _optimizer_fixture(recipe_panel)
-        with pytest.raises(
-            ValidationError, match=f"grid_step {step!r} gives a grid of inf points"
-        ):
-            optimize_weights(sources, recipe_panel, hedge, OptimizerConfig(step))
-
-    @pytest.mark.parametrize(
-        "step, floor, largest", [(0.3, 1.0, 0.9), (0.4, 0.9, 0.8), (0.7, 0.9, 0.7)]
-    )
-    def test_a_floor_above_every_tick_is_rejected(self, step, floor, largest):
-        # The mean-reversion axis would have no tick, and the grid no point.
-        message = (
-            f"grid_step {step} has no tick at or above mr_weight_floor {floor} "
-            f"(largest {largest})"
-        )
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            OptimizerConfig(grid_step=step, mr_weight_floor=floor)
-
-    @pytest.mark.parametrize("step, floor", [(0.3, 0.9), (0.25, 1.0), (0.6, 1.0), (1.0, 1.0)])
-    def test_the_search_grids_the_configs_ticks(self, recipe_panel, step, floor):
-        sources, hedge = _optimizer_fixture(recipe_panel)
-        config = OptimizerConfig(grid_step=step, mr_weight_floor=floor, simplex_max_iter=2)
-        ticks, mr_ticks = config.ticks()
-        assert len(mr_ticks) and mr_ticks.min() >= floor
+        config = OptimizerConfig(mr_weight_floor=floor)
         result = optimize_weights(sources, recipe_panel, hedge, config)
         assert [axis.tolist() for axis in result.grid_axes] == (
-            [ticks.tolist()] * 3 + [mr_ticks.tolist()]
+            [[0.0, 0.25, 0.5, 0.75, 1.0]] * 3 + [mr_ticks]
         )

@@ -234,7 +234,7 @@ def test_the_search_makes_no_backtest(monkeypatch):
 
 def test_result_keeps_at_most_64_bytes_per_probe():
     panel, hedge, sources = _fixture(2500)
-    optimize_weights(sources, panel, hedge, OptimizerConfig(grid_step=1.0))  # warm
+    optimize_weights(sources, panel, hedge)  # warm
     gc.collect()
     tracemalloc.start()
     try:
@@ -249,8 +249,9 @@ def test_result_keeps_at_most_64_bytes_per_probe():
     assert kept / n_probes <= 64, f"{kept / n_probes:.0f} B per probe"
 
 
-def optimize_weights_every_probe(signal_series, panel, hedge_ratio, config):
-    """The weight search before its memo: a fresh backtest of every probe.
+def optimize_weights_every_probe(signal_series, panel, hedge_ratio, config, max_iter=200):
+    """The weight search before its memo: a fresh backtest of every probe,
+    and at most `max_iter` simplex iterations.
 
     Returns the winning weights, the APR, the baseline APR, every probe's
     clipped weights and every probe's APR.
@@ -258,7 +259,6 @@ def optimize_weights_every_probe(signal_series, panel, hedge_ratio, config):
     masks = date_vote_masks(signal_series)
     dates = signal_series[0].dates
     n_sources = len(masks)
-    step = config.grid_step
     probe_weights, probe_apr = [], []
     saw_active_probe = False
 
@@ -272,7 +272,7 @@ def optimize_weights_every_probe(signal_series, panel, hedge_ratio, config):
         probe_apr.append(report.apr)
         return report.apr
 
-    ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
+    ticks = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     axes = [ticks] * (n_sources - 1) + [ticks[ticks >= config.mr_weight_floor]]
     baseline = np.zeros(n_sources)
     baseline[-1] = 1.0
@@ -282,9 +282,7 @@ def optimize_weights_every_probe(signal_series, panel, hedge_ratio, config):
         apr = objective(point)
         if apr > best_apr:
             best_w, best_apr = point, apr
-    x = fusion._nelder_mead(
-        lambda w: -objective(w), np.array(best_w, dtype=float), config.simplex_max_iter
-    )
+    x = fusion._nelder_mead(lambda w: -objective(w), np.array(best_w, dtype=float), max_iter)
     refined = np.clip(x, 0.0, 1.0)
     refined_apr = objective(refined)
     if refined_apr > best_apr:
@@ -300,10 +298,11 @@ def optimize_weights_every_probe(signal_series, panel, hedge_ratio, config):
     )
 
 
-def _assert_same_search(sources, panel, hedge, config):
-    """The memoized search against the reference; both results, or None."""
+def _assert_same_search(sources, panel, hedge, config, max_iter=200):
+    """The memoized search against the reference, both capped at `max_iter`
+    simplex iterations; both results, or None."""
     try:
-        expected = optimize_weights_every_probe(sources, panel, hedge, config)
+        expected = optimize_weights_every_probe(sources, panel, hedge, config, max_iter)
     except OptimizationDegenerateError as exc:
         with pytest.raises(OptimizationDegenerateError, match=str(exc)):
             optimize_weights(sources, panel, hedge, config)
@@ -327,7 +326,8 @@ _PAIR_HEDGE = np.array([1.0, -0.5])
 @st.composite
 def search_cases(draw):
     """2-5 sources over a short pair: all-Flat, one-class, copied and noisy
-    signals, so that many probes fuse to the same positions and weights tie."""
+    signals, so that many probes fuse to the same positions and weights tie;
+    the real simplex cap or a small one that stops the simplex early."""
     n_sources = draw(st.integers(2, 5))
     n_days = draw(st.integers(5, len(_PAIR.dates)))
     panel = PricePanel(_PAIR.dates[:n_days], _PAIR.prices[:, :n_days], _PAIR.instrument_ids)
@@ -345,20 +345,18 @@ def search_cases(draw):
             rows.append(draw(st.lists(
                 st.sampled_from(alphabet), min_size=n_days, max_size=n_days
             )))
-    steps = [0.25, 0.5, 0.6, 1.0] if n_sources <= 3 else [0.5, 0.6, 1.0]
-    config = OptimizerConfig(
-        grid_step=draw(st.sampled_from(steps)),
-        mr_weight_floor=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        simplex_max_iter=draw(st.integers(0, 40)),
-    )
-    return [SignalSeries(panel.dates, row) for row in rows], panel, config
+    config = OptimizerConfig(mr_weight_floor=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    max_iter = draw(st.one_of(st.just(fusion.SIMPLEX_MAX_ITER), st.integers(0, 40)))
+    return [SignalSeries(panel.dates, row) for row in rows], panel, config, max_iter
 
 
 @settings(max_examples=60, deadline=None)
 @given(search_cases())
 def test_memoized_search_equals_a_backtest_of_every_probe(case):
-    sources, panel, config = case
-    _assert_same_search(sources, panel, _PAIR_HEDGE, config)
+    sources, panel, config, max_iter = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "SIMPLEX_MAX_ITER", max_iter)
+        _assert_same_search(sources, panel, _PAIR_HEDGE, config, max_iter)
 
 
 def test_all_flat_sources_still_raise_degenerate():
@@ -367,10 +365,9 @@ def test_all_flat_sources_still_raise_degenerate():
     assert _assert_same_search(sources, _PAIR, _PAIR_HEDGE, OptimizerConfig()) is None
 
 
-def test_a_0_1_step_search_keeps_its_trace_and_only_the_simplex_rows():
+def test_a_search_keeps_its_trace_and_only_the_simplex_rows():
     panel, hedge, sources = _fixture(120)
-    sources = [sources[0], sources[1], sources[3]]  # 11**3 grid points
-    result, expected = _assert_same_search(sources, panel, hedge, OptimizerConfig(grid_step=0.1))
+    result, expected = _assert_same_search(sources, panel, hedge, OptimizerConfig())
     _, _, _, probe_weights, probe_apr = expected
 
     def trace_bytes(rows):  # the layout of optimization_trace.csv
@@ -381,28 +378,33 @@ def test_a_0_1_step_search_keeps_its_trace_and_only_the_simplex_rows():
     assert trace_bytes((p.probe_index, p.weights, p.apr) for p in result.trace) == (
         trace_bytes(zip(itertools.count(), probe_weights, probe_apr))
     )
-    grid = 11 ** 3
-    assert [len(axis) for axis in result.grid_axes] == [11] * 3
+    grid = 5 ** 4
+    assert [len(axis) for axis in result.grid_axes] == [5] * 4
     assert len(result.simplex_weights) == len(probe_apr) - 1 - grid > 0
     assert result.simplex_weights.tobytes() == probe_weights[1 + grid:].tobytes()
 
 
-def test_a_161_051_point_grid_is_voted_in_blocks():
-    # Five sources of random votes over 60 days: 5 ** 11 grid points over
-    # nearly as many vote patterns as days. Voted whole, the grid's float
+def test_a_78_125_point_grid_is_voted_in_blocks():
+    # Seven noisy copies of one random vote over 800 days: 5 ** 7 grid
+    # points over some 120 vote patterns. Voted whole, the grid's float
     # class scores alone would be over 200 MB. Each distinct rule is scored
     # for real, so the peak counts the memo and the day-return table too.
+    panel = generate_synthetic_panel(3, dataclasses.replace(RECIPE_CONFIG, n_days=800))
     rng = np.random.default_rng(5)
-    sources = [SignalSeries(_PAIR.dates, rng.integers(-1, 2, len(_PAIR.dates))) for _ in range(5)]
+    vote = rng.integers(-1, 2, 800)
+    sources = [
+        SignalSeries(panel.dates, np.where(rng.random(800) < 0.1, rng.integers(-1, 2, 800), vote))
+        for _ in range(7)
+    ]
     n_patterns = fusion._vote_patterns(sources)[0].shape[2]
-    assert 11 ** 5 * 3 * n_patterns * 8 > 200 * 2 ** 20
+    assert 5 ** 7 * 3 * n_patterns * 8 > 200 * 2 ** 20
     gc.collect()
     tracemalloc.start()
     try:
-        result = optimize_weights(sources, _PAIR, _PAIR_HEDGE, OptimizerConfig(grid_step=0.1))
+        result = optimize_weights(sources, panel, _PAIR_HEDGE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [len(axis) for axis in result.grid_axes] == [11] * 5
-    assert len(result.probe_apr) > 1 + 11 ** 5
+    assert [len(axis) for axis in result.grid_axes] == [5] * 7
+    assert len(result.probe_apr) > 1 + 5 ** 7
     assert peak < 64 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"

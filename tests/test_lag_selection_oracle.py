@@ -223,20 +223,6 @@ def test_adf_too_few_observations_raises_like_per_lag_loop():
     assert raised == (SingularityError, "9 observations for 9 regressors")
 
 
-def test_first_prefix_failure_is_the_first_of_every_widths_checks():
-    # Its widest-width test stands for all widths; check it never disagrees.
-    rng = np.random.default_rng(0)
-    seen = set()
-    for _ in range(2000):
-        diag = np.abs(rng.standard_normal(12)) * 10.0 ** rng.integers(-12, 12, 12)
-        diag[rng.integers(12)] = rng.choice([1.0, 0.0, np.nan, 1e-11])
-        n, widths = int(rng.integers(2, 16)), range(2, int(rng.integers(3, 13)))
-        (want,) = _ols.first_failures(_ols.prefix_failures(diag, n, widths)[None])
-        assert _ols.first_prefix_failure(diag, n, widths) == want
-        seen.add(want if want is None else want.split()[-1])
-    assert seen == {None, "regressors", "deficient"}
-
-
 def test_ols_qr_counts_a_nan_design_as_rank_deficient():
     X = np.column_stack([np.ones(50), np.arange(50.0)])
     X[7, 1] = np.nan

@@ -172,15 +172,14 @@ def test_steps_taken_reads_a_hand_trace():
     ]
 
 
-def optimize_weights_scipy(signal_series, panel, hedge_ratio, config=None):
+def optimize_weights_scipy(signal_series, panel, hedge_ratio, config=None, max_iter=200):
     """The weight search as it was when its simplex was scipy's."""
     if config is None:
         config = OptimizerConfig()
     masks = date_vote_masks(signal_series)
     dates = signal_series[0].dates
     n_sources = len(masks)
-    step = config.grid_step
-    config.check_grid_size(n_sources)
+    fusion.check_grid_size(n_sources)
     probe_weights, probe_apr = [], []
     saw_active_probe = False
 
@@ -194,7 +193,7 @@ def optimize_weights_scipy(signal_series, panel, hedge_ratio, config=None):
         probe_apr.append(report.apr)
         return report.apr
 
-    ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
+    ticks = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     mr_ticks = ticks[ticks >= config.mr_weight_floor]
     axes = [ticks] * (n_sources - 1) + [mr_ticks]
     baseline = np.zeros(n_sources)
@@ -210,7 +209,7 @@ def optimize_weights_scipy(signal_series, panel, hedge_ratio, config=None):
         x0=np.array(best_w, dtype=float),
         method="Nelder-Mead",
         options={
-            "maxiter": config.simplex_max_iter,
+            "maxiter": max_iter,
             "xatol": 1e-3,
             "fatol": 1e-10,
             "disp": False,
@@ -231,9 +230,9 @@ def optimize_weights_scipy(signal_series, panel, hedge_ratio, config=None):
     )
 
 
-def _assert_same_search(sources, panel, hedge, config):
+def _assert_same_search(sources, panel, hedge, config, max_iter=fusion.SIMPLEX_MAX_ITER):
     weights, apr, baseline_apr, probe_weights, probe_apr = optimize_weights_scipy(
-        sources, panel, hedge, config
+        sources, panel, hedge, config, max_iter
     )
     result = optimize_weights(sources, panel, hedge, config)
     assert result.probe_weights.tobytes() == probe_weights.tobytes()
@@ -245,7 +244,7 @@ def _assert_same_search(sources, panel, hedge, config):
 def test_acceptance_09_search_matches_scipy():
     panel = _recipe_panel(1)
     sources, hedge, _ = _fusion_sources(panel)
-    result = _assert_same_search(sources, panel, hedge, OptimizerConfig(grid_step=0.25))
+    result = _assert_same_search(sources, panel, hedge, OptimizerConfig())
     assert len(result.probe_apr) > 1 + 5**4 + 5  # the grid and beyond the simplex
 
 
@@ -261,25 +260,26 @@ def _random_sources(seed, n_days=400):
     return panel, hedge, sources
 
 
-CONFIGS = {
-    "default": OptimizerConfig(),
-    "step 0.6": OptimizerConfig(grid_step=0.6),
-    "max_iter 5": OptimizerConfig(simplex_max_iter=5),
-    "mr floor": OptimizerConfig(grid_step=0.5, mr_weight_floor=0.5, simplex_max_iter=60),
+CONFIGS = {  # the weight-search config and the simplex's iteration cap
+    "default": (OptimizerConfig(), fusion.SIMPLEX_MAX_ITER),
+    "max_iter 5": (OptimizerConfig(), 5),
+    "mr floor": (OptimizerConfig(mr_weight_floor=0.5), fusion.SIMPLEX_MAX_ITER),
 }
 
 
 @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS)
 @pytest.mark.parametrize("seed", range(3))
-def test_random_four_source_searches_match_scipy(seed, config):
+def test_random_four_source_searches_match_scipy(seed, config, monkeypatch):
     panel, hedge, sources = _random_sources(seed)
-    _assert_same_search(sources, panel, hedge, config)
+    config, max_iter = config
+    monkeypatch.setattr(fusion, "SIMPLEX_MAX_ITER", max_iter)
+    _assert_same_search(sources, panel, hedge, config, max_iter)
 
 
 @pytest.mark.parametrize("max_iter", [0, 1])
-def test_max_iter_0_and_1_probe_only_the_initial_simplex(max_iter):
+def test_max_iter_0_and_1_probe_only_the_initial_simplex(max_iter, monkeypatch):
     panel, hedge, sources = _random_sources(0)
-    config = OptimizerConfig(simplex_max_iter=max_iter)
-    result = _assert_same_search(sources, panel, hedge, config)
+    monkeypatch.setattr(fusion, "SIMPLEX_MAX_ITER", max_iter)
+    result = _assert_same_search(sources, panel, hedge, OptimizerConfig(), max_iter)
     grid = 1 + 5**4  # the baseline and the 0.25-step grid
     assert len(result.probe_apr) == grid + 6  # 4 + 1 vertices and the re-probe
