@@ -19,6 +19,7 @@ to exit codes: 2 validation, 3 numerical degeneracy, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import hashlib
 import json
@@ -239,30 +240,49 @@ def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
     return EXIT_OK
 
 
-def _monthly_directions(cfg: RunConfig, indicator: str) -> dict[str, ms.DirectionLabel]:
-    """Monthly Up/Down/Flat forecasts for one indicator.
+@contextlib.contextmanager
+def _about(indicator: str):
+    """Name the indicator in the message of an error raised inside, keeping its class."""
+    try:
+        yield
+    except PipelineError as exc:
+        raise type(exc)(f"indicator {indicator!r}: {exc}") from exc
 
-    Prefers a forecast oracle file; otherwise trains the direction
-    classifier on the front fraction of the history and predicts the rest.
+
+def _monthly_directions(
+    cfg: RunConfig, indicators: list[str]
+) -> dict[str, dict[str, ms.DirectionLabel]]:
+    """Monthly Up/Down/Flat forecasts for each indicator, keyed in its order.
+
+    An indicator's forecast oracle file is read if it has one; otherwise
+    its direction classifier trains on the front fraction of the history
+    and predicts the rest. Three phases each run over every indicator in
+    order, so the first phase to fail names its first failing indicator:
+    read the oracle files and build the features, train every classifier
+    in one call, then forecast.
     """
-    if indicator in cfg.macro_oracle_paths:
-        return ms.load_forecast_oracle_csv(cfg.macro_oracle_paths[indicator])
-    series = load_monthly_csv(cfg.macro_paths[indicator])
-    try:
-        features, labels, months = ms.build_direction_features(series, cfg.flat_epsilon)
-    except ValidationError as exc:
-        raise ValidationError(f"indicator {indicator!r}: {exc}") from exc
-    split = max(24, int(len(months) * cfg.forecast_train_fraction))
-    if split >= len(months):
-        raise ValidationError(
-            f"indicator {indicator!r}: too few months to hold out a forecast window"
-        )
-    model = ms.train_direction_classifier(features[:split], labels[:split])
-    try:
-        predicted = ms.predict_directions(model, features[split:])
-    except ValidationError as exc:
-        raise ValidationError(f"indicator {indicator!r}: {exc}") from exc
-    return dict(zip(months[split:], predicted))
+    directions, problems, held_out = {}, {}, {}
+    for indicator in indicators:
+        if indicator in cfg.macro_oracle_paths:
+            directions[indicator] = ms.load_forecast_oracle_csv(cfg.macro_oracle_paths[indicator])
+            continue
+        series = load_monthly_csv(cfg.macro_paths[indicator])
+        with _about(indicator):
+            features, labels, months = ms.build_direction_features(series, cfg.flat_epsilon)
+            split = max(24, int(len(months) * cfg.forecast_train_fraction))
+            if split >= len(months):
+                raise ValidationError("too few months to hold out a forecast window")
+        problems[indicator] = features[:split], labels[:split]
+        held_out[indicator] = features[split:], months[split:]
+    for indicator, problem in problems.items():
+        with _about(indicator):
+            ms.check_training_problem(*problem)
+    models = ms.train_direction_classifiers(list(problems.values()))
+    for indicator, model in zip(problems, models):
+        features, months = held_out[indicator]
+        with _about(indicator):
+            directions[indicator] = dict(zip(months, ms.predict_directions(model, features)))
+    return {indicator: directions[indicator] for indicator in indicators}
 
 
 def _indicators(cfg: RunConfig) -> list[str]:
@@ -274,8 +294,7 @@ def cmd_forecast(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     indicators = _indicators(cfg)
     if not indicators:
         raise ValidationError("config names no macro.<ID> or macro_oracle.<ID> files")
-    for indicator in indicators:
-        directions = _monthly_directions(cfg, indicator)
+    for indicator, directions in _monthly_directions(cfg, indicators).items():
         path = _out_path(cfg, f"forecast_{indicator}.csv")
         write_csv(
             path,
@@ -295,10 +314,10 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
     sub, _, portfolio, positions = bt.trade_subset(
         _load_panel(cfg), subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
     )
-    forecasts = {}
-    for indicator in indicators:
-        directions = _monthly_directions(cfg, indicator).items()
-        forecasts[indicator] = {m: ms.direction_to_signal(d) for m, d in directions}
+    forecasts = {
+        indicator: {m: ms.direction_to_signal(d) for m, d in directions.items()}
+        for indicator, directions in _monthly_directions(cfg, indicators).items()
+    }
     result, final = fusion.fuse_forecasts(
         sub, portfolio.hedge_ratio, positions, forecasts, cfg.optimizer,
         bt.CostModel(cfg.costs),

@@ -6,19 +6,21 @@ regularized hinge loss and deterministic full-batch subgradient descent
 forecasts the direction; a `month,direction` oracle CSV can stand in for
 the model so the downstream fusion pipeline is testable on its own.
 
-Training is 400 epochs, each two BLAS products (the margins and the
-weight gradient), the bias sums as a small third, and about a dozen
-in-place ufuncs on buffers allocated once per training: at a few hundred
-months the cost is numpy call overhead, not arithmetic. The tests keep the
-earlier loop, a fresh array for every step, as an oracle the weights must
-equal bit for bit. The scaler is scale-free: each column is divided by a
-power of two near its largest training |value|, kept in the model, and is
-standardized and its moments taken in those units. That is exact, so in
-range it changes no bit, and an indicator quoted in huge or tiny units
-trains the model of the same indicator in units near 1, where no
-deviation from a column mean can overflow. A month-over-month change that
-overflows is rejected, not trained on, and so is a forecast row whose
-class scores are not finite.
+Training is 400 epochs of 12 numpy calls each: the margins and the
+weight gradient as BLAS products, the bias sums as a small third, and
+nine in-place ufuncs on one flat [W | b] buffer and its gradient,
+allocated once per training. At a few hundred months the cost is numpy
+call overhead, not arithmetic, so `train_direction_classifiers` runs
+problems of one shape through the loop as one stack. The tests keep the
+earlier loop, a fresh array for every step, as an oracle the weights
+must equal bit for bit, alone or stacked. The scaler is scale-free: each
+column is divided by a power of two near its largest training |value|,
+kept in the model, and is standardized and its moments taken in those
+units. That is exact, so in range it changes no bit, and an indicator
+quoted in huge or tiny units trains the model of the same indicator in
+units near 1, where no deviation from a column mean can overflow. A
+month-over-month change that overflows is rejected, not trained on, and
+so is a forecast row whose class scores are not finite.
 
 Direction-to-signal convention: the macro indicators move opposite to the
 majors-vs-USD exchange rates, so a forecast increase maps to Short, a
@@ -150,18 +152,11 @@ class DirectionModel:
         return self.weights.shape[1]
 
 
-def train_direction_classifier(
+def check_training_problem(
     features: np.ndarray, labels: list[DirectionLabel]
-) -> DirectionModel:
-    """Deterministic full-batch subgradient descent on the hinge loss.
-
-    Each class gets a +1/-1 one-vs-rest problem; the step size decays as
-    lr/sqrt(epoch). No randomness enters the updates, so identical inputs
-    give bitwise-identical weights. An epoch is `grad_w = L2*W - (active @
-    Xs)/n`, `grad_b = -active.sum(axis=1)/n`, `W -= eta*grad_w` and `b -=
-    eta*grad_b`, made with the same float operations in the same order, in
-    place on buffers allocated once per call.
-    """
+) -> np.ndarray:
+    """The features as a float array, once they pass the trainer's checks:
+    2-D with one row per label, at least 24 rows and two classes."""
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or len(X) != len(labels):
         raise ValidationError("features must be 2-D with one row per label")
@@ -169,6 +164,11 @@ def train_direction_classifier(
         raise ValidationError("need at least 24 training rows")
     if len({lab for lab in labels}) < 2:
         raise DegenerateLabelsError("training labels contain a single class")
+    return X
+
+
+def _standardize(X: np.ndarray):
+    """The standardized features and the scaler's mean, std and exponent."""
     # Each column is divided by the power of two above its largest |value|
     # and standardized in those units. That is exact, so its moments scaled
     # back equal X.mean and X.std, and Xs equals (X - mean) / std, bit for
@@ -186,45 +186,103 @@ def train_direction_classifier(
     # A column that never moved has deviations 0 here and a zero weight;
     # forecasts take its deviations in its own units, as (X - mean) / 1.
     exponent[constant] = 0
-    n, d = Xs.shape
-    k = len(CLASS_ORDER)
-    W = np.zeros((k, d))
-    b = np.zeros(k)
-    truth = np.array([CLASS_ORDER.index(lab) for lab in labels])
-    targets = np.where(truth == np.arange(k)[:, None], 1.0, -1.0)
+    return Xs, mean, std, exponent
+
+
+def _descend(Xs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (..., k, d) and biases (..., k) that subgradient descent
+    reaches on standardized features (..., n, d) and +-1 targets (..., k, n).
+
+    Leading axes stack problems of one shape; a single problem runs on
+    plain 2-D arrays. W and b are views of one flat buffer `Wb`, and so are
+    their pulls, so an epoch is 12 numpy calls. The penalty `l2` is 0 on
+    the biases, whose step `0*b - s/n` is exactly -(s/n): b stays finite
+    and never becomes -0, so `b - eta*step` is bit for bit `b + eta*(s/n)`.
+    """
+    *lead, n, d = Xs.shape
+    k = targets.shape[-2]
+    Wb = np.zeros((*lead, k * (d + 1)))
+    pull, step = np.empty_like(Wb), np.empty_like(Wb)
+    W, b = Wb[..., :k * d].reshape(*lead, k, d), Wb[..., k * d:]
+    pull_w, pull_b = pull[..., :k * d].reshape(*lead, k, d), pull[..., k * d:]
+    l2 = np.repeat([L2_PENALTY, 0.0], [k * d, k])
+    XsT, ones, b_col = np.swapaxes(Xs, -1, -2), np.ones(n), b[..., None]
+    margins, active = np.empty((*lead, k, n)), np.empty((*lead, k, n))
+    # np.dot is the same BLAS call as np.matmul on 2-D arrays, with less
+    # overhead; a stack needs matmul's leading axes.
+    product = np.matmul if lead else np.dot
     step_sizes = (LEARNING_RATE / np.sqrt(np.arange(1.0, TRAIN_EPOCHS + 1.0))).tolist()
-    margins, active = np.empty((k, n)), np.empty((k, n))
-    pull_w, step_w = np.empty((k, d)), np.empty((k, d))
-    pull_b, ones = np.empty(k), np.ones(n)
     for eta in step_sizes:
-        np.dot(W, Xs.T, out=margins)
-        margins += b[:, None]
+        product(W, XsT, out=margins)
+        margins += b_col
         margins *= targets
         np.less(margins, 1.0, out=active)
         active *= targets
         # The bias sum is its own product: a ones column folded into
         # `active @ Xs` changes OpenBLAS's tiling and the other columns' bits.
-        np.dot(active, Xs, out=pull_w)
-        np.dot(active, ones, out=pull_b)  # exact: a sum of +-1 and +-0
-        pull_w /= n
-        np.multiply(W, L2_PENALTY, out=step_w)
-        step_w -= pull_w
-        step_w *= eta
-        W -= step_w
-        pull_b /= n
-        pull_b *= eta
-        b += pull_b  # b - eta*(-s/n) is b + eta*(s/n): negation is exact
-    scores = W @ Xs.T + b[:, None]
-    predicted = np.argmax(scores, axis=0)
-    accuracy = float(np.mean(predicted == truth))
-    return DirectionModel(
-        weights=W,
-        biases=b,
-        scaler_mean=mean,
-        scaler_std=std,
-        scaler_exponent=exponent,
-        training_accuracy=accuracy,
-    )
+        product(active, Xs, out=pull_w)
+        product(active, ones, out=pull_b)  # exact: a sum of +-1 and +-0
+        pull /= n
+        np.multiply(Wb, l2, out=step)
+        step -= pull
+        step *= eta
+        Wb -= step
+    return W, b
+
+
+def train_direction_classifiers(
+    problems: list[tuple[np.ndarray, list[DirectionLabel]]],
+) -> list[DirectionModel]:
+    """One model per `(features, labels)` problem, in input order.
+
+    Every problem is checked, in input order, before any is trained; the
+    first that fails raises its own error. Problems of one features shape
+    train as one stack, with the bits each would get trained alone.
+    """
+    checked = [(check_training_problem(X, labels), labels) for X, labels in problems]
+    k = len(CLASS_ORDER)
+    scalers = [_standardize(X) for X, _ in checked]
+    truths = [np.array([CLASS_ORDER.index(lab) for lab in labels]) for _, labels in checked]
+    groups: dict[tuple, list[int]] = {}
+    for i, (X, _) in enumerate(checked):
+        groups.setdefault(X.shape, []).append(i)
+    models: list = [None] * len(checked)
+    for members in groups.values():
+        Xs = [scalers[i][0] for i in members]
+        targets = [np.where(truths[i] == np.arange(k)[:, None], 1.0, -1.0) for i in members]
+        if len(members) == 1:
+            W, b = _descend(Xs[0], targets[0])
+        else:
+            W, b = _descend(np.stack(Xs), np.stack(targets))
+        W, b = W.reshape(-1, k, W.shape[-1]), b.reshape(-1, k)
+        for i, weights, biases in zip(members, W, b):
+            Xs_i, mean, std, exponent = scalers[i]
+            predicted = np.argmax(weights @ Xs_i.T + biases[:, None], axis=0)
+            models[i] = DirectionModel(
+                weights=weights.copy(),
+                biases=biases.copy(),
+                scaler_mean=mean,
+                scaler_std=std,
+                scaler_exponent=exponent,
+                training_accuracy=float(np.mean(predicted == truths[i])),
+            )
+    return models
+
+
+def train_direction_classifier(
+    features: np.ndarray, labels: list[DirectionLabel]
+) -> DirectionModel:
+    """Deterministic full-batch subgradient descent on the hinge loss.
+
+    Each class gets a +1/-1 one-vs-rest problem; the step size decays as
+    lr/sqrt(epoch). No randomness enters the updates, so identical inputs
+    give bitwise-identical weights. An epoch is `grad_w = L2*W - (active @
+    Xs)/n`, `grad_b = -active.sum(axis=1)/n`, `W -= eta*grad_w` and `b -=
+    eta*grad_b`, made with the same float operations in the same order, in
+    place on buffers allocated once per call. This is the stack of one of
+    `train_direction_classifiers`.
+    """
+    return train_direction_classifiers([(features, labels)])[0]
 
 
 def predict_directions(

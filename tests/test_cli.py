@@ -110,6 +110,38 @@ def small_workspace(tmp_path_factory):
     )
 
 
+@pytest.fixture(scope="module")
+def three_indicators(tmp_path_factory, small_workspace):
+    """`small_workspace`'s prices and three indicator files: M1 and M2 of one
+    length, so they train as one stack, and M3 12 months shorter."""
+    root = tmp_path_factory.mktemp("three")
+    lines = small_workspace.splitlines(True)
+    (macro,) = [line.split(" = ", 1)[1].strip() for line in lines if "macro." in line]
+    with open(macro, encoding="utf-8") as fh:
+        months = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
+    walks = np.cumsum(np.random.default_rng(7).standard_normal((2, len(months))), axis=1)
+    return {
+        "root": root,
+        "prices": "".join(line for line in lines if "macro." not in line),
+        "months": months,
+        "paths": {
+            "M1": macro,
+            "M2": write_monthly_csv(root / "m2.csv", months, walks[0]),
+            "M3": write_monthly_csv(root / "m3.csv", months[12:], walks[1, 12:]),
+        },
+    }
+
+
+def _indicator_config(three_indicators, directory, **paths):
+    """A config of `three_indicators`' prices and the named indicator files."""
+    config = directory / "run.cfg"
+    config.write_text(
+        three_indicators["prices"]
+        + "".join(f"macro.{name} = {path}\n" for name, path in sorted(paths.items()))
+    )
+    return str(config)
+
+
 def _run_main(argv):
     """`cli.main` on argv: exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -321,6 +353,53 @@ class TestForecast:
             assert ([str(w.message) for w in caught], code, err) == ([], 0, "")
             forecasts.append((directory / "forecast_M1.csv").read_bytes())
         assert forecasts[0] == forecasts[1]
+
+
+    def test_three_indicators_forecast_as_each_alone(self, three_indicators, tmp_path):
+        paths = three_indicators["paths"]
+        config = _indicator_config(three_indicators, tmp_path, **paths)
+        with mock.patch.object(
+            cli.ms, "train_direction_classifiers", wraps=cli.ms.train_direction_classifiers
+        ) as train:
+            code, _, err = _run_main(["forecast", "--config", config, "--out", str(tmp_path / "all")])
+        assert (code, err) == (0, "")
+        # one call trains all three: M1 and M2 as a stack, M3 alone
+        ((problems,), _), = train.call_args_list
+        shapes = [X.shape for X, _ in problems]
+        assert len(shapes) == 3 and shapes[0] == shapes[1] != shapes[2]
+        for name, path in paths.items():
+            directory = tmp_path / name
+            directory.mkdir()
+            config = _indicator_config(three_indicators, directory, **{name: path})
+            code, _, err = _run_main(["forecast", "--config", config, "--out", str(directory)])
+            assert (code, err) == (0, "")
+            alone = (directory / f"forecast_{name}.csv").read_bytes()
+            assert (tmp_path / "all" / f"forecast_{name}.csv").read_bytes() == alone
+
+    @staticmethod
+    def _malformed(directory):
+        bad = directory / "bad.csv"
+        bad.write_text("month,value\n2000-01,1.0\n2000-02,abc\n")
+        return str(bad)
+
+    def test_a_malformed_indicator_file_writes_no_forecast(self, three_indicators, tmp_path):
+        bad = self._malformed(tmp_path)
+        paths = dict(three_indicators["paths"], M2=bad)
+        config = _indicator_config(three_indicators, tmp_path, **paths)
+        out = tmp_path / "out"
+        code, _, err = _run_main(["forecast", "--config", config, "--out", str(out)])
+        assert (code, err) == (2, f"ERR:validation:{bad}:3: bad value 'abc'\n")
+        assert not list(out.glob("forecast_*.csv"))
+
+    def test_a_file_error_wins_over_a_single_class_before_it(self, three_indicators, tmp_path):
+        # M1 rises every month, so its labels are one class; that is found
+        # when the classifiers train, after every file is read.
+        months = three_indicators["months"]
+        rising = write_monthly_csv(tmp_path / "rising.csv", months, np.arange(len(months)))
+        bad = self._malformed(tmp_path)
+        config = _indicator_config(three_indicators, tmp_path, M1=rising, M2=bad)
+        code, _, err = _run_main(["forecast", "--config", config, "--out", str(tmp_path / "out")])
+        assert (code, err) == (2, f"ERR:validation:{bad}:3: bad value 'abc'\n")
 
 
 class TestOptimize:
@@ -798,6 +877,19 @@ class TestErrorPaths:
         assert code == 2 and err.count("\n") == 1
         assert err.startswith("ERR:validation:indicator 'M1': forecast row ")
         assert err.endswith(" is too far outside the training features to score\n")
+
+    @pytest.mark.parametrize("command", ["forecast", "optimize"])
+    def test_an_indicator_of_one_class_is_named(self, small_workspace, tmp_path, command):
+        # rises every month, so every training label is Up
+        config, _ = _rescaled_indicator(
+            small_workspace, tmp_path, lambda values: np.arange(len(values), dtype=float)
+        )
+        code, _, err = _run_main(
+            [command, "--config", config, "--out", str(tmp_path / "out"),
+             "--subset", "SYN1,SYN2"]
+        )
+        message = "indicator 'M1': training labels contain a single class"
+        assert (code, err) == (3, f"ERR:degenerate:{message}\n")
 
     @pytest.mark.parametrize("command", ["forecast", "optimize"])
     def test_indicator_too_short_to_hold_out_a_window(

@@ -10,7 +10,8 @@ must give bitwise-equal features and the same labels and months.
 `reference_train_direction_classifier` keeps the classifier's earlier
 epoch loop, a fresh array for every step of the update, and the moments
 of `X.mean` and `X.std`. The buffered loop must give bitwise-equal
-weights, biases, scaler and training accuracy, and the same predictions.
+weights, biases, scaler and training accuracy, and the same predictions,
+for each problem of a stack trained in one call and for one trained alone.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from mrpairs.macro_signals import (
     label_directions,
     predict_directions,
     train_direction_classifier,
+    train_direction_classifiers,
 )
 from mrpairs.market_data import MonthlySeries
 
@@ -135,12 +137,12 @@ def reference_train_direction_classifier(features, labels):
 
 
 @st.composite
-def training_problems(draw):
+def training_problems(draw, shape=None):
     """Features with column scales from 2**-40 to 2**40, some rounded to
     integers or held constant, and labels from two or three classes, drawn
-    at random or from a noisy linear rule of the features."""
-    n = draw(st.integers(24, 700))
-    d = draw(st.integers(1, 9))
+    at random or from a noisy linear rule of the features; of `shape` if
+    it is given."""
+    n, d = shape or (draw(st.integers(24, 700)), draw(st.integers(1, 9)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
     X += rng.standard_normal(d) * draw(st.sampled_from([0.0, 1.0, 100.0]))
@@ -161,14 +163,37 @@ def training_problems(draw):
     return X, [CLASS_ORDER[c] for c in classes]
 
 
-@settings(max_examples=150, deadline=None)
-@given(training_problems())
-def test_the_buffered_loop_trains_the_weights_of_the_reference_loop(problem):
-    X, labels = problem
-    model = train_direction_classifier(X, labels)
-    ref = reference_train_direction_classifier(X, labels)
+@st.composite
+def stacks_of_problems(draw):
+    """One to four training problems of one features shape."""
+    first = draw(training_problems())
+    return [first] + draw(st.lists(training_problems(first[0].shape), max_size=3))
+
+
+def _walk_problem(seed):
+    """The first 307 training rows of a random walk's features, the size
+    each indicator of the benchmark's CLI workload trains on."""
+    X, labels, _ = build_direction_features(_series(_values("walk", 311, seed)))
+    return X, labels
+
+
+def _assert_same_model(model, ref, X):
     for field in ("weights", "biases", "scaler_mean", "scaler_std"):
         got, want = getattr(model, field), getattr(ref, field)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
     assert model.training_accuracy == ref.training_accuracy
     assert predict_directions(model, X) == predict_directions(ref, X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks_of_problems())
+@example([_walk_problem(seed) for seed in range(3)])
+def test_the_buffered_loop_trains_the_weights_of_the_reference_loop(problems):
+    refs = [reference_train_direction_classifier(X, labels) for X, labels in problems]
+    # Alone, the first problem is the stack of one, which runs on 2-D arrays.
+    alone = train_direction_classifier(*problems[0])
+    _assert_same_model(alone, refs[0], problems[0][0])
+    models = train_direction_classifiers(problems) if len(problems) > 1 else [alone]
+    assert len(models) == len(problems)
+    for (X, _), model, ref in zip(problems, models, refs):
+        _assert_same_model(model, ref, X)

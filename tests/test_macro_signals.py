@@ -25,6 +25,7 @@ from mrpairs.macro_signals import (
     load_forecast_oracle_csv,
     predict_directions,
     train_direction_classifier,
+    train_direction_classifiers,
 )
 from mrpairs.market_data import MonthlySeries, trading_days
 
@@ -107,6 +108,35 @@ class TestTraining:
             predicted = predict_directions(model, X[60:])
             hits.append(np.mean([p is t for p, t in zip(predicted, labels[60:])]))
         assert all(h >= 0.95 for h in hits)
+
+    def test_a_stack_of_mixed_shapes_comes_back_in_input_order(self):
+        # The first and the last problem share a shape and train as one
+        # stack; the two between differ in rows or in columns.
+        X, labels = _separable_set(2, n_per_class=10)
+        problems = [
+            _separable_set(0, n_per_class=10),
+            _separable_set(1),
+            (X[:, :1], labels),
+            _separable_set(3, n_per_class=10),
+        ]
+        models = train_direction_classifiers(problems)
+        assert len(models) == len(problems)
+        for (X, labels), model in zip(problems, models):
+            alone = train_direction_classifier(X, labels)
+            for field in ("weights", "biases", "scaler_mean", "scaler_std", "scaler_exponent"):
+                got, want = getattr(model, field), getattr(alone, field)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+            assert model.training_accuracy == alone.training_accuracy
+
+    def test_the_first_invalid_problem_raises_its_own_message(self):
+        X, labels = _separable_set(0)
+        one_class = (X, [DirectionLabel.UP] * len(X))
+        too_few = (X[:20], labels[:20])
+        with pytest.raises(ValidationError, match="need at least 24 training rows") as info:
+            train_direction_classifiers([(X, labels), too_few, one_class])
+        assert not isinstance(info.value, DegenerateLabelsError)
+        with pytest.raises(DegenerateLabelsError, match="^training labels contain a single class$"):
+            train_direction_classifiers([(X, labels), one_class, too_few])
 
     @staticmethod
     def _forecast(values):
