@@ -119,7 +119,8 @@ _ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def parse_config_file(path: str) -> RunConfig:
-    """Flat `key = value` format; dotted keys map instruments to files."""
+    """Flat `key = value` format; dotted keys map instruments to files.
+    A key may appear once."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -144,6 +145,8 @@ def parse_config_file(path: str) -> RunConfig:
             into, name, parse = values, key, _SCALAR_KEYS[key]
         else:
             raise ValidationError(f"unknown config key {key!r}")
+        if name in into:
+            raise ValidationError(f"{path}:{lineno}: repeated key {key!r}")
         try:
             into[name] = parse(value)
         except ValueError as exc:
@@ -212,17 +215,17 @@ def _write_summary(path: str, report: bt.BacktestReport) -> None:
 
 
 def _backtest(cfg: RunConfig, panel, subset_ids: list[str]):
-    """The subset's Johansen outcome, portfolio and positions, and their
-    backtest with `cfg.costs`."""
+    """The subset's Johansen outcome and portfolio, and the backtest of its
+    positions with `cfg.costs`."""
     sub, outcome, portfolio, positions = bt.trade_subset(
         panel, subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
     )
     report = bt.compute_pnl(sub, portfolio.hedge_ratio, positions, bt.CostModel(cfg.costs))
-    return outcome, portfolio, positions, report
+    return outcome, portfolio, report
 
 
 def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
-    _, portfolio, positions, report = _backtest(cfg, _load_panel(cfg), subset_ids)
+    _, portfolio, report = _backtest(cfg, _load_panel(cfg), subset_ids)
     write_csv(
         _out_path(cfg, "backtest.csv"),
         "date,position,daily_return,cumulative_return",
@@ -231,7 +234,7 @@ def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
     )
     _write_summary(_out_path(cfg, "backtest_summary.csv"), report)
     half_life = portfolio.half_life_days
-    emit_plot_data(report, portfolio.spread, positions, half_life, cfg.out_dir)
+    emit_plot_data(report, portfolio.spread, half_life, cfg.out_dir)
     print(
         f"subset {'+'.join(subset_ids)}: APR {report.apr:.4%}, "
         f"Sharpe {report.sharpe:.3f}, MaxDD {report.max_drawdown:.4%}, "
@@ -358,7 +361,7 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
         },
     }
     if subset_ids:
-        outcome, portfolio, _, report = _backtest(cfg, panel, subset_ids)
+        outcome, portfolio, report = _backtest(cfg, panel, subset_ids)
         half_life = portfolio.half_life_days  # JSON has no inf: none measured is null
         payload["backtest"] = {
             "subset": subset_ids,

@@ -393,12 +393,7 @@ def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
     scale = np.max(np.abs(v))
     if scale == 0.0:
         raise SingularityError("zero eigenvector")
-    pivot = None
-    for component in v:
-        if abs(component) > 1e-12 * scale:
-            pivot = component
-            break
-    return v / pivot
+    return v / v[np.flatnonzero(np.abs(v) > 1e-12 * scale)[0]]
 
 
 Fit = tuple[JohansenOutcome, CointegratedPortfolio | None]
@@ -463,7 +458,7 @@ def _fit_equal_width(
                 subset=outcome.subset,
                 hedge_ratio=hedge,
                 spread=spread,
-                half_life_days=estimate_half_life(spread).half_life_days,
+                half_life_days=estimate_half_life(spread.values).half_life_days,
             )
 
 

@@ -145,7 +145,6 @@ class DirectionModel:
     scaler_mean: np.ndarray   # in the features' own units
     scaler_std: np.ndarray    # 1 where a column does not vary
     scaler_exponent: np.ndarray  # columns are standardized divided by 2**exponent
-    training_accuracy: float
 
     @property
     def n_features(self) -> int:
@@ -256,15 +255,13 @@ def train_direction_classifiers(
             W, b = _descend(np.stack(Xs), np.stack(targets))
         W, b = W.reshape(-1, k, W.shape[-1]), b.reshape(-1, k)
         for i, weights, biases in zip(members, W, b):
-            Xs_i, mean, std, exponent = scalers[i]
-            predicted = np.argmax(weights @ Xs_i.T + biases[:, None], axis=0)
+            _, mean, std, exponent = scalers[i]
             models[i] = DirectionModel(
                 weights=weights.copy(),
                 biases=biases.copy(),
                 scaler_mean=mean,
                 scaler_std=std,
                 scaler_exponent=exponent,
-                training_accuracy=float(np.mean(predicted == truths[i])),
             )
     return models
 

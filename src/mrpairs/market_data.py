@@ -12,8 +12,9 @@ a close or value that is not finite (or, for a close, not positive).
 A price file loads as a date-sorted structured array of `date`
 (`datetime64[D]`) and `close`; statistics modules take plain arrays, not
 these types. Panels are built by inner-joining the files' dates so no
-price is ever fabricated; the minimum overlap (default 30 trading days)
-keeps downstream regressions well-posed.
+price is ever fabricated; a minimum overlap, which the caller names
+(`RunConfig.min_overlap`, 30 trading days by default), keeps downstream
+regressions well-posed.
 
 The synthetic generator produces random-walk panels, optionally planting a
 known cointegrating relationship: the last column is a weighted combination
@@ -34,8 +35,6 @@ import numpy as np
 
 from ._csv import read_map
 from .errors import InsufficientOverlapError, ValidationError
-
-DEFAULT_MIN_OVERLAP = 30
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -212,10 +211,7 @@ def load_monthly_csv(path: str) -> MonthlySeries:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def align_panel(
-    closes: dict[str, np.ndarray],
-    min_overlap: int = DEFAULT_MIN_OVERLAP,
-) -> PricePanel:
+def align_panel(closes: dict[str, np.ndarray], min_overlap: int) -> PricePanel:
     """Inner-join instruments' price tables on their common dates.
 
     Each table is date-sorted with unique dates, as `load_price_csv` gives

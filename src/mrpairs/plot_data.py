@@ -13,16 +13,16 @@ import os
 import numpy as np
 
 from ._csv import write_csv
-from .backtest import BacktestReport, PositionSeries
+from .backtest import BacktestReport
 from .spread_dynamics import SpreadSeries
 
 _SVG_W, _SVG_H, _SVG_PAD = 900, 300, 40
 
 
-def svg_line_chart(path: str, title: str, xs, series: dict[str, np.ndarray]) -> None:
-    """Write a fixed-size SVG with one polyline per named series."""
+def svg_line_chart(path: str, title: str, series: dict[str, np.ndarray]) -> None:
+    """Write a fixed-size SVG with one polyline per named series, each
+    spanning the chart's width."""
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
-    n = len(xs)
     all_vals = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
     lo, hi = float(np.min(all_vals)), float(np.max(all_vals))
     if not math.isfinite(lo) or not math.isfinite(hi):
@@ -41,7 +41,7 @@ def svg_line_chart(path: str, title: str, xs, series: dict[str, np.ndarray]) -> 
     ]
     for color, (name, values) in zip(colors, series.items()):
         ys = np.asarray(values, dtype=float)
-        px = _SVG_PAD + inner_w * (np.arange(len(ys)) / max(n - 1, 1))
+        px = _SVG_PAD + inner_w * (np.arange(len(ys)) / max(len(ys) - 1, 1))
         py = _SVG_PAD + inner_h * (1.0 - (ys - lo) / (hi - lo))
         pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(
@@ -56,14 +56,13 @@ def svg_line_chart(path: str, title: str, xs, series: dict[str, np.ndarray]) -> 
 def emit_plot_data(
     report: BacktestReport,
     spread: SpreadSeries,
-    positions: PositionSeries,
     half_life_days: float,
     out_dir: str,
 ) -> list[str]:
     """Write spread/zscore/returns CSVs and a matching SVG for each.
 
     Each figure is one row of a table: file stem, CSV header and rows, then
-    the SVG's title, x values and named series. Returns the three CSV paths.
+    the SVG's title and named series. Returns the three CSV paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     cumulative = report.cumulative_returns
@@ -71,22 +70,20 @@ def emit_plot_data(
         ("spread", "date,spread,half_life_days",
          ((day, v, half_life_days) for day, v in zip(spread.dates, spread.values)),
          f"Portfolio spread (half-life {half_life_days:.2f} days)",
-         spread.dates, {"spread": spread.values}),
+         {"spread": spread.values}),
         ("zscore_positions", "date,zscore,position",
-         zip(spread.dates, spread.zscores, positions.positions),
+         zip(spread.dates, spread.zscores, report.positions),
          "Standardized spread and positions",
-         spread.dates,
-         {"zscore": spread.zscores, "position": positions.positions.astype(float)}),
+         {"zscore": spread.zscores, "position": report.positions.astype(float)}),
         ("returns", "date,daily_return,cumulative_return",
          zip(report.dates, report.daily_returns, cumulative),
          "Daily and cumulative returns",
-         report.dates,
          {"daily_return": report.daily_returns, "cumulative_return": cumulative}),
     ]
     written = []
-    for name, header, rows, title, xs, series in figures:
+    for name, header, rows, title, series in figures:
         path = os.path.join(out_dir, f"{name}.csv")
         write_csv(path, header, rows)
-        svg_line_chart(os.path.join(out_dir, f"{name}.svg"), title, xs, series)
+        svg_line_chart(os.path.join(out_dir, f"{name}.svg"), title, series)
         written.append(path)
     return written

@@ -4,12 +4,12 @@ spread_t = sum_i hedge_i * price_{i,t}. The speed of mean reversion comes
 from regressing the daily spread change on the lagged spread level (with
 intercept); a negative slope lam gives half-life -ln(2)/lam, otherwise the
 spread shows no measured mean reversion and the half-life is unbounded.
+`estimate_half_life` takes the spread's values as a plain array.
 
 Z-scores use the full-sample mean and sample (n-1) standard deviation;
 `compute_spread` takes them from `standardize`, the one z-score routine.
 NOTE: full-sample standardization is in-sample and embeds look-ahead bias;
 it matches the single-period research backtest this engine reproduces.
-`standardize(rolling_window=...)` is a bias-free variant.
 """
 
 from __future__ import annotations
@@ -46,33 +46,15 @@ class HalfLifeEstimate:
     half_life_days: float        # -ln(2)/lam, or math.inf when lam >= 0
 
 
-def standardize(values: np.ndarray, rolling_window: int | None = None) -> np.ndarray:
-    """(x - mean)/std with sample std; optional trailing-window variant.
-
-    With `rolling_window` set, each point is standardized against the
-    trailing window ending at that point (the first window-1 points use the
-    partial window), removing the full-sample look-ahead.
-    """
+def standardize(values: np.ndarray) -> np.ndarray:
+    """(x - mean)/std with the sample std."""
     x = np.asarray(values, dtype=float)
-    if rolling_window is None:
-        if len(x) < 2:
-            raise DegenerateInputError("need at least 2 points to standardize")
-        std = float(np.std(x, ddof=1))
-        if std == 0.0 or np.ptp(x) == 0.0:
-            raise DegenerateInputError("zero variance, z-scores undefined")
-        return (x - x.mean()) / std
-    if rolling_window < 2:
-        raise ValidationError("rolling_window must be at least 2")
-    out = np.empty(len(x))
-    out[0] = 0.0  # a one-point window carries no dispersion information
-    for t in range(1, len(x)):
-        lo = max(0, t - rolling_window + 1)
-        window = x[lo : t + 1]
-        std = float(np.std(window, ddof=1))
-        if std == 0.0 or np.ptp(window) == 0.0:
-            raise DegenerateInputError(f"zero variance in window ending at {t}")
-        out[t] = (x[t] - window.mean()) / std
-    return out
+    if len(x) < 2:
+        raise DegenerateInputError("need at least 2 points to standardize")
+    std = float(np.std(x, ddof=1))
+    if std == 0.0 or np.ptp(x) == 0.0:
+        raise DegenerateInputError("zero variance, z-scores undefined")
+    return (x - x.mean()) / std
 
 
 def compute_spread(panel: PricePanel, hedge_ratio: np.ndarray) -> SpreadSeries:
@@ -87,10 +69,8 @@ def compute_spread(panel: PricePanel, hedge_ratio: np.ndarray) -> SpreadSeries:
     return SpreadSeries(panel.dates, values, standardize(values))
 
 
-def estimate_half_life(spread: SpreadSeries | np.ndarray) -> HalfLifeEstimate:
+def estimate_half_life(spread: np.ndarray) -> HalfLifeEstimate:
     """OLS of the daily spread change on the lagged spread level."""
-    if isinstance(spread, SpreadSeries):
-        spread = spread.values
     s = np.asarray(spread, dtype=float)
     if len(s) < MIN_HALF_LIFE_OBS:
         raise DegenerateInputError(

@@ -1,5 +1,8 @@
-"""Shared fixtures: synthetic panels and CSV fixture writers."""
+"""Shared fixtures and helpers: synthetic panels, CSV fixture writers, and
+the reference weight search that the fusion and simplex oracles share."""
 
+import datetime as dt
+import itertools
 import os
 
 # One BLAS thread: the suite's matrices are tiny, and idle OpenBLAS threads
@@ -10,10 +13,16 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from mrpairs import fusion  # noqa: E402
+from mrpairs.backtest import PositionSeries, compute_pnl  # noqa: E402
+from mrpairs.errors import OptimizationDegenerateError  # noqa: E402
+from mrpairs.fusion import WeightVector, optimize_weights  # noqa: E402
 from mrpairs.market_data import (  # noqa: E402
     CointegrationRecipe,
+    PricePanel,
     SynthConfig,
     generate_synthetic_panel,
+    trading_days,
 )
 
 RECIPE_CONFIG = SynthConfig(
@@ -73,3 +82,127 @@ def write_monthly_csv(path, months, values):
         for month, value in zip(months, values):
             fh.write(f"{month},{float(value)!r}\n")
     return str(path)
+
+
+def ar1(rng, T, phi):
+    """T points of y_t = phi * y_{t-1} + e_t, with y_0 = e_0."""
+    e = rng.standard_normal(T)
+    out = np.empty(T)
+    out[0] = e[0]
+    for t in range(1, T):
+        out[t] = phi * out[t - 1] + e[t]
+    return out
+
+
+def error_of(fn, *args, **kwargs):
+    """The type and message of the exception `fn(*args, **kwargs)` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def six_walks(seed, T, degenerate=None):
+    """(T, 6) levels: five walks with AR(0..0.8) increments and one
+    cointegrated column.
+
+    `degenerate` overwrites column 4 with a copy of column 1, a scaled
+    copy, a constant, or a copy plus 3e-7 white noise, which lag selection
+    accepts and the Johansen step's cond check does not.
+    """
+    rng = np.random.default_rng(seed)
+    walks = [np.cumsum(ar1(rng, T, phi)) for phi in (0.0, 0.3, 0.5, 0.6, 0.8)]
+    Y = np.column_stack(walks + [walks[0] - 0.5 * walks[1] + ar1(rng, T, 0.7)])
+    if degenerate == "duplicate":
+        Y[:, 4] = Y[:, 1]
+    elif degenerate == "scaled duplicate":
+        Y[:, 4] = 2.5 * Y[:, 1]
+    elif degenerate == "constant":
+        Y[:, 4] = 3.0
+    elif degenerate == "near duplicate":
+        Y[:, 4] = Y[:, 1] + 3e-7 * rng.standard_normal(T)
+    return Y
+
+
+def price_panel(Y):
+    """Levels Y (T, m) as a panel S0..S(m-1) of prices 1000 + Y."""
+    T, m = Y.shape
+    return PricePanel(
+        dates=trading_days(dt.date(2008, 1, 2), T),
+        prices=(1000.0 + Y).T,
+        instrument_ids=tuple(f"S{i}" for i in range(m)),
+    )
+
+
+def optimize_weights_every_probe(simplex, signal_series, panel, hedge_ratio, config, max_iter):
+    """The weight search before its memo: a fresh backtest of every probe,
+    and `simplex(f, x0, max_iter)`, a Nelder-Mead minimizer that returns its
+    best vertex, to refine the grid's best point.
+
+    Returns the winning weights, the APR, the baseline APR, every probe's
+    clipped weights and every probe's APR.
+    """
+    masks = date_vote_masks(signal_series)
+    dates = signal_series[0].dates
+    n_sources = len(masks)
+    fusion.check_grid_size(n_sources)
+    probe_weights, probe_apr = [], []
+    saw_active_probe = False
+
+    def objective(raw):
+        nonlocal saw_active_probe
+        w = np.clip(np.asarray(raw, dtype=float), 0.0, 1.0)
+        report = compute_pnl(panel, hedge_ratio, PositionSeries(dates, fusion._fuse(masks, w)))
+        if np.any(report.daily_returns != 0.0):
+            saw_active_probe = True
+        probe_weights.append(w)
+        probe_apr.append(report.apr)
+        return report.apr
+
+    ticks = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    axes = [ticks] * (n_sources - 1) + [ticks[ticks >= config.mr_weight_floor]]
+    baseline = np.zeros(n_sources)
+    baseline[-1] = 1.0
+    baseline_apr = objective(baseline)
+    best_w, best_apr = baseline, baseline_apr
+    for point in itertools.product(*axes):
+        apr = objective(point)
+        if apr > best_apr:
+            best_w, best_apr = point, apr
+    x = simplex(lambda w: -objective(w), np.array(best_w, dtype=float), max_iter)
+    refined = np.clip(x, 0.0, 1.0)
+    refined_apr = objective(refined)
+    if refined_apr > best_apr:
+        best_w, best_apr = refined, refined_apr
+    if not saw_active_probe:
+        raise OptimizationDegenerateError("every weight probe produced an all-zero return stream")
+    return (
+        WeightVector(tuple(float(w) for w in np.clip(best_w, 0.0, 1.0))),
+        best_apr,
+        baseline_apr,
+        np.array(probe_weights),
+        np.array(probe_apr),
+    )
+
+
+def assert_same_search(simplex, sources, panel, hedge, config, max_iter=fusion.SIMPLEX_MAX_ITER):
+    """The memoized search against `optimize_weights_every_probe` with
+    `simplex`, both capped at `max_iter` simplex iterations: both results,
+    or None where both raise one OptimizationDegenerateError."""
+    try:
+        expected = optimize_weights_every_probe(
+            simplex, sources, panel, hedge, config, max_iter
+        )
+    except OptimizationDegenerateError as exc:
+        with pytest.raises(OptimizationDegenerateError, match=str(exc)):
+            optimize_weights(sources, panel, hedge, config)
+        return None
+    weights, apr, baseline_apr, probe_weights, probe_apr = expected
+    result = optimize_weights(sources, panel, hedge, config)
+    assert result.probe_weights.shape == probe_weights.shape
+    assert result.probe_weights.tobytes() == probe_weights.tobytes()
+    assert result.probe_apr.tobytes() == probe_apr.tobytes()
+    assert result.weights == weights
+    assert np.array([result.apr, result.baseline_apr]).tobytes() == (
+        np.array([apr, baseline_apr]).tobytes()
+    )
+    return result, expected

@@ -922,7 +922,9 @@ class TestErrorPaths:
         self, monkeypatch, capsys, tmp_path, setting, message
     ):
         config = tmp_path / "mc.cfg"
-        config.write_text(f"mc_draws = 50\n{setting}\n")
+        # A key may appear once: a bad mc_draws stands in for the small one.
+        small = "" if setting.startswith("mc_draws ") else "mc_draws = 50\n"
+        config.write_text(f"{small}{setting}\n")
         out = tmp_path / "out"
         code, err = self._main_exit(
             monkeypatch,
@@ -1066,6 +1068,24 @@ class TestConfigParsing:
         config.write_text("entry_z = 1.0\nnot a pair\n")
         with pytest.raises(Exception, match=":2:"):
             cli.parse_config_file(str(config))
+
+    @pytest.mark.parametrize(
+        "lines, line, key",
+        [
+            (["price.A = a.csv", "price.B = b.csv", "price.A = c.csv"], 3, "price.A"),
+            (["seed = 1", "price.A = a.csv", "price.B = b.csv", "seed = 1"], 4, "seed"),
+            (["cost.A = 0.1", "", "# same key", "cost.A = 0.2"], 4, "cost.A"),
+        ],
+        ids=["price", "scalar", "cost after a comment"],
+    )
+    def test_a_repeated_key_is_rejected_at_its_line(self, tmp_path, lines, line, key):
+        # No second value replaces the first; no data file is read.
+        config = tmp_path / "run.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code, _, err = _run_main(["scan", "--config", str(config), "--out", str(out)])
+        assert (code, err) == (2, f"ERR:validation:{config}:{line}: repeated key {key!r}\n")
+        assert not out.exists()
 
     def test_config_hash_ignores_key_order(self, tmp_path):
         a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"

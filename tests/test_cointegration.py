@@ -334,7 +334,7 @@ class TestFitSubset:
         assert isinstance(portfolio.spread, SpreadSeries)
         expected = compute_spread(recipe_panel, portfolio.hedge_ratio)
         assert np.array_equal(portfolio.spread.zscores, expected.zscores)
-        assert portfolio.half_life_days == estimate_half_life(expected).half_life_days
+        assert portfolio.half_life_days == estimate_half_life(expected.values).half_life_days
 
     def test_rank_zero_has_no_portfolio(self, independent_panel):
         outcome, portfolio = fit_subset(independent_panel, var_max_lag=10)

@@ -22,7 +22,8 @@ from scipy import linalg as sla
 
 from mrpairs import cointegration
 from mrpairs.cointegration import scan_cointegration
-from test_scan_oracle import ALL_I1, PANELS, _six_panel, _stacked_fits
+from conftest import price_panel, six_walks
+from test_scan_oracle import ALL_I1, PANELS, _stacked_fits
 
 RTOL = 1e-12
 
@@ -94,7 +95,7 @@ def test_a_pair_that_is_not_positive_definite_fails_alone():
 @pytest.mark.parametrize("T, degenerate", PANELS)
 def test_scan_reaches_scipy_ranks_lags_and_skips(monkeypatch, T, degenerate):
     for seed in range(2):
-        panel = _six_panel(seed, T, degenerate)
+        panel = price_panel(six_walks(seed, T, degenerate))
         rows = scan_cointegration(panel, orders=ALL_I1)
         fits, _ = _stacked_fits(panel)
         with monkeypatch.context() as patched:

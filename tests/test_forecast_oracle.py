@@ -10,8 +10,8 @@ must give bitwise-equal features and the same labels and months.
 `reference_train_direction_classifier` keeps the classifier's earlier
 epoch loop, a fresh array for every step of the update, and the moments
 of `X.mean` and `X.std`. The buffered loop must give bitwise-equal
-weights, biases, scaler and training accuracy, and the same predictions,
-for each problem of a stack trained in one call and for one trained alone.
+weights, biases and scaler, and the same predictions, for each problem
+of a stack trained in one call and for one trained alone.
 """
 
 import numpy as np
@@ -123,16 +123,12 @@ def reference_train_direction_classifier(features, labels):
         grad_b = -active.sum(axis=1) / n
         W -= eta * grad_w
         b -= eta * grad_b
-    scores = W @ Xs.T + b[:, None]
-    predicted = np.argmax(scores, axis=0)
-    accuracy = float(np.mean(predicted == truth))
     return DirectionModel(
         weights=W,
         biases=b,
         scaler_mean=mean,
         scaler_std=std,
         scaler_exponent=np.zeros(d, int),  # standardized in the features' own units
-        training_accuracy=accuracy,
     )
 
 
@@ -181,7 +177,6 @@ def _assert_same_model(model, ref, X):
     for field in ("weights", "biases", "scaler_mean", "scaler_std"):
         got, want = getattr(model, field), getattr(ref, field)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
-    assert model.training_accuracy == ref.training_accuracy
     assert predict_directions(model, X) == predict_directions(ref, X)
 
 

@@ -5,11 +5,11 @@ is one-hot encoded over (Long, Short, Flat), weighted scores are summed
 source by source, the argmax class wins and any tie at the top resolves to
 Flat. The vote must give the same positions for any weights, exact float
 ties included, and every optimizer probe must carry the APR of a fresh
-backtest of the reference positions. `optimize_weights_every_probe` keeps
-the search as it was before it backtested each distinct fused rule once:
-the memoized search must record the same probes, APRs and winner, bit
-for bit. Both call `compute_pnl`, which the search itself never calls: they
-are the oracle of its per-search day-factor scorer. The search and
+backtest of the reference positions. `conftest.optimize_weights_every_probe`
+keeps the search as it was before it backtested each distinct fused rule
+once: the memoized search must record the same probes, APRs and winner,
+bit for bit. Both call `compute_pnl`, which the search itself never calls:
+they are the oracle of its per-search day-factor scorer. The search and
 `combine_signals` vote over the distinct daily vote patterns, the grid a
 block of probes at a time: `_fuse` over a block, and over the patterns,
 must give the bytes of one probe over every date (`date_vote_masks`), for
@@ -26,10 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RECIPE_CONFIG, date_vote_masks
+from conftest import RECIPE_CONFIG, assert_same_search, date_vote_masks
 from mrpairs import backtest, fusion
 from mrpairs.backtest import PositionSeries, compute_pnl, generate_mr_positions
-from mrpairs.errors import OptimizationDegenerateError
 from mrpairs.fusion import (
     OptimizerConfig,
     WeightVector,
@@ -249,76 +248,6 @@ def test_result_keeps_at_most_64_bytes_per_probe():
     assert kept / n_probes <= 64, f"{kept / n_probes:.0f} B per probe"
 
 
-def optimize_weights_every_probe(signal_series, panel, hedge_ratio, config, max_iter=200):
-    """The weight search before its memo: a fresh backtest of every probe,
-    and at most `max_iter` simplex iterations.
-
-    Returns the winning weights, the APR, the baseline APR, every probe's
-    clipped weights and every probe's APR.
-    """
-    masks = date_vote_masks(signal_series)
-    dates = signal_series[0].dates
-    n_sources = len(masks)
-    probe_weights, probe_apr = [], []
-    saw_active_probe = False
-
-    def objective(raw):
-        nonlocal saw_active_probe
-        w = np.clip(np.asarray(raw, dtype=float), 0.0, 1.0)
-        report = compute_pnl(panel, hedge_ratio, PositionSeries(dates, fusion._fuse(masks, w)))
-        if np.any(report.daily_returns != 0.0):
-            saw_active_probe = True
-        probe_weights.append(w)
-        probe_apr.append(report.apr)
-        return report.apr
-
-    ticks = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    axes = [ticks] * (n_sources - 1) + [ticks[ticks >= config.mr_weight_floor]]
-    baseline = np.zeros(n_sources)
-    baseline[-1] = 1.0
-    baseline_apr = objective(baseline)
-    best_w, best_apr = baseline, baseline_apr
-    for point in itertools.product(*axes):
-        apr = objective(point)
-        if apr > best_apr:
-            best_w, best_apr = point, apr
-    x = fusion._nelder_mead(lambda w: -objective(w), np.array(best_w, dtype=float), max_iter)
-    refined = np.clip(x, 0.0, 1.0)
-    refined_apr = objective(refined)
-    if refined_apr > best_apr:
-        best_w, best_apr = refined, refined_apr
-    if not saw_active_probe:
-        raise OptimizationDegenerateError("every weight probe produced an all-zero return stream")
-    return (
-        WeightVector(tuple(float(w) for w in np.clip(best_w, 0.0, 1.0))),
-        best_apr,
-        baseline_apr,
-        np.array(probe_weights),
-        np.array(probe_apr),
-    )
-
-
-def _assert_same_search(sources, panel, hedge, config, max_iter=200):
-    """The memoized search against the reference, both capped at `max_iter`
-    simplex iterations; both results, or None."""
-    try:
-        expected = optimize_weights_every_probe(sources, panel, hedge, config, max_iter)
-    except OptimizationDegenerateError as exc:
-        with pytest.raises(OptimizationDegenerateError, match=str(exc)):
-            optimize_weights(sources, panel, hedge, config)
-        return None
-    weights, apr, baseline_apr, probe_weights, probe_apr = expected
-    result = optimize_weights(sources, panel, hedge, config)
-    assert result.probe_weights.shape == probe_weights.shape
-    assert result.probe_weights.tobytes() == probe_weights.tobytes()
-    assert result.probe_apr.tobytes() == probe_apr.tobytes()
-    assert result.weights == weights
-    assert np.array([result.apr, result.baseline_apr]).tobytes() == (
-        np.array([apr, baseline_apr]).tobytes()
-    )
-    return result, expected
-
-
 _PAIR = generate_synthetic_panel(3, dataclasses.replace(RECIPE_CONFIG, n_days=60))
 _PAIR_HEDGE = np.array([1.0, -0.5])
 
@@ -356,18 +285,22 @@ def test_memoized_search_equals_a_backtest_of_every_probe(case):
     sources, panel, config, max_iter = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "SIMPLEX_MAX_ITER", max_iter)
-        _assert_same_search(sources, panel, _PAIR_HEDGE, config, max_iter)
+        assert_same_search(fusion._nelder_mead, sources, panel, _PAIR_HEDGE, config, max_iter)
 
 
 def test_all_flat_sources_still_raise_degenerate():
     dates = _PAIR.dates
     sources = [SignalSeries(dates, [0] * len(dates)) for _ in range(4)]
-    assert _assert_same_search(sources, _PAIR, _PAIR_HEDGE, OptimizerConfig()) is None
+    assert assert_same_search(
+        fusion._nelder_mead, sources, _PAIR, _PAIR_HEDGE, OptimizerConfig()
+    ) is None
 
 
 def test_a_search_keeps_its_trace_and_only_the_simplex_rows():
     panel, hedge, sources = _fixture(120)
-    result, expected = _assert_same_search(sources, panel, hedge, OptimizerConfig())
+    result, expected = assert_same_search(
+        fusion._nelder_mead, sources, panel, hedge, OptimizerConfig()
+    )
     _, _, _, probe_weights, probe_apr = expected
 
     def trace_bytes(rows):  # the layout of optimization_trace.csv

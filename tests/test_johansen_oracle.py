@@ -8,17 +8,15 @@ sample size, the same eigenvalues, trace statistics and hedge ratio up to
 rounding, and the same exception for a degenerate input.
 """
 
-import datetime as dt
-
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
+from conftest import ar1, error_of, price_panel
 from mrpairs import cointegration
 from mrpairs._ols import ols_qr
 from mrpairs.cointegration import extract_hedge_ratio, johansen_test
 from mrpairs.errors import RankDeficientError, SingularityError, ValidationError
-from mrpairs.market_data import PricePanel, trading_days
 
 RTOL = 1e-9
 
@@ -56,32 +54,14 @@ def johansen_trace_two_fits(Y, var_lag):
     return eigvals, eigvecs, trace, n
 
 
-def _ar1(rng, T, phi):
-    e = rng.standard_normal(T)
-    out = np.empty(T)
-    out[0] = e[0]
-    for t in range(1, T):
-        out[t] = phi * out[t - 1] + e[t]
-    return out
-
-
 def _levels(seed, T, m, cointegrated):
     """m walks with AR(1) increments; the last one tied to the others."""
     rng = np.random.default_rng(seed)
-    Y = np.column_stack([np.cumsum(_ar1(rng, T, 0.3)) for _ in range(m)])
+    Y = np.column_stack([np.cumsum(ar1(rng, T, 0.3)) for _ in range(m)])
     if cointegrated:
         weights = np.array([1.0, -0.5, 0.3])[: m - 1]
-        Y[:, -1] = Y[:, :-1] @ weights + _ar1(rng, T, 0.5)
+        Y[:, -1] = Y[:, :-1] @ weights + ar1(rng, T, 0.5)
     return Y
-
-
-def _panel(Y):
-    T, m = Y.shape
-    return PricePanel(
-        dates=trading_days(dt.date(2008, 1, 2), T),
-        prices=(1000.0 + Y).T,
-        instrument_ids=tuple(f"S{i}" for i in range(m)),
-    )
 
 
 def _reference_test(panel, var_lag):
@@ -98,7 +78,7 @@ def test_matches_two_fit_construction(T, m, cointegrated):
     hedged = 0
     for var_lag in (1, 2, 3):
         for seed in range(3):
-            panel = _panel(_levels(seed, T, m, cointegrated))
+            panel = price_panel(_levels(seed, T, m, cointegrated))
             got = johansen_test(panel, var_lag)
             want = _reference_test(panel, var_lag)
             assert (got.rank, got.vecm_lag, got.n_obs) == (
@@ -115,12 +95,6 @@ def test_matches_two_fit_construction(T, m, cointegrated):
                 hedged += 1
     if cointegrated:
         assert hedged > 0
-
-
-def _raised(fn, *args):
-    with pytest.raises(Exception) as info:
-        fn(*args)
-    return type(info.value), str(info.value)
 
 
 def _duplicate(Y):
@@ -147,6 +121,6 @@ def test_raises_like_two_fit_construction(T, m, var_lag, degenerate, expected):
     Y = _levels(0, T, m, cointegrated=False)
     if degenerate is not None:
         Y = degenerate(Y)
-    raised = _raised(johansen_test, _panel(Y), var_lag)
-    assert raised == _raised(johansen_trace_two_fits, Y, var_lag)
+    raised = error_of(johansen_test, price_panel(Y), var_lag)
+    assert raised == error_of(johansen_trace_two_fits, Y, var_lag)
     assert raised == expected

@@ -11,7 +11,6 @@ be equal too; its statistic and coefficients, summed in another order
 than a refit sums them, are held to a few hundred ulps relative.
 """
 
-import datetime as dt
 import math
 import sys
 from collections import Counter
@@ -19,6 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import ar1, error_of, price_panel, six_walks
 from mrpairs import _ols, unit_root
 from mrpairs._ols import ols_qr
 from mrpairs.cointegration import (
@@ -28,7 +28,6 @@ from mrpairs.cointegration import (
     select_var_lag,
 )
 from mrpairs.errors import RankDeficientError, SingularityError
-from mrpairs.market_data import PricePanel, trading_days
 from mrpairs.unit_root import (
     AdfOutcome,
     IntegrationOrder,
@@ -94,29 +93,14 @@ def select_var_lag_per_lag(Y, max_lag):
     return best_p
 
 
-def _ar1(rng, T, phi):
-    e = rng.standard_normal(T)
-    y = np.empty(T)
-    y[0] = e[0]
-    for t in range(1, T):
-        y[t] = phi * y[t - 1] + e[t]
-    return y
-
-
 def _series(kind, seed, T):
     rng = np.random.default_rng(seed)
     if kind == "walk":
         return np.cumsum(rng.standard_normal(T))
     if kind == "ar1":
-        return _ar1(rng, T, 0.8)
+        return ar1(rng, T, 0.8)
     # walk whose increments carry short-run dynamics, so BIC picks p > 0
-    return np.cumsum(_ar1(rng, T, 0.5))
-
-
-def _raised(fn, *args):
-    with pytest.raises(Exception) as info:
-        fn(*args)
-    return type(info.value), str(info.value)
+    return np.cumsum(ar1(rng, T, 0.5))
 
 
 # The ADF corpus's series as quoted in other units: shifted and scaled
@@ -163,7 +147,7 @@ def test_adf_matches_per_lag_loop(kind, T):
                 try:
                     expected = adf_test_per_lag(series)
                 except SingularityError:
-                    assert _raised(adf_test, series) == _raised(adf_test_per_lag, series)
+                    assert error_of(adf_test, series) == error_of(adf_test_per_lag, series)
                     raised[units] += 1
                     continue
                 assert_adf_close(adf_test(series), expected)
@@ -196,7 +180,7 @@ def _var_panel(seed, m, cointegrated, T=1000):
     rng = np.random.default_rng(seed)
     Y = np.cumsum(rng.standard_normal((T, m)), axis=0)
     if cointegrated:
-        Y[:, -1] = Y[:, 0] - 0.5 * Y[:, 1] + _ar1(rng, T, 0.9)
+        Y[:, -1] = Y[:, 0] - 0.5 * Y[:, 1] + ar1(rng, T, 0.9)
     return Y
 
 
@@ -210,63 +194,45 @@ def test_select_var_lag_matches_per_lag_loop(m, cointegrated):
 
 def test_adf_rank_deficient_raises_like_per_lag_loop():
     y = np.tile([1.0, 2.0], 50)
-    raised = _raised(adf_test, y, 4)
-    assert raised == _raised(adf_test_per_lag, y, 4)
+    raised = error_of(adf_test, y, 4)
+    assert raised == error_of(adf_test_per_lag, y, 4)
     assert raised == (RankDeficientError, "regressor matrix is rank deficient")
 
 
 def test_adf_too_few_observations_raises_like_per_lag_loop():
     # 9 observations in the common sample: lag 7 has 9 regressors
     y = np.cumsum(np.random.default_rng(0).standard_normal(40))
-    raised = _raised(adf_test, y, 30)
-    assert raised == _raised(adf_test_per_lag, y, 30)
+    raised = error_of(adf_test, y, 30)
+    assert raised == error_of(adf_test_per_lag, y, 30)
     assert raised == (SingularityError, "9 observations for 9 regressors")
 
 
 def test_ols_qr_counts_a_nan_design_as_rank_deficient():
     X = np.column_stack([np.ones(50), np.arange(50.0)])
     X[7, 1] = np.nan
-    raised = _raised(ols_qr, X, np.arange(50.0))
+    raised = error_of(ols_qr, X, np.arange(50.0))
     assert raised == (RankDeficientError, "regressor matrix is rank deficient")
 
 
 def test_var_rank_deficient_raises_like_per_lag_loop():
     walk = np.cumsum(np.random.default_rng(1).standard_normal(500))
     Y = np.column_stack([walk, walk])
-    raised = _raised(select_var_lag, Y, 5)
-    assert raised == _raised(select_var_lag_per_lag, Y, 5)
+    raised = error_of(select_var_lag, Y, 5)
+    assert raised == error_of(select_var_lag_per_lag, Y, 5)
     assert raised == (RankDeficientError, "regressor matrix is rank deficient")
 
 
 def test_var_too_few_observations_raises_like_per_lag_loop():
     # one series, n = 30 observations: lag 29 has 1 + 29 = 30 regressors
     Y = np.cumsum(np.random.default_rng(2).standard_normal((70, 1)), axis=0)
-    raised = _raised(select_var_lag, Y, 40)
-    assert raised == _raised(select_var_lag_per_lag, Y, 40)
+    raised = error_of(select_var_lag, Y, 40)
+    assert raised == error_of(select_var_lag_per_lag, Y, 40)
     assert raised == (SingularityError, "30 observations for 30 regressors")
 
 
 def _feasible(T, m, var_max_lag=10):
     """The max lag `fit_subset` gives a subset of width m."""
     return max(1, min(var_max_lag, (T - 30) // m, (T - 2) // (m + 1)))
-
-
-def _six_panel(seed, T, degenerate=None):
-    """Five walks with AR(0..0.8) increments and one cointegrated column.
-
-    `degenerate` overwrites column 4 with a copy of column 1, a scaled
-    copy, or a constant.
-    """
-    rng = np.random.default_rng(seed)
-    walks = [np.cumsum(_ar1(rng, T, phi)) for phi in (0.0, 0.3, 0.5, 0.6, 0.8)]
-    Y = np.column_stack(walks + [walks[0] - 0.5 * walks[1] + _ar1(rng, T, 0.7)])
-    if degenerate == "duplicate":
-        Y[:, 4] = Y[:, 1]
-    elif degenerate == "scaled duplicate":
-        Y[:, 4] = 2.5 * Y[:, 1]
-    elif degenerate == "constant":
-        Y[:, 4] = 3.0
-    return Y
 
 
 def _outcome(fn, *args):
@@ -284,7 +250,7 @@ def _outcome(fn, *args):
 def test_every_subset_lag_matches_per_lag_loop(T, degenerate):
     chosen, feasible = set(), set()
     for seed in range(2):
-        Y = _six_panel(seed, T, degenerate)
+        Y = six_walks(seed, T, degenerate)
         lags = VarLagSelector(Y)
         for subset in enumerate_combinations(6, 2, 4):
             max_lag = _feasible(T, len(subset))
@@ -301,17 +267,8 @@ def test_every_subset_lag_matches_per_lag_loop(T, degenerate):
         assert ("raised", "regressor matrix is rank deficient") in chosen
 
 
-def _price_panel(Y):
-    T, m = Y.shape
-    return PricePanel(
-        dates=trading_days(dt.date(2008, 1, 2), T),
-        prices=(1000.0 + Y).T,
-        instrument_ids=tuple(f"S{i}" for i in range(m)),
-    )
-
-
 def test_scan_marks_only_subsets_with_both_copies_singular():
-    panel = _price_panel(_six_panel(0, 300, "duplicate"))
+    panel = price_panel(six_walks(0, 300, "duplicate"))
     rows = scan_cointegration(panel, orders=[IntegrationOrder.I1] * 6)
     singular = {r.subset for r in rows if r.skipped_reason == "singular"}
     assert singular == {r.subset for r in rows if {"S1", "S4"} <= set(r.subset)}
@@ -330,8 +287,8 @@ def test_scan_factors_the_panel_once_per_feasible_lag(
     # fits use "reduced". Each call is counted under the function that
     # made it. A full-length factor has n = T - p rows at lag p: one R_W
     # per feasible max lag and one R_V per chosen lag, none per subset.
-    Y = _six_panel(1, T)[:, [0, 1, 2, 5]]
-    panel = _price_panel(Y)
+    Y = six_walks(1, T)[:, [0, 1, 2, 5]]
+    panel = price_panel(Y)
     subsets = enumerate_combinations(4, 2, 4)
     chosen = {
         select_var_lag_per_lag(Y[:, s], _feasible(T, len(s), var_max_lag))

@@ -78,7 +78,6 @@ class TestTraining:
     def test_separable_set_fit_exactly(self):
         X, labels = _separable_set(0)
         model = train_direction_classifier(X, labels)
-        assert model.training_accuracy == 1.0
         assert predict_directions(model, X) == labels
 
     def test_single_class_rejected(self):
@@ -126,7 +125,6 @@ class TestTraining:
             for field in ("weights", "biases", "scaler_mean", "scaler_std", "scaler_exponent"):
                 got, want = getattr(model, field), getattr(alone, field)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
-            assert model.training_accuracy == alone.training_accuracy
 
     def test_the_first_invalid_problem_raises_its_own_message(self):
         X, labels = _separable_set(0)
@@ -170,7 +168,6 @@ class TestTraining:
                 scaled, scaled_predicted = self._forecast(np.ldexp(values, shift))
             assert scaled.weights.tobytes() == model.weights.tobytes()
             assert scaled.biases.tobytes() == model.biases.tobytes()
-            assert scaled.training_accuracy == model.training_accuracy
             assert scaled_predicted == predicted
             for field in ("scaler_mean", "scaler_std"):
                 want = np.ldexp(getattr(model, field), shift)
@@ -207,7 +204,6 @@ class TestPrediction:
             scaler_mean=np.zeros(2),
             scaler_std=np.ones(2),
             scaler_exponent=np.zeros(2, int),
-            training_accuracy=0.0,
         )
 
     def test_tie_breaks_to_first_class(self):

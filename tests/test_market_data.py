@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import write_price_csv
+from mrpairs.cli import RunConfig
 from mrpairs.errors import (
     CsvParseError,
     InsufficientOverlapError,
@@ -164,10 +165,11 @@ class TestAlignPanel:
             align_panel({"A": a, "B": b}, min_overlap=1)
 
     def test_default_floor_of_30(self):
+        # The run config's default is the one place the floor lives.
         a = _closes(D, range(1, 11))
         b = _closes(D, range(2, 12))
-        with pytest.raises(InsufficientOverlapError):
-            align_panel({"A": a, "B": b})
+        with pytest.raises(InsufficientOverlapError, match="only 10 common dates, need >= 30"):
+            align_panel({"A": a, "B": b}, min_overlap=RunConfig().min_overlap)
 
     def test_output_dates_subset_of_inputs(self):
         a = _closes(D[0:8], range(1, 9))

@@ -46,6 +46,6 @@ _WALK = _RNG.standard_normal(1000).cumsum()
 def test_svg_points_match_the_per_point_formula(tmp_path, series):
     path = tmp_path / "chart.svg"
     n = len(next(iter(series.values())))
-    svg_line_chart(str(path), "title", list(range(n)), series)
+    svg_line_chart(str(path), "title", series)
     points = re.findall(r'points="([^"]*)"', path.read_text())
     assert points == _points_one_by_one(n, series)

@@ -18,13 +18,13 @@ does not depend on the panel's other columns, so it must agree exactly on
 every rank, lag and message, and on every figure to 1e-9 relative.
 """
 
-import datetime as dt
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from conftest import ar1, error_of, price_panel, six_walks
 from mrpairs import cointegration
 from mrpairs.cointegration import (
     JOHANSEN_TRACE_CV_95,
@@ -35,7 +35,7 @@ from mrpairs.cointegration import (
     scan_cointegration,
 )
 from mrpairs.errors import SingularityError, ValidationError
-from mrpairs.market_data import PricePanel, trading_days
+from mrpairs.market_data import PricePanel
 from mrpairs.spread_dynamics import compute_spread, estimate_half_life
 from mrpairs.unit_root import IntegrationOrder
 
@@ -157,7 +157,7 @@ def scan_loop(panel, var_max_lag=10, direct=False):
             )
             hedge = extract_hedge_ratio(outcome)
             spread = compute_spread(panel.subpanel(subset), hedge)
-            half_life = estimate_half_life(spread).half_life_days
+            half_life = estimate_half_life(spread.values).half_life_days
         rows.append(_row(ids, None, rank, float(eigvals[0]), hedge, half_life))
     return rows, fits
 
@@ -202,40 +202,6 @@ def assert_rows_close(got, want, rtol=1e-9):
             np.testing.assert_allclose(g[4], hedge, rtol=0, atol=atol)
 
 
-def _ar1(rng, T, phi):
-    e = rng.standard_normal(T)
-    out = np.empty(T)
-    out[0] = e[0]
-    for t in range(1, T):
-        out[t] = phi * out[t - 1] + e[t]
-    return out
-
-
-def _six_panel(seed, T, degenerate=None):
-    """Five walks with AR(0..0.8) increments and one cointegrated column.
-
-    `degenerate` overwrites column 4 with a copy of column 1, a scaled
-    copy, a constant, or a copy plus 3e-7 white noise, which lag selection
-    accepts and the Johansen step's cond check does not.
-    """
-    rng = np.random.default_rng(seed)
-    walks = [np.cumsum(_ar1(rng, T, phi)) for phi in (0.0, 0.3, 0.5, 0.6, 0.8)]
-    Y = np.column_stack(walks + [walks[0] - 0.5 * walks[1] + _ar1(rng, T, 0.7)])
-    if degenerate == "duplicate":
-        Y[:, 4] = Y[:, 1]
-    elif degenerate == "scaled duplicate":
-        Y[:, 4] = 2.5 * Y[:, 1]
-    elif degenerate == "constant":
-        Y[:, 4] = 3.0
-    elif degenerate == "near duplicate":
-        Y[:, 4] = Y[:, 1] + 3e-7 * rng.standard_normal(T)
-    return PricePanel(
-        dates=trading_days(dt.date(2008, 1, 2), T),
-        prices=(1000.0 + Y).T,
-        instrument_ids=tuple(f"S{i}" for i in range(6)),
-    )
-
-
 def _stacked_fits(panel, var_max_lag=10):
     """Each tested subset's lag or message from the stacked path, and the
     max lags the panel was factored for."""
@@ -275,7 +241,7 @@ def test_any_byte_budget_matches_per_subset_loop(monkeypatch, budget, T, degener
 def _check_against_loop(T, degenerate):
     lags_by_width, messages = {}, set()
     for seed in range(2):
-        panel = _six_panel(seed, T, degenerate)
+        panel = price_panel(six_walks(seed, T, degenerate))
         want_rows, want_fits = scan_loop(panel)
         rows = _rows(scan_cointegration(panel, orders=ALL_I1))
         assert _lines(rows) == _lines(want_rows)
@@ -303,7 +269,7 @@ def _check_against_loop(T, degenerate):
 def test_failed_eigenproblem_marks_only_its_subset(monkeypatch):
     # A stacked Cholesky fails as a whole, as it does when one S11 is not
     # positive definite; the failed pair alone must be marked.
-    panel = _six_panel(0, 250)
+    panel = price_panel(six_walks(0, 250))
     poisoned = {}
 
     def failing_cholesky(b, *args, _cholesky=np.linalg.cholesky, **kwargs):
@@ -321,17 +287,11 @@ def test_failed_eigenproblem_marks_only_its_subset(monkeypatch):
     assert _stacked_fits(panel)[0] == want_fits
 
 
-def _raised(fn, *args, **kwargs):
-    with pytest.raises(Exception) as info:
-        fn(*args, **kwargs)
-    return type(info.value), str(info.value)
-
-
 def test_panel_too_short_for_width_four_raises_like_the_loop():
     # T = 33: widths 2 and 3 fit at lag 1, width 4 needs T >= 34
-    panel = _six_panel(0, 33)
-    raised = _raised(scan_cointegration, panel, orders=ALL_I1)
-    assert raised == _raised(scan_loop, panel)
+    panel = price_panel(six_walks(0, 33))
+    raised = error_of(scan_cointegration, panel, orders=ALL_I1)
+    assert raised == error_of(scan_loop, panel)
     message = "need T >= m*max_lag + 30, got T=33, m=4, max_lag=1"
     assert raised == (ValidationError, message)
 
@@ -371,7 +331,7 @@ APPENDED = {
 def test_an_appended_column_leaves_every_subset_as_it_was(seed, extra):
     # A subset's R factors are slices of panel-wide factors, so its rounding
     # depends on the panel's other columns; its outcome must not.
-    panel = _six_panel(seed, 300)
+    panel = price_panel(six_walks(seed, 300))
     walk = np.cumsum(np.random.default_rng(100 + seed).standard_normal(300))
     column, reason = APPENDED[extra]
     wider = _with_column(panel, 1000.0 + column(walk))
@@ -405,9 +365,9 @@ PINNED_SCANS = {
 
 def _pinned_panel(name):
     if name.startswith("I(0)"):
-        stationary = _ar1(np.random.default_rng(7), 400, 0.5)
-        return _with_column(_six_panel(0, 400, "near duplicate"), 1000.0 + stationary)
-    return _six_panel(1, 800, "constant")
+        stationary = ar1(np.random.default_rng(7), 400, 0.5)
+        return _with_column(price_panel(six_walks(0, 400, "near duplicate")), 1000.0 + stationary)
+    return price_panel(six_walks(1, 800, "constant"))
 
 
 @pytest.mark.parametrize("name", list(PINNED_SCANS))

@@ -5,8 +5,9 @@ with xatol 1e-3 and fatol 1e-10. On smooth functions, on step functions
 whose values tie, from starts with zero components and at several
 iteration caps, both must evaluate the same points in the same order and
 return the same vertex, bit for bit. The cases together must take every
-kind of step. `optimize_weights_scipy` keeps the weight search as it was
-when it called scipy, and its probe trace must equal the engine's.
+kind of step. `conftest.optimize_weights_every_probe` with scipy's
+simplex is the weight search as it was when it called scipy, and its
+probe trace must equal the engine's.
 """
 
 import dataclasses
@@ -16,12 +17,10 @@ import numpy as np
 import pytest
 from scipy import optimize as sopt
 
-from conftest import RECIPE_CONFIG, date_vote_masks
+from conftest import RECIPE_CONFIG, assert_same_search
 from test_acceptance import _fusion_sources, _recipe_panel
 from mrpairs import fusion
-from mrpairs.backtest import PositionSeries, compute_pnl
-from mrpairs.errors import OptimizationDegenerateError
-from mrpairs.fusion import OptimizerConfig, WeightVector, optimize_weights
+from mrpairs.fusion import OptimizerConfig
 from mrpairs.macro_signals import SignalSeries
 from mrpairs.market_data import generate_synthetic_panel
 
@@ -40,15 +39,19 @@ def _recorded(f):
     return recording, calls
 
 
-def scipy_run(f, x0, max_iter):
-    recording, calls = _recorded(f)
-    result = sopt.minimize(
-        recording,
+def scipy_nelder_mead(f, x0, max_iter):
+    """scipy's Nelder-Mead with the port's tolerances: its last best vertex."""
+    return sopt.minimize(
+        f,
         x0=np.array(x0, dtype=float),
         method="Nelder-Mead",
         options={"maxiter": max_iter, "xatol": 1e-3, "fatol": 1e-10, "disp": False},
-    )
-    return calls, result.x
+    ).x
+
+
+def scipy_run(f, x0, max_iter):
+    recording, calls = _recorded(f)
+    return calls, scipy_nelder_mead(recording, x0, max_iter)
 
 
 def port_run(f, x0, max_iter):
@@ -172,79 +175,10 @@ def test_steps_taken_reads_a_hand_trace():
     ]
 
 
-def optimize_weights_scipy(signal_series, panel, hedge_ratio, config=None, max_iter=200):
-    """The weight search as it was when its simplex was scipy's."""
-    if config is None:
-        config = OptimizerConfig()
-    masks = date_vote_masks(signal_series)
-    dates = signal_series[0].dates
-    n_sources = len(masks)
-    fusion.check_grid_size(n_sources)
-    probe_weights, probe_apr = [], []
-    saw_active_probe = False
-
-    def objective(raw):
-        nonlocal saw_active_probe
-        w = np.clip(np.asarray(raw, dtype=float), 0.0, 1.0)
-        report = compute_pnl(panel, hedge_ratio, PositionSeries(dates, fusion._fuse(masks, w)))
-        if np.any(report.daily_returns != 0.0):
-            saw_active_probe = True
-        probe_weights.append(w)
-        probe_apr.append(report.apr)
-        return report.apr
-
-    ticks = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    mr_ticks = ticks[ticks >= config.mr_weight_floor]
-    axes = [ticks] * (n_sources - 1) + [mr_ticks]
-    baseline = np.zeros(n_sources)
-    baseline[-1] = 1.0
-    baseline_apr = objective(baseline)
-    best_w, best_apr = baseline, baseline_apr
-    for point in itertools.product(*axes):
-        apr = objective(point)
-        if apr > best_apr:
-            best_w, best_apr = point, apr
-    result = sopt.minimize(
-        lambda w: -objective(w),
-        x0=np.array(best_w, dtype=float),
-        method="Nelder-Mead",
-        options={
-            "maxiter": max_iter,
-            "xatol": 1e-3,
-            "fatol": 1e-10,
-            "disp": False,
-        },
-    )
-    refined = np.clip(result.x, 0.0, 1.0)
-    refined_apr = objective(refined)
-    if refined_apr > best_apr:
-        best_w, best_apr = refined, refined_apr
-    if not saw_active_probe:
-        raise OptimizationDegenerateError("every weight probe produced an all-zero return stream")
-    return (
-        WeightVector(tuple(float(w) for w in np.clip(best_w, 0.0, 1.0))),
-        best_apr,
-        baseline_apr,
-        np.array(probe_weights),
-        np.array(probe_apr),
-    )
-
-
-def _assert_same_search(sources, panel, hedge, config, max_iter=fusion.SIMPLEX_MAX_ITER):
-    weights, apr, baseline_apr, probe_weights, probe_apr = optimize_weights_scipy(
-        sources, panel, hedge, config, max_iter
-    )
-    result = optimize_weights(sources, panel, hedge, config)
-    assert result.probe_weights.tobytes() == probe_weights.tobytes()
-    assert result.probe_apr.tobytes() == probe_apr.tobytes()
-    assert (result.weights, result.apr, result.baseline_apr) == (weights, apr, baseline_apr)
-    return result
-
-
 def test_acceptance_09_search_matches_scipy():
     panel = _recipe_panel(1)
     sources, hedge, _ = _fusion_sources(panel)
-    result = _assert_same_search(sources, panel, hedge, OptimizerConfig())
+    result, _ = assert_same_search(scipy_nelder_mead, sources, panel, hedge, OptimizerConfig())
     assert len(result.probe_apr) > 1 + 5**4 + 5  # the grid and beyond the simplex
 
 
@@ -273,13 +207,15 @@ def test_random_four_source_searches_match_scipy(seed, config, monkeypatch):
     panel, hedge, sources = _random_sources(seed)
     config, max_iter = config
     monkeypatch.setattr(fusion, "SIMPLEX_MAX_ITER", max_iter)
-    _assert_same_search(sources, panel, hedge, config, max_iter)
+    assert assert_same_search(scipy_nelder_mead, sources, panel, hedge, config, max_iter)
 
 
 @pytest.mark.parametrize("max_iter", [0, 1])
 def test_max_iter_0_and_1_probe_only_the_initial_simplex(max_iter, monkeypatch):
     panel, hedge, sources = _random_sources(0)
     monkeypatch.setattr(fusion, "SIMPLEX_MAX_ITER", max_iter)
-    result = _assert_same_search(sources, panel, hedge, OptimizerConfig(), max_iter)
+    result, _ = assert_same_search(
+        scipy_nelder_mead, sources, panel, hedge, OptimizerConfig(), max_iter
+    )
     grid = 1 + 5**4  # the baseline and the 0.25-step grid
     assert len(result.probe_apr) == grid + 6  # 4 + 1 vertices and the re-probe

@@ -122,11 +122,3 @@ class TestStandardize:
             assert np.allclose(
                 standardize(a * s + b), np.sign(a) * z, atol=1e-9
             )
-
-    def test_rolling_window_variant(self):
-        rng = np.random.default_rng(11)
-        s = rng.standard_normal(50)
-        z = standardize(s, rolling_window=20)
-        # last point only sees the trailing window
-        w = s[-20:]
-        assert z[-1] == pytest.approx((s[-1] - w.mean()) / np.std(w, ddof=1))
