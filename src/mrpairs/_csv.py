@@ -1,10 +1,10 @@
 """The CSV format of every input and output file.
 
 Inputs are two-column UTF-8 keyed tables under a fixed header (`date,close`,
-`month,value`, `month,direction`, `instrument,cost`), all read by `read_map`
-under one rule. Blank or whitespace-only rows are skipped, every other row
-has exactly two fields, keys are unique, and at least one row holds data;
-each problem raises CsvParseError naming `path:line` (or `path`).
+`month,value`, `month,direction`), all read by `read_map` under one rule.
+Blank or whitespace-only rows are skipped, every other row has exactly two
+fields, keys are unique, and at least one row holds data; each problem
+raises CsvParseError naming `path:line` (or `path`).
 
 Outputs are comma-joined cells with `\\n` line ends and no quoting. Floats
 are written with `repr`, so they read back bit-exact; None is an empty cell.

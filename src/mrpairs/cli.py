@@ -36,7 +36,7 @@ from . import cointegration as ci
 from . import fusion
 from . import macro_signals as ms
 from . import unit_root as ur
-from ._csv import read_map, write_csv
+from ._csv import write_csv
 from .errors import PipelineError, ValidationError
 from .market_data import align_panel, load_monthly_csv, load_price_csv
 from .plot_data import emit_plot_data
@@ -96,6 +96,9 @@ class RunConfig:
         self.optimizer
         for size in (self.mc_adf_sample_size, self.mc_johansen_sample_size):
             ur.check_null_walk_size(self.mc_draws, size)
+        unknown = sorted(set(self.costs) - set(self.price_paths))
+        if unknown:
+            raise ValidationError(f"cost for unknown instrument(s): {unknown}")
 
     @property
     def optimizer(self) -> fusion.OptimizerConfig:
@@ -424,39 +427,30 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one ERR line and exit 2, not the usage text
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mrpairs",
         description="Cointegration pairs-trading research engine",
     )
     parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument(
         "--subset", help="comma-separated instrument ids (backtest/optimize/report)"
     )
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--costs", help="instrument,cost CSV overriding config costs")
-    parser.add_argument(
-        "--oracle-forecasts",
-        help="month,direction CSV used as the forecast oracle for every indicator",
-    )
     return parser
 
 
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     cfg = parse_config_file(args.config)
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    if args.costs is not None:
-        overrides["costs"] = read_map(args.costs, "instrument,cost", str, float)
-    if args.oracle_forecasts is not None:
-        keys = _indicators(cfg) or ["oracle"]
-        overrides["macro_oracle_paths"] = {k: args.oracle_forecasts for k in keys}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    unknown = sorted(set(cfg.costs) - set(cfg.price_paths))
-    if unknown:
-        raise ValidationError(f"cost for unknown instrument(s): {unknown}")
+    if args.out is not None:
+        cfg = replace(cfg, out_dir=args.out)
     subset_ids = args.subset.split(",") if args.subset else None
     rule = COMMANDS[args.command]
     if rule and not subset_ids:

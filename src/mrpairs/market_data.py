@@ -241,13 +241,7 @@ def align_panel(closes: dict[str, np.ndarray], min_overlap: int) -> PricePanel:
 
 def trading_days(start: dt.date, count: int) -> tuple[dt.date, ...]:
     """`count` consecutive weekdays starting at the first weekday >= start."""
-    out: list[dt.date] = []
-    day = start
-    while len(out) < count:
-        if day.weekday() < 5:
-            out.append(day)
-        day += dt.timedelta(days=1)
-    return tuple(out)
+    return tuple(np.busday_offset(start, np.arange(count), roll="forward").astype(object))
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ _ADF_CV_SAMPLE_SIZES = (25, 50, 100, 250, 500, math.inf)
 ADF_CRITICAL_VALUES_95 = (-3.00, -2.93, -2.89, -2.88, -2.87, -2.86)
 
 _NULL_BATCH = 256  # walks per Monte Carlo batch, small enough to stay in cache
+_NULL_POINTS = 2**26 // (8 * _NULL_BATCH)  # 32768 floats a walk: a batch in 64 MiB
 
 
 def adf_critical_value(sample_size: int) -> float:
@@ -170,7 +171,8 @@ def check_null_walk_size(n_draws: int, sample_size: int, dim: int = 1) -> None:
 
     At least 4 points leave the t-ratio n - 2 >= 1 degrees of freedom. A
     Johansen null of dimension m >= 2 fits a VAR(1) of m walks, which
-    needs m + 30 points, as `cointegration.johansen_test` does.
+    needs m + 30 points, as `cointegration.johansen_test` does. A batch of
+    walks must fit in 64 MiB, so at most 32768 / m points.
     """
     if n_draws < 1:
         raise ValidationError(f"Monte Carlo needs at least 1 draw, got {n_draws}")
@@ -184,6 +186,11 @@ def check_null_walk_size(n_draws: int, sample_size: int, dim: int = 1) -> None:
         raise ValidationError(
             f"Monte Carlo sample size must be at least {dim + 30} for dimension "
             f"{dim}, got {sample_size}"
+        )
+    if sample_size > _NULL_POINTS // dim:
+        raise ValidationError(
+            f"Monte Carlo sample size must be at most {_NULL_POINTS // dim} for dimension "
+            f"{dim} (a batch of {_NULL_BATCH} walks in 64 MiB), got {sample_size}"
         )
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -150,6 +151,11 @@ def _run_main(argv):
             with pytest.raises(SystemExit) as exc_info:
                 cli.main()
     return exc_info.value.code, out.getvalue(), err.getvalue()
+
+
+# A batch of 256 walks of float64 must fit in 64 MiB.
+_AT_MOST_32768 = "at most 32768 for dimension 1 (a batch of 256 walks in 64 MiB)"
+_HUGE_SIZE = 10**19
 
 
 def _read_csv(path):
@@ -428,15 +434,19 @@ class TestOptimize:
         assert [float(x) for x in baseline[:2]] == [0.0, 1.0]
         assert float(optimized[2]) >= float(baseline[2])
 
-    def test_oracle_flag_stands_in_for_every_indicator(self, pair_workspace, tmp_path):
-        # CPI has a `macro_oracle.` key and no `macro.` twin; M1's file is never read.
+    def test_an_oracle_key_replaces_the_indicator_model(self, pair_workspace, tmp_path):
+        # CPI has a `macro_oracle.` key and no `macro.` twin; M1 has both, and
+        # its `macro.` file is never read.
         config = tmp_path / "run.cfg"
         with open(pair_workspace["config"], encoding="utf-8") as fh:
-            config.write_text(fh.read() + "macro.M1 = never-read.csv\n")
+            config.write_text(
+                fh.read() + "macro.M1 = never-read.csv\n"
+                f"macro_oracle.M1 = {pair_workspace['oracle']}\n"
+            )
         code = cli.run(
             [
                 "optimize", "--config", str(config), "--subset", "SYN1,SYN2",
-                "--out", str(tmp_path), "--oracle-forecasts", pair_workspace["oracle"],
+                "--out", str(tmp_path),
             ]
         )
         header, _ = _read_csv(tmp_path / "optimization_summary.csv")
@@ -553,50 +563,7 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("ERR:validation:repeated subset instrument(s)")
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [("SYN1,abc", ":3: bad cost 'abc'"), ("SYN1", ":3: expected 2 fields, got 1")],
-    )
-    def test_bad_costs_row(
-        self, pair_workspace, monkeypatch, capsys, tmp_path, row, message
-    ):
-        costs = tmp_path / "costs.csv"
-        costs.write_text(f"instrument,cost\nSYN2,0.01\n{row}\n")
-        code, err = self._main_exit(
-            monkeypatch,
-            capsys,
-            [
-                "backtest", "--config", pair_workspace["config"],
-                "--subset", "SYN1,SYN2", "--out", str(tmp_path),
-                "--costs", str(costs),
-            ],
-        )
-        assert code == 2
-        assert err.startswith(f"ERR:validation:{costs}{message}")
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [("SYN1,0.01\nSYN2,0.01\nSYN1,0.02\n", ":4: duplicate instrument SYN1"),
-         ("", ": no data rows")],
-    )
-    def test_costs_file_repeating_or_without_instruments(
-        self, pair_workspace, monkeypatch, capsys, tmp_path, rows, message
-    ):
-        costs = tmp_path / "costs.csv"
-        costs.write_text("instrument,cost\n" + rows)
-        out = tmp_path / "out"
-        code, err = self._main_exit(
-            monkeypatch,
-            capsys,
-            [
-                "backtest", "--config", pair_workspace["config"],
-                "--subset", "SYN1,SYN2", "--out", str(out), "--costs", str(costs),
-            ],
-        )
-        assert (code, err) == (2, f"ERR:validation:{costs}{message}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
     def test_cost_not_finite_or_negative_in_config(
         self, pair_workspace, monkeypatch, capsys, tmp_path, value
     ):
@@ -618,26 +585,6 @@ class TestErrorPaths:
         )
         assert not (tmp_path / "backtest_summary.csv").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_cost_not_finite_in_costs_file(
-        self, pair_workspace, monkeypatch, capsys, tmp_path, value
-    ):
-        costs = tmp_path / "costs.csv"
-        costs.write_text(f"instrument,cost\nSYN1,{value}\n")
-        code, err = self._main_exit(
-            monkeypatch,
-            capsys,
-            [
-                "backtest", "--config", pair_workspace["config"],
-                "--subset", "SYN1,SYN2", "--out", str(tmp_path),
-                "--costs", str(costs),
-            ],
-        )
-        assert code == 2
-        assert err.startswith(
-            "ERR:validation:cost for 'SYN1' must be finite and non-negative"
-        )
-
     def test_cost_for_unknown_instrument_in_config(
         self, pair_workspace, monkeypatch, capsys, tmp_path
     ):
@@ -657,18 +604,19 @@ class TestErrorPaths:
         )
         assert not (tmp_path / "backtest_summary.csv").exists()
 
-    def test_cost_for_unknown_instrument_in_costs_file(
+    def test_cost_for_unknown_instrument_fails_optimize(
         self, pair_workspace, monkeypatch, capsys, tmp_path
     ):
-        costs = tmp_path / "costs.csv"
-        costs.write_text("instrument,cost\nSYN1,0.01\nSYN02,0.01\n")
+        config = tmp_path / "cost.cfg"
+        config.write_text(
+            open(pair_workspace["config"]).read() + "cost.SYN1 = 0.01\ncost.SYN02 = 0.01\n"
+        )
         code, err = self._main_exit(
             monkeypatch,
             capsys,
             [
-                "optimize", "--config", pair_workspace["config"],
+                "optimize", "--config", str(config),
                 "--subset", "SYN1,SYN2", "--out", str(tmp_path),
-                "--costs", str(costs),
             ],
         )
         assert code == 2
@@ -811,17 +759,19 @@ class TestErrorPaths:
             message = "no trading date falls in a month every forecast covers"
         else:
             rows = months[:3] + months[4:]
-            # the flag's file stands in for the config's one indicator, CPI
             message = f"indicator 'CPI': no monthly signal covers {months[3]}"
         oracle = tmp_path / "oracle.csv"
         oracle.write_text("month,direction\n" + "".join(f"{m},up\n" for m in rows))
+        with open(pair_workspace["config"], encoding="utf-8") as fh:
+            prices = [line for line in fh if line.startswith("price.")]
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(prices) + f"macro_oracle.CPI = {oracle}\n")
         code, err = self._main_exit(
             monkeypatch,
             capsys,
             [
-                "optimize", "--config", pair_workspace["config"],
+                "optimize", "--config", str(config),
                 "--subset", "SYN1,SYN2", "--out", str(tmp_path / "out"),
-                "--oracle-forecasts", str(oracle),
             ],
         )
         assert code == 2
@@ -916,6 +866,10 @@ class TestErrorPaths:
             ("mc_adf_sample_size = 2", "sample size must be at least 4, got 2"),
             ("mc_adf_sample_size = 3", "sample size must be at least 4, got 3"),
             ("mc_johansen_sample_size = 1", "sample size must be at least 4, got 1"),
+            *(
+                (f"{key} = {_HUGE_SIZE}", f"sample size must be {_AT_MOST_32768}, got {_HUGE_SIZE}")
+                for key in ("mc_adf_sample_size", "mc_johansen_sample_size")
+            ),
         ],
     )
     def test_verify_critical_values_bad_monte_carlo_settings(
@@ -1054,7 +1008,7 @@ class TestConfigParsing:
         config = tmp_path / "c.cfg"
         config.write_text(
             "# comment\n\nentry_z = 2.0\nexit_z = 0.5\nseed = 7\n"
-            "cost.EUR = 0.0001\nout_dir = /tmp/xyz\n"
+            "cost.EUR = 0.0001\nout_dir = /tmp/xyz\nprice.EUR = eur.csv\n"
         )
         cfg = cli.parse_config_file(str(config))
         assert cfg.entry_z == 2.0
@@ -1177,18 +1131,57 @@ class TestConfigChecks:
         "command",
         ["scan", "backtest", "forecast", "optimize", "report", "verify-critical-values"],
     )
-    def test_negative_seed_flag_fails_every_command(
-        self, small_workspace, tmp_path, command
-    ):
+    def test_negative_seed_fails_every_command(self, small_workspace, tmp_path, command):
         config = tmp_path / "run.cfg"
-        config.write_text(small_workspace)
+        config.write_text(small_workspace + "seed = -1\n")
         out = tmp_path / "out"
         code, _, err = _run_main(
-            [command, "--config", str(config), "--out", str(out),
-             "--subset", "SYN1,SYN2", "--seed", "-1"]
+            [command, "--config", str(config), "--out", str(out), "--subset", "SYN1,SYN2"]
         )
         assert (code, err) == (2, "ERR:validation:seed must be non-negative, got -1\n")
         assert not out.exists()
+
+
+class TestArguments:
+    """An argument the parser rejects ends in one ERR line, as any bad input does."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scan"], "the following arguments are required: --config"),
+            (["scan", "--config", "run.cfg", "--verbose"], "unrecognized arguments: --verbose"),
+            (["simulate", "--config", "run.cfg"],
+             "argument command: invalid choice: 'simulate' (choose from "
+             + ", ".join(map(repr, cli.COMMANDS)) + ")"),
+            (["backtest", "--config", "run.cfg", "--subset"],
+             "argument --subset: expected one argument"),
+        ],
+    )
+    def test_an_argument_error_is_one_err_line(self, argv, message):
+        code, out, err = _run_main(argv)
+        assert (code, out, err) == (2, "", f"ERR:validation:{message}\n")
+
+    # The `seed`, `cost.<ID>` and `macro_oracle.<ID>` config keys set these.
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "1"), ("--costs", "c.csv"), ("--oracle-forecasts", "f.csv")]
+    )
+    def test_a_removed_flag_is_an_unrecognized_argument(
+        self, small_workspace, tmp_path, flag, value
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(small_workspace)
+        code, out, err = _run_main(
+            ["optimize", "--config", str(config), "--subset", "SYN1,SYN2",
+             "--out", str(tmp_path / "out"), flag, value]
+        )
+        message = f"unrecognized arguments: {flag} {value}"
+        assert (code, out, err) == (2, "", f"ERR:validation:{message}\n")
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_help_lists_the_command_config_subset_and_out(self):
+        code, out, err = _run_main(["--help"])
+        assert (code, err) == (0, "")
+        assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--config", "--subset", "--out"}
 
 
 def _no_load(cfg):
@@ -1220,6 +1213,8 @@ class TestChecksBeforeLoading:
             ("mc_adf_sample_size = 3", "Monte Carlo sample size must be at least 4, got 3"),
             ("mc_johansen_sample_size = 1",
              "Monte Carlo sample size must be at least 4, got 1"),
+            ("mc_adf_sample_size = 32769",
+             f"Monte Carlo sample size must be {_AT_MOST_32768}, got 32769"),
             ("subset_min = 1", "subset_min must be at least 2, got 1"),
             ("subset_max = 1", "subset_max must be at least subset_min (2), got 1"),
             ("subset_min = 3",
@@ -1294,20 +1289,19 @@ class TestChecksBeforeLoading:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "drop_macro, setting, flags, message",
+        "drop_macro, setting, message",
         [
-            (True, "", [], "optimize needs at least one macro indicator"),
+            (True, "", "optimize needs at least one macro indicator"),
             # M1 and 7 more: 8 indicators and mean reversion, 5 ** 9 grid points
-            (False, "".join(f"macro.M{i} = never-read.csv\n" for i in range(2, 9)), [],
+            (False, "".join(f"macro.M{i} = never-read.csv\n" for i in range(2, 9)),
              _GRID_OF_9),
-            # the flag stands in for every indicator's file and keeps their count
+            # an oracle file counts as an indicator as a trained model does
             (True, "".join(f"macro_oracle.M{i} = never-read.csv\n" for i in range(1, 9)),
-             ["--oracle-forecasts", "never-read.csv"], _GRID_OF_9),
+             _GRID_OF_9),
         ],
     )
     def test_optimize_indicators_and_grid_fail_before_loading(
-        self, small_workspace, tmp_path, monkeypatch,
-        drop_macro, setting, flags, message,
+        self, small_workspace, tmp_path, monkeypatch, drop_macro, setting, message
     ):
         monkeypatch.setattr(cli, "_load_panel", _no_load)
         text = small_workspace
@@ -1318,7 +1312,7 @@ class TestChecksBeforeLoading:
         out = tmp_path / "out"
         code, _, err = _run_main(
             ["optimize", "--config", str(config), "--out", str(out),
-             "--subset", "SYN1,SYN2", *flags]
+             "--subset", "SYN1,SYN2"]
         )
         assert (code, err) == (2, f"ERR:validation:{message}\n")
         assert not out.exists()

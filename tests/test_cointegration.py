@@ -422,6 +422,8 @@ class TestNullTraceSimulation:
             (100, 1000, -1, "Monte Carlo dimension must be at least 1, got -1"),
             (10, 20, 2, "Monte Carlo sample size must be at least 32 for dimension 2, got 20"),
             (10, 33, 4, "Monte Carlo sample size must be at least 34 for dimension 4, got 33"),
+            (10, 16385, 2, "Monte Carlo sample size must be at most 16384 for dimension 2 "
+             "(a batch of 256 walks in 64 MiB), got 16385"),
         ],
     )
     def test_every_dim_checks_the_sizes(

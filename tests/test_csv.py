@@ -91,15 +91,12 @@ _LOADERS = {
     "date,close": load_price_csv,
     "month,value": load_monthly_csv,
     "month,direction": load_forecast_oracle_csv,
-    # the `--costs` file, as `cli.run` reads it
-    "instrument,cost": lambda path: read_map(path, "instrument,cost", str, float),
 }
 # Per format: a row, a later row that repeats its key, and the key as reported.
 _REPEATS = {
     "date,close": ("2008-01-02,1.0", "2008-01-02,1.1", "date 2008-01-02"),
     "month,value": ("2008-01,1.0", " 2008-01 ,2.0", "month 2008-01"),
     "month,direction": ("2008-01,up", "2008-01,down", "month 2008-01"),
-    "instrument,cost": ("SYN1,0.01", "SYN1 ,0.02", "instrument SYN1"),
 }
 
 

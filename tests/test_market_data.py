@@ -1,9 +1,9 @@
+import bisect
 import datetime as dt
 
 import numpy as np
 import pytest
 
-from conftest import write_price_csv
 from mrpairs.cli import RunConfig
 from mrpairs.errors import (
     CsvParseError,
@@ -18,6 +18,7 @@ from mrpairs.market_data import (
     generate_synthetic_panel,
     load_monthly_csv,
     load_price_csv,
+    trading_days,
 )
 
 
@@ -237,3 +238,34 @@ class TestGenerateSyntheticPanel:
     def test_weekend_free_calendar(self):
         panel = generate_synthetic_panel(1, SynthConfig(n_walks=2, n_days=50))
         assert all(d.weekday() < 5 for d in panel.dates)
+
+
+def _weekday_loop(start, count):
+    """The reference calendar: step a day at a time and keep the weekdays."""
+    out = []
+    day = start
+    while len(out) < count:
+        if day.weekday() < 5:
+            out.append(day)
+        day += dt.timedelta(days=1)
+    return tuple(out)
+
+
+def test_trading_days_match_the_weekday_loop():
+    # Every month of 1990-2030 on days 1, 2, 5, 6, 7 and 28, each with two
+    # counts in 0-2500: 5904 cases. The loop runs once from the earliest
+    # start, and a later start's days are its run from the first weekday on.
+    loop = _weekday_loop(dt.date(1990, 1, 1), 13500)
+    counts = iter(np.random.default_rng(0).integers(0, 2501, size=5904).tolist())
+    for year in range(1990, 2031):
+        for month in range(1, 13):
+            for day in (1, 2, 5, 6, 7, 28):
+                start = dt.date(year, month, day)
+                first = bisect.bisect_left(loop, start)
+                for count in (next(counts), next(counts)):
+                    expected = loop[first:first + count]
+                    assert len(expected) == count
+                    assert trading_days(start, count) == expected, (start, count)
+    days = trading_days(dt.date(2030, 12, 28), 2500)
+    assert days == _weekday_loop(dt.date(2030, 12, 28), 2500)
+    assert {type(d) for d in days} == {dt.date}
