@@ -4,6 +4,14 @@ Normal equations square the condition number; lagged-difference regressor
 blocks are frequently near-collinear, so everything here goes through a
 thin QR factorization and explicit rank checks.
 
+`r_factor` gives the R factor of one large design (an ADF test's max-lag
+design, the scan's panel-wide W and V) by overwriting it with one LAPACK
+`dgeqrf` call, bit-equal to `np.linalg.qr(a, mode="r")`. That wrapper
+copies its input and allocates a design-sized buffer on every call; for
+one design, the copies and their fresh pages cost about as much as the
+factorization. Stacks of small slices still go through `np.linalg.qr`,
+which reuses one buffer for the whole stack.
+
 `ols_qr` fits one design in full. `nested_residual_moments` takes the R
 factor of [X | Y], or a stack of them, and gives the residual moments of Y
 on column prefixes of X, with the outcome of each check `ols_qr` would
@@ -23,6 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import RankDeficientError, SingularityError
 
@@ -61,6 +70,35 @@ def ols_qr(X: np.ndarray, y: np.ndarray) -> OlsFit:
     r_inv = np.linalg.solve(r, np.eye(k))
     xtx_inv = r_inv @ r_inv.T
     return OlsFit(coef=coef, residuals=residuals, rss=rss, xtx_inv=xtx_inv)
+
+
+def r_factor(a: np.ndarray) -> np.ndarray:
+    """The R factor of a thin QR of `a`, overwriting `a`.
+
+    `a` must be a writeable, column-major float64 matrix; it is factored in
+    place with one `dgeqrf` call and holds LAPACK's Householder vectors
+    after. The workspace is the size LAPACK asks for, at least max(1, n),
+    as `np.linalg.qr` takes it, so R is bit-equal to that function's; past
+    128 columns dgeqrf takes its blocked path, whose rounding depends on
+    that size.
+    """
+    if not (
+        isinstance(a, np.ndarray)
+        and a.ndim == 2
+        and a.dtype == np.float64
+        and a.flags.f_contiguous
+        and a.flags.writeable
+    ):
+        raise ValueError("r_factor needs a writeable column-major float64 matrix")
+    m, n = a.shape
+    lda, tau, query = max(1, m), np.empty(min(m, n)), np.empty(1)
+    # lapack_lite takes C-contiguous arrays; a's transpose is a's memory.
+    lapack_lite.dgeqrf(m, n, a.T, lda, tau, query, -1, 0)
+    lwork = max(1, n, int(query[0]))
+    info = lapack_lite.dgeqrf(m, n, a.T, lda, tau, np.empty(lwork), lwork, 0)["info"]
+    if info != 0:
+        raise ValueError(f"dgeqrf failed with info {info}")
+    return np.triu(a[: min(m, n)])
 
 
 def rank_deficient(low: np.ndarray | float, high: np.ndarray | float) -> np.ndarray:

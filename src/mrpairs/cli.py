@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import hashlib
 import json
 import math
 import os
@@ -164,9 +163,14 @@ def _settings(cfg: RunConfig) -> dict:
     }
 
 
+def _sha256(text: str) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, and only report hashes
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def config_hash(cfg: RunConfig) -> str:
-    canon = json.dumps(_settings(cfg), sort_keys=True, default=str)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _sha256(json.dumps(_settings(cfg), sort_keys=True, default=str))
 
 
 def _load_panel(cfg: RunConfig):
@@ -376,8 +380,7 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
             "max_drawdown": report.max_drawdown,
             "total_cost": report.total_transaction_cost,
         }
-    serialized = json.dumps(payload, sort_keys=True, default=str)
-    payload["manifest_hash"] = hashlib.sha256(serialized.encode()).hexdigest()
+    payload["manifest_hash"] = _sha256(json.dumps(payload, sort_keys=True, default=str))
     path = _out_path(cfg, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=str)

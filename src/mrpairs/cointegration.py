@@ -61,7 +61,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._ols import failure_error, first_failures, nested_residual_moments
+from ._ols import failure_error, first_failures, nested_residual_moments, r_factor
 from .errors import (
     ConstantDifferencesError,
     ConstantSeriesError,
@@ -203,8 +203,8 @@ class VarLagSelector:
     def _factor(self, max_lag: int) -> np.ndarray:
         """R_W for max lag p.
 
-        W, n x (1 + (p+1)*N), is filled column-major; `np.linalg.qr`
-        factors a copy of it, so factoring briefly needs W's memory twice.
+        W, n x (1 + (p+1)*N), is filled column-major and factored in
+        place (`_ols.r_factor`), so factoring needs no second copy of it.
         """
         Y = self.levels
         T, N = Y.shape
@@ -213,17 +213,19 @@ class VarLagSelector:
         for i in range(1, max_lag + 1):
             W[:, 1 + (i - 1) * N : 1 + i * N] = Y[max_lag - i : T - i]
         W[:, 1 + max_lag * N :] = Y[max_lag:]
-        return np.linalg.qr(W, mode="r")
+        return r_factor(W)
 
     def _vecm_factor(self, var_lag: int) -> np.ndarray:
         """R_V for VAR lag p, factored the first time p is asked for.
 
-        V is the VECM design of all N instruments, lag-major like W.
+        V is the VECM design of all N instruments, lag-major like W; the
+        transpose of its one-subset stack is column-major and is factored in
+        place.
         """
         if var_lag not in self._vecm_factors:
             everything = np.arange(self.n_instruments)[None]
             V = _vecm_designs(self.levels, everything, var_lag)[0].T
-            self._vecm_factors[var_lag] = np.linalg.qr(V, mode="r")
+            self._vecm_factors[var_lag] = r_factor(V)
         return self._vecm_factors[var_lag]
 
 

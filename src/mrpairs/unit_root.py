@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import failure_error, first_failures, prefix_failures
+from ._ols import failure_error, first_failures, prefix_failures, r_factor
 from .errors import ConstantDifferencesError, ConstantSeriesError, DegenerateInputError
 from .errors import ValidationError
 
@@ -126,7 +126,7 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
     design = _adf_design(y, max_lag)
     n = len(design)
     k_max = max_lag + 2
-    r = np.linalg.qr(design, mode="r")
+    r = r_factor(design)
     diag = np.abs(np.diagonal(r)[:k_max])
     (failure,) = first_failures(prefix_failures(diag, n, range(2, k_max + 1))[None])
     if failure:

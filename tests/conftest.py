@@ -4,6 +4,7 @@ the reference weight search that the fusion and simplex oracles share."""
 import datetime as dt
 import itertools
 import os
+import sys
 
 # One BLAS thread: the suite's matrices are tiny, and idle OpenBLAS threads
 # spin on them. This must run before anything imports numpy.
@@ -13,7 +14,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from mrpairs import fusion  # noqa: E402
+from mrpairs import _ols, cointegration, fusion, unit_root  # noqa: E402
 from mrpairs.backtest import PositionSeries, compute_pnl  # noqa: E402
 from mrpairs.errors import OptimizationDegenerateError  # noqa: E402
 from mrpairs.fusion import WeightVector, optimize_weights  # noqa: E402
@@ -99,6 +100,30 @@ def error_of(fn, *args, **kwargs):
     with pytest.raises(Exception) as info:
         fn(*args, **kwargs)
     return type(info.value), str(info.value)
+
+
+def watch_qr(monkeypatch):
+    """Record every QR the engine makes, as (input, mode, caller name).
+
+    The stacked slices go through `np.linalg.qr`; a single design is
+    factored in place by `_ols.r_factor`, recorded with mode "r". Every
+    binding of `r_factor` is patched, so the caller is the engine function
+    that asked for the factor.
+    """
+    seen = []
+
+    def qr(a, mode="reduced", _qr=np.linalg.qr):
+        seen.append((a, mode, sys._getframe(1).f_code.co_name))
+        return _qr(a, mode=mode)
+
+    def r_factor(a, _r_factor=_ols.r_factor):
+        seen.append((a, "r", sys._getframe(1).f_code.co_name))
+        return _r_factor(a)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    for module in (_ols, unit_root, cointegration):
+        monkeypatch.setattr(module, "r_factor", r_factor)
+    return seen
 
 
 def six_walks(seed, T, degenerate=None):

@@ -1723,3 +1723,31 @@ def test_importing_the_cli_or_scanning_loads_no_scipy(
     )
     reports = [line for line in done.stdout.splitlines() if line.startswith("scipy:")]
     assert reports == ["scipy: []"] * (1 + len(runs))
+
+
+def test_only_report_loads_hashlib(pair_workspace, tmp_path):
+    # hashlib loads OpenSSL (some 3 MB): importing the CLI and running the
+    # commands that hash nothing, in a fresh interpreter, leave it unloaded.
+    src = pathlib.Path(cli.__file__).parents[1]
+    common = ["--config", pair_workspace["config"], "--out", str(tmp_path)]
+    runs = [["scan"] + common, ["forecast"] + common]
+    runs += [
+        [command, "--subset", "SYN1,SYN2"] + common
+        for command in ("backtest", "optimize", "report")
+    ]
+    probe = (
+        "import sys, mrpairs.cli\n"
+        "print('hashlib:', 'hashlib' in sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    assert mrpairs.cli.run(argv) == 0, argv\n"
+        "    print('hashlib:', 'hashlib' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    reports = [line for line in done.stdout.splitlines() if line.startswith("hashlib:")]
+    assert reports == ["hashlib: False"] * 5 + ["hashlib: True"]

@@ -285,9 +285,8 @@ class TestScan:
 
     def test_scan_working_memory_is_bounded(self):
         # 375 subsets of a 10 x 1000 panel: the stacks are fit in chunks, so
-        # the peak stays near the 0.9 MB panel design and the copy of it
-        # that `np.linalg.qr` factors (about 2.0 MB); one stack per group
-        # would peak near 21 MB.
+        # the peak stays near the panel factors plus one chunk (about
+        # 2.0 MB); one stack per group would peak near 21 MB.
         panel = generate_synthetic_panel(0, SynthConfig(
             n_walks=9, n_days=1000, noise_scale=1.0, start_price=1000.0,
             recipe=CointegrationRecipe(weights=(2.0,) + (0.0,) * 8),

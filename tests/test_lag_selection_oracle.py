@@ -12,13 +12,12 @@ than a refit sums them, are held to a few hundred ulps relative.
 """
 
 import math
-import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import ar1, error_of, price_panel, six_walks
+from conftest import ar1, error_of, price_panel, six_walks, watch_qr
 from mrpairs import _ols, unit_root
 from mrpairs._ols import ols_qr
 from mrpairs.cointegration import (
@@ -158,21 +157,16 @@ def test_adf_matches_per_lag_loop(kind, T):
 
 
 def test_adf_factors_once_and_refits_nothing(monkeypatch):
-    calls = []
-
-    def counting_qr(a, *args, _qr=np.linalg.qr, **kwargs):
-        calls.append((np.shape(a), kwargs.get("mode")))
-        return _qr(a, *args, **kwargs)
-
     def no_refit(*args, **kwargs):
         raise AssertionError("adf_test refit a lag with ols_qr")
 
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    seen = watch_qr(monkeypatch)
     monkeypatch.setattr(_ols, "ols_qr", no_refit)
     monkeypatch.setattr(unit_root, "ols_qr", no_refit, raising=False)
     y = _series("ar_increments", 0, 2500)
     outcome = adf_test(y)
     assert outcome.chosen_lag > 0
+    calls = [(np.shape(a), mode) for a, mode, _ in seen]
     assert calls == [((2500 - 1 - schwert_max_lag(2500), schwert_max_lag(2500) + 3), "r")]
 
 
@@ -283,10 +277,12 @@ def test_scan_factors_the_panel_once_per_feasible_lag(
 ):
     # Four instruments keep W and V taller than wide, so each subset's QR
     # of a slice of R_W or R_V has fewer rows than the sample. Lag
-    # selection and the Johansen step factor with mode "r"; the half-life
-    # fits use "reduced". Each call is counted under the function that
-    # made it. A full-length factor has n = T - p rows at lag p: one R_W
-    # per feasible max lag and one R_V per chosen lag, none per subset.
+    # selection and the Johansen step factor with mode "r" (the panel
+    # designs with `r_factor`, the slices with `np.linalg.qr`); the
+    # half-life fits use "reduced". Each call is counted under the
+    # function that made it. A full-length factor has n = T - p rows at
+    # lag p: one R_W per feasible max lag and one R_V per chosen lag, none
+    # per subset.
     Y = six_walks(1, T)[:, [0, 1, 2, 5]]
     panel = price_panel(Y)
     subsets = enumerate_combinations(4, 2, 4)
@@ -294,22 +290,15 @@ def test_scan_factors_the_panel_once_per_feasible_lag(
         select_var_lag_per_lag(Y[:, s], _feasible(T, len(s), var_max_lag))
         for s in subsets
     }
-    calls = []
-
-    def counting_qr(a, *args, _qr=np.linalg.qr, **kwargs):
-        caller = sys._getframe(1).f_code.co_name
-        calls.append((np.shape(a), kwargs.get("mode"), caller))
-        return _qr(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    seen = watch_qr(monkeypatch)
     rows = scan_cointegration(
         panel, var_max_lag=var_max_lag, orders=[IntegrationOrder.I1] * 4
     )
     assert len(rows) == 11 and all(r.skipped_reason is None for r in rows)
     full_length = [
-        (shape, caller)
-        for shape, mode, caller in calls
-        if mode == "r" and shape[-2] >= T - var_max_lag
+        (np.shape(a), caller)
+        for a, mode, caller in seen
+        if mode == "r" and np.shape(a)[-2] >= T - var_max_lag
     ]
     assert all(len(shape) == 2 for shape, _ in full_length)  # no stacks
     assert Counter(caller for _, caller in full_length) == {
