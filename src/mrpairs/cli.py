@@ -7,10 +7,10 @@ parse the keys, and its defaults reproduce the research settings.
 
 Every CSV is read and written through `_csv`, so the file format lives in
 one place. Each command only loads, calls and writes. A `--subset` is
-fitted and traded by `backtest.trade_subset`, as the scan fits it;
-`backtest` and `report` backtest its positions with costs, `optimize`
-fuses them in `fusion.fuse_forecasts`, and `scan` and `report` share one
-scan call.
+fitted from its own columns, with the scan's recipe, and traded by
+`backtest.trade_subset`; `backtest` and `report` backtest its positions
+with costs, `optimize` fuses them in `fusion.fuse_forecasts`, and `scan`
+and `report` share one scan call.
 
 Errors print a single machine-parsable line `ERR:<code>:<message>` and map
 to exit codes: 2 validation, 3 numerical degeneracy, 4 I/O.

@@ -30,7 +30,7 @@ solve, Cholesky and eigh). numpy's stacked linear algebra runs the same
 LAPACK call on each matrix of a stack as on that matrix alone, so within
 one scan every figure is bit-identical whatever the stack and chunk
 sizes. Through the shared factors a subset's rounding depends on the
-panel's other columns: its figures are within about 1e-12 relative of a
+other tested columns: its figures are within about 1e-12 relative of a
 fit of that subset alone. A check that fails for one subset becomes that
 subset's message, in the order the single fit would raise it; the single
 fits (`select_var_lag`, `johansen_test`, `fit_subset`) are stacks of one
@@ -39,8 +39,10 @@ that raise it. Each stack is processed in chunks under `_CHUNK_BYTES`
 
 `fit_subset` is the one recipe for a subset: lag selection, Johansen
 test, and at rank >= 1 the hedge ratio, spread and half-life. The scan
-runs the same steps (`_fit_equal_width`); the portfolio steps run per
-ranked subset, in enumeration order.
+runs the same steps through the same code (`_fit_equal_width`), on slices
+of factors of every tested series where `fit_subset` factors the subset's
+own columns, so their figures differ as above. The portfolio steps run
+per ranked subset, in enumeration order.
 
 Critical values below are the 95% quantiles of the trace statistic under
 driftless random walks with this exact construction, estimated by Monte
@@ -260,7 +262,6 @@ class JohansenOutcome:
 class CointegratedPortfolio:
     """A tradeable stationary combination extracted from a Johansen test."""
 
-    subset: tuple[str, ...]
     hedge_ratio: np.ndarray
     spread: SpreadSeries
     half_life_days: float  # math.inf marks no measured mean reversion
@@ -457,10 +458,9 @@ def _fit_equal_width(
             hedge = extract_hedge_ratio(outcome)
             spread = compute_spread(panel.subpanel(subset), hedge)
             yield outcome, CointegratedPortfolio(
-                subset=outcome.subset,
                 hedge_ratio=hedge,
                 spread=spread,
-                half_life_days=estimate_half_life(spread.values).half_life_days,
+                half_life_days=estimate_half_life(spread.values),
             )
 
 
@@ -476,9 +476,6 @@ class ScanRow:
     half_life_days: float | None
 
 
-_SINGULAR_UNIT_ROOT = "singular unit-root fit"
-
-
 def _integration_order(series: np.ndarray, max_lag: int | None):
     """The series' I(d) class, or the reason it has none."""
     try:
@@ -488,7 +485,7 @@ def _integration_order(series: np.ndarray, max_lag: int | None):
     except ConstantSeriesError:
         return "constant series"
     except RankDeficientError:
-        return _SINGULAR_UNIT_ROOT
+        return "singular unit-root fit"
 
 
 def scan_cointegration(
@@ -507,15 +504,15 @@ def scan_cointegration(
     report order is fixed by the enumeration. The tested subsets are fit one
     width at a time (`_fit_equal_width`); every subset's VAR lag and
     Johansen step come from one factor of the whole panel per distinct lag.
-    A series whose unit-root fit is singular is left out of those factors,
-    so the other rows read as a scan without it.
+    Only the members of tested subsets are in those factors, so a tested
+    row depends on the tested series alone.
     """
     subsets = enumerate_combinations(panel.n_instruments, min_size, max_size)
     _check_width(len(subsets[-1]))
     if orders is None:
         orders = [_integration_order(y, adf_max_lag) for y in panel.prices]
     tested = [s for s in subsets if all(orders[i] is IntegrationOrder.I1 for i in s)]
-    factored = [i for i, order in enumerate(orders) if order != _SINGULAR_UNIT_ROOT]
+    factored = sorted({i for s in tested for i in s})
     at = {c: j for j, c in enumerate(factored)}
     fitted = panel.subpanel(factored)
     lags = VarLagSelector(fitted)

@@ -38,14 +38,6 @@ class SpreadSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class HalfLifeEstimate:
-    """OU speed from the change-on-level regression."""
-
-    mean_reversion_speed: float  # slope lam; mean-reverting when negative
-    half_life_days: float        # -ln(2)/lam, or math.inf when lam >= 0
-
-
 def standardize(values: np.ndarray) -> np.ndarray:
     """(x - mean)/std with the sample std."""
     x = np.asarray(values, dtype=float)
@@ -69,8 +61,8 @@ def compute_spread(panel: PricePanel, hedge_ratio: np.ndarray) -> SpreadSeries:
     return SpreadSeries(panel.dates, values, standardize(values))
 
 
-def estimate_half_life(spread: np.ndarray) -> HalfLifeEstimate:
-    """OLS of the daily spread change on the lagged spread level."""
+def estimate_half_life(spread: np.ndarray) -> float:
+    """Half-life in days of the OLS of the daily spread change on the lagged level."""
     s = np.asarray(spread, dtype=float)
     if len(s) < MIN_HALF_LIFE_OBS:
         raise DegenerateInputError(
@@ -82,5 +74,4 @@ def estimate_half_life(spread: np.ndarray) -> HalfLifeEstimate:
     X = np.column_stack([np.ones(len(ds)), s[:-1]])
     fit = ols_qr(X, ds)
     lam = float(fit.coef[1])
-    half_life = -math.log(2.0) / lam if lam < 0 else math.inf
-    return HalfLifeEstimate(mean_reversion_speed=lam, half_life_days=half_life)
+    return -math.log(2.0) / lam if lam < 0 else math.inf

@@ -78,9 +78,6 @@ class AdfOutcome:
     chosen_lag: int
     critical_value_95: float
     reject_unit_root: bool
-    intercept: float
-    level_coefficient: float
-    lag_coefficients: tuple[float, ...]
 
 
 class IntegrationOrder(enum.Enum):
@@ -148,9 +145,6 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
         chosen_lag=p,
         critical_value_95=cv,
         reject_unit_root=statistic < cv,
-        intercept=float(coef[0]),
-        level_coefficient=float(coef[1]),
-        lag_coefficients=tuple(coef[2:].tolist()),
     )
 
 

@@ -13,6 +13,12 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+# The same examples on every run: each test keeps its own example count, and
+# suite times and failures compare from one run to the next.
+settings.register_profile("fixed examples", derandomize=True)
+settings.load_profile("fixed examples")
 
 from mrpairs import _ols, cointegration, fusion, unit_root  # noqa: E402
 from mrpairs.backtest import PositionSeries, compute_pnl  # noqa: E402

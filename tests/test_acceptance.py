@@ -138,9 +138,7 @@ def test_05_half_life_estimator():
     ok, details = True, []
     for true_hl in (5.0, 20.0, 60.0):
         estimates = [
-            estimate_half_life(
-                simulate_ou(np.random.default_rng(s), 20000, true_hl, 1.0)
-            ).half_life_days
+            estimate_half_life(simulate_ou(np.random.default_rng(s), 20000, true_hl, 1.0))
             for s in range(50)
         ]
         median = float(np.median(estimates))

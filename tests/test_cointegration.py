@@ -328,12 +328,11 @@ class TestFitSubset:
     def test_portfolio_is_the_hedge_spread_half_life_chain(self, recipe_panel):
         outcome, portfolio = fit_subset(recipe_panel, var_max_lag=10)
         assert outcome.rank == 1
-        assert portfolio.subset == recipe_panel.instrument_ids
         assert np.array_equal(portfolio.hedge_ratio, extract_hedge_ratio(outcome))
         assert isinstance(portfolio.spread, SpreadSeries)
         expected = compute_spread(recipe_panel, portfolio.hedge_ratio)
         assert np.array_equal(portfolio.spread.zscores, expected.zscores)
-        assert portfolio.half_life_days == estimate_half_life(expected.values).half_life_days
+        assert portfolio.half_life_days == estimate_half_life(expected.values)
 
     def test_rank_zero_has_no_portfolio(self, independent_panel):
         outcome, portfolio = fit_subset(independent_panel, var_max_lag=10)

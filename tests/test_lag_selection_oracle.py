@@ -63,9 +63,6 @@ def adf_test_per_lag(y, max_lag=None):
         chosen_lag=p,
         critical_value_95=cv,
         reject_unit_root=statistic < cv,
-        intercept=float(fit.coef[0]),
-        level_coefficient=float(fit.coef[1]),
-        lag_coefficients=tuple(float(c) for c in fit.coef[2:]),
     )
 
 
@@ -113,24 +110,17 @@ UNITS = {
 }
 
 
-def _coefficients(outcome):
-    return np.array((outcome.intercept, outcome.level_coefficient) + outcome.lag_coefficients)
-
-
 def assert_adf_close(got, want):
-    """Same lag, verdict and critical value; figures within a few hundred ulps.
+    """Same lag, verdict and critical value; the statistic within 1e-12 relative.
 
     `adf_test` sums each RSS from R's last column and solves with R's
     leading block, where the loop refits the chosen lag on its own, so the
-    last bits of the figures differ.
+    last bits of the statistic differ.
     """
     assert (got.chosen_lag, got.reject_unit_root, got.critical_value_95) == (
         want.chosen_lag, want.reject_unit_root, want.critical_value_95
     )
     assert abs(got.statistic - want.statistic) <= 1e-12 * max(1.0, abs(want.statistic))
-    coef, ref = _coefficients(got), _coefficients(want)
-    assert coef.shape == ref.shape
-    assert np.all(np.abs(coef - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.parametrize("T", [250, 1000, 2500, 5000])

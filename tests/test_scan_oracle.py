@@ -157,7 +157,7 @@ def scan_loop(panel, var_max_lag=10, direct=False):
             )
             hedge = extract_hedge_ratio(outcome)
             spread = compute_spread(panel.subpanel(subset), hedge)
-            half_life = estimate_half_life(spread.values).half_life_days
+            half_life = estimate_half_life(spread.values)
         rows.append(_row(ids, None, rank, float(eigvals[0]), hedge, half_life))
     return rows, fits
 
@@ -318,19 +318,28 @@ def _fit_alone(panel, ids):
     return _row(ids, None, outcome.rank, top, hedge, half_life)
 
 
+def _ar1_of(walk, phi=0.5):
+    """y_t = phi * y_{t-1} + e_t driven by the walk's increments e_t."""
+    y = np.diff(walk, prepend=0.0)
+    for t in range(1, len(y)):
+        y[t] += phi * y[t - 1]
+    return y
+
+
 # The appended column, from a walk, and the skip reason its subsets get.
 APPENDED = {
     "walk": (lambda walk: walk, None),
     "constant": (lambda walk: 0.0 * walk, "constant series"),
     "near constant": (lambda walk: 1e-12 * walk, "singular unit-root fit"),
+    "AR(1)": (_ar1_of, "not all I(1)"),
 }
 
 
 @pytest.mark.parametrize("extra", list(APPENDED))
 @pytest.mark.parametrize("seed", range(2))
 def test_an_appended_column_leaves_every_subset_as_it_was(seed, extra):
-    # A subset's R factors are slices of panel-wide factors, so its rounding
-    # depends on the panel's other columns; its outcome must not.
+    # A subset's R factors are slices of factors of every tested column, so
+    # its rounding depends on the other tested columns; its outcome must not.
     panel = price_panel(six_walks(seed, 300))
     walk = np.cumsum(np.random.default_rng(100 + seed).standard_normal(300))
     column, reason = APPENDED[extra]
@@ -342,24 +351,23 @@ def test_an_appended_column_leaves_every_subset_as_it_was(seed, extra):
     assert_rows_close(kept, rows)
     fits, wider_fits = _stacked_fits(panel)[0], _stacked_fits(wider)[0]
     assert {s: fit for s, fit in wider_fits.items() if 6 not in s} == fits
-    if reason:
+    if reason:  # an untested column is left out of the panel factors
         added = {row[1] for row in wider_rows if "X" in row[0]}
         assert added == {reason}
-    if reason == "singular unit-root fit":  # left out of the panel factors
         assert _lines(kept) == _lines(rows)
     for row in wider_rows:
         if row[1] in (None, "singular"):
             assert_rows_close([row], [_fit_alone(wider, row[0])])
 
 
-# sha256 of the rows' reprs, joined by newlines, at the commit before the
-# ADF design and the stacked R slices were laid out column-major. A change
-# that only makes the scan faster must leave every byte of them as it was.
+# sha256 of the rows' reprs, joined by newlines, since the scan factors only
+# the members of its tested subsets. A change that only makes the scan faster
+# must leave every byte of them as it was.
 PINNED_SCANS = {
     "I(0) column and near duplicate, T = 400":
-        "5ab765f398e3d510574b47a04ecba5747a45e3469638eacf122f510ae19dfb1b",
+        "ec0ca4720ccee66245b5e4646ec34bd6e01bf9a2b41b5440bec14c846b0b2480",
     "constant column, T = 800":
-        "2451cfd3fc93865caf9fa864601c77ba1a92eab1a56e6e7ec1dbe1a48903e729",
+        "13f15f95133ca13690d5275ee907ae62cc265adecc51df39ba943d91c0cf02fd",
 }
 
 

@@ -56,25 +56,22 @@ class TestEstimateHalfLife:
     def test_simulated_ou_half_life_ten(self):
         rng = np.random.default_rng(42)
         x = simulate_ou(rng, 10000, half_life_days=10.0, noise_scale=1.0)
-        est = estimate_half_life(x)
-        assert 8.5 <= est.half_life_days <= 11.5
+        assert 8.5 <= estimate_half_life(x) <= 11.5
 
     def test_deterministic_alternating_decay(self):
         # s_t = (-0.5)^t satisfies ds_t = -1.5 * s_{t-1} exactly
         s = (-0.5) ** np.arange(40, dtype=float)
-        est = estimate_half_life(s)
-        assert est.mean_reversion_speed == pytest.approx(-1.5, abs=1e-9)
-        assert est.half_life_days == pytest.approx(math.log(2) / 1.5, abs=1e-9)
+        assert estimate_half_life(s) == pytest.approx(math.log(2) / 1.5, abs=1e-9)
 
     def test_random_walk_spread_not_mean_reverting(self):
         rng = np.random.default_rng(3)
-        est = estimate_half_life(np.cumsum(rng.standard_normal(5000)))
+        half_life = estimate_half_life(np.cumsum(rng.standard_normal(5000)))
         # no true reversion: either unbounded or far beyond the trading scale
-        assert est.half_life_days > 250
+        assert half_life > 250
 
     def test_positive_lambda_gives_unbounded_marker(self):
         s = 1.01 ** np.arange(60, dtype=float)
-        assert estimate_half_life(s).half_life_days == math.inf
+        assert estimate_half_life(s) == math.inf
 
     def test_too_short(self):
         with pytest.raises(DegenerateInputError):
@@ -87,9 +84,7 @@ class TestEstimateHalfLife:
     def test_consistency_sweep(self):
         for true_hl in (5.0, 20.0, 60.0):
             estimates = [
-                estimate_half_life(
-                    simulate_ou(np.random.default_rng(s), 20000, true_hl, 1.0)
-                ).half_life_days
+                estimate_half_life(simulate_ou(np.random.default_rng(s), 20000, true_hl, 1.0))
                 for s in range(20)
             ]
             assert abs(np.median(estimates) - true_hl) <= 0.10 * true_hl
