@@ -8,12 +8,19 @@ raises CsvParseError naming `path:line` (or `path`).
 
 Outputs are comma-joined cells with `\\n` line ends and no quoting. Floats
 are written with `repr`, so they read back bit-exact; None is an empty cell.
+A writer takes its table as columns and formats each column as a whole
+(`cells`): a float64 array as `repr` over its `tolist()` and an integer
+array as `str` over it, with no per-cell type test; other columns cell by
+cell. A column that several files share, such as the dates of one
+backtest, is formatted once and passed on as its list of cells.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import CsvParseError, ValidationError
 
@@ -92,8 +99,23 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: str, rows: Iterable[Sequence]) -> None:
-    """Write the header line and rows; see the module docstring for cells."""
+def cells(column: Sequence | np.ndarray) -> list[str]:
+    """One column's cells, formatted as a whole: a float64 or integer array
+    through `tolist`, any other column value by value."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return list(map(repr, column.tolist()))
+        if column.dtype.kind in "iub":
+            return list(map(str, column.tolist()))
+    return list(map(_cell, column))
+
+
+def write_csv(path: str, header: str, columns: Sequence[Sequence | np.ndarray]) -> None:
+    """Write the header line, then one line per row of the equal-length
+    columns; see the module docstring and `cells` for the cells."""
+    formatted = [cells(column) for column in columns]
+    if len({len(column) for column in formatted}) > 1:
+        raise ValueError("columns differ in length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        fh.writelines([",".join(row) + "\n" for row in zip(*formatted)])

@@ -35,7 +35,7 @@ from . import cointegration as ci
 from . import fusion
 from . import macro_signals as ms
 from . import unit_root as ur
-from ._csv import write_csv
+from ._csv import cells, write_csv
 from .errors import PipelineError, ValidationError
 from .market_data import align_panel, load_monthly_csv, load_price_csv
 from .plot_data import emit_plot_data
@@ -201,13 +201,15 @@ def cmd_scan(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     write_csv(
         path,
         "subset,skipped_reason,rank,top_eigenvalue,hedge_ratio,half_life_days",
-        (
-            ("+".join(r.subset), r.skipped_reason, r.rank, r.top_eigenvalue,
-             None if r.hedge_ratio is None
-             else ";".join(repr(float(h)) for h in r.hedge_ratio),
-             r.half_life_days)
-            for r in rows
-        ),
+        [
+            ["+".join(r.subset) for r in rows],
+            [r.skipped_reason for r in rows],
+            [r.rank for r in rows],
+            [r.top_eigenvalue for r in rows],
+            [None if r.hedge_ratio is None else ";".join(map(repr, r.hedge_ratio.tolist()))
+             for r in rows],
+            [r.half_life_days for r in rows],
+        ],
     )
     print(f"wrote {path} ({len(rows)} subsets)")
     return EXIT_OK
@@ -217,7 +219,7 @@ def _write_summary(path: str, report: bt.BacktestReport) -> None:
     write_csv(
         path,
         "apr,sharpe,max_drawdown,total_cost",
-        [(report.apr, report.sharpe, report.max_drawdown, report.total_transaction_cost)],
+        [[report.apr], [report.sharpe], [report.max_drawdown], [report.total_transaction_cost]],
     )
 
 
@@ -233,15 +235,15 @@ def _backtest(cfg: RunConfig, panel, subset_ids: list[str]):
 
 def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
     _, portfolio, report = _backtest(cfg, _load_panel(cfg), subset_ids)
+    days = cells(report.dates)  # the spread's dates too: one column for four files
     write_csv(
         _out_path(cfg, "backtest.csv"),
         "date,position,daily_return,cumulative_return",
-        zip(report.dates, report.positions, report.daily_returns,
-            report.cumulative_returns),
+        [days, report.positions, report.daily_returns, report.cumulative_returns],
     )
     _write_summary(_out_path(cfg, "backtest_summary.csv"), report)
     half_life = portfolio.half_life_days
-    emit_plot_data(report, portfolio.spread, half_life, cfg.out_dir)
+    emit_plot_data(report, portfolio.spread, half_life, cfg.out_dir, days)
     print(
         f"subset {'+'.join(subset_ids)}: APR {report.apr:.4%}, "
         f"Sharpe {report.sharpe:.3f}, MaxDD {report.max_drawdown:.4%}, "
@@ -306,10 +308,9 @@ def cmd_forecast(cfg: RunConfig, subset_ids: list[str] | None) -> int:
         raise ValidationError("config names no macro.<ID> or macro_oracle.<ID> files")
     for indicator, directions in _monthly_directions(cfg, indicators).items():
         path = _out_path(cfg, f"forecast_{indicator}.csv")
+        months = sorted(directions)
         write_csv(
-            path,
-            "month,direction",
-            ((month, directions[month].value) for month in sorted(directions)),
+            path, "month,direction", [months, [directions[m].value for m in months]]
         )
         print(f"wrote {path} ({len(directions)} months)")
     return EXIT_OK
@@ -336,12 +337,12 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
     write_csv(
         _out_path(cfg, "optimization_trace.csv"),
         ",".join(["probe_index"] + [f"w{i + 1}" for i in range(len(baseline))] + ["apr"]),
-        ((probe.probe_index, *probe.weights, probe.apr) for probe in result.trace),
+        [np.arange(len(result.probe_apr)), *result.probe_weights.T, result.probe_apr],
     )
     write_csv(
         _out_path(cfg, "optimization_summary.csv"),
         ",".join(indicators + ["mean_reversion", "apr"]),
-        [(*baseline, result.baseline_apr), (*result.weights.weights, result.apr)],
+        list(zip((*baseline, result.baseline_apr), (*result.weights.weights, result.apr))),
     )
     _write_summary(_out_path(cfg, "optimized_backtest_summary.csv"), final)
     print(
@@ -406,12 +407,12 @@ def cmd_verify_critical_values(cfg: RunConfig, subset_ids: list[str] | None) -> 
         path,
         "statistic,sample_size,draws,quantile_90,quantile_95,quantile_99,"
         "embedded_95,abs_diff_95",
-        [
+        list(zip(
             ("adf_drift", cfg.mc_adf_sample_size, draws, *adf_q,
              adf_embedded, abs(adf_q[1] - adf_embedded)),
             ("johansen_trace_mr1", cfg.mc_johansen_sample_size, draws, *joh_q,
              joh_embedded, abs(joh_q[1] - joh_embedded)),
-        ],
+        )),
     )
     print(
         f"ADF 95%: MC {adf_q[1]:.4f} vs embedded {adf_embedded:.4f}; "

@@ -41,8 +41,15 @@ that raise it. Each stack is processed in chunks under `_CHUNK_BYTES`
 test, and at rank >= 1 the hedge ratio, spread and half-life. The scan
 runs the same steps through the same code (`_fit_equal_width`), on slices
 of factors of every tested series where `fit_subset` factors the subset's
-own columns, so their figures differ as above. The portfolio steps run
-per ranked subset, in enumeration order.
+own columns, so their figures differ as above. Ranks come from one
+comparison per Johansen stack against one read-only critical-value array
+per width. The portfolio steps of the rank >= 1 subsets run as stacks too
+(`_portfolios`, chunked under `_CHUNK_BYTES` like the rest): one stack
+each of hedge ratios, spreads, z-scores and half-lives, every figure
+bit-identical to `extract_hedge_ratio`, `compute_spread` and
+`estimate_half_life` run on that subset, which are stacks of one. Of the
+ranked subsets, the first in enumeration order with a failing step raises
+that step's error, as running the steps one subset at a time would.
 
 Critical values below are the 95% quantiles of the trace statistic under
 driftless random walks with this exact construction, estimated by Monte
@@ -67,13 +74,14 @@ from ._ols import failure_error, first_failures, nested_residual_moments, r_fact
 from .errors import (
     ConstantDifferencesError,
     ConstantSeriesError,
+    DegenerateInputError,
     NoCointegrationError,
     RankDeficientError,
     SingularityError,
     ValidationError,
 )
 from .market_data import PricePanel
-from .spread_dynamics import SpreadSeries, compute_spread, estimate_half_life
+from .spread_dynamics import SpreadSeries, half_life_error, half_life_rows, zscore_rows
 from .unit_root import IntegrationOrder, classify_integration_order, null_walk_batches
 
 # 95% trace critical values indexed by m - r (number of common trends under
@@ -367,13 +375,17 @@ def _check_width(m: int) -> None:
         raise ValidationError(f"Johansen subset width must be 2..4, got {m}")
 
 
-def _outcome(
-    subset: tuple[str, ...], eigvals, eigvecs, trace, var_lag: int, n: int
-) -> JohansenOutcome:
-    m = len(subset)
+def _critical_values(m: int) -> np.ndarray:
+    """The 95% trace critical values of the tests rank <= 0 .. m-1, read-only."""
     cvs = np.array([JOHANSEN_TRACE_CV_95[m - r] for r in range(m)])
-    rank = next((r for r in range(m) if trace[r] <= cvs[r]), m)
-    return JohansenOutcome(subset, eigvals, eigvecs, trace, cvs, rank, var_lag - 1, n)
+    cvs.setflags(write=False)
+    return cvs
+
+
+def _ranks(trace: np.ndarray, cvs: np.ndarray) -> np.ndarray:
+    """Per row of trace statistics, the first r whose test accepts rank <= r, else m."""
+    accepted = trace <= cvs
+    return np.where(accepted.any(axis=-1), accepted.argmax(axis=-1), trace.shape[-1])
 
 
 def johansen_test(panel: PricePanel, var_lag: int) -> JohansenOutcome:
@@ -383,7 +395,11 @@ def johansen_test(panel: PricePanel, var_lag: int) -> JohansenOutcome:
     eigvals, eigvecs, trace, n, (failure,) = _johansen_stack(levels, subset, var_lag)
     if failure:
         raise failure_error(failure)
-    return _outcome(panel.instrument_ids, eigvals[0], eigvecs[0], trace[0], var_lag, n)
+    cvs = _critical_values(panel.n_instruments)
+    rank = int(_ranks(trace, cvs)[0])
+    return JohansenOutcome(
+        panel.instrument_ids, eigvals[0], eigvecs[0], trace[0], cvs, rank, var_lag - 1, n
+    )
 
 
 def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
@@ -392,11 +408,59 @@ def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
         raise NoCointegrationError(
             f"subset {outcome.subset} has cointegration rank 0"
         )
-    v = np.array(outcome.eigenvectors[:, 0], dtype=float)
-    scale = np.max(np.abs(v))
-    if scale == 0.0:
-        raise SingularityError("zero eigenvector")
-    return v / v[np.flatnonzero(np.abs(v) > 1e-12 * scale)[0]]
+    vector = np.asarray(outcome.eigenvectors, dtype=float)[:, 0]
+    (hedge,), (failure,) = _hedge_rows(vector[None])
+    if failure:
+        raise SingularityError(str(failure))
+    return hedge
+
+
+def _hedge_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`extract_hedge_ratio` of each row of eigenvectors (B, m): the hedge
+    ratios and, per row, "zero eigenvector" or "". A failed row is nan."""
+    size = np.abs(vectors)
+    scale = size.max(axis=-1)
+    first = np.argmax(size > 1e-12 * scale[:, None], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero rows
+        hedges = vectors / vectors[np.arange(len(vectors)), first][:, None]
+    return hedges, np.where(scale == 0.0, "zero eigenvector", "")
+
+
+def _portfolios(
+    panel: PricePanel, subsets: np.ndarray, vectors: np.ndarray
+) -> list[CointegratedPortfolio]:
+    """`extract_hedge_ratio`, `compute_spread` and `estimate_half_life` of
+    ranked subsets of `panel`, from their top eigenvectors, as stacks.
+
+    Each chunk's hedge ratios, spreads, z-scores and half-lives are one
+    stack each, with every figure bit-identical to the per-subset steps.
+    The first subset, in order, with a failing step raises that step's
+    error, as the steps run one subset at a time would.
+    """
+    T = panel.n_dates
+    out: list[CointegratedPortfolio] = []
+    # The largest stacked arrays: m rows of prices, or the 2 columns of a
+    # half-life design, per subset.
+    for chunk in _chunks(len(subsets), 8 * T * subsets.shape[1]):
+        hedges, hedge_failed = _hedge_rows(vectors[chunk])
+        values = (hedges[:, None] @ panel.prices[subsets[chunk]])[:, 0]
+        zscores, flat = zscore_rows(values)
+        half_lives, unfit = half_life_rows(values)
+        failed = np.flatnonzero((hedge_failed != "") | (flat != "") | (unfit != ""))
+        if len(failed):
+            i = failed[0]
+            if hedge_failed[i]:
+                raise SingularityError(str(hedge_failed[i]))
+            if flat[i]:
+                raise DegenerateInputError(str(flat[i]))
+            raise half_life_error(unfit[i])
+        # A scan row keeps its hedge ratio, so each is its own array, not a
+        # view that keeps the chunk's stack alive.
+        out += [
+            CointegratedPortfolio(h.copy(), SpreadSeries(panel.dates, v, z), float(hl))
+            for h, v, z, hl in zip(hedges, values, zscores, half_lives)
+        ]
+    return out
 
 
 Fit = tuple[JohansenOutcome, CointegratedPortfolio | None]
@@ -423,13 +487,13 @@ def _fit_equal_width(
     lags: VarLagSelector,
     subsets: Sequence[tuple[int, ...]],
     var_max_lag: int,
-) -> Iterator[Fit | str]:
+) -> list[Fit | str]:
     """`fit_subset` for equal-width subsets of `panel`, in their order.
 
-    The lags come from one `lags.select_many` and the Johansen steps from
-    one `_johansen_stack` per chosen lag; the portfolio steps run per
-    subset as each fit is taken, so their errors propagate in order. A
-    subset whose lag selection or Johansen step fails yields the message.
+    The lags come from one `lags.select_many`, the Johansen steps and ranks
+    from one `_johansen_stack` per chosen lag, and the portfolios of every
+    rank >= 1 subset from `_portfolios`, whose first failing subset raises.
+    A subset whose lag selection or Johansen step fails gets the message.
     """
     m = len(subsets[0])
     T = panel.n_dates
@@ -439,29 +503,25 @@ def _fit_equal_width(
     fits: list[JohansenOutcome | str | None] = list(failures)
     idx = np.asarray(subsets, dtype=np.intp)
     ok = np.array([f is None for f in failures])
+    cvs = _critical_values(m)
     for p in sorted(set(chosen[ok].tolist())):  # np.unique would load numpy.ma
         members = np.flatnonzero(ok & (chosen == p))
         eigvals, eigvecs, trace, n, errors = _johansen_stack(
             lags.levels, idx[members], p, lags._vecm_factor(p)
         )
-        for j, i in enumerate(members):
+        ranks = _ranks(trace, cvs).tolist()
+        for j, i in enumerate(members.tolist()):
             ids = tuple(panel.instrument_ids[c] for c in subsets[i])
-            fits[i] = errors[j] or _outcome(
-                ids, eigvals[j], eigvecs[j], trace[j], p, n
+            fits[i] = errors[j] or JohansenOutcome(
+                ids, eigvals[j], eigvecs[j], trace[j], cvs, ranks[j], p - 1, n
             )
-    for subset, outcome in zip(subsets, fits):
-        if isinstance(outcome, str):
-            yield outcome
-        elif outcome.rank < 1:
-            yield outcome, None
-        else:
-            hedge = extract_hedge_ratio(outcome)
-            spread = compute_spread(panel.subpanel(subset), hedge)
-            yield outcome, CointegratedPortfolio(
-                hedge_ratio=hedge,
-                spread=spread,
-                half_life_days=estimate_half_life(spread.values),
-            )
+    ranked = [i for i, fit in enumerate(fits) if not isinstance(fit, str) and fit.rank]
+    vectors = np.array([fits[i].eigenvectors[:, 0] for i in ranked]).reshape(-1, m)
+    portfolios = dict(zip(ranked, _portfolios(panel, idx[ranked], vectors)))
+    return [
+        fit if isinstance(fit, str) else (fit, portfolios.get(i))
+        for i, fit in enumerate(fits)
+    ]
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,16 +3,19 @@
 Daily close prices arrive as `date,close` CSVs with strict, zero-padded
 `YYYY-MM-DD` dates, one file per instrument. Monthly macro indicators
 arrive as `month,value` CSVs with strict, zero-padded `YYYY-MM` months.
-A file in plain form (the exact header, then `key,value` lines with no
-quote, CR or blank line) is parsed as whole columns with numpy; any other
-file, or one that fails a column check, goes through `_csv.read_map`'s row
-loop. Both give the same values, and every error is the row loop's: a
+A file in plain form (the exact header, then ASCII `key,value` lines with
+no quote, CR or blank line) is parsed as whole columns with numpy; any
+other file, or one that fails a column check, goes through
+`_csv.read_map`'s row loop. Plain form is decided by a few vectorized byte
+checks on the whole body (`_plain_form`), not by matching it line by line.
+Both paths give the same values, and every error is the row loop's: a
 CsvParseError naming `path:line`, also for a repeated date or month and for
 a close or value that is not finite (or, for a close, not positive).
 A price file loads as a date-sorted structured array of `date`
 (`datetime64[D]`) and `close`; statistics modules take plain arrays, not
 these types. Panels are built by inner-joining the files' dates so no
-price is ever fabricated; a minimum overlap, which the caller names
+price is ever fabricated (files that share one calendar skip the join);
+a minimum overlap, which the caller names
 (`RunConfig.min_overlap`, 30 trading days by default), keeps downstream
 regressions well-posed.
 
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import read_map
 from .errors import InsufficientOverlapError, ValidationError
@@ -154,32 +158,63 @@ def _date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-# Per input format: the key pattern of a plain-form line, the numpy key type,
-# the row loop's parsers, and the bound every value must exceed. Year 0000
-# goes to the row loop: numpy reads it as a date, `fromisoformat` does not.
+# Per input format: the width of its keys, the numpy key type, the row
+# loop's parsers, and the bound every value must exceed.
 _FORMATS = {
-    "date,close": ("(?!0000)" + _DATE.pattern, "datetime64[D]", _date, _close, 0.0),
-    "month,value": (_MONTH.pattern, "U7", _month, _finite, -math.inf),
+    "date,close": (10, "datetime64[D]", _date, _close, 0.0),
+    "month,value": (7, "U7", _month, _finite, -math.inf),
 }
+
+
+def _plain_form(body: bytes, width: int) -> bool:
+    """Whether the lines after the header are in plain form, by byte checks
+    on the whole body.
+
+    Every line is `key,value\\n` in ASCII with no quote or CR: its one comma
+    sits right after a `YYYY-MM-DD` (width 10) or `YYYY-MM` (width 7) key
+    of digits and dashes, with month 01-12 and, for dates, no year 0000,
+    which numpy reads as a date and `fromisoformat` does not. A value fits
+    in `csv`'s field limit, as the row loop requires.
+    """
+    if not (body.endswith(b"\n") and body.isascii()) or b'"' in body or b"\r" in body:
+        return False
+    text = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    commas = np.flatnonzero(text == ord(","))
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    if len(commas) != len(ends) or np.any(commas != starts + width):
+        return False
+    # Each key byte less the `0000-00-00` form's byte is 0-9 at a digit and
+    # 0 at a dash; a byte below the form's wraps to 247 or more.
+    form = np.frombuffer(b"0000-00-00"[:width], np.uint8)
+    top = np.frombuffer(b"9999-99-99"[:width], np.uint8) - form
+    keys = sliding_window_view(text, width)[starts] - form
+    month = keys[:, 5] * 10 + keys[:, 6]
+    year = keys[:, 0] | keys[:, 1] | keys[:, 2] | keys[:, 3]
+    return bool(
+        np.all(keys <= top)
+        and np.all((month >= 1) & (month <= 12))
+        and not (width == 10 and np.any(year == 0))
+        and np.max(ends - commas) - 1 <= csv.field_size_limit()
+    )
 
 
 def _read_table(path: str, header: str) -> np.ndarray:
     """A `key,value` file as a key-sorted structured array, one row per row.
 
-    See the module docstring: a plain-form file is parsed as whole columns,
-    any other file, or one a column check rejects, by `read_map`.
+    See the module docstring: a plain-form file (`_plain_form`) is parsed
+    as whole columns, any other file, or one a column check rejects, by
+    `read_map`.
     """
-    key, key_type, parse_key, parse_value, floor = _FORMATS[header]
+    width, key_type, parse_key, parse_value, floor = _FORMATS[header]
     key_name, value_name = header.split(",")
     dtype = np.dtype([(key_name, key_type), (value_name, float)])
-    # A value fits in `csv`'s field limit, as the row loop requires.
-    line = f'(?:{key}),[^,"\\r\\n]{{0,{csv.field_size_limit()}}}\\n'
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            head, _, body = fh.read().partition("\n")
-        if head != header or not re.fullmatch(f"(?:{line})+", body):
+        with open(path, "rb") as fh:
+            head, _, body = fh.read().partition(b"\n")
+        if head != header.encode() or not _plain_form(body, width):
             raise ValueError("not in plain form")
-        cells = body[:-1].replace("\n", ",").split(",")
+        cells = body[:-1].decode().replace("\n", ",").split(",")
         table = np.empty(len(cells) // 2, dtype)
         table[key_name], table[value_name] = cells[::2], list(map(float, cells[1::2]))
         table = table[np.argsort(table[key_name], kind="stable")]
@@ -187,7 +222,7 @@ def _read_table(path: str, header: str) -> np.ndarray:
         in_range = np.isfinite(values) & (values > floor)
         if not in_range.all() or np.any(keys[1:] == keys[:-1]):
             raise ValueError("a column check failed")
-    except ValueError:  # UnicodeDecodeError is one too
+    except ValueError:
         rows = read_map(path, header, parse_key, parse_value)
         table = np.sort(np.array(list(rows.items()), dtype), order=key_name)
     return table
@@ -221,10 +256,13 @@ def align_panel(closes: dict[str, np.ndarray], min_overlap: int) -> PricePanel:
     if len(closes) < 2:
         raise ValidationError("need at least 2 series to build a panel")
     # Days as int64: numpy sorts and searches them faster than datetime64.
+    # A table whose dates are the running common dates needs no intersection
+    # or lookup, as when every file shares one calendar.
     days = [table["date"].view(np.int64) for table in closes.values()]
     common = days[0]
     for other in days[1:]:
-        common = np.intersect1d(common, other, assume_unique=True)
+        if not np.array_equal(common, other):
+            common = np.intersect1d(common, other, assume_unique=True)
     if len(common) < max(min_overlap, 1):
         raise InsufficientOverlapError(
             f"only {len(common)} common dates, need >= {min_overlap}"
@@ -232,7 +270,8 @@ def align_panel(closes: dict[str, np.ndarray], min_overlap: int) -> PricePanel:
     return PricePanel(
         dates=tuple(common.view("datetime64[D]").astype(object)),
         prices=np.array([
-            table["close"][np.searchsorted(d, common)]
+            table["close"] if len(d) == len(common)  # then d is common
+            else table["close"][np.searchsorted(d, common)]
             for d, table in zip(days, closes.values())
         ]),
         instrument_ids=tuple(closes),

@@ -58,32 +58,36 @@ def emit_plot_data(
     spread: SpreadSeries,
     half_life_days: float,
     out_dir: str,
+    days: list[str],
 ) -> list[str]:
     """Write spread/zscore/returns CSVs and a matching SVG for each.
 
-    Each figure is one row of a table: file stem, CSV header and rows, then
-    the SVG's title and named series. Returns the three CSV paths.
+    Each figure is one row of a table: file stem, CSV header and columns,
+    then the SVG's title and named series. `days` holds the cells
+    (`_csv.cells`) of the dates that the report and the spread share, so
+    the caller formats them once for every file. Returns the three CSV
+    paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     cumulative = report.cumulative_returns
     figures = [
         ("spread", "date,spread,half_life_days",
-         ((day, v, half_life_days) for day, v in zip(spread.dates, spread.values)),
+         [days, spread.values, np.full(len(days), half_life_days)],
          f"Portfolio spread (half-life {half_life_days:.2f} days)",
          {"spread": spread.values}),
         ("zscore_positions", "date,zscore,position",
-         zip(spread.dates, spread.zscores, report.positions),
+         [days, spread.zscores, report.positions],
          "Standardized spread and positions",
          {"zscore": spread.zscores, "position": report.positions.astype(float)}),
         ("returns", "date,daily_return,cumulative_return",
-         zip(report.dates, report.daily_returns, cumulative),
+         [days, report.daily_returns, cumulative],
          "Daily and cumulative returns",
          {"daily_return": report.daily_returns, "cumulative_return": cumulative}),
     ]
     written = []
-    for name, header, rows, title, series in figures:
+    for name, header, columns, title, series in figures:
         path = os.path.join(out_dir, f"{name}.csv")
-        write_csv(path, header, rows)
+        write_csv(path, header, columns)
         svg_line_chart(os.path.join(out_dir, f"{name}.svg"), title, series)
         written.append(path)
     return written

@@ -10,6 +10,16 @@ Z-scores use the full-sample mean and sample (n-1) standard deviation;
 `compute_spread` takes them from `standardize`, the one z-score routine.
 NOTE: full-sample standardization is in-sample and embeds look-ahead bias;
 it matches the single-period research backtest this engine reproduces.
+
+The z-scores and half-lives are computed as stacks (`zscore_rows`,
+`half_life_rows`), one spread per row, so a scan fits all of its ranked
+subsets' spreads at once; `standardize` and `estimate_half_life` are
+stacks of one. Each row's figures are bit-identical to that row fitted
+alone: the reductions run along each row, and the half-life fit runs the
+same LAPACK calls per row as `_ols.ols_qr` (a thin QR, then a solve), but
+stops at the slope, with no residuals, RSS or (X'X)^-1. A stacked
+function reports each row's first failing check as a message, "" where
+all pass, so one failing spread does not stop the others.
 """
 
 from __future__ import annotations
@@ -19,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import ols_qr
-from .errors import DegenerateInputError, ValidationError
+from ._ols import _RANK_DEFICIENT, rank_deficient
+from .errors import DegenerateInputError, RankDeficientError, ValidationError
 from .market_data import PricePanel
 
 MIN_HALF_LIFE_OBS = 30
@@ -38,15 +48,25 @@ class SpreadSeries:
         return len(self.values)
 
 
+def zscore_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`standardize` of each row of `values` (B, n): the z-scores and the
+    messages. A failed row's z-scores are not read."""
+    B, n = values.shape
+    if n < 2:
+        return np.full((B, n), np.nan), np.full(B, "need at least 2 points to standardize")
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat or not finite rows
+        std = np.std(values, axis=-1, ddof=1, keepdims=True)
+        flat = (std[:, 0] == 0.0) | (np.ptp(values, axis=-1) == 0.0)
+        zscores = (values - values.mean(axis=-1, keepdims=True)) / std
+    return zscores, np.where(flat, "zero variance, z-scores undefined", "")
+
+
 def standardize(values: np.ndarray) -> np.ndarray:
     """(x - mean)/std with the sample std."""
-    x = np.asarray(values, dtype=float)
-    if len(x) < 2:
-        raise DegenerateInputError("need at least 2 points to standardize")
-    std = float(np.std(x, ddof=1))
-    if std == 0.0 or np.ptp(x) == 0.0:
-        raise DegenerateInputError("zero variance, z-scores undefined")
-    return (x - x.mean()) / std
+    (zscores,), (failure,) = zscore_rows(np.asarray(values, dtype=float)[None])
+    if failure:
+        raise DegenerateInputError(str(failure))
+    return zscores
 
 
 def compute_spread(panel: PricePanel, hedge_ratio: np.ndarray) -> SpreadSeries:
@@ -61,17 +81,48 @@ def compute_spread(panel: PricePanel, hedge_ratio: np.ndarray) -> SpreadSeries:
     return SpreadSeries(panel.dates, values, standardize(values))
 
 
+def half_life_rows(spreads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`estimate_half_life` of each row of `spreads` (B, n): the half-lives
+    and the messages. A failed row's half-life is nan."""
+    B, n = spreads.shape
+    half_lives = np.full(B, np.nan)
+    if n < MIN_HALF_LIFE_OBS:
+        message = f"need at least {MIN_HALF_LIFE_OBS} observations, got {n}"
+        return half_lives, np.full(B, message)
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat or not finite rows
+        constant = np.ptp(spreads, axis=-1) == 0.0
+        ds = np.diff(spreads, axis=-1)[..., None]
+        # Each design [1, s_{t-1}] is laid out column by column, as LAPACK
+        # takes it, so `qr` copies whole columns; the values, and so the
+        # factors, are the same in any layout.
+        X = np.empty((B, 2, n - 1))
+        X[:, 0] = 1.0
+        X[:, 1] = spreads[:, :-1]
+        q, r = np.linalg.qr(X.mT)  # a spread that is not finite gets a nan diagonal
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        deficient = rank_deficient(diag.min(axis=-1), diag.max(axis=-1))
+        failures = np.where(
+            constant,
+            "constant spread has no reversion speed",
+            np.where(deficient, _RANK_DEFICIENT, ""),
+        )
+        ok = failures == ""
+        slopes = np.linalg.solve(r[ok], (q.mT @ ds)[ok])[:, 1, 0]
+        half_lives[ok] = np.where(slopes < 0, -math.log(2.0) / slopes, math.inf)
+    return half_lives, failures
+
+
+def half_life_error(message: str) -> DegenerateInputError:
+    """The error a failed half-life check raises: `RankDeficientError` for
+    the rank rule, as in `_ols.ols_qr`, else `DegenerateInputError`."""
+    if message == _RANK_DEFICIENT:
+        return RankDeficientError(str(message))
+    return DegenerateInputError(str(message))
+
+
 def estimate_half_life(spread: np.ndarray) -> float:
     """Half-life in days of the OLS of the daily spread change on the lagged level."""
-    s = np.asarray(spread, dtype=float)
-    if len(s) < MIN_HALF_LIFE_OBS:
-        raise DegenerateInputError(
-            f"need at least {MIN_HALF_LIFE_OBS} observations, got {len(s)}"
-        )
-    if np.ptp(s) == 0.0:
-        raise DegenerateInputError("constant spread has no reversion speed")
-    ds = np.diff(s)
-    X = np.column_stack([np.ones(len(ds)), s[:-1]])
-    fit = ols_qr(X, ds)
-    lam = float(fit.coef[1])
-    return -math.log(2.0) / lam if lam < 0 else math.inf
+    (half_life,), (failure,) = half_life_rows(np.asarray(spread, dtype=float)[None])
+    if failure:
+        raise half_life_error(failure)
+    return float(half_life)

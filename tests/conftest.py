@@ -3,6 +3,7 @@ the reference weight search that the fusion and simplex oracles share."""
 
 import datetime as dt
 import itertools
+import math
 import os
 import sys
 
@@ -22,7 +23,11 @@ settings.load_profile("fixed examples")
 
 from mrpairs import _ols, cointegration, fusion, unit_root  # noqa: E402
 from mrpairs.backtest import PositionSeries, compute_pnl  # noqa: E402
-from mrpairs.errors import OptimizationDegenerateError  # noqa: E402
+from mrpairs.errors import (  # noqa: E402
+    DegenerateInputError,
+    OptimizationDegenerateError,
+    SingularityError,
+)
 from mrpairs.fusion import WeightVector, optimize_weights  # noqa: E402
 from mrpairs.market_data import (  # noqa: E402
     CointegrationRecipe,
@@ -163,6 +168,48 @@ def price_panel(Y):
         instrument_ids=tuple(f"S{i}" for i in range(m)),
     )
 
+
+
+# The portfolio steps as they ran one subset at a time before the stacked
+# tail: the references for its bits and its errors.
+def hedge_ratio_one_by_one(vector):
+    v = np.array(vector, dtype=float)
+    scale = np.max(np.abs(v))
+    if scale == 0.0:
+        raise SingularityError("zero eigenvector")
+    return v / v[np.flatnonzero(np.abs(v) > 1e-12 * scale)[0]]
+
+
+def standardize_one_by_one(values):
+    x = np.asarray(values, dtype=float)
+    if len(x) < 2:
+        raise DegenerateInputError("need at least 2 points to standardize")
+    std = float(np.std(x, ddof=1))
+    if std == 0.0 or np.ptp(x) == 0.0:
+        raise DegenerateInputError("zero variance, z-scores undefined")
+    return (x - x.mean()) / std
+
+
+def half_life_one_by_one(spread):
+    s = np.asarray(spread, dtype=float)
+    if len(s) < 30:
+        raise DegenerateInputError(f"need at least 30 observations, got {len(s)}")
+    if np.ptp(s) == 0.0:
+        raise DegenerateInputError("constant spread has no reversion speed")
+    ds = np.diff(s)
+    lam = float(_ols.ols_qr(np.column_stack([np.ones(len(ds)), s[:-1]]), ds).coef[1])
+    return -math.log(2.0) / lam if lam < 0 else math.inf
+
+
+def portfolio_steps_one_by_one(panel, subsets, vectors):
+    """(hedge ratio, spread, z-scores, half-life) of each subset in turn;
+    the first failing step raises."""
+    out = []
+    for subset, vector in zip(subsets, vectors):
+        hedge = hedge_ratio_one_by_one(vector)
+        values = hedge @ panel.prices[list(subset)]
+        out.append((hedge, values, standardize_one_by_one(values), half_life_one_by_one(values)))
+    return out
 
 def optimize_weights_every_probe(simplex, signal_series, panel, hedge_ratio, config, max_iter):
     """The weight search before its memo: a fresh backtest of every probe,

@@ -1,9 +1,11 @@
 import datetime as dt
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import portfolio_steps_one_by_one, price_panel, six_walks
 from mrpairs import cointegration, unit_root
 from mrpairs.cointegration import (
     JohansenOutcome,
@@ -316,12 +318,102 @@ class TestScan:
             scan_cointegration(wide, max_size=5, orders=[IntegrationOrder.I1] * 6)
 
     @pytest.mark.parametrize(
-        "step", ["extract_hedge_ratio", "compute_spread", "estimate_half_life"]
+        "step, error",
+        [("_hedge_rows", SingularityError), ("zscore_rows", DegenerateInputError),
+         ("half_life_rows", DegenerateInputError)],
     )
-    def test_singular_portfolio_step_propagates(self, recipe_panel, monkeypatch, step):
-        monkeypatch.setattr(cointegration, step, _raise_singular)
-        with pytest.raises(SingularityError, match="planted singularity"):
+    def test_singular_portfolio_step_propagates(self, recipe_panel, monkeypatch, step, error):
+        # Each stacked step of the portfolio tail fails every row it is given.
+        real = getattr(cointegration, step)
+
+        def planted(rows):
+            out, failures = real(rows)
+            return out, np.full(len(failures), "planted singularity")
+
+        monkeypatch.setattr(cointegration, step, planted)
+        with pytest.raises(error, match="planted singularity") as info:
             scan_cointegration(recipe_panel, orders=I1_PAIR)
+        assert type(info.value) is error
+
+
+# A 4 x 60 panel whose spreads fail each portfolio step: B = A + 5 exactly, so
+# the vector (1, -1) gives a constant spread, and D repeats C but on its last
+# day, so (1, -1) gives a spread that is constant but for its last value.
+def _tail_panel(T=60):
+    rng = np.random.default_rng(11)
+    a = 100.0 + np.cumsum(rng.choice([-1.0, 1.0], T))
+    c = 200.0 + np.cumsum(rng.standard_normal(T))
+    d = c.copy()
+    d[-1] += 1.0
+    prices = np.array([a, a + 5.0, c, d])
+    return PricePanel(trading_days(dt.date(2008, 1, 2), T), prices, tuple("ABCD"))
+
+
+_OK, _FLAT, _ZERO, _DEFICIENT = (
+    ((0, 2), (1.0, -0.4)), ((0, 1), (2.0, -2.0)), ((1, 3), (0.0, 0.0)),
+    ((2, 3), (-3.0, 3.0)),
+)
+_TAIL_CASES = {
+    "no failure": (60, [_OK, _OK]),
+    "zero eigenvector, then zero variance": (60, [_OK, _ZERO, _FLAT, _OK]),
+    "zero variance, then zero eigenvector": (60, [_OK, _FLAT, _ZERO]),
+    "zero variance": (60, [_FLAT]),
+    "rank-deficient half-life fit": (60, [_OK, _DEFICIENT, _FLAT]),
+    "fewer than 30 dates": (20, [_OK, _OK]),
+    "fewer than 30 dates after a zero eigenvector": (20, [_ZERO, _OK]),
+}
+
+
+class TestPortfolioTail:
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    @pytest.mark.parametrize("case", sorted(_TAIL_CASES))
+    def test_matches_the_steps_one_subset_at_a_time(self, monkeypatch, budget, case):
+        T, rows = _TAIL_CASES[case]
+        panel = _tail_panel(T)
+        subsets = np.array([s for s, _ in rows])
+        vectors = np.array([v for _, v in rows])
+        monkeypatch.setattr(cointegration, "_CHUNK_BYTES", budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                want = portfolio_steps_one_by_one(panel, subsets, vectors)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as info:
+                    cointegration._portfolios(panel, subsets, vectors)
+                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+                return
+            got = cointegration._portfolios(panel, subsets, vectors)
+        assert case == "no failure"
+        for portfolio, (hedge, values, zscores, half_life) in zip(got, want, strict=True):
+            assert portfolio.hedge_ratio.tobytes() == hedge.tobytes()
+            assert portfolio.spread.values.tobytes() == values.tobytes()
+            assert portfolio.spread.zscores.tobytes() == zscores.tobytes()
+            assert repr(portfolio.half_life_days) == repr(half_life)
+            assert portfolio.spread.dates is panel.dates
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    def test_every_ranked_scan_row_matches_the_steps_one_subset_at_a_time(
+        self, monkeypatch, budget
+    ):
+        panel = price_panel(six_walks(0, 600))
+        monkeypatch.setattr(cointegration, "_CHUNK_BYTES", budget)
+        lags = cointegration.VarLagSelector(panel)
+        checked = 0
+        for m in (2, 3, 4):
+            subsets = enumerate_combinations(panel.n_instruments, m, m)
+            fits = cointegration._fit_equal_width(panel, lags, subsets, 10)
+            ranked = [(s, f) for s, f in zip(subsets, fits)
+                      if not isinstance(f, str) and f[0].rank]
+            want = portfolio_steps_one_by_one(
+                panel, [s for s, _ in ranked], [f[0].eigenvectors[:, 0] for _, f in ranked]
+            )
+            for (_, (_, portfolio)), (hedge, values, zscores, half_life) in zip(ranked, want):
+                assert portfolio.hedge_ratio.tobytes() == hedge.tobytes()
+                assert portfolio.spread.values.tobytes() == values.tobytes()
+                assert portfolio.spread.zscores.tobytes() == zscores.tobytes()
+                assert repr(portfolio.half_life_days) == repr(half_life)
+                checked += 1
+        assert checked >= 3
 
 
 class TestFitSubset:

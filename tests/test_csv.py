@@ -23,22 +23,86 @@ from mrpairs.market_data import (
 )
 
 
+def write_rows_reference(path, header, rows):
+    """The writer as it was before it took columns, one `_cell` per cell:
+    the reference for the column writer's bytes."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return repr(float(value))
+        return str(value)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 class TestWriteCsv:
     def test_cell_formats(self, tmp_path):
         path = tmp_path / "out.csv"
         write_csv(
             str(path),
             "f64,i64,none,inf,nan,text",
-            [(np.float64(0.1), np.int64(7), None, math.inf, math.nan, "a+b")],
+            [np.array([0.1]), np.array([7]), [None], [math.inf], [math.nan], ["a+b"]],
         )
         assert path.read_bytes() == b"f64,i64,none,inf,nan,text\n0.1,7,,inf,nan,a+b\n"
 
     def test_floats_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "out.csv"
         values = np.random.default_rng(0).standard_normal(50)
-        write_csv(str(path), "i,x", enumerate(values))
+        write_csv(str(path), "i,x", [np.arange(50), values])
         read = [float(b) for _, _, b in read_rows(str(path), "i,x")]
         assert np.array_equal(read, values)
+
+    def test_no_rows_writes_the_header_alone(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(str(path), "a,b", [[], np.array([])])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_columns_of_different_lengths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            write_csv(str(tmp_path / "out.csv"), "a,b", [[1, 2], np.array([1.0])])
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1e308]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, width=64))
+# Cells without a comma or a line end, which the unquoted format cannot hold.
+_TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters=",\r\n"))
+_COLUMN_KINDS = {
+    "float64": lambda n: st.lists(_FLOATS, min_size=n, max_size=n).map(np.array),
+    "int8": lambda n: st.lists(st.integers(-128, 127), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int8)
+    ),
+    "int64": lambda n: st.lists(
+        st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n
+    ).map(lambda v: np.array(v, dtype=np.int64)),
+    "objects": lambda n: st.lists(
+        st.one_of(st.none(), _TEXT, st.dates(), _FLOATS, st.integers()),
+        min_size=n, max_size=n,
+    ),
+}
+
+
+@st.composite
+def _columns(draw):
+    n = draw(st.integers(0, 20))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5))
+    return [draw(_COLUMN_KINDS[kind](n)) for kind in kinds]
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(columns=_columns())
+def test_column_writer_writes_the_row_writers_bytes(tmp_path, columns):
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    got, want = tmp_path / "columns.csv", tmp_path / "rows.csv"
+    write_csv(str(got), header, columns)
+    write_rows_reference(str(want), header, zip(*columns))
+    assert got.read_bytes() == want.read_bytes()
 
 
 class TestReadRows:
@@ -214,6 +278,54 @@ def test_plain_file_skips_the_row_loop_and_others_take_it(tmp_path, monkeypatch)
     assert len(load_price_csv(str(path))) == 2 and len(calls) == 1
 
 
+
+def _plain_by_regex(text, header):
+    """The whole-body regex that decided plain form before the byte checks,
+    the reference for `_plain_form` on ASCII text. It held a date's month to
+    01-12 only through numpy's parse after it; the byte checks hold it, so
+    the reference's date key does too."""
+    key = {"date,close": "(?!0000)[0-9]{4}-(0[1-9]|1[0-2])-[0-9]{2}",
+           "month,value": "[0-9]{4}-(0[1-9]|1[0-2])"}[header]
+    line = f'(?:{key}),[^,"\\r\\n]{{0,{csv.field_size_limit()}}}\\n'
+    head, _, body = text.partition("\n")
+    return head == header and re.fullmatch(f"(?:{line})+", body) is not None
+
+
+_LIMIT = csv.field_size_limit()
+# Bodies on the edges of the byte checks, each as (header, text).
+_PLAIN_EDGES = {
+    "value at the csv limit": ("date,close", f"date,close\n2008-01-02,{'1' * _LIMIT}\n"),
+    "value over the csv limit": ("date,close",
+                                 f"date,close\n2008-01-02,{'1' * (_LIMIT + 1)}\n"),
+    "empty value": ("month,value", "month,value\n2008-01,\n"),
+    "month 00": ("month,value", "month,value\n2008-00,1.0\n"),
+    "month 13": ("month,value", "month,value\n2008-13,1.0\n"),
+    "date month 13": ("date,close", "date,close\n2008-13-01,1.0\n"),
+    "short key then a long line": ("date,close", "date,close\n20\n2008-0,-01,1.5\n"),
+    "key of slashes": ("date,close", "date,close\n2008/01/02,1.0\n"),
+    "key of letters": ("month,value", "month,value\n20a8-01,1.0\n"),
+    "two commas": ("date,close", "date,close\n2008-01-02,1.0,\n"),
+    "month key in a price file": ("date,close", "date,close\n2008-01,1.0\n"),
+    "date key in a month file": ("month,value", "month,value\n2008-01-02,1.0\n"),
+    "no rows": ("month,value", "month,value\n"),
+    "many rows": ("date,close", "date,close\n" + "".join(
+        f"{d},{i}.5\n" for i, d in enumerate(
+            np.arange("2008-01-02", "2012-01-02", dtype="datetime64[D]").astype(str)
+        )
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLAIN_EDGES))
+def test_plain_form_edges_match_the_regex_and_the_row_loop(tmp_path, name):
+    header, text = _PLAIN_EDGES[name]
+    width = {"date,close": 10, "month,value": 7}[header]
+    body = text.encode().partition(b"\n")[2]
+    assert market_data._plain_form(body, width) == _plain_by_regex(text, header)
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    _assert_matches_the_row_loop(path, header)
+
 _NEAR_KEYS = {
     "date,close": ["0000-01-01", "2021-02-29", "2008-01-32", "2008-1-02",
                    " 2008-01-02", "\u0662008-01-02", "2008-01-02T00", ""],
@@ -261,3 +373,14 @@ def test_whole_column_loaders_match_the_row_loop(tmp_path, case):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode())
     _assert_matches_the_row_loop(path, header)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(st.sampled_from(list(_NEAR_MISSES.values())), _table_file()))
+def test_byte_checks_accept_what_the_regex_accepted(case):
+    header, text = case
+    width = {"date,close": 10, "month,value": 7}[header]
+    head, _, body = text.encode().partition(b"\n")
+    plain = head == header.encode() and market_data._plain_form(body, width)
+    # Non-ASCII text now takes the row loop, which reads it the same.
+    assert plain == (text.isascii() and _plain_by_regex(text, header))

@@ -66,8 +66,11 @@ def _levels(seed, T, m, cointegrated):
 
 def _reference_test(panel, var_lag):
     eigvals, eigvecs, trace, n = johansen_trace_two_fits(panel.prices.T, var_lag)
-    return cointegration._outcome(
-        panel.instrument_ids, eigvals, eigvecs, trace, var_lag, n
+    m = len(eigvals)
+    cvs = np.array([cointegration.JOHANSEN_TRACE_CV_95[m - r] for r in range(m)])
+    rank = next((r for r in range(m) if trace[r] <= cvs[r]), m)
+    return cointegration.JohansenOutcome(
+        panel.instrument_ids, eigvals, eigvecs, trace, cvs, rank, var_lag - 1, n
     )
 
 

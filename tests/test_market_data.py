@@ -182,6 +182,30 @@ class TestAlignPanel:
         assert len(panel.dates) == len(a_dates & b_dates)
 
 
+    @pytest.mark.parametrize("calendars", ["equal", "shifted", "gapped", "equal then gapped"])
+    def test_matches_the_pairwise_intersection_chain(self, calendars):
+        # 5 tables of 60 weekdays: all equal, each starting a day later, each
+        # missing its own dates, or three equal and two with gaps.
+        rng = np.random.default_rng(3)
+        days = np.array(trading_days(dt.date(2008, 1, 2), 70), dtype="datetime64[D]")
+        tables = []
+        for i in range(5):
+            if calendars == "equal" or (calendars == "equal then gapped" and i < 3):
+                keep = days[:60]
+            elif calendars == "shifted":
+                keep = days[i : 60 + i]
+            else:
+                keep = np.delete(days, rng.choice(70, 8, replace=False))
+            tables.append(_closes(keep.astype(object), rng.uniform(1, 2, len(keep))))
+        closes = dict(zip("ABCDE", tables))
+        common = tables[0]["date"]
+        for table in tables[1:]:
+            common = np.intersect1d(common, table["date"], assume_unique=True)
+        panel = align_panel(closes, min_overlap=1)
+        assert panel.dates == tuple(common.astype(object))
+        want = [t["close"][np.searchsorted(t["date"], common)] for t in tables]
+        assert panel.prices.tobytes() == np.array(want).tobytes()
+
 class TestPricePanel:
     def test_unsorted_dates_raise(self):
         with pytest.raises(ValidationError, match="strictly ascending"):

@@ -28,6 +28,11 @@ ALLOWED = {
     "cointegration.johansen_test": "perfbench/ calls it (ROADMAP items 1 and 2)",
     "market_data.generate_synthetic_panel": "perfbench/ calls it (ROADMAP items 1 and 2)",
     "macro_signals.train_direction_classifier": "perfbench/ calls it (ROADMAP items 1 and 2)",
+    "cointegration.extract_hedge_ratio": "perfbench/ calls it (ROADMAP items 1 and 2)",
+    "spread_dynamics.compute_spread": "perfbench/ calls it (ROADMAP items 1 and 2)",
+    "spread_dynamics.estimate_half_life": "perfbench/ wraps it (ROADMAP items 1 and 2)",
+    "_ols.ols_qr": "perfbench/ wraps it (ROADMAP items 1 and 2)",
+    "fusion.ProbeRecord.probe_index": "perfbench/ reads it (ROADMAP items 1 and 2)",
     "cli._Parser.error": "argparse calls it",
     "cointegration.JohansenOutcome.trace_statistics": "the run's reports (ROADMAP item 5)",
     "cointegration.JohansenOutcome.critical_values_95": "the run's reports (ROADMAP item 5)",

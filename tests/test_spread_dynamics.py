@@ -1,15 +1,20 @@
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mrpairs.errors import DegenerateInputError, ValidationError
 from mrpairs.market_data import PricePanel, simulate_ou, trading_days
+from conftest import half_life_one_by_one, standardize_one_by_one
 from mrpairs.spread_dynamics import (
     compute_spread,
     estimate_half_life,
+    half_life_error,
+    half_life_rows,
     standardize,
+    zscore_rows,
 )
 
 
@@ -117,3 +122,46 @@ class TestStandardize:
             assert np.allclose(
                 standardize(a * s + b), np.sign(a) * z, atol=1e-9
             )
+
+
+def _spreads(seed):
+    """Rows that meet each branch of the two steps: walks, OU paths, a
+    growing path, constant and almost constant rows, and non-finite ones."""
+    rng = np.random.default_rng(seed)
+    T = 80
+    rows = [np.cumsum(rng.standard_normal(T)) for _ in range(3)]
+    rows += [simulate_ou(rng, T, hl, 1.0) for hl in (2.0, 10.0)]
+    rows += [1.01 ** np.arange(T, dtype=float), np.full(T, 2.0),
+             np.r_[np.full(T - 1, 2.0), 3.0], 1e-300 * rng.standard_normal(T),
+             np.r_[np.nan, np.ones(T - 1)], np.r_[np.ones(T - 1), np.inf]]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("length", [1, 20, 80])
+def test_stacked_rows_equal_the_steps_one_row_at_a_time(seed, length):
+    spreads = _spreads(seed)[:, :length]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        zscores, z_failures = zscore_rows(spreads)
+        half_lives, hl_failures = half_life_rows(spreads)
+    for row, z, z_failure, half_life, hl_failure in zip(
+        spreads, zscores, z_failures, half_lives, hl_failures, strict=True
+    ):
+        with np.errstate(all="ignore"):  # the references warn on non-finite rows
+            try:
+                want = standardize_one_by_one(row)
+            except DegenerateInputError as exc:
+                assert z_failure == str(exc)
+            else:
+                assert z_failure == "" and z.tobytes() == want.tobytes()
+            error = None
+            try:
+                want = half_life_one_by_one(row)
+            except DegenerateInputError as exc:
+                error = exc
+        if error is None:
+            assert hl_failure == "" and repr(float(half_life)) == repr(want)
+        else:
+            assert hl_failure == str(error)
+            assert type(half_life_error(hl_failure)) is type(error)
