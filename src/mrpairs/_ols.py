@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import RankDeficientError, SingularityError
+from .errors import DegenerateInputError, RankDeficientError, SingularityError
 
 # Relative tolerance on the diagonal of R for declaring rank deficiency.
 _RANK_RTOL = 1e-10
@@ -153,12 +153,14 @@ def nested_residual_moments(
         return np.stack([tail.mT @ tail for tail in tails], axis=-3), failures
 
 
-def failure_error(message: str) -> SingularityError:
-    """The error a failed check's message raises: `RankDeficientError` for
-    the rank rule, as in `ols_qr`, else `SingularityError`."""
-    if message == _RANK_DEFICIENT:
-        return RankDeficientError(message)
-    return SingularityError(message)
+def failure_error(
+    message: str, otherwise: type[DegenerateInputError] = SingularityError
+) -> DegenerateInputError:
+    """The error a failed check's message raises, with the message as a plain
+    str: `RankDeficientError` for the rank rule, as in `ols_qr`, else
+    `otherwise`. Every stacked step's failure is raised through here."""
+    message = str(message)
+    return (RankDeficientError if message == _RANK_DEFICIENT else otherwise)(message)
 
 
 def first_failures(failures: np.ndarray) -> list[str | None]:

@@ -148,10 +148,11 @@ def trade_subset(
 ) -> tuple[PricePanel, ci.JohansenOutcome, ci.CointegratedPortfolio, PositionSeries]:
     """The named subset's panel, Johansen outcome, portfolio and positions.
 
-    Fitted with `cointegration.fit_subset`, the scan's recipe on the
+    Fitted with `cointegration.fit_subset`, the scan's steps on the
     subset's own columns (the scan's row agrees in rank, and in figures to
     about 3e-13 relative), and traded on its full-sample z-scores; rank 0
-    raises NoCointegrationError.
+    raises NoCointegrationError. No series is classified first, so a subset
+    the scan skips as not all I(1) is fitted and traded all the same.
     """
     sub = panel.subpanel([panel.instrument_ids.index(s) for s in subset_ids])
     outcome, portfolio = ci.fit_subset(sub, var_max_lag)

@@ -7,7 +7,8 @@ parse the keys, and its defaults reproduce the research settings.
 
 Every CSV is read and written through `_csv`, so the file format lives in
 one place. Each command only loads, calls and writes. A `--subset` is
-fitted from its own columns, with the scan's recipe, and traded by
+fitted from its own columns with the scan's steps but not its I(1) screen
+(its series are not classified), and traded by
 `backtest.trade_subset`; `backtest` and `report` backtest its positions
 with costs, `optimize` fuses them in `fusion.fuse_forecasts`, and `scan`
 and `report` share one scan call.
@@ -19,7 +20,6 @@ to exit codes: 2 validation, 3 numerical degeneracy, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import json
 import math
@@ -36,7 +36,7 @@ from . import fusion
 from . import macro_signals as ms
 from . import unit_root as ur
 from ._csv import cells, write_csv
-from .errors import PipelineError, ValidationError
+from .errors import PipelineError, ValidationError, about
 from .market_data import align_panel, load_monthly_csv, load_price_csv
 from .plot_data import emit_plot_data
 
@@ -252,15 +252,6 @@ def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _about(indicator: str):
-    """Name the indicator in the message of an error raised inside, keeping its class."""
-    try:
-        yield
-    except PipelineError as exc:
-        raise type(exc)(f"indicator {indicator!r}: {exc}") from exc
-
-
 def _monthly_directions(
     cfg: RunConfig, indicators: list[str]
 ) -> dict[str, dict[str, ms.DirectionLabel]]:
@@ -279,7 +270,7 @@ def _monthly_directions(
             directions[indicator] = ms.load_forecast_oracle_csv(cfg.macro_oracle_paths[indicator])
             continue
         series = load_monthly_csv(cfg.macro_paths[indicator])
-        with _about(indicator):
+        with about(f"indicator {indicator!r}"):
             features, labels, months = ms.build_direction_features(series, cfg.flat_epsilon)
             split = max(24, int(len(months) * cfg.forecast_train_fraction))
             if split >= len(months):
@@ -287,12 +278,12 @@ def _monthly_directions(
         problems[indicator] = features[:split], labels[:split]
         held_out[indicator] = features[split:], months[split:]
     for indicator, problem in problems.items():
-        with _about(indicator):
+        with about(f"indicator {indicator!r}"):
             ms.check_training_problem(*problem)
     models = ms.train_direction_classifiers(list(problems.values()))
     for indicator, model in zip(problems, models):
         features, months = held_out[indicator]
-        with _about(indicator):
+        with about(f"indicator {indicator!r}"):
             directions[indicator] = dict(zip(months, ms.predict_directions(model, features)))
     return {indicator: directions[indicator] for indicator in indicators}
 

@@ -77,11 +77,10 @@ from .errors import (
     DegenerateInputError,
     NoCointegrationError,
     RankDeficientError,
-    SingularityError,
     ValidationError,
 )
 from .market_data import PricePanel
-from .spread_dynamics import SpreadSeries, half_life_error, half_life_rows, zscore_rows
+from .spread_dynamics import SpreadSeries, half_life_rows, zscore_rows
 from .unit_root import IntegrationOrder, classify_integration_order, null_walk_batches
 
 # 95% trace critical values indexed by m - r (number of common trends under
@@ -411,7 +410,7 @@ def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
     vector = np.asarray(outcome.eigenvectors, dtype=float)[:, 0]
     (hedge,), (failure,) = _hedge_rows(vector[None])
     if failure:
-        raise SingularityError(str(failure))
+        raise failure_error(failure)
     return hedge
 
 
@@ -450,10 +449,8 @@ def _portfolios(
         if len(failed):
             i = failed[0]
             if hedge_failed[i]:
-                raise SingularityError(str(hedge_failed[i]))
-            if flat[i]:
-                raise DegenerateInputError(str(flat[i]))
-            raise half_life_error(unfit[i])
+                raise failure_error(hedge_failed[i])
+            raise failure_error(flat[i] or unfit[i], DegenerateInputError)
         # A scan row keeps its hedge ratio, so each is its own array, not a
         # view that keeps the chunk's stack alive.
         out += [

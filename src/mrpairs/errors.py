@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the engine.
 
 Every error carries a CLI exit code: 2 for validation problems,
-3 for numerical degeneracies, 4 for I/O failures.
+3 for numerical degeneracies, 4 for I/O failures. `about` is the one way an
+error gains context (an indicator, a file) on its way out.
 """
+
+import contextlib
 
 
 class PipelineError(Exception):
@@ -65,3 +68,13 @@ class DegenerateLabelsError(DegenerateInputError):
 
 class OptimizationDegenerateError(DegenerateInputError):
     """Every weight probe produced a degenerate backtest."""
+
+
+@contextlib.contextmanager
+def about(label: str):
+    """Prefix `label: ` to the message of an engine error raised inside,
+    keeping its class; any other exception passes as it is."""
+    try:
+        yield
+    except PipelineError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc

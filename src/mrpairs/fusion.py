@@ -41,7 +41,7 @@ from .backtest import (
     BacktestReport, CostModel, FrictionlessScorer, PositionSeries, compute_pnl,
 )
 from .errors import (
-    AlignmentError, CoverageError, OptimizationDegenerateError, ValidationError,
+    AlignmentError, OptimizationDegenerateError, ValidationError, about,
 )
 from .macro_signals import SignalSeries
 from .market_data import PricePanel
@@ -308,10 +308,8 @@ def fuse_forecasts(
     sub = PricePanel(panel.dates[run], panel.prices[:, run], panel.instrument_ids)
     sources = []
     for indicator, signals in forecasts.items():
-        try:
+        with about(f"indicator {indicator!r}"):
             sources.append(ms.expand_monthly_to_daily(signals, sub.dates))
-        except CoverageError as exc:
-            raise CoverageError(f"indicator {indicator!r}: {exc}") from exc
     sources.append(SignalSeries(sub.dates, mr_positions.positions[run]))
     result = optimize_weights(sources, sub, hedge_ratio, config)
     fused = combine_signals(sources, result.weights)

@@ -78,9 +78,6 @@ class SignalSeries:
         sig = target_positions(self.signals, len(self.dates), "signals")
         object.__setattr__(self, "signals", sig)
 
-    def __len__(self) -> int:
-        return len(self.signals)
-
 
 def check_flat_epsilon(flat_epsilon: float) -> None:
     """Raise ValidationError unless the flat band is finite and non-negative."""

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import read_map
-from .errors import InsufficientOverlapError, ValidationError
+from .errors import InsufficientOverlapError, ValidationError, about
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -240,10 +240,8 @@ def load_price_csv(path: str) -> np.ndarray:
 def load_monthly_csv(path: str) -> MonthlySeries:
     """Parse a `month,value` CSV (months `YYYY-MM`) into a MonthlySeries."""
     table = _read_table(path, "month,value")
-    try:
+    with about(path):
         return MonthlySeries(tuple(table["month"].tolist()), table["value"])
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def align_panel(closes: dict[str, np.ndarray], min_overlap: int) -> PricePanel:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import _RANK_DEFICIENT, rank_deficient
-from .errors import DegenerateInputError, RankDeficientError, ValidationError
+from ._ols import _RANK_DEFICIENT, failure_error, rank_deficient
+from .errors import DegenerateInputError, ValidationError
 from .market_data import PricePanel
 
 MIN_HALF_LIFE_OBS = 30
@@ -43,9 +43,6 @@ class SpreadSeries:
     dates: tuple
     values: np.ndarray
     zscores: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def zscore_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +62,7 @@ def standardize(values: np.ndarray) -> np.ndarray:
     """(x - mean)/std with the sample std."""
     (zscores,), (failure,) = zscore_rows(np.asarray(values, dtype=float)[None])
     if failure:
-        raise DegenerateInputError(str(failure))
+        raise failure_error(failure, DegenerateInputError)
     return zscores
 
 
@@ -112,17 +109,9 @@ def half_life_rows(spreads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half_lives, failures
 
 
-def half_life_error(message: str) -> DegenerateInputError:
-    """The error a failed half-life check raises: `RankDeficientError` for
-    the rank rule, as in `_ols.ols_qr`, else `DegenerateInputError`."""
-    if message == _RANK_DEFICIENT:
-        return RankDeficientError(str(message))
-    return DegenerateInputError(str(message))
-
-
 def estimate_half_life(spread: np.ndarray) -> float:
     """Half-life in days of the OLS of the daily spread change on the lagged level."""
     (half_life,), (failure,) = half_life_rows(np.asarray(spread, dtype=float)[None])
     if failure:
-        raise half_life_error(failure)
+        raise failure_error(failure, DegenerateInputError)
     return float(half_life)

@@ -192,15 +192,16 @@ class TestScan:
 
 
     def test_constant_series_is_skipped_not_fatal(self, tmp_path):
-        # Three walks and a series that never moves: the scan skips the
-        # constant's 7 subsets with their own reason and exits 0.
+        # Three walks, a series that never moves and a straight line: the
+        # scan skips the constant's 14 subsets and the line's 7 others, each
+        # with its own reason, and exits 0.
         T = 300
         dates = generate_synthetic_panel(
             0, SynthConfig(n_walks=1, n_days=T, noise_scale=1.0, start_price=500.0)
         ).dates
         walks = 500.0 + np.cumsum(np.random.default_rng(3).standard_normal((3, T)), 1)
         series = {"FLAT": np.full(T, 250.0), "W1": walks[0], "W2": walks[1],
-                  "W3": walks[2]}
+                  "W3": walks[2], "LINE": 1000.0 + 0.5 * np.arange(T)}
         config = tmp_path / "run.cfg"
         config.write_text("".join(
             f"price.{iid} = {write_price_csv(tmp_path / f'{iid}.csv', dates, y)}\n"
@@ -212,11 +213,14 @@ class TestScan:
         assert (code, stderr) == (0, "")
         _, rows = _read_csv(out / "scan_report.csv")
         skipped = {row[0]: row[1] for row in rows}
-        assert len(skipped) == 11
+        assert len(skipped) == 25
         assert [s for s, reason in skipped.items() if reason == "constant series"] == [
             s for s in skipped if "FLAT" in s.split("+")
         ]
-        assert sum("FLAT" in s.split("+") for s in skipped) == 7
+        assert sum("FLAT" in s.split("+") for s in skipped) == 14
+        line = [s for s, reason in skipped.items() if reason == "constant differences"]
+        assert line == [s for s in skipped if "LINE" in s.split("+") and "FLAT" not in s]
+        assert len(line) == 7
 
     def test_near_constant_series_is_skipped_not_fatal(self, tmp_path):
         # A constant plus 1e-12 noise fails its unit-root fit's rank check:
@@ -887,7 +891,7 @@ class TestErrorPaths:
         )
         assert code == 2
         assert err == f"ERR:validation:Monte Carlo {message}\n"
-        assert not (out / "critical_values.csv").exists()
+        assert not out.exists()
 
     def test_verify_critical_values_checks_sizes_before_simulating(
         self, monkeypatch, capsys, tmp_path
@@ -1157,9 +1161,11 @@ class TestArguments:
              "argument --subset: expected one argument"),
         ],
     )
-    def test_an_argument_error_is_one_err_line(self, argv, message):
+    def test_an_argument_error_is_one_err_line(self, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # the default --out, where nothing may appear
         code, out, err = _run_main(argv)
         assert (code, out, err) == (2, "", f"ERR:validation:{message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     # The `seed`, `cost.<ID>` and `macro_oracle.<ID>` config keys set these.
     @pytest.mark.parametrize(

@@ -5,13 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from mrpairs._ols import failure_error
 from mrpairs.errors import DegenerateInputError, ValidationError
 from mrpairs.market_data import PricePanel, simulate_ou, trading_days
 from conftest import half_life_one_by_one, standardize_one_by_one
 from mrpairs.spread_dynamics import (
     compute_spread,
     estimate_half_life,
-    half_life_error,
     half_life_rows,
     standardize,
     zscore_rows,
@@ -164,4 +164,4 @@ def test_stacked_rows_equal_the_steps_one_row_at_a_time(seed, length):
             assert hl_failure == "" and repr(float(half_life)) == repr(want)
         else:
             assert hl_failure == str(error)
-            assert type(half_life_error(hl_failure)) is type(error)
+            assert type(failure_error(hl_failure, DegenerateInputError)) is type(error)
