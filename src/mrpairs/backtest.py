@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cointegration as ci
+from ._ols import failure_error
 from .errors import DegenerateInputError, NoCointegrationError, ValidationError
 from .market_data import PricePanel
 
@@ -144,18 +145,26 @@ def generate_mr_positions(
 
 
 def trade_subset(
-    panel: PricePanel, subset_ids: list[str], var_max_lag: int, entry: float, exit: float
+    panel: PricePanel, subset_ids: list[str], var_max_lag: int, adf_max_lag: int | None,
+    entry: float, exit: float,
 ) -> tuple[PricePanel, ci.JohansenOutcome, ci.CointegratedPortfolio, PositionSeries]:
     """The named subset's panel, Johansen outcome, portfolio and positions.
 
-    Fitted with `cointegration.fit_subset`, the scan's steps on the
-    subset's own columns (the scan's row agrees in rank, and in figures to
-    about 3e-13 relative), and traded on its full-sample z-scores; rank 0
-    raises NoCointegrationError. No series is classified first, so a subset
-    the scan skips as not all I(1) is fitted and traded all the same.
+    Screened and fitted by the scan's own path, `cointegration._fit_subsets`,
+    on the subset's own columns (the scan's row agrees in rank, and in
+    figures to about 3e-13 relative), and traded on its full-sample
+    z-scores. A subset the scan skips raises NoCointegrationError with the
+    scan's reason, a failed fit the error of its failing check, and rank 0
+    NoCointegrationError.
     """
     sub = panel.subpanel([panel.instrument_ids.index(s) for s in subset_ids])
-    outcome, portfolio = ci.fit_subset(sub, var_max_lag)
+    columns = [tuple(range(sub.n_instruments))]
+    ((reason, fit),) = ci._fit_subsets(sub, columns, var_max_lag, adf_max_lag)
+    if reason:
+        raise NoCointegrationError(f"subset {sub.instrument_ids} skipped: {reason}")
+    if isinstance(fit, str):
+        raise failure_error(fit)
+    outcome, portfolio = fit
     if portfolio is None:
         raise NoCointegrationError(f"subset {outcome.subset} has cointegration rank 0")
     spread = portfolio.spread

@@ -7,11 +7,11 @@ parse the keys, and its defaults reproduce the research settings.
 
 Every CSV is read and written through `_csv`, so the file format lives in
 one place. Each command only loads, calls and writes. A `--subset` is
-fitted from its own columns with the scan's steps but not its I(1) screen
-(its series are not classified), and traded by
-`backtest.trade_subset`; `backtest` and `report` backtest its positions
-with costs, `optimize` fuses them in `fusion.fuse_forecasts`, and `scan`
-and `report` share one scan call.
+screened and fitted from its own columns by the scan's own path, and
+traded, by `backtest.trade_subset`, so a subset the scan skips ends in
+one error before any file is written; `backtest` and `report` backtest
+its positions with costs, `optimize` fuses them in
+`fusion.fuse_forecasts`, and `scan` and `report` share one scan call.
 
 Errors print a single machine-parsable line `ERR:<code>:<message>` and map
 to exit codes: 2 validation, 3 numerical degeneracy, 4 I/O.
@@ -227,7 +227,7 @@ def _backtest(cfg: RunConfig, panel, subset_ids: list[str]):
     """The subset's Johansen outcome and portfolio, and the backtest of its
     positions with `cfg.costs`."""
     sub, outcome, portfolio, positions = bt.trade_subset(
-        panel, subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
+        panel, subset_ids, cfg.var_max_lag, cfg.adf_max_lag, cfg.entry_z, cfg.exit_z
     )
     report = bt.compute_pnl(sub, portfolio.hedge_ratio, positions, bt.CostModel(cfg.costs))
     return outcome, portfolio, report
@@ -314,7 +314,7 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
         raise ValidationError("optimize needs at least one macro indicator")
     fusion.check_grid_size(len(indicators) + 1)
     sub, _, portfolio, positions = bt.trade_subset(
-        _load_panel(cfg), subset_ids, cfg.var_max_lag, cfg.entry_z, cfg.exit_z
+        _load_panel(cfg), subset_ids, cfg.var_max_lag, cfg.adf_max_lag, cfg.entry_z, cfg.exit_z
     )
     forecasts = {
         indicator: {m: ms.direction_to_signal(d) for m, d in directions.items()}

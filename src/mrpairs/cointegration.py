@@ -33,17 +33,17 @@ sizes. Through the shared factors a subset's rounding depends on the
 other tested columns: its figures are within about 1e-12 relative of a
 fit of that subset alone. A check that fails for one subset becomes that
 subset's message, in the order the single fit would raise it; the single
-fits (`select_var_lag`, `johansen_test`, `fit_subset`) are stacks of one
-that raise it. Each stack is processed in chunks under `_CHUNK_BYTES`
-(0.5 MB), so the working set is bounded whatever the number of subsets.
+fits (`select_var_lag`, `johansen_test`) are stacks of one that raise it.
+Each stack is processed in chunks under `_CHUNK_BYTES` (0.5 MB), so the
+working set is bounded whatever the number of subsets.
 
-`fit_subset` is the one recipe for a subset: lag selection, Johansen
-test, and at rank >= 1 the hedge ratio, spread and half-life. The scan
-runs the same steps through the same code (`_fit_equal_width`), on slices
-of factors of every tested series where `fit_subset` factors the subset's
-own columns, so their figures differ as above. Ranks come from one
-comparison per Johansen stack against one read-only critical-value array
-per width. The portfolio steps of the rank >= 1 subsets run as stacks too
+`_fit_subsets` is the one recipe for subsets: the I(1) screen, lag
+selection, Johansen test, and at rank >= 1 the hedge ratio, spread and
+half-life. The scan runs it over every subset, on slices of factors of
+every tested series; `backtest.trade_subset` runs it over one subset on
+that subset's own columns, so their figures differ as above. Ranks come
+from one comparison per Johansen stack against one read-only
+critical-value array per width. The portfolio steps of the rank >= 1 subsets run as stacks too
 (`_portfolios`, chunked under `_CHUNK_BYTES` like the rest): one stack
 each of hedge ratios, spreads, z-scores and half-lives, every figure
 bit-identical to `extract_hedge_ratio`, `compute_spread` and
@@ -460,37 +460,20 @@ def _portfolios(
     return out
 
 
-Fit = tuple[JohansenOutcome, CointegratedPortfolio | None]
-
-
-def fit_subset(sub: PricePanel, var_max_lag: int) -> Fit:
-    """Johansen test of one subset and, at rank >= 1, its portfolio.
-
-    The VAR lag is chosen up to var_max_lag, capped at the largest lag
-    `select_var_lag` accepts for the subset's length. A singular lag
-    selection or Johansen step raises SingularityError; errors of
-    the hedge, spread and half-life steps propagate as they are.
-    """
-    _check_width(sub.n_instruments)
-    columns = [tuple(range(sub.n_instruments))]
-    (fit,) = _fit_equal_width(sub, VarLagSelector(sub), columns, var_max_lag)
-    if isinstance(fit, str):
-        raise failure_error(fit)
-    return fit
-
-
 def _fit_equal_width(
     panel: PricePanel,
     lags: VarLagSelector,
     subsets: Sequence[tuple[int, ...]],
     var_max_lag: int,
-) -> list[Fit | str]:
-    """`fit_subset` for equal-width subsets of `panel`, in their order.
+) -> list[tuple[JohansenOutcome, CointegratedPortfolio | None] | str]:
+    """Fits of equal-width subsets of `panel`, in their order.
 
-    The lags come from one `lags.select_many`, the Johansen steps and ranks
-    from one `_johansen_stack` per chosen lag, and the portfolios of every
-    rank >= 1 subset from `_portfolios`, whose first failing subset raises.
-    A subset whose lag selection or Johansen step fails gets the message.
+    The VAR lag is chosen up to var_max_lag, capped at the largest lag
+    `select_var_lag` accepts for the subset's length. The lags come from
+    one `lags.select_many`, the Johansen steps and ranks from one
+    `_johansen_stack` per chosen lag, and the portfolios of every rank >= 1
+    subset from `_portfolios`, whose first failing subset raises. A subset
+    whose lag selection or Johansen step fails gets the message.
     """
     m = len(subsets[0])
     T = panel.n_dates
@@ -545,30 +528,30 @@ def _integration_order(series: np.ndarray, max_lag: int | None):
         return "singular unit-root fit"
 
 
-def scan_cointegration(
+def _fit_subsets(
     panel: PricePanel,
-    min_size: int = 2,
-    max_size: int = 4,
-    var_max_lag: int = 10,
-    adf_max_lag: int | None = None,
+    subsets: Sequence[tuple[int, ...]],
+    var_max_lag: int,
+    adf_max_lag: int | None,
     orders: Sequence[IntegrationOrder | str] | None = None,
-) -> list[ScanRow]:
-    """Test every instrument subset; rows come back in enumeration order.
+) -> Iterator[tuple[str | None, tuple[JohansenOutcome, CointegratedPortfolio | None] | str | None]]:
+    """Each subset's skip reason and None, or None and its fit, in order.
 
-    Subsets not all I(1) are skipped, not tested: with the reason of their
-    first member that has no I(d) order ("constant series", "constant
-    differences", "singular unit-root fit"), else as "not all I(1)". The
-    report order is fixed by the enumeration. The tested subsets are fit one
-    width at a time (`_fit_equal_width`); every subset's VAR lag and
-    Johansen step come from one factor of the whole panel per distinct lag.
-    Only the members of tested subsets are in those factors, so a tested
-    row depends on the tested series alone.
+    A subset of `panel`'s columns (in ascending width) is skipped unless
+    every member is I(1) (`orders`, else `_integration_order`), with the
+    first reason among its members, else "not all I(1)". The tested ones are
+    fit by `_fit_equal_width` from one `VarLagSelector` of their members
+    alone, a width at a time as they are read.
     """
-    subsets = enumerate_combinations(panel.n_instruments, min_size, max_size)
     _check_width(len(subsets[-1]))
     if orders is None:
         orders = [_integration_order(y, adf_max_lag) for y in panel.prices]
-    tested = [s for s in subsets if all(orders[i] is IntegrationOrder.I1 for i in s)]
+    reasons = [
+        None if all(orders[i] is IntegrationOrder.I1 for i in s)
+        else next((orders[i] for i in s if isinstance(orders[i], str)), "not all I(1)")
+        for s in subsets
+    ]
+    tested = [s for s, reason in zip(subsets, reasons) if reason is None]
     factored = sorted({i for s in tested for i in s})
     at = {c: j for j, c in enumerate(factored)}
     fitted = panel.subpanel(factored)
@@ -577,23 +560,33 @@ def scan_cointegration(
         _fit_equal_width(fitted, lags, [tuple(at[i] for i in s) for s in group], var_max_lag)
         for _, group in itertools.groupby(tested, len)
     )
-    tested = set(tested)
+    return ((reason, None if reason else next(fits)) for reason in reasons)
+
+
+def scan_cointegration(
+    panel: PricePanel,
+    min_size: int = 2,
+    max_size: int = 4,
+    var_max_lag: int = 10,
+    adf_max_lag: int | None = None,
+    orders: Sequence[IntegrationOrder | str] | None = None,
+) -> list[ScanRow]:
+    """Test every instrument subset through `_fit_subsets`; rows come back
+    in enumeration order, a skipped subset's with its skip reason and a
+    failed fit's with "singular". A tested row depends on the tested series
+    alone, since only they are factored.
+    """
+    subsets = enumerate_combinations(panel.n_instruments, min_size, max_size)
+    fits = _fit_subsets(panel, subsets, var_max_lag, adf_max_lag, orders)
     rows: list[ScanRow] = []
-    for subset in subsets:
+    for subset, (reason, fit) in zip(subsets, fits):
         ids = tuple(panel.instrument_ids[i] for i in subset)
-        if subset not in tested:
-            reasons = [orders[i] for i in subset if isinstance(orders[i], str)]
-            reason = reasons[0] if reasons else "not all I(1)"
-            rows.append(ScanRow(ids, reason, None, None, None, None))
-            continue
-        fit = next(fits)
-        if isinstance(fit, str):
-            rows.append(ScanRow(ids, "singular", None, None, None, None))
+        if reason or isinstance(fit, str):
+            rows.append(ScanRow(ids, reason or "singular", None, None, None, None))
             continue
         outcome, portfolio = fit
-        if portfolio is None:
-            hedge, half_life = None, None
-        else:
+        hedge = half_life = None
+        if portfolio is not None:
             hedge, half_life = portfolio.hedge_ratio, portfolio.half_life_days
         top = float(outcome.eigenvalues[0])
         rows.append(ScanRow(ids, None, outcome.rank, top, hedge, half_life))

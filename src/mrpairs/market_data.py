@@ -104,9 +104,13 @@ class MonthlySeries:
         object.__setattr__(self, "values", _readonly(self.values))
         if len(self.months) != len(self.values):
             raise ValidationError("months and values lengths differ")
-        keys = [_month_key(m) for m in self.months]
-        for i in range(1, len(keys)):
-            if keys[i] != keys[i - 1] + 1:
+        if self.months:
+            # Strict, contiguous months are the formatted run from the first.
+            first = np.datetime64(_month(self.months[0]), "M")
+            run = np.arange(first, first + len(self.months)).astype(str)
+            if len(run[-1]) != 7 or not np.array_equal(run, self.months):
+                keys = [np.datetime64(_month(m), "M") for m in self.months]
+                i = next(i for i in range(1, len(keys)) if keys[i] != keys[i - 1] + 1)
                 raise ValidationError(
                     "months must be contiguous and ascending, got "
                     f"{self.months[i - 1]} then {self.months[i]}"
@@ -122,16 +126,10 @@ _MONTH = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _month_key(month: str) -> int:
-    """Months since year 0 of a strict, zero-padded `YYYY-MM`."""
-    if not _MONTH.fullmatch(month):
-        raise ValidationError(f"bad month {month!r}, expected YYYY-MM")
-    return int(month[:4]) * 12 + int(month[5:]) - 1
-
-
 def _month(text: str) -> str:
     """A strict, zero-padded `YYYY-MM` month, as given."""
-    _month_key(text)
+    if not _MONTH.fullmatch(text):
+        raise ValidationError(f"bad month {text!r}, expected YYYY-MM")
     return text
 
 

@@ -17,16 +17,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import RECIPE_CONFIG, write_monthly_csv, write_price_csv
+from conftest import RECIPE_CONFIG, ar1, write_monthly_csv, write_price_csv
 from mrpairs import cli
 from mrpairs.backtest import (
     FrictionlessScorer,
     PositionSeries,
     compute_metrics,
     compute_pnl,
-    generate_mr_positions,
+    trade_subset,
 )
-from mrpairs.cointegration import fit_subset
 from mrpairs.errors import ValidationError
 from mrpairs.fusion import WeightVector, combine_signals
 from mrpairs.market_data import PricePanel, SynthConfig, generate_synthetic_panel
@@ -481,8 +480,7 @@ class TestOptimize:
         # The baseline row is the full-sample mean-reversion strategy, cut to
         # the forecast months.
         start = next(t for t, day in enumerate(panel.dates) if f"{day:%Y-%m}" == first)
-        _, portfolio = fit_subset(panel, 10)
-        mr = generate_mr_positions(portfolio.spread.zscores, 1.0, 0.0)
+        _, _, portfolio, mr = trade_subset(panel, ["SYN1", "SYN2"], 10, None, 1.0, 0.0)
         run = PricePanel(
             panel.dates[start:], panel.prices[:, start:], panel.instrument_ids
         )
@@ -688,7 +686,8 @@ class TestErrorPaths:
         return config
 
     # Closes near 1e300 overflow the regression moments; near 1e305 the QR
-    # itself gives a nan diagonal, which must fail the rank check.
+    # itself gives a nan diagonal, which must fail the rank check. The unit-
+    # root fits fail it first, so the subset is refused as the scan skips it.
     @pytest.mark.parametrize("scale", [2e297, 2e302])
     @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
     def test_closes_near_the_float_limit_end_in_one_err_line(
@@ -701,7 +700,8 @@ class TestErrorPaths:
             warnings.simplefilter("always")
             code, err = self._main_exit(monkeypatch, capsys, argv)
         assert [str(w.message) for w in caught] == []
-        assert (code, err) == (3, "ERR:degenerate:regressor matrix is rank deficient\n")
+        message = "subset ('SYN1', 'SYN2') skipped: singular unit-root fit"
+        assert (code, err) == (3, f"ERR:degenerate:{message}\n")
 
     # The scan has no subset to fit: each series' unit-root fit fails the
     # same rank check, which skips that series' subsets instead.
@@ -731,11 +731,12 @@ class TestErrorPaths:
             text=True,
         )
         assert (done.returncode, done.stderr) == (
-            3, "ERR:degenerate:regressor matrix is rank deficient\n"
+            3, "ERR:degenerate:subset ('SYN1', 'SYN2') skipped: singular unit-root fit\n"
         )
 
-    # Both VAR residual series are exactly zero, so slogdet takes log 0;
-    # the rank check's message is the one line printed.
+    # Both VAR residual series would be exactly zero, so slogdet would take
+    # log 0; the tiny walk's unit-root fit fails the rank check first, and the
+    # scan's skip reason is the one line printed.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
     def test_a_tiny_walk_and_an_exact_alternation_end_in_one_err_line(
@@ -751,7 +752,49 @@ class TestErrorPaths:
         ) + "macro.M1 = never-read.csv\n")
         code, _, err = _run_main([command, "--config", str(config), "--subset", "A,B",
                                   "--out", str(tmp_path / "out")])
-        assert (code, err) == (3, "ERR:degenerate:regressor matrix is rank deficient\n")
+        message = "subset ('A', 'B') skipped: singular unit-root fit"
+        assert (code, err) == (3, f"ERR:degenerate:{message}\n")
+
+    @pytest.fixture(scope="class")
+    def screened_config(self, tmp_path_factory):
+        """A walk W beside an AR(0.5) series S, a constant C and a straight
+        line L at T = 600, and the scan's skip reason of each subset."""
+        root = tmp_path_factory.mktemp("screened")
+        dates = generate_synthetic_panel(0, dataclasses.replace(RECIPE_CONFIG, n_days=600)).dates
+        rng = np.random.default_rng(0)
+        closes = {
+            "W": 100.0 + np.cumsum(rng.standard_normal(600)),
+            "S": 100.0 + ar1(rng, 600, 0.5),
+            "C": np.full(600, 50.0),
+            "L": 10.0 + 0.125 * np.arange(600),
+        }
+        config = root / "run.cfg"
+        config.write_text("".join(
+            f"price.{iid} = {write_price_csv(root / f'{iid}.csv', dates, v)}\n"
+            for iid, v in closes.items()
+        ) + "macro.M1 = never-read.csv\n")
+        assert cli.run(["scan", "--config", str(config), "--out", str(root)]) == 0
+        _, rows = _read_csv(root / "scan_report.csv")
+        return config, {row[0]: row[1] for row in rows}
+
+    # `scan` skips these subsets, so a subset command refuses them with the
+    # scan's reason before it writes anything.
+    @pytest.mark.parametrize("subset, reason", [
+        ("W,S", "not all I(1)"), ("W,C", "constant series"), ("W,L", "constant differences"),
+    ])
+    @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
+    def test_a_subset_the_scan_skips_ends_in_its_skip_reason(
+        self, screened_config, tmp_path, command, subset, reason
+    ):
+        config, skipped = screened_config
+        ids = subset.split(",")
+        assert skipped["+".join(ids)] == reason
+        out = tmp_path / "out"
+        code, _, err = _run_main(
+            [command, "--config", str(config), "--subset", subset, "--out", str(out)]
+        )
+        assert (code, err) == (3, f"ERR:degenerate:subset {tuple(ids)} skipped: {reason}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("coverage", ["none", "gap"])
     def test_forecasts_that_miss_the_run(
@@ -1454,13 +1497,14 @@ class TestChecksBeforeLoading:
         self, small_workspace, tmp_path, monkeypatch, half_life
     ):
         if half_life is not None:  # a portfolio with no measured mean reversion
-            fit = cli.ci.fit_subset
+            fit = cli.ci._fit_subsets
 
-            def no_reversion(*args):
-                outcome, portfolio = fit(*args)
-                return outcome, dataclasses.replace(portfolio, half_life_days=half_life)
+            def no_reversion(*args):  # the workspace's one pair, in the scan too
+                ((reason, (outcome, portfolio)),) = fit(*args)
+                portfolio = dataclasses.replace(portfolio, half_life_days=half_life)
+                return [(reason, (outcome, portfolio))]
 
-            monkeypatch.setattr(cli.ci, "fit_subset", no_reversion)
+            monkeypatch.setattr(cli.ci, "_fit_subsets", no_reversion)
         config = tmp_path / "run.cfg"
         config.write_text(small_workspace)
         argv = ["report", "--config", str(config), "--out", str(tmp_path)]
@@ -1540,7 +1584,8 @@ def test_a_subset_run_fits_once_and_backtests_each_distinct_fused_rule_once(
         + f"macro_oracle.GDP = {pair_workspace['oracle']}\n"
     )
     calls = _record_calls(monkeypatch, [
-        "cointegration.fit_subset", "backtest.generate_mr_positions",
+        "cointegration._fit_subsets", "unit_root.classify_integration_order",
+        "backtest.generate_mr_positions",
         "backtest.compute_pnl", "macro_signals.expand_monthly_to_daily",
         "fusion.optimize_weights",
     ])
@@ -1568,9 +1613,16 @@ def test_a_subset_run_fits_once_and_backtests_each_distinct_fused_rule_once(
         indicators, optimizations = 2, 1
     assert len(set(scored)) == len(scored)
     assert set(scored) == rules
-    # one costed backtest per run: the strategy's, or the winning weights'
+    # The subset is screened and fitted once, by the scan's path, which
+    # classifies each of its two members; report's scan of the config's
+    # pair takes that path too. One costed backtest per run: the
+    # strategy's, or the winning weights'.
+    scans = int(command == "report")
+    *_, (sub, columns, *_) = calls["cointegration._fit_subsets"]
+    assert (sub.instrument_ids, columns) == (("SYN1", "SYN2"), [(0, 1)])
     assert {name: len(args) for name, args in calls.items()} == {
-        "cointegration.fit_subset": 1,
+        "cointegration._fit_subsets": 1 + scans,
+        "unit_root.classify_integration_order": 2 * (1 + scans),
         "backtest.generate_mr_positions": 1,
         "backtest.compute_pnl": 1,
         "macro_signals.expand_monthly_to_daily": indicators,

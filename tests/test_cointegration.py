@@ -11,7 +11,6 @@ from mrpairs.cointegration import (
     JohansenOutcome,
     enumerate_combinations,
     extract_hedge_ratio,
-    fit_subset,
     johansen_test,
     scan_cointegration,
     select_var_lag,
@@ -416,9 +415,17 @@ class TestPortfolioTail:
         assert checked >= 3
 
 
-class TestFitSubset:
+def _fit_whole(panel, var_max_lag, orders=None):
+    """The fit of all of `panel`'s columns as one subset, by the scan's path."""
+    columns = [tuple(range(panel.n_instruments))]
+    ((reason, fit),) = cointegration._fit_subsets(panel, columns, var_max_lag, None, orders)
+    assert reason is None
+    return fit
+
+
+class TestOneSubsetFit:
     def test_portfolio_is_the_hedge_spread_half_life_chain(self, recipe_panel):
-        outcome, portfolio = fit_subset(recipe_panel, var_max_lag=10)
+        outcome, portfolio = _fit_whole(recipe_panel, var_max_lag=10)
         assert outcome.rank == 1
         assert np.array_equal(portfolio.hedge_ratio, extract_hedge_ratio(outcome))
         assert isinstance(portfolio.spread, SpreadSeries)
@@ -427,7 +434,7 @@ class TestFitSubset:
         assert portfolio.half_life_days == estimate_half_life(expected.values)
 
     def test_rank_zero_has_no_portfolio(self, independent_panel):
-        outcome, portfolio = fit_subset(independent_panel, var_max_lag=10)
+        outcome, portfolio = _fit_whole(independent_panel, var_max_lag=10)
         assert outcome.rank == 0
         assert portfolio is None
 
@@ -438,7 +445,7 @@ class TestFitSubset:
             instrument_ids=recipe_panel.instrument_ids,
         )
         # (40 - 30) // 2 = 5 is the longest lag select_var_lag accepts here
-        outcome, _ = fit_subset(short, var_max_lag=10)
+        outcome, _ = _fit_whole(short, var_max_lag=10, orders=I1_PAIR)
         assert outcome.vecm_lag <= 4
 
     def test_lag_capped_so_the_top_candidate_lag_can_be_fit(self, recipe_panel):
@@ -450,7 +457,7 @@ class TestFitSubset:
         # Max lag (100 - 30) // 2 = 35 would fit every candidate lag p on
         # 65 observations, too few for 1 + 2p regressors from p = 32 on;
         # (100 - 2) // 3 = 32 leaves 68 observations for at most 65.
-        outcome, _ = fit_subset(short, var_max_lag=40)
+        outcome, _ = _fit_whole(short, var_max_lag=40, orders=I1_PAIR)
         assert outcome.vecm_lag <= 31
         (row,) = scan_cointegration(short, var_max_lag=40, orders=I1_PAIR)
         assert row.skipped_reason is None

@@ -215,7 +215,7 @@ def test_var_too_few_observations_raises_like_per_lag_loop():
 
 
 def _feasible(T, m, var_max_lag=10):
-    """The max lag `fit_subset` gives a subset of width m."""
+    """The max lag `_fit_equal_width` gives a subset of width m."""
     return max(1, min(var_max_lag, (T - 30) // m, (T - 2) // (m + 1)))
 
 

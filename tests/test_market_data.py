@@ -1,8 +1,11 @@
 import bisect
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrpairs.cli import RunConfig
 from mrpairs.errors import (
@@ -12,6 +15,7 @@ from mrpairs.errors import (
 )
 from mrpairs.market_data import (
     CointegrationRecipe,
+    MonthlySeries,
     PricePanel,
     SynthConfig,
     align_panel,
@@ -142,6 +146,114 @@ class TestLoadMonthlyCsv:
         path.write_text(f"month,value\n2007-12,1.0\n{month},2.0\n")
         with pytest.raises(CsvParseError, match=f"m\\.csv:3: bad month '{month}'"):
             load_monthly_csv(str(path))
+
+
+_REFERENCE_MONTH = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
+
+
+def _reference_month_check(months):
+    """`MonthlySeries`' month check as a loop over the months: every month's
+    strict form first, then each step of one month."""
+    keys = []
+    for month in months:
+        if not _REFERENCE_MONTH.fullmatch(month):
+            raise ValidationError(f"bad month {month!r}, expected YYYY-MM")
+        keys.append(int(month[:4]) * 12 + int(month[5:]) - 1)
+    for i in range(1, len(keys)):
+        if keys[i] != keys[i - 1] + 1:
+            raise ValidationError(
+                "months must be contiguous and ascending, got "
+                f"{months[i - 1]} then {months[i]}"
+            )
+
+
+def _month_outcomes(months):
+    """The error of the reference check and of `MonthlySeries`, or None each."""
+    outcomes = []
+    for check in (
+        _reference_month_check,
+        lambda m: MonthlySeries(months=tuple(m), values=np.zeros(len(m))),
+    ):
+        try:
+            check(months)
+            outcomes.append(None)
+        except ValidationError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _run(first, n):
+    return [f"{k // 12:04d}-{k % 12 + 1:02d}" for k in range(first, first + n)]
+
+
+# Month texts the strict form rejects, or that a looser parser would take.
+_NEAR_MONTHS = [
+    "2008-1", "208-01", "2008-001", "2008-00", "2008-13", "10000-01", "+2008-01",
+    "-001-01", " 2008-01", "2008-01 ", "2008-01\n", "2008 -01", "2008-01-01",
+    "\uff12\uff10\uff10\uff18-01", "2008-0\u0661", "", "2008/01",
+]
+
+
+class TestMonthlySeries:
+    @pytest.mark.parametrize("months, accepted", [
+        ([], True),
+        (["2008-01"], True),
+        (_run(2008 * 12, 443), True),
+        (["2008-11", "2008-12", "2009-01"], True),
+        (["0000-01", "0000-02"], True),
+        (["0000-12", "0001-01"], True),
+        (["9999-11", "9999-12"], True),
+        (["9999-12", "10000-01"], False),
+        (["10000-01", "10000-02"], False),
+        (["2008-1", "2008-02"], False),
+        (["2008-01", "2008-2"], False),
+        (["2008-00", "2008-01"], False),
+        (["2008-12", "2008-13"], False),
+        (["0000-00"], False),
+        (["2008-01", "2008-03"], False),
+        (_run(2008 * 12, 200) + _run(2008 * 12 + 201, 200), False),
+        (["2008-01", "2008-01"], False),
+        (["2008-02", "2008-01"], False),
+        (["2008-01", "2008-03", "2008-1"], False),
+        ([" 2008-01", "2008-02"], False),
+        (["2008-01", "2008-02 "], False),
+        (["\uff12\uff10\uff10\uff18-01"], False),
+        (["2008-01", "2008-0\u0662"], False),
+    ])
+    def test_the_check_matches_the_month_loop(self, months, accepted):
+        reference, outcome = _month_outcomes(months)
+        assert outcome == reference
+        assert (reference is None) == accepted
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        first=st.one_of(  # near year 0000, near today, and running past 9999-12
+            st.integers(0, 40), st.integers(1990 * 12, 2030 * 12),
+            st.integers(9999 * 12 - 30, 9999 * 12 + 11),
+        ),
+        n=st.integers(1, 30),
+        edits=st.lists(
+            st.tuples(st.integers(0, 29), st.sampled_from(["swap", "copy", "drop", "near"]),
+                      st.sampled_from(_NEAR_MONTHS)),
+            max_size=3,
+        ),
+    )
+    def test_edited_runs_match_the_month_loop(self, first, n, edits):
+        months = _run(first, n)  # may run past 9999-12 into five-digit years
+        for at, edit, text in edits:
+            at %= len(months) or 1
+            if not months:
+                break
+            if edit == "swap" and at + 1 < len(months):
+                months[at], months[at + 1] = months[at + 1], months[at]
+            elif edit == "copy":
+                months.insert(at, months[at])
+            elif edit == "drop":
+                del months[at]
+            elif edit == "near":
+                months[at] = text
+        reference, outcome = _month_outcomes(months)
+        assert outcome == reference
 
 
 class TestAlignPanel:

@@ -31,7 +31,6 @@ from mrpairs.cointegration import (
     VarLagSelector,
     enumerate_combinations,
     extract_hedge_ratio,
-    fit_subset,
     scan_cointegration,
 )
 from mrpairs.errors import SingularityError, ValidationError
@@ -305,12 +304,14 @@ def _with_column(panel, column):
 
 
 def _fit_alone(panel, ids):
-    """The scan row that `fit_subset` of the subset's own subpanel gives."""
+    """The scan row of the subset's own subpanel fitted alone, unscreened."""
     sub = panel.subpanel([panel.instrument_ids.index(i) for i in ids])
-    try:
-        outcome, portfolio = fit_subset(sub, 10)
-    except SingularityError:
+    columns = [tuple(range(len(ids)))]
+    orders = [IntegrationOrder.I1] * len(ids)
+    ((_, fit),) = cointegration._fit_subsets(sub, columns, 10, None, orders)
+    if isinstance(fit, str):
         return _row(ids, "singular", None, None, None, None)
+    outcome, portfolio = fit
     hedge = half_life = None
     if portfolio is not None:
         hedge, half_life = portfolio.hedge_ratio, portfolio.half_life_days
