@@ -12,23 +12,25 @@ one design, the copies and their fresh pages cost about as much as the
 factorization. Stacks of small slices still go through `np.linalg.qr`,
 which reuses one buffer for the whole stack.
 
-`ols_qr` fits one design in full. `nested_residual_moments` takes the R
-factor of [X | Y], or a stack of them, and gives the residual moments of Y
-on column prefixes of X, with the outcome of each check `ols_qr` would
-make as a message rather than a raise, so one failing fit in a stack does
-not stop the others. It serves VAR lag selection (every prefix; R from
-column subsets of a panel-wide factor) and the Johansen step (the one
-prefix Z; Y holds both dY_t and Y_{t-p}). ADF lag selection needs only
-each prefix's RSS, which it reads off its own R factor; it takes the same
-checks, in the same order, from `prefix_failures` and `first_failures`,
-and raises the first failure as `ols_qr` would (`failure_error`). Every
-fit shares one rank rule, `rank_deficient`; a failure of it raises
-`RankDeficientError`.
+Every fit of Y on a design of n rows and k regressors makes two checks,
+in this order: n > k, else "<n> observations for <k> regressors"; then
+the one rank rule, `rank_deficient`, on the |R_jj| of the design's R
+factor, else "regressor matrix is rank deficient". `failure_error`
+raises the first message as `SingularityError` or `RankDeficientError`.
+`nested_residual_moments` takes the R factor of [X | Y], or a stack of
+them, and gives the residual moments of Y on column prefixes of X, with
+the outcome of each check as a message rather than a raise, so one
+failing fit in a stack does not stop the others. It serves VAR lag
+selection (every prefix; R from column subsets of a panel-wide factor)
+and the Johansen step (the one prefix Z; Y holds both dY_t and Y_{t-p}).
+ADF lag selection needs only each prefix's RSS, which it reads off its
+own R factor; it takes the same checks from `prefix_failures` and
+`first_failures`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -40,36 +42,8 @@ _RANK_RTOL = 1e-10
 _RANK_DEFICIENT = "regressor matrix is rank deficient"
 
 
-class OlsFit(NamedTuple):
-    coef: np.ndarray        # (k,) or (k, m) for multi-response
-    residuals: np.ndarray   # same leading shape as y
-    rss: float | np.ndarray
-    xtx_inv: np.ndarray     # (X'X)^-1, from R alone
-
-
 def _too_few(n: int, k: int) -> str:
     return f"{n} observations for {k} regressors"
-
-
-def ols_qr(X: np.ndarray, y: np.ndarray) -> OlsFit:
-    """OLS fit of y on X (no implicit intercept; add a ones column)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be 2-D with rows matching y")
-    n, k = X.shape
-    if n <= k:
-        raise SingularityError(_too_few(n, k))
-    q, r = np.linalg.qr(X, mode="reduced")
-    diag = np.abs(np.diag(r))  # |R_jj| of the regressors' thin QR
-    if rank_deficient(diag.min(), diag.max()):
-        raise RankDeficientError(_RANK_DEFICIENT)
-    coef = np.linalg.solve(r, q.T @ y)
-    residuals = y - X @ coef
-    rss = np.sum(residuals * residuals, axis=0)
-    r_inv = np.linalg.solve(r, np.eye(k))
-    xtx_inv = r_inv @ r_inv.T
-    return OlsFit(coef=coef, residuals=residuals, rss=rss, xtx_inv=xtx_inv)
 
 
 def r_factor(a: np.ndarray) -> np.ndarray:
@@ -108,8 +82,10 @@ def rank_deficient(low: np.ndarray | float, high: np.ndarray | float) -> np.ndar
 
 
 def prefix_failures(diag: np.ndarray, n: int, widths: Sequence[int]) -> np.ndarray:
-    """Per factor and width k, the message of the first check that
-    `ols_qr(X[:, :k], Y)` would fail, in its order, or "" where it passes.
+    """Per factor and width k, the message of the first check that the fit
+    of Y on X[:, :k] fails, or "" where both pass: first n <= k gives
+    "<n> observations for <k> regressors", then the rank rule on those k
+    columns gives "regressor matrix is rank deficient".
 
     `diag` holds |R_jj| of X's columns, on its last axis, in the R factor
     of [X | Y] with n rows, or in a stack of them. A caller that
@@ -157,8 +133,9 @@ def failure_error(
     message: str, otherwise: type[DegenerateInputError] = SingularityError
 ) -> DegenerateInputError:
     """The error a failed check's message raises, with the message as a plain
-    str: `RankDeficientError` for the rank rule, as in `ols_qr`, else
-    `otherwise`. Every stacked step's failure is raised through here."""
+    str: `RankDeficientError` for the rank rule, else `otherwise`, which is
+    `SingularityError` for n <= k. Every stacked step's failure is raised
+    through here."""
     message = str(message)
     return (RankDeficientError if message == _RANK_DEFICIENT else otherwise)(message)
 

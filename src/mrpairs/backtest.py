@@ -146,20 +146,23 @@ def generate_mr_positions(
 
 def trade_subset(
     panel: PricePanel, subset_ids: list[str], var_max_lag: int, adf_max_lag: int | None,
-    entry: float, exit: float,
+    entry: float, exit: float, orders: list[ci.IntegrationOrder | str] | None = None,
 ) -> tuple[PricePanel, ci.JohansenOutcome, ci.CointegratedPortfolio, PositionSeries]:
     """The named subset's panel, Johansen outcome, portfolio and positions.
 
     Screened and fitted by the scan's own path, `cointegration._fit_subsets`,
     on the subset's own columns (the scan's row agrees in rank, and in
     figures to about 3e-13 relative), and traded on its full-sample
-    z-scores. A subset the scan skips raises NoCointegrationError with the
-    scan's reason, a failed fit the error of its failing check, and rank 0
-    NoCointegrationError.
+    z-scores. `orders`, the `integration_orders` of `panel` if the caller
+    has them, spares classifying the members again. A subset the scan
+    skips raises NoCointegrationError with the scan's reason, a failed fit
+    the error of its failing check, and rank 0 NoCointegrationError.
     """
-    sub = panel.subpanel([panel.instrument_ids.index(s) for s in subset_ids])
+    idx = [panel.instrument_ids.index(s) for s in subset_ids]
+    sub = panel.subpanel(idx)
+    orders = None if orders is None else [orders[i] for i in idx]
     columns = [tuple(range(sub.n_instruments))]
-    ((reason, fit),) = ci._fit_subsets(sub, columns, var_max_lag, adf_max_lag)
+    ((reason, fit),) = ci._fit_subsets(sub, columns, var_max_lag, adf_max_lag, orders)
     if reason:
         raise NoCointegrationError(f"subset {sub.instrument_ids} skipped: {reason}")
     if isinstance(fit, str):

@@ -10,8 +10,9 @@ one place. Each command only loads, calls and writes. A `--subset` is
 screened and fitted from its own columns by the scan's own path, and
 traded, by `backtest.trade_subset`, so a subset the scan skips ends in
 one error before any file is written; `backtest` and `report` backtest
-its positions with costs, `optimize` fuses them in
-`fusion.fuse_forecasts`, and `scan` and `report` share one scan call.
+its positions with costs, `optimize` fuses them in `fusion.fuse_forecasts`,
+and `scan` and `report` share one scan call, which in `report` shares its
+series' I(d) classes with the `--subset`.
 
 Errors print a single machine-parsable line `ERR:<code>:<message>` and map
 to exit codes: 2 validation, 3 numerical degeneracy, 4 I/O.
@@ -185,13 +186,14 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _scan(cfg: RunConfig, panel) -> list[ci.ScanRow]:
+def _scan(cfg: RunConfig, panel, orders=None) -> list[ci.ScanRow]:
     return ci.scan_cointegration(
         panel,
         min_size=cfg.subset_min,
         max_size=cfg.subset_max,
         var_max_lag=cfg.var_max_lag,
         adf_max_lag=cfg.adf_max_lag,
+        orders=orders,
     )
 
 
@@ -223,11 +225,11 @@ def _write_summary(path: str, report: bt.BacktestReport) -> None:
     )
 
 
-def _backtest(cfg: RunConfig, panel, subset_ids: list[str]):
+def _backtest(cfg: RunConfig, panel, subset_ids: list[str], orders=None):
     """The subset's Johansen outcome and portfolio, and the backtest of its
     positions with `cfg.costs`."""
     sub, outcome, portfolio, positions = bt.trade_subset(
-        panel, subset_ids, cfg.var_max_lag, cfg.adf_max_lag, cfg.entry_z, cfg.exit_z
+        panel, subset_ids, cfg.var_max_lag, cfg.adf_max_lag, cfg.entry_z, cfg.exit_z, orders
     )
     report = bt.compute_pnl(sub, portfolio.hedge_ratio, positions, bt.CostModel(cfg.costs))
     return outcome, portfolio, report
@@ -345,7 +347,8 @@ def cmd_optimize(cfg: RunConfig, subset_ids: list[str]) -> int:
 
 def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
     panel = _load_panel(cfg)
-    scan_rows = _scan(cfg, panel)
+    orders = ci.integration_orders(panel, cfg.adf_max_lag)
+    scan_rows = _scan(cfg, panel, orders)
     cointegrated = [r for r in scan_rows if r.rank]
     payload = {
         "config": _settings(cfg),
@@ -360,7 +363,7 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
         },
     }
     if subset_ids:
-        outcome, portfolio, report = _backtest(cfg, panel, subset_ids)
+        outcome, portfolio, report = _backtest(cfg, panel, subset_ids, orders)
         half_life = portfolio.half_life_days  # JSON has no inf: none measured is null
         payload["backtest"] = {
             "subset": subset_ids,

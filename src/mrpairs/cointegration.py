@@ -46,9 +46,9 @@ from one comparison per Johansen stack against one read-only
 critical-value array per width. The portfolio steps of the rank >= 1 subsets run as stacks too
 (`_portfolios`, chunked under `_CHUNK_BYTES` like the rest): one stack
 each of hedge ratios, spreads, z-scores and half-lives, every figure
-bit-identical to `extract_hedge_ratio`, `compute_spread` and
-`estimate_half_life` run on that subset, which are stacks of one. Of the
-ranked subsets, the first in enumeration order with a failing step raises
+bit-identical to a stack of one. A subset's steps fail on a zero top
+eigenvector, then a flat spread, then the half-life fit (`half_life_rows`);
+the first ranked subset in enumeration order with a failing step raises
 that step's error, as running the steps one subset at a time would.
 
 Critical values below are the 95% quantiles of the trace statistic under
@@ -428,13 +428,13 @@ def _hedge_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _portfolios(
     panel: PricePanel, subsets: np.ndarray, vectors: np.ndarray
 ) -> list[CointegratedPortfolio]:
-    """`extract_hedge_ratio`, `compute_spread` and `estimate_half_life` of
-    ranked subsets of `panel`, from their top eigenvectors, as stacks.
+    """The portfolios of ranked subsets of `panel`, from their top
+    eigenvectors, as stacks.
 
     Each chunk's hedge ratios, spreads, z-scores and half-lives are one
-    stack each, with every figure bit-identical to the per-subset steps.
-    The first subset, in order, with a failing step raises that step's
-    error, as the steps run one subset at a time would.
+    stack each, with every figure bit-identical to a stack of one. A subset
+    fails on a zero eigenvector, then a flat spread, then its half-life
+    fit; the first failing subset, in order, raises that step's error.
     """
     T = panel.n_dates
     out: list[CointegratedPortfolio] = []
@@ -516,16 +516,23 @@ class ScanRow:
     half_life_days: float | None
 
 
-def _integration_order(series: np.ndarray, max_lag: int | None):
-    """The series' I(d) class, or the reason it has none."""
-    try:
-        return classify_integration_order(series, max_lag=max_lag)
-    except ConstantDifferencesError:
-        return "constant differences"
-    except ConstantSeriesError:
-        return "constant series"
-    except RankDeficientError:
-        return "singular unit-root fit"
+# Why a series has no I(d) class, in the order `adf_test` checks them.
+_NO_ORDER = ("constant series", "constant differences", "singular unit-root fit")
+
+
+def integration_orders(panel: PricePanel, max_lag: int | None) -> list[IntegrationOrder | str]:
+    """Each of `panel`'s series' I(d) class, or the reason it has none."""
+    orders: list[IntegrationOrder | str] = []
+    for series in panel.prices:
+        try:
+            orders.append(classify_integration_order(series, max_lag=max_lag))
+        except ConstantDifferencesError:
+            orders.append("constant differences")
+        except ConstantSeriesError:
+            orders.append("constant series")
+        except RankDeficientError:
+            orders.append("singular unit-root fit")
+    return orders
 
 
 def _fit_subsets(
@@ -538,17 +545,18 @@ def _fit_subsets(
     """Each subset's skip reason and None, or None and its fit, in order.
 
     A subset of `panel`'s columns (in ascending width) is skipped unless
-    every member is I(1) (`orders`, else `_integration_order`), with the
-    first reason among its members, else "not all I(1)". The tested ones are
-    fit by `_fit_equal_width` from one `VarLagSelector` of their members
-    alone, a width at a time as they are read.
+    every member is I(1) (`orders`, else `integration_orders`), with its
+    members' earliest reason in `_NO_ORDER`, else "not all I(1)". The
+    tested ones are fit by `_fit_equal_width` from one `VarLagSelector` of
+    their members alone, a width at a time as they are read.
     """
     _check_width(len(subsets[-1]))
     if orders is None:
-        orders = [_integration_order(y, adf_max_lag) for y in panel.prices]
+        orders = integration_orders(panel, adf_max_lag)
     reasons = [
         None if all(orders[i] is IntegrationOrder.I1 for i in s)
-        else next((orders[i] for i in s if isinstance(orders[i], str)), "not all I(1)")
+        else min((orders[i] for i in s if isinstance(orders[i], str)),
+                 key=_NO_ORDER.index, default="not all I(1)")
         for s in subsets
     ]
     tested = [s for s, reason in zip(subsets, reasons) if reason is None]

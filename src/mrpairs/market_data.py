@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -62,7 +63,7 @@ class PricePanel:
         n, t = self.prices.shape
         if n != len(self.instrument_ids) or t != len(self.dates):
             raise ValidationError("panel shape does not match labels")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if any(map(operator.ge, self.dates, self.dates[1:])):
             raise ValidationError("panel dates must be strictly ascending")
         if not np.all(np.isfinite(self.prices)) or np.any(self.prices <= 0):
             raise ValidationError("panel prices must be finite and positive")
@@ -76,21 +77,11 @@ class PricePanel:
         return self.prices.shape[1]
 
     def subpanel(self, indices: Sequence[int]) -> "PricePanel":
-        """Panel restricted to the given instrument indices, in that order.
-
-        Its parts come from this checked panel, so the checks are not rerun;
-        the date-order check alone is a Python loop over every date.
-        """
+        """Panel restricted to the given instrument indices, in that order,
+        built and checked by the constructor as any panel is."""
         idx = list(indices)
-        parts = {
-            "dates": self.dates,
-            "prices": _readonly(self.prices[idx, :]),
-            "instrument_ids": tuple(self.instrument_ids[i] for i in idx),
-        }
-        sub = object.__new__(PricePanel)
-        for name, value in parts.items():
-            object.__setattr__(sub, name, value)
-        return sub
+        ids = tuple(self.instrument_ids[i] for i in idx)
+        return PricePanel(self.dates, self.prices[idx], ids)
 
 
 @dataclass(frozen=True)

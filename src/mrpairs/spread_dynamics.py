@@ -1,10 +1,9 @@
 """Spread construction, OU half-life estimation, and z-scoring.
 
-spread_t = sum_i hedge_i * price_{i,t}. The speed of mean reversion comes
-from regressing the daily spread change on the lagged spread level (with
-intercept); a negative slope lam gives half-life -ln(2)/lam, otherwise the
+spread_t = sum_i hedge_i * price_{i,t}. The speed of mean reversion is the
+OLS slope lam of the daily spread change on the lagged spread level (with
+intercept); a negative slope gives half-life -ln(2)/lam, otherwise the
 spread shows no measured mean reversion and the half-life is unbounded.
-`estimate_half_life` takes the spread's values as a plain array.
 
 Z-scores use the full-sample mean and sample (n-1) standard deviation;
 `compute_spread` takes them from `standardize`, the one z-score routine.
@@ -13,13 +12,13 @@ it matches the single-period research backtest this engine reproduces.
 
 The z-scores and half-lives are computed as stacks (`zscore_rows`,
 `half_life_rows`), one spread per row, so a scan fits all of its ranked
-subsets' spreads at once; `standardize` and `estimate_half_life` are
-stacks of one. Each row's figures are bit-identical to that row fitted
-alone: the reductions run along each row, and the half-life fit runs the
-same LAPACK calls per row as `_ols.ols_qr` (a thin QR, then a solve), but
-stops at the slope, with no residuals, RSS or (X'X)^-1. A stacked
-function reports each row's first failing check as a message, "" where
-all pass, so one failing spread does not stop the others.
+subsets' spreads at once; `standardize` is a stack of one. Each row's
+figures are bit-identical to that row computed as a stack of one: the
+reductions run along each row, and numpy's stacked QR and solve run the
+same LAPACK calls on each row's design as on that design alone. The
+half-life fit stops at the slope, with no residuals, RSS or (X'X)^-1. A
+stacked function reports each row's first failing check as a message, ""
+where all pass, so one failing spread does not stop the others.
 """
 
 from __future__ import annotations
@@ -79,8 +78,10 @@ def compute_spread(panel: PricePanel, hedge_ratio: np.ndarray) -> SpreadSeries:
 
 
 def half_life_rows(spreads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`estimate_half_life` of each row of `spreads` (B, n): the half-lives
-    and the messages. A failed row's half-life is nan."""
+    """Half-lives in days of each row of `spreads` (B, n), and the messages
+    of each row's first failing check: fewer than MIN_HALF_LIFE_OBS points,
+    a constant spread, then the rank rule on [1, s_{t-1}]. A failed row's
+    half-life is nan."""
     B, n = spreads.shape
     half_lives = np.full(B, np.nan)
     if n < MIN_HALF_LIFE_OBS:
@@ -107,11 +108,3 @@ def half_life_rows(spreads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         slopes = np.linalg.solve(r[ok], (q.mT @ ds)[ok])[:, 1, 0]
         half_lives[ok] = np.where(slopes < 0, -math.log(2.0) / slopes, math.inf)
     return half_lives, failures
-
-
-def estimate_half_life(spread: np.ndarray) -> float:
-    """Half-life in days of the OLS of the daily spread change on the lagged level."""
-    (half_life,), (failure,) = half_life_rows(np.asarray(spread, dtype=float)[None])
-    if failure:
-        raise failure_error(failure, DegenerateInputError)
-    return float(half_life)

@@ -1,11 +1,14 @@
-"""Shared fixtures and helpers: synthetic panels, CSV fixture writers, and
-the reference weight search that the fusion and simplex oracles share."""
+"""Shared fixtures and helpers: synthetic panels, CSV fixture writers, the
+one-design least-squares and half-life fits that the oracles compare
+against, and the reference weight search that the fusion and simplex
+oracles share."""
 
 import datetime as dt
 import itertools
 import math
 import os
 import sys
+from typing import NamedTuple
 
 # One BLAS thread: the suite's matrices are tiny, and idle OpenBLAS threads
 # spin on them. This must run before anything imports numpy.
@@ -22,10 +25,12 @@ settings.register_profile("fixed examples", derandomize=True)
 settings.load_profile("fixed examples")
 
 from mrpairs import _ols, cointegration, fusion, unit_root  # noqa: E402
+from mrpairs._ols import _RANK_DEFICIENT, _too_few, failure_error, rank_deficient  # noqa: E402
 from mrpairs.backtest import PositionSeries, compute_pnl  # noqa: E402
 from mrpairs.errors import (  # noqa: E402
     DegenerateInputError,
     OptimizationDegenerateError,
+    RankDeficientError,
     SingularityError,
 )
 from mrpairs.fusion import WeightVector, optimize_weights  # noqa: E402
@@ -36,6 +41,7 @@ from mrpairs.market_data import (  # noqa: E402
     generate_synthetic_panel,
     trading_days,
 )
+from mrpairs.spread_dynamics import half_life_rows  # noqa: E402
 
 RECIPE_CONFIG = SynthConfig(
     n_walks=1,
@@ -58,6 +64,44 @@ def independent_panel():
     return generate_synthetic_panel(
         1, SynthConfig(n_walks=2, n_days=1500, noise_scale=1.0, start_price=500.0)
     )
+
+
+class OlsFit(NamedTuple):
+    coef: np.ndarray        # (k,) or (k, m) for multi-response
+    residuals: np.ndarray   # same leading shape as y
+    rss: float | np.ndarray
+    xtx_inv: np.ndarray     # (X'X)^-1, from R alone
+
+
+# One design fitted in full, with the engine's two checks in their order:
+# the reference for the stacked fits' figures and errors.
+def ols_qr(X: np.ndarray, y: np.ndarray) -> OlsFit:
+    """OLS fit of y on X (no implicit intercept; add a ones column)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be 2-D with rows matching y")
+    n, k = X.shape
+    if n <= k:
+        raise SingularityError(_too_few(n, k))
+    q, r = np.linalg.qr(X, mode="reduced")
+    diag = np.abs(np.diag(r))  # |R_jj| of the regressors' thin QR
+    if rank_deficient(diag.min(), diag.max()):
+        raise RankDeficientError(_RANK_DEFICIENT)
+    coef = np.linalg.solve(r, q.T @ y)
+    residuals = y - X @ coef
+    rss = np.sum(residuals * residuals, axis=0)
+    r_inv = np.linalg.solve(r, np.eye(k))
+    xtx_inv = r_inv @ r_inv.T
+    return OlsFit(coef=coef, residuals=residuals, rss=rss, xtx_inv=xtx_inv)
+
+
+def estimate_half_life(spread: np.ndarray) -> float:
+    """Half-life in days of the OLS of the daily spread change on the lagged level."""
+    (half_life,), (failure,) = half_life_rows(np.asarray(spread, dtype=float)[None])
+    if failure:
+        raise failure_error(failure, DegenerateInputError)
+    return float(half_life)
 
 
 def write_price_csv(path, dates, values):
@@ -197,7 +241,7 @@ def half_life_one_by_one(spread):
     if np.ptp(s) == 0.0:
         raise DegenerateInputError("constant spread has no reversion speed")
     ds = np.diff(s)
-    lam = float(_ols.ols_qr(np.column_stack([np.ones(len(ds)), s[:-1]]), ds).coef[1])
+    lam = float(ols_qr(np.column_stack([np.ones(len(ds)), s[:-1]]), ds).coef[1])
     return -math.log(2.0) / lam if lam < 0 else math.inf
 
 

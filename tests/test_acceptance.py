@@ -8,9 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import RECIPE_CONFIG, max_drawdown_bruteforce, write_price_csv
+from conftest import (
+    RECIPE_CONFIG,
+    estimate_half_life,
+    max_drawdown_bruteforce,
+    ols_qr,
+    write_price_csv,
+)
 from mrpairs import cli
-from mrpairs._ols import ols_qr
 from mrpairs.backtest import (
     CostModel,
     compute_metrics,
@@ -35,7 +40,7 @@ from mrpairs.market_data import (
     generate_synthetic_panel,
     simulate_ou,
 )
-from mrpairs.spread_dynamics import compute_spread, estimate_half_life
+from mrpairs.spread_dynamics import compute_spread
 from mrpairs.unit_root import adf_test
 
 

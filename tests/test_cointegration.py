@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import portfolio_steps_one_by_one, price_panel, six_walks
+from conftest import estimate_half_life, portfolio_steps_one_by_one, price_panel, six_walks
 from mrpairs import cointegration, unit_root
 from mrpairs.cointegration import (
     JohansenOutcome,
@@ -29,7 +29,7 @@ from mrpairs.market_data import (
     generate_synthetic_panel,
     trading_days,
 )
-from mrpairs.spread_dynamics import SpreadSeries, compute_spread, estimate_half_life
+from mrpairs.spread_dynamics import SpreadSeries, compute_spread
 from mrpairs.unit_root import IntegrationOrder, simulate_adf_null_statistics
 
 I1_PAIR = [IntegrationOrder.I1, IntegrationOrder.I1]

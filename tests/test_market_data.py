@@ -320,12 +320,9 @@ class TestAlignPanel:
 
 class TestPricePanel:
     def test_unsorted_dates_raise(self):
-        with pytest.raises(ValidationError, match="strictly ascending"):
-            PricePanel(
-                dates=(D[1], D[0], D[2]),
-                prices=np.ones((2, 3)),
-                instrument_ids=("A", "B"),
-            )
+        for dates in [(D[1], D[0], D[2]), (D[0], D[1], D[1])]:  # a repeat too
+            with pytest.raises(ValidationError, match="strictly ascending"):
+                PricePanel(dates=dates, prices=np.ones((2, 3)), instrument_ids=("A", "B"))
 
     def test_subpanel_equals_direct_build(self):
         prices = np.arange(1.0, 31.0).reshape(3, 10)

@@ -11,7 +11,9 @@ is coarse: a field is taken as read wherever any object's attribute of
 that name is. A field named `subset` passes behind the reads of
 `ScanRow.subset` and `JohansenOutcome.subset`, as the unread
 `CointegratedPortfolio.subset` once did. A name that only tests read, and
-that no allowed entry below explains, fails it.
+that no allowed entry below explains, fails it. An entry kept for the
+benchmark must name an attribute that `perfbench/workloads.py` loads: a
+name that the benchmark's tracer only wraps runs in no workload.
 """
 
 import ast
@@ -20,6 +22,7 @@ import pathlib
 from mrpairs import cli
 
 SRC = pathlib.Path(cli.__file__).parent
+WORKLOADS = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
 
 # Names nothing in `src/` reads, each with why it stays. An entry that is read
 # again, or is gone, fails the check, so the list only shrinks.
@@ -30,8 +33,6 @@ ALLOWED = {
     "macro_signals.train_direction_classifier": "perfbench/ calls it (ROADMAP items 1 and 2)",
     "cointegration.extract_hedge_ratio": "perfbench/ calls it (ROADMAP items 1 and 2)",
     "spread_dynamics.compute_spread": "perfbench/ calls it (ROADMAP items 1 and 2)",
-    "spread_dynamics.estimate_half_life": "perfbench/ wraps it (ROADMAP items 1 and 2)",
-    "_ols.ols_qr": "perfbench/ wraps it (ROADMAP items 1 and 2)",
     "fusion.ProbeRecord.probe_index": "perfbench/ reads it (ROADMAP items 1 and 2)",
     "cli._Parser.error": "argparse calls it",
     "cointegration.JohansenOutcome.trace_statistics": "the run's reports (ROADMAP item 5)",
@@ -92,9 +93,18 @@ def test_every_name_src_defines_is_read_by_src_or_allowed():
     assert stale == [], "read again or gone: take these off ALLOWED"
 
 
+def test_each_benchmark_entry_names_what_a_workload_loads():
+    tree = ast.parse(WORKLOADS.read_text())
+    loaded = {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for name, why in ALLOWED.items():
+        if why.startswith("perfbench/"):
+            assert name.rsplit(".", 1)[1] in loaded, name
+
+
 def test_the_check_sees_each_kind_of_name():
     defined, _ = _unread()
     for name in ("cli.run", "cli.RunConfig", "cli.EXIT_OK", "cli.RunConfig.optimizer",
-                 "cli.RunConfig.seed", "_ols.OlsFit.coef", "cli._Parser.error"):
+                 "cli.RunConfig.seed", "backtest.Metrics.apr", "cli._Parser.error"):
         assert name in defined, name
     assert "cli.RunConfig.__post_init__" not in defined

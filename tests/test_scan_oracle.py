@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ar1, error_of, price_panel, six_walks
+from conftest import ar1, error_of, estimate_half_life, price_panel, six_walks
 from mrpairs import cointegration
 from mrpairs.cointegration import (
     JOHANSEN_TRACE_CV_95,
@@ -35,7 +35,7 @@ from mrpairs.cointegration import (
 )
 from mrpairs.errors import SingularityError, ValidationError
 from mrpairs.market_data import PricePanel
-from mrpairs.spread_dynamics import compute_spread, estimate_half_life
+from mrpairs.spread_dynamics import compute_spread
 from mrpairs.unit_root import IntegrationOrder
 
 

@@ -8,10 +8,9 @@ import pytest
 from mrpairs._ols import failure_error
 from mrpairs.errors import DegenerateInputError, ValidationError
 from mrpairs.market_data import PricePanel, simulate_ou, trading_days
-from conftest import half_life_one_by_one, standardize_one_by_one
+from conftest import estimate_half_life, half_life_one_by_one, standardize_one_by_one
 from mrpairs.spread_dynamics import (
     compute_spread,
-    estimate_half_life,
     half_life_rows,
     standardize,
     zscore_rows,
