@@ -4,7 +4,7 @@ Inputs are two-column UTF-8 keyed tables under a fixed header (`date,close`,
 `month,value`, `month,direction`), all read by `read_map` under one rule.
 Blank or whitespace-only rows are skipped, every other row has exactly two
 fields, keys are unique, and at least one row holds data; each problem
-raises CsvParseError naming `path:line` (or `path`).
+raises ValidationError naming `path:line` (or `path`).
 
 Outputs are comma-joined cells with `\\n` line ends and no quoting. Floats
 are written with `repr`, so they read back bit-exact; None is an empty cell.
@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import CsvParseError, ValidationError
+from .errors import ValidationError
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -42,19 +42,19 @@ def read_rows(path: str, header: str) -> Iterator[tuple[int, str, str]]:
                 first = next(reader, None)
                 names = None if first is None else [h.strip().lower() for h in first]
                 if names != header.split(","):
-                    raise CsvParseError(f"{path}: expected header '{header}'")
+                    raise ValidationError(f"{path}: expected header '{header}'")
                 for row in reader:
                     if not row or (len(row) == 1 and not row[0].strip()):
                         continue
                     if len(row) != 2:
-                        raise CsvParseError(
+                        raise ValidationError(
                             f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}"
                         )
                     yield reader.line_num, row[0], row[1]
             except csv.Error as exc:
-                raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from None
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
-        raise CsvParseError(f"{path}: not UTF-8 text") from None
+        raise ValidationError(f"{path}: not UTF-8 text") from None
 
 
 def read_map(
@@ -76,7 +76,7 @@ def read_map(
         try:
             return parse(text)
         except (ValueError, ValidationError):
-            raise CsvParseError(f"{path}:{line}: bad {name} {text!r}") from None
+            raise ValidationError(f"{path}:{line}: bad {name} {text!r}") from None
 
     out: dict[K, V] = {}
     for line, key_text, value_text in read_rows(path, header):
@@ -84,10 +84,10 @@ def read_map(
         key = field(line, key_name, key_text, parse_key)
         value = field(line, value_name, value_text, parse_value)
         if key in out:
-            raise CsvParseError(f"{path}:{line}: duplicate {key_name} {key_text}")
+            raise ValidationError(f"{path}:{line}: duplicate {key_name} {key_text}")
         out[key] = value
     if not out:
-        raise CsvParseError(f"{path}: no data rows")
+        raise ValidationError(f"{path}: no data rows")
     return out
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cointegration as ci
 from ._ols import failure_error
-from .errors import DegenerateInputError, NoCointegrationError, ValidationError
+from .errors import DegenerateInputError, ValidationError
 from .market_data import PricePanel
 
 TRADING_DAYS_PER_YEAR = 252
@@ -155,8 +155,8 @@ def trade_subset(
     figures to about 3e-13 relative), and traded on its full-sample
     z-scores. `orders`, the `integration_orders` of `panel` if the caller
     has them, spares classifying the members again. A subset the scan
-    skips raises NoCointegrationError with the scan's reason, a failed fit
-    the error of its failing check, and rank 0 NoCointegrationError.
+    skips raises DegenerateInputError with the scan's reason, a failed fit
+    the error of its failing check, and rank 0 DegenerateInputError.
     """
     idx = [panel.instrument_ids.index(s) for s in subset_ids]
     sub = panel.subpanel(idx)
@@ -164,12 +164,12 @@ def trade_subset(
     columns = [tuple(range(sub.n_instruments))]
     ((reason, fit),) = ci._fit_subsets(sub, columns, var_max_lag, adf_max_lag, orders)
     if reason:
-        raise NoCointegrationError(f"subset {sub.instrument_ids} skipped: {reason}")
+        raise DegenerateInputError(f"subset {sub.instrument_ids} skipped: {reason}")
     if isinstance(fit, str):
         raise failure_error(fit)
     outcome, portfolio = fit
     if portfolio is None:
-        raise NoCointegrationError(f"subset {outcome.subset} has cointegration rank 0")
+        raise DegenerateInputError(f"subset {outcome.subset} has cointegration rank 0")
     spread = portfolio.spread
     positions = generate_mr_positions(spread.zscores, entry, exit, spread.dates)
     return sub, outcome, portfolio, positions

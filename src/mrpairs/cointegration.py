@@ -75,7 +75,6 @@ from .errors import (
     ConstantDifferencesError,
     ConstantSeriesError,
     DegenerateInputError,
-    NoCointegrationError,
     RankDeficientError,
     ValidationError,
 )
@@ -404,9 +403,7 @@ def johansen_test(panel: PricePanel, var_lag: int) -> JohansenOutcome:
 def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
     """Eigenvector of the largest eigenvalue, first nonzero component = +1."""
     if outcome.rank < 1:
-        raise NoCointegrationError(
-            f"subset {outcome.subset} has cointegration rank 0"
-        )
+        raise DegenerateInputError(f"subset {outcome.subset} has cointegration rank 0")
     vector = np.asarray(outcome.eigenvectors, dtype=float)[:, 0]
     (hedge,), (failure,) = _hedge_rows(vector[None])
     if failure:
@@ -450,7 +447,7 @@ def _portfolios(
             i = failed[0]
             if hedge_failed[i]:
                 raise failure_error(hedge_failed[i])
-            raise failure_error(flat[i] or unfit[i], DegenerateInputError)
+            raise failure_error(flat[i] or unfit[i])
         # A scan row keeps its hedge ratio, so each is its own array, not a
         # view that keeps the chunk's stack alive.
         out += [

@@ -3,6 +3,10 @@
 Every error carries a CLI exit code: 2 for validation problems,
 3 for numerical degeneracies, 4 for I/O failures. `about` is the one way an
 error gains context (an indicator, a file) on its way out.
+
+A class here earns its place by setting an exit code or by being caught by
+name somewhere in the engine; any other kind of failure is told apart by
+its message alone.
 """
 
 import contextlib
@@ -20,22 +24,6 @@ class ValidationError(PipelineError):
     exit_code = 2
 
 
-class CsvParseError(ValidationError):
-    """A CSV row failed to parse; message names the offending line."""
-
-
-class InsufficientOverlapError(ValidationError):
-    """Too few common dates across the series being aligned."""
-
-
-class CoverageError(ValidationError):
-    """A daily date falls in a month with no monthly signal."""
-
-
-class AlignmentError(ValidationError):
-    """Series that must share a calendar do not."""
-
-
 class DegenerateInputError(PipelineError):
     """Numerically degenerate input (zero variance, constant series, ...)."""
 
@@ -50,24 +38,8 @@ class ConstantDifferencesError(ConstantSeriesError):
     """A series that moves by the same step every day, a straight line."""
 
 
-class SingularityError(DegenerateInputError):
-    """Rank-deficient regressor or moment matrix."""
-
-
-class RankDeficientError(SingularityError):
+class RankDeficientError(DegenerateInputError):
     """A regressor matrix that fails the rank check on its R factor's diagonal."""
-
-
-class NoCointegrationError(DegenerateInputError):
-    """Hedge ratio requested from a rank-zero Johansen outcome."""
-
-
-class DegenerateLabelsError(DegenerateInputError):
-    """Classifier training set contains a single class."""
-
-
-class OptimizationDegenerateError(DegenerateInputError):
-    """Every weight probe produced a degenerate backtest."""
 
 
 @contextlib.contextmanager

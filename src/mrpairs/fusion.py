@@ -40,9 +40,7 @@ from . import macro_signals as ms
 from .backtest import (
     BacktestReport, CostModel, FrictionlessScorer, PositionSeries, compute_pnl,
 )
-from .errors import (
-    AlignmentError, OptimizationDegenerateError, ValidationError, about,
-)
+from .errors import DegenerateInputError, ValidationError, about
 from .macro_signals import SignalSeries
 from .market_data import PricePanel
 
@@ -89,7 +87,7 @@ def _vote_patterns(series_list: list[SignalSeries]) -> tuple[np.ndarray, np.ndar
     calendar = series_list[0].dates
     for s in series_list[1:]:
         if s.dates != calendar:
-            raise AlignmentError("signal sources do not share a calendar")
+            raise ValidationError("signal sources do not share a calendar")
     votes = np.stack([s.signals for s in series_list], axis=1)  # (date, source) int8
     rows = votes.view(np.dtype((np.void, votes.shape[1])))[:, 0]
     _, first, day_pattern = np.unique(rows, return_index=True, return_inverse=True)
@@ -273,9 +271,7 @@ def optimize_weights(
     if refined_apr > best_apr:
         best_w, best_apr = refined, refined_apr
     if not saw_active_probe:
-        raise OptimizationDegenerateError(
-            "every weight probe produced an all-zero return stream"
-        )
+        raise DegenerateInputError("every weight probe produced an all-zero return stream")
     return OptimizationResult(
         weights=WeightVector(tuple(float(w) for w in best_w)),
         apr=best_apr,

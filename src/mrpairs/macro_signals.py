@@ -41,7 +41,7 @@ import numpy as np
 
 from ._csv import read_map
 from .backtest import target_positions
-from .errors import CoverageError, DegenerateLabelsError, ValidationError
+from .errors import DegenerateInputError, ValidationError
 from .market_data import MonthlySeries, _month
 
 
@@ -159,7 +159,7 @@ def check_training_problem(
     if len(X) < 24:
         raise ValidationError("need at least 24 training rows")
     if len({lab for lab in labels}) < 2:
-        raise DegenerateLabelsError("training labels contain a single class")
+        raise DegenerateInputError("training labels contain a single class")
     return X
 
 
@@ -335,7 +335,7 @@ def expand_monthly_to_daily(
     missing = np.array([key not in monthly_signals for key in keys], dtype=bool)
     if missing.any():  # name the month of the first uncovered date
         first = day_month[np.argmax(missing[day_month])]
-        raise CoverageError(f"no monthly signal covers {keys[first]}")
+        raise ValidationError(f"no monthly signal covers {keys[first]}")
     signals = np.array([monthly_signals[key] for key in keys], dtype=np.int8)
     return SignalSeries(dates=tuple(daily_dates), signals=signals[day_month])
 

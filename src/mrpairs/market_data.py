@@ -9,7 +9,7 @@ other file, or one that fails a column check, goes through
 `_csv.read_map`'s row loop. Plain form is decided by a few vectorized byte
 checks on the whole body (`_plain_form`), not by matching it line by line.
 Both paths give the same values, and every error is the row loop's: a
-CsvParseError naming `path:line`, also for a repeated date or month and for
+ValidationError naming `path:line`, also for a repeated date or month and for
 a close or value that is not finite (or, for a close, not positive).
 A price file loads as a date-sorted structured array of `date`
 (`datetime64[D]`) and `close`; statistics modules take plain arrays, not
@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import read_map
-from .errors import InsufficientOverlapError, ValidationError, about
+from .errors import ValidationError, about
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -237,7 +237,7 @@ def align_panel(closes: dict[str, np.ndarray], min_overlap: int) -> PricePanel:
     """Inner-join instruments' price tables on their common dates.
 
     Each table is date-sorted with unique dates, as `load_price_csv` gives
-    it. Rows follow the order of `closes`. Raises InsufficientOverlapError
+    it. Rows follow the order of `closes`. Raises ValidationError
     when fewer than `min_overlap` dates are shared by every instrument.
     """
     if len(closes) < 2:
@@ -251,9 +251,7 @@ def align_panel(closes: dict[str, np.ndarray], min_overlap: int) -> PricePanel:
         if not np.array_equal(common, other):
             common = np.intersect1d(common, other, assume_unique=True)
     if len(common) < max(min_overlap, 1):
-        raise InsufficientOverlapError(
-            f"only {len(common)} common dates, need >= {min_overlap}"
-        )
+        raise ValidationError(f"only {len(common)} common dates, need >= {min_overlap}")
     return PricePanel(
         dates=tuple(common.view("datetime64[D]").astype(object)),
         prices=np.array([

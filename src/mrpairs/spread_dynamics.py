@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ols import _RANK_DEFICIENT, failure_error, rank_deficient
-from .errors import DegenerateInputError, ValidationError
+from .errors import ValidationError
 from .market_data import PricePanel
 
 MIN_HALF_LIFE_OBS = 30
@@ -61,7 +61,7 @@ def standardize(values: np.ndarray) -> np.ndarray:
     """(x - mean)/std with the sample std."""
     (zscores,), (failure,) = zscore_rows(np.asarray(values, dtype=float)[None])
     if failure:
-        raise failure_error(failure, DegenerateInputError)
+        raise failure_error(failure)
     return zscores
 
 

@@ -27,12 +27,7 @@ settings.load_profile("fixed examples")
 from mrpairs import _ols, cointegration, fusion, unit_root  # noqa: E402
 from mrpairs._ols import _RANK_DEFICIENT, _too_few, failure_error, rank_deficient  # noqa: E402
 from mrpairs.backtest import PositionSeries, compute_pnl  # noqa: E402
-from mrpairs.errors import (  # noqa: E402
-    DegenerateInputError,
-    OptimizationDegenerateError,
-    RankDeficientError,
-    SingularityError,
-)
+from mrpairs.errors import DegenerateInputError, RankDeficientError  # noqa: E402
 from mrpairs.fusion import WeightVector, optimize_weights  # noqa: E402
 from mrpairs.market_data import (  # noqa: E402
     CointegrationRecipe,
@@ -83,7 +78,7 @@ def ols_qr(X: np.ndarray, y: np.ndarray) -> OlsFit:
         raise ValueError("X must be 2-D with rows matching y")
     n, k = X.shape
     if n <= k:
-        raise SingularityError(_too_few(n, k))
+        raise DegenerateInputError(_too_few(n, k))
     q, r = np.linalg.qr(X, mode="reduced")
     diag = np.abs(np.diag(r))  # |R_jj| of the regressors' thin QR
     if rank_deficient(diag.min(), diag.max()):
@@ -100,7 +95,7 @@ def estimate_half_life(spread: np.ndarray) -> float:
     """Half-life in days of the OLS of the daily spread change on the lagged level."""
     (half_life,), (failure,) = half_life_rows(np.asarray(spread, dtype=float)[None])
     if failure:
-        raise failure_error(failure, DegenerateInputError)
+        raise failure_error(failure)
     return float(half_life)
 
 
@@ -220,7 +215,7 @@ def hedge_ratio_one_by_one(vector):
     v = np.array(vector, dtype=float)
     scale = np.max(np.abs(v))
     if scale == 0.0:
-        raise SingularityError("zero eigenvector")
+        raise DegenerateInputError("zero eigenvector")
     return v / v[np.flatnonzero(np.abs(v) > 1e-12 * scale)[0]]
 
 
@@ -254,6 +249,10 @@ def portfolio_steps_one_by_one(panel, subsets, vectors):
         values = hedge @ panel.prices[list(subset)]
         out.append((hedge, values, standardize_one_by_one(values), half_life_one_by_one(values)))
     return out
+
+
+ALL_ZERO = "every weight probe produced an all-zero return stream"
+
 
 def optimize_weights_every_probe(simplex, signal_series, panel, hedge_ratio, config, max_iter):
     """The weight search before its memo: a fresh backtest of every probe,
@@ -296,7 +295,7 @@ def optimize_weights_every_probe(simplex, signal_series, panel, hedge_ratio, con
     if refined_apr > best_apr:
         best_w, best_apr = refined, refined_apr
     if not saw_active_probe:
-        raise OptimizationDegenerateError("every weight probe produced an all-zero return stream")
+        raise DegenerateInputError(ALL_ZERO)
     return (
         WeightVector(tuple(float(w) for w in np.clip(best_w, 0.0, 1.0))),
         best_apr,
@@ -309,13 +308,14 @@ def optimize_weights_every_probe(simplex, signal_series, panel, hedge_ratio, con
 def assert_same_search(simplex, sources, panel, hedge, config, max_iter=fusion.SIMPLEX_MAX_ITER):
     """The memoized search against `optimize_weights_every_probe` with
     `simplex`, both capped at `max_iter` simplex iterations: both results,
-    or None where both raise one OptimizationDegenerateError."""
+    or None where both raise the search's own error, `ALL_ZERO`."""
     try:
         expected = optimize_weights_every_probe(
             simplex, sources, panel, hedge, config, max_iter
         )
-    except OptimizationDegenerateError as exc:
-        with pytest.raises(OptimizationDegenerateError, match=str(exc)):
+    except DegenerateInputError as exc:
+        assert str(exc) == ALL_ZERO
+        with pytest.raises(DegenerateInputError, match=f"^{ALL_ZERO}$"):
             optimize_weights(sources, panel, hedge, config)
         return None
     weights, apr, baseline_apr, probe_weights, probe_apr = expected

@@ -649,6 +649,60 @@ class TestErrorPaths:
         assert code == 2
         assert err == f"ERR:validation:{config}: not UTF-8 text\n"
 
+    # One price file per check of the CSV reader, each ending the scan in
+    # its exact ERR line before anything is fitted.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("date,price\n2008-01-02,1.0\n", ": expected header 'date,close'"),
+            ("date,close\n2008-01-02,1.0,x\n", ":2: expected 2 fields, got 3"),
+            ("date,close\n" + "1" * 200_000 + ",1.0\n",
+             ":2: field larger than field limit (131072)"),
+            ("date,close\n2008-01-02,1.0\n2008-01-03,abc\n", ":3: bad close 'abc'"),
+            ("date,close\n2008-01-02,1.0\n2008-01-02,1.1\n", ":3: duplicate date 2008-01-02"),
+            ("date,close\n\n", ": no data rows"),
+        ],
+    )
+    def test_a_malformed_price_file_names_its_line(
+        self, pair_workspace, tmp_path, text, message
+    ):
+        price = tmp_path / "bad.csv"
+        price.write_text(text)
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            f"price.A = {price}\nprice.B = {pair_workspace['root'] / 'SYN2.csv'}\n"
+        )
+        code, _, err = _run_main(["scan", "--config", str(config), "--out", str(tmp_path)])
+        assert (code, err) == (2, f"ERR:validation:{price}{message}\n")
+
+    def test_too_few_common_dates(self, pair_workspace, tmp_path):
+        panel = pair_workspace["panel"]
+        price = write_price_csv(tmp_path / "short.csv", panel.dates[:10], panel.prices[0, :10])
+        config = tmp_path / "short.cfg"
+        config.write_text(
+            f"price.A = {price}\nprice.B = {pair_workspace['root'] / 'SYN2.csv'}\n"
+        )
+        code, _, err = _run_main(["scan", "--config", str(config), "--out", str(tmp_path)])
+        assert (code, err) == (2, "ERR:validation:only 10 common dates, need >= 30\n")
+
+    def test_a_search_with_no_active_probe_is_degenerate(self, pair_workspace, tmp_path):
+        # No spread reaches an entry of 1e6 and every forecast is flat, so
+        # every weight probe holds no position.
+        oracle = tmp_path / "flat.csv"
+        oracle.write_text("month,direction\n" + "".join(
+            f"{m},flat\n" for m in _months_of(pair_workspace["panel"])
+        ))
+        with open(pair_workspace["config"], encoding="utf-8") as fh:
+            prices = [line for line in fh if line.startswith("price.")]
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(prices) + f"macro_oracle.CPI = {oracle}\nentry_z = 1e6\n")
+        out = tmp_path / "out"
+        code, _, err = _run_main(["optimize", "--config", str(config), "--subset", "SYN1,SYN2",
+                                  "--out", str(out)])
+        message = "every weight probe produced an all-zero return stream"
+        assert (code, err) == (3, f"ERR:degenerate:{message}\n")
+        assert not (out / "optimization_trace.csv").exists()
+
     @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
     def test_rank_zero_subset_degenerate(
         self, independent_panel, monkeypatch, capsys, tmp_path, command

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mrpairs._csv import read_map, read_rows, write_csv
-from mrpairs.errors import CsvParseError, PipelineError
+from mrpairs.errors import PipelineError, ValidationError
 from mrpairs.macro_signals import load_forecast_oracle_csv
 from mrpairs import market_data
 from mrpairs.market_data import (
@@ -121,7 +121,7 @@ class TestReadRows:
     def test_quoted_field_across_lines_does_not_shift_error_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text('date,close\n2008-01-02,"1.0"\n2008-01-03,"2.0\n"\nbad,3.0\n')
-        with pytest.raises(CsvParseError, match=r"p\.csv:5: bad date 'bad'"):
+        with pytest.raises(ValidationError, match=r"p\.csv:5: bad date 'bad'"):
             load_price_csv(str(path))
 
     @pytest.mark.parametrize(
@@ -140,14 +140,14 @@ class TestReadRows:
     def test_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "p.csv"
         path.write_text(text)
-        with pytest.raises(CsvParseError, match="^" + re.escape(f"{path}{message}")):
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}{message}")):
             list(read_rows(str(path), "date,close"))
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_bytes(b"date,close\n2008-01-02,1.0\nCaf\xe9,2.0\n")
         message = re.escape(f"{path}: not UTF-8 text")
-        with pytest.raises(CsvParseError, match="^" + message):
+        with pytest.raises(ValidationError, match="^" + message):
             load_price_csv(str(path))
 
 
@@ -171,11 +171,11 @@ def test_every_format_rejects_a_repeated_key_and_a_table_without_rows(
     first, repeat, key = _REPEATS[header]
     path = tmp_path / "in.csv"
     path.write_text(f"{header}\n{first}\n\n{repeat}\n")
-    with pytest.raises(CsvParseError) as info:
+    with pytest.raises(ValidationError) as info:
         _LOADERS[header](str(path))
     assert str(info.value) == f"{path}:4: duplicate {key}"
     path.write_text(f"{header}\n\n  \n")
-    with pytest.raises(CsvParseError) as info:
+    with pytest.raises(ValidationError) as info:
         _LOADERS[header](str(path))
     assert str(info.value) == f"{path}: no data rows"
 
@@ -219,8 +219,8 @@ def _assert_matches_the_row_loop(path, header):
     """`_read_table` gives `read_map`'s rows in key order, or its exact error."""
     try:
         rows = read_map(str(path), header, *_REFERENCE_PARSERS[header])
-    except CsvParseError as exc:
-        with pytest.raises(CsvParseError) as info:
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
             _read_table(str(path), header)
         assert str(info.value) == str(exc)
     else:

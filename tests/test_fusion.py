@@ -7,11 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrpairs.backtest import CostModel, compute_pnl, generate_mr_positions
-from mrpairs.errors import (
-    AlignmentError,
-    OptimizationDegenerateError,
-    ValidationError,
-)
+from mrpairs.errors import DegenerateInputError, ValidationError
 from mrpairs.fusion import (
     OptimizerConfig,
     WeightVector,
@@ -110,7 +106,7 @@ class TestCombineSignals:
     def test_calendar_mismatch(self):
         a = _series(range(3), (L, S, F))
         b = _series(range(1, 4), (L, S, F))
-        with pytest.raises(AlignmentError, match="signal sources do not share a calendar"):
+        with pytest.raises(ValidationError, match="^signal sources do not share a calendar$"):
             combine_signals([a, b], WeightVector((1, 1)))
 
     def test_one_source_or_a_weight_too_many(self):
@@ -186,7 +182,8 @@ class TestOptimizeWeights:
 
     def test_all_flat_sources_degenerate(self, recipe_panel):
         flat = _series(recipe_panel.dates, (F,) * recipe_panel.n_dates)
-        with pytest.raises(OptimizationDegenerateError):
+        message = "^every weight probe produced an all-zero return stream$"
+        with pytest.raises(DegenerateInputError, match=message):
             optimize_weights(
                 [flat, flat, flat, flat],
                 recipe_panel,

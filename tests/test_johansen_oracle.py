@@ -15,7 +15,7 @@ from scipy import linalg as sla
 from conftest import ar1, error_of, ols_qr, price_panel
 from mrpairs import cointegration
 from mrpairs.cointegration import extract_hedge_ratio, johansen_test
-from mrpairs.errors import RankDeficientError, SingularityError, ValidationError
+from mrpairs.errors import DegenerateInputError, RankDeficientError, ValidationError
 
 RTOL = 1e-9
 
@@ -42,7 +42,7 @@ def johansen_trace_two_fits(Y, var_lag):
     s11 = r1.T @ r1 / n
     s01 = r0.T @ r1 / n
     if np.linalg.cond(s00) > 1e12 or np.linalg.cond(s11) > 1e12:
-        raise SingularityError("singular moment matrix in Johansen step")
+        raise DegenerateInputError("singular moment matrix in Johansen step")
     core = s01.T @ np.linalg.solve(s00, s01)
     core = (core + core.T) / 2.0
     eigvals, eigvecs = sla.eigh(core, (s11 + s11.T) / 2.0)
@@ -113,9 +113,9 @@ def _constant(Y):
     "T, m, var_lag, degenerate, expected",
     [
         (300, 3, 1, _duplicate,
-         (SingularityError, "singular moment matrix in Johansen step")),
+         (DegenerateInputError, "singular moment matrix in Johansen step")),
         (300, 3, 2, _duplicate, (RankDeficientError, "regressor matrix is rank deficient")),
-        (110, 2, 40, None, (SingularityError, "70 observations for 79 regressors")),
+        (110, 2, 40, None, (DegenerateInputError, "70 observations for 79 regressors")),
         (300, 3, 2, _constant, (RankDeficientError, "regressor matrix is rank deficient")),
     ],
 )

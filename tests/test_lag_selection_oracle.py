@@ -24,7 +24,7 @@ from mrpairs.cointegration import (
     scan_cointegration,
     select_var_lag,
 )
-from mrpairs.errors import RankDeficientError, SingularityError
+from mrpairs.errors import DegenerateInputError, RankDeficientError
 from mrpairs.unit_root import (
     AdfOutcome,
     IntegrationOrder,
@@ -80,7 +80,7 @@ def select_var_lag_per_lag(Y, max_lag):
         sigma = fit.residuals.T @ fit.residuals / n
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:
-            raise SingularityError("singular residual covariance in VAR fit")
+            raise DegenerateInputError("singular residual covariance in VAR fit")
         sc = logdet + (math.log(n) / n) * (p * m * m + m)
         if best_sc is None or sc < best_sc:
             best_p, best_sc = p, sc
@@ -133,7 +133,7 @@ def test_adf_matches_per_lag_loop(kind, T):
             for series in (scaled(y), np.diff(scaled(y))):
                 try:
                     expected = adf_test_per_lag(series)
-                except SingularityError:
+                except DegenerateInputError:
                     assert error_of(adf_test, series) == error_of(adf_test_per_lag, series)
                     raised[units] += 1
                     continue
@@ -181,7 +181,7 @@ def test_adf_too_few_observations_raises_like_per_lag_loop():
     y = np.cumsum(np.random.default_rng(0).standard_normal(40))
     raised = error_of(adf_test, y, 30)
     assert raised == error_of(adf_test_per_lag, y, 30)
-    assert raised == (SingularityError, "9 observations for 9 regressors")
+    assert raised == (DegenerateInputError, "9 observations for 9 regressors")
 
 
 def test_ols_qr_counts_a_nan_design_as_rank_deficient():
@@ -204,7 +204,7 @@ def test_var_too_few_observations_raises_like_per_lag_loop():
     Y = np.cumsum(np.random.default_rng(2).standard_normal((70, 1)), axis=0)
     raised = error_of(select_var_lag, Y, 40)
     assert raised == error_of(select_var_lag_per_lag, Y, 40)
-    assert raised == (SingularityError, "30 observations for 30 regressors")
+    assert raised == (DegenerateInputError, "30 observations for 30 regressors")
 
 
 def _feasible(T, m, var_max_lag=10):
@@ -215,7 +215,7 @@ def _feasible(T, m, var_max_lag=10):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except SingularityError as exc:
+    except DegenerateInputError as exc:
         return "raised", str(exc)
 
 

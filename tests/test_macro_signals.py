@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrpairs.errors import (
-    CoverageError,
-    CsvParseError,
-    DegenerateLabelsError,
-    ValidationError,
-)
+from mrpairs.errors import DegenerateInputError, ValidationError
 from mrpairs.macro_signals import (
     _month_index,
     CLASS_ORDER,
@@ -82,7 +77,7 @@ class TestTraining:
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((30, 2))
-        with pytest.raises(DegenerateLabelsError):
+        with pytest.raises(DegenerateInputError, match="^training labels contain a single class$"):
             train_direction_classifier(X, [DirectionLabel.UP] * 30)
 
     def test_too_few_rows_rejected(self):
@@ -132,8 +127,9 @@ class TestTraining:
         too_few = (X[:20], labels[:20])
         with pytest.raises(ValidationError, match="need at least 24 training rows") as info:
             train_direction_classifiers([(X, labels), too_few, one_class])
-        assert not isinstance(info.value, DegenerateLabelsError)
-        with pytest.raises(DegenerateLabelsError, match="^training labels contain a single class$"):
+        assert not isinstance(info.value, DegenerateInputError)
+        message = "^training labels contain a single class$"
+        with pytest.raises(DegenerateInputError, match=message):
             train_direction_classifiers([(X, labels), one_class, too_few])
 
     @staticmethod
@@ -258,7 +254,7 @@ def _reference_expand(monthly, days):
     signals = np.empty(len(days), dtype=np.int8)
     for t, month in enumerate(_reference_month_keys(days)):
         if month not in monthly:
-            raise CoverageError(f"no monthly signal covers {month}")
+            raise ValidationError(f"no monthly signal covers {month}")
         signals[t] = monthly[month]
     return signals
 
@@ -286,7 +282,7 @@ class TestExpandMonthlyToDaily:
 
     def test_uncovered_month_raises(self):
         days = trading_days(dt.date(2010, 1, 1), 25)
-        with pytest.raises(CoverageError, match="2010-02"):
+        with pytest.raises(ValidationError, match="^no monthly signal covers 2010-02$"):
             expand_monthly_to_daily({"2010-01": Signal.LONG}, days)
 
     @pytest.mark.parametrize(
@@ -314,8 +310,8 @@ class TestExpandMonthlyToDaily:
         assert distinct == months and [distinct[i] for i in day_month] == keys
         try:
             expected = _reference_expand(monthly, days)
-        except CoverageError as exc:
-            with pytest.raises(CoverageError) as raised:
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
                 expand_monthly_to_daily(monthly, days)
             assert str(raised.value) == str(exc)
         else:
@@ -371,7 +367,7 @@ class TestOracleCsv:
     def test_month_must_be_zero_padded_yyyy_mm(self, tmp_path, month):
         path = tmp_path / "oracle.csv"
         path.write_text(f"month,direction\n2010-02,up\n{month},down\n")
-        with pytest.raises(CsvParseError, match=f"oracle\\.csv:3: bad month '{month}'"):
+        with pytest.raises(ValidationError, match=f"oracle\\.csv:3: bad month '{month}'"):
             load_forecast_oracle_csv(str(path))
 
     def test_bad_direction(self, tmp_path):

@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrpairs.cli import RunConfig
-from mrpairs.errors import (
-    CsvParseError,
-    InsufficientOverlapError,
-    ValidationError,
-)
+from mrpairs.errors import ValidationError
 from mrpairs.market_data import (
     CointegrationRecipe,
     MonthlySeries,
@@ -58,7 +54,7 @@ class TestLoadPriceCsv:
     def test_negative_price_names_the_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,close\n2008-01-02,1.0\n2008-01-03,-1.0\n")
-        with pytest.raises(CsvParseError) as info:
+        with pytest.raises(ValidationError) as info:
             load_price_csv(str(path))
         assert str(info.value) == f"{path}:3: bad close '-1.0'"
 
@@ -66,28 +62,29 @@ class TestLoadPriceCsv:
     def test_zero_close_is_a_bad_field(self, tmp_path, close):
         path = tmp_path / "p.csv"
         path.write_text(f"date,close\n2008-01-02,1.0\n2008-01-03,{close}\n")
-        with pytest.raises(CsvParseError) as info:
+        with pytest.raises(ValidationError) as info:
             load_price_csv(str(path))
         assert str(info.value) == f"{path}:3: bad close '{close}'"
 
     def test_duplicate_date_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,close\n2008-01-02,1.0\n2008-01-02,1.1\n")
-        with pytest.raises(CsvParseError) as info:
+        with pytest.raises(ValidationError) as info:
             load_price_csv(str(path))
         assert str(info.value) == f"{path}:3: duplicate date 2008-01-02"
 
     def test_malformed_row_has_line_number(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,close\n2008-01-02,1.0\nnot-a-date,1.1\n")
-        with pytest.raises(CsvParseError, match=":3:"):
+        message = re.escape(f"{path}:3: bad date 'not-a-date'")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             load_price_csv(str(path))
 
     @pytest.mark.parametrize("close", ["nan", "inf", "-inf"])
     def test_non_finite_close_is_a_bad_field(self, tmp_path, close):
         path = tmp_path / "p.csv"
         path.write_text(f"date,close\n2008-01-02,1.0\n2008-01-03,{close}\n")
-        with pytest.raises(CsvParseError) as info:
+        with pytest.raises(ValidationError) as info:
             load_price_csv(str(path))
         assert str(info.value) == f"{path}:3: bad close '{close}'"
 
@@ -95,13 +92,14 @@ class TestLoadPriceCsv:
     def test_date_must_be_zero_padded_yyyy_mm_dd(self, tmp_path, day):
         path = tmp_path / "p.csv"
         path.write_text(f"date,close\n2008-01-02,1.0\n{day},1.1\n")
-        with pytest.raises(CsvParseError, match=f"p\\.csv:3: bad date '{day}'"):
+        with pytest.raises(ValidationError, match=f"p\\.csv:3: bad date '{day}'"):
             load_price_csv(str(path))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("day,price\n2008-01-02,1.0\n")
-        with pytest.raises(CsvParseError, match="header"):
+        message = re.escape(f"{path}: expected header 'date,close'")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             load_price_csv(str(path))
 
 
@@ -136,7 +134,7 @@ class TestLoadMonthlyCsv:
     def test_non_finite_value_is_a_bad_field(self, tmp_path, value):
         path = tmp_path / "m.csv"
         path.write_text(f"month,value\n2008-01,1.0\n2008-02,{value}\n")
-        with pytest.raises(CsvParseError) as info:
+        with pytest.raises(ValidationError) as info:
             load_monthly_csv(str(path))
         assert str(info.value) == f"{path}:3: bad value '{value}'"
 
@@ -144,7 +142,7 @@ class TestLoadMonthlyCsv:
     def test_month_must_be_zero_padded_yyyy_mm(self, tmp_path, month):
         path = tmp_path / "m.csv"
         path.write_text(f"month,value\n2007-12,1.0\n{month},2.0\n")
-        with pytest.raises(CsvParseError, match=f"m\\.csv:3: bad month '{month}'"):
+        with pytest.raises(ValidationError, match=f"m\\.csv:3: bad month '{month}'"):
             load_monthly_csv(str(path))
 
 
@@ -274,14 +272,14 @@ class TestAlignPanel:
     def test_disjoint_dates_raise(self):
         a = _closes(D[0:3], [1, 2, 3])
         b = _closes(D[5:8], [4, 5, 6])
-        with pytest.raises(InsufficientOverlapError):
+        with pytest.raises(ValidationError, match="^only 0 common dates, need >= 1$"):
             align_panel({"A": a, "B": b}, min_overlap=1)
 
     def test_default_floor_of_30(self):
         # The run config's default is the one place the floor lives.
         a = _closes(D, range(1, 11))
         b = _closes(D, range(2, 12))
-        with pytest.raises(InsufficientOverlapError, match="only 10 common dates, need >= 30"):
+        with pytest.raises(ValidationError, match="only 10 common dates, need >= 30"):
             align_panel({"A": a, "B": b}, min_overlap=RunConfig().min_overlap)
 
     def test_output_dates_subset_of_inputs(self):

@@ -33,7 +33,7 @@ from mrpairs.cointegration import (
     extract_hedge_ratio,
     scan_cointegration,
 )
-from mrpairs.errors import SingularityError, ValidationError
+from mrpairs.errors import DegenerateInputError, ValidationError
 from mrpairs.market_data import PricePanel
 from mrpairs.spread_dynamics import compute_spread
 from mrpairs.unit_root import IntegrationOrder
@@ -44,9 +44,9 @@ def _nested_moments(r, n, k_max, widths):
     diag = np.abs(np.diag(r[:, :k_max]))
     for k in widths:
         if n <= k:
-            raise SingularityError(f"{n} observations for {k} regressors")
+            raise DegenerateInputError(f"{n} observations for {k} regressors")
         if diag[:k].min() <= 1e-10 * max(diag[:k].max(), 1.0):
-            raise SingularityError("regressor matrix is rank deficient")
+            raise DegenerateInputError("regressor matrix is rank deficient")
         tail = r[k:, k_max:]
         yield tail.T @ tail
 
@@ -67,7 +67,7 @@ def select_lag_loop(levels, r_w, columns, max_lag):
     for p, cross in enumerate(_nested_moments(r, n, 1 + max_lag * m, widths), 1):
         sign, logdet = np.linalg.slogdet(cross / n)
         if sign <= 0:
-            raise SingularityError("singular residual covariance in VAR fit")
+            raise DegenerateInputError("singular residual covariance in VAR fit")
         sc = logdet + (math.log(n) / n) * (p * m * m + m)
         if best_sc is None or sc < best_sc:
             best_p, best_sc = p, sc
@@ -102,14 +102,14 @@ def johansen_from_r(r, n, m, p):
     (cross,) = _nested_moments(r, n, kz, [kz])
     s00, s11, s01 = cross[:m, :m] / n, cross[m:, m:] / n, cross[:m, m:] / n
     if np.linalg.cond(s00) > 1e12 or np.linalg.cond(s11) > 1e12:
-        raise SingularityError("singular moment matrix in Johansen step")
+        raise DegenerateInputError("singular moment matrix in Johansen step")
     core = s01.T @ np.linalg.solve(s00, s01)
     core = (core + core.T) / 2.0
     eigvals, eigvecs = cointegration._generalized_eigh(
         core[None], ((s11 + s11.T) / 2.0)[None]
     )
     if np.isnan(eigvals).any():
-        raise SingularityError("generalized eigenproblem failed")
+        raise DegenerateInputError("generalized eigenproblem failed")
     eigvals, eigvecs = eigvals[0], eigvecs[0]
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, 1.0 - 1e-15)
@@ -144,7 +144,7 @@ def scan_loop(panel, var_max_lag=10, direct=False):
                 if p not in vecm:
                     vecm[p] = np.linalg.qr(vecm_design(levels, p), mode="r")
                 eigvals, eigvecs, rank = johansen_loop(levels, vecm[p], subset, p)
-        except SingularityError as exc:
+        except DegenerateInputError as exc:
             fits[subset] = str(exc)
             rows.append(_row(ids, "singular", None, None, None, None))
             continue
