@@ -17,8 +17,8 @@ Every fit of Y on a design of n rows and k regressors makes two checks,
 in this order: n > k, else "<n> observations for <k> regressors"; then
 the one rank rule, `rank_deficient`, on the |R_jj| of the design's R
 factor, else "regressor matrix is rank deficient". `failure_error`
-raises the first message as `DegenerateInputError` or, for the rank rule,
-`RankDeficientError`.
+raises the first message as `DegenerateInputError`; a caller tells the
+rank rule apart by that message, as `unit_root.NO_TEST` does.
 `nested_residual_moments` takes the R factor of [X | Y], or a stack of
 them, and gives the residual moments of Y on column prefixes of X, with
 the outcome of each check as a message rather than a raise, so one
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import DegenerateInputError, RankDeficientError
+from .errors import DegenerateInputError
 
 # Relative tolerance on the diagonal of R for declaring rank deficiency.
 _RANK_RTOL = 1e-10
@@ -132,11 +132,10 @@ def nested_residual_moments(
 
 
 def failure_error(message: str) -> DegenerateInputError:
-    """The error a failed check's message raises, with the message as a plain
-    str: `RankDeficientError` for the rank rule, else `DegenerateInputError`.
-    Every stacked step's failure is raised through here."""
-    message = str(message)
-    return (RankDeficientError if message == _RANK_DEFICIENT else DegenerateInputError)(message)
+    """The `DegenerateInputError` a failed check's message raises, with the
+    message as a plain str, so a caller can look it up. Every stacked step's
+    failure is raised through here."""
+    return DegenerateInputError(str(message))
 
 
 def first_failures(failures: np.ndarray) -> list[str | None]:

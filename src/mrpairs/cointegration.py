@@ -71,16 +71,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._ols import failure_error, first_failures, nested_residual_moments, r_factor
-from .errors import (
-    ConstantDifferencesError,
-    ConstantSeriesError,
-    DegenerateInputError,
-    RankDeficientError,
-    ValidationError,
-)
+from .errors import DegenerateInputError, ValidationError
 from .market_data import PricePanel
 from .spread_dynamics import SpreadSeries, half_life_rows, zscore_rows
-from .unit_root import IntegrationOrder, classify_integration_order, null_walk_batches
+from .unit_root import NO_TEST, IntegrationOrder, classify_integration_order, null_walk_batches
 
 # 95% trace critical values indexed by m - r (number of common trends under
 # the null), for the unrestricted-constant, no-trend case. Monte Carlo
@@ -513,22 +507,18 @@ class ScanRow:
     half_life_days: float | None
 
 
-# Why a series has no I(d) class, in the order `adf_test` checks them.
-_NO_ORDER = ("constant series", "constant differences", "singular unit-root fit")
-
-
 def integration_orders(panel: PricePanel, max_lag: int | None) -> list[IntegrationOrder | str]:
-    """Each of `panel`'s series' I(d) class, or the reason it has none."""
+    """Each of `panel`'s series' I(d) class, or the reason it has none: the
+    `unit_root.NO_TEST` reason of its test's message. Any other failure
+    raises."""
     orders: list[IntegrationOrder | str] = []
     for series in panel.prices:
         try:
             orders.append(classify_integration_order(series, max_lag=max_lag))
-        except ConstantDifferencesError:
-            orders.append("constant differences")
-        except ConstantSeriesError:
-            orders.append("constant series")
-        except RankDeficientError:
-            orders.append("singular unit-root fit")
+        except DegenerateInputError as exc:
+            if str(exc) not in NO_TEST:
+                raise
+            orders.append(NO_TEST[str(exc)])
     return orders
 
 
@@ -543,7 +533,7 @@ def _fit_subsets(
 
     A subset of `panel`'s columns (in ascending width) is skipped unless
     every member is I(1) (`orders`, else `integration_orders`), with its
-    members' earliest reason in `_NO_ORDER`, else "not all I(1)". The
+    members' earliest reason in `NO_TEST`'s order, else "not all I(1)". The
     tested ones are fit by `_fit_equal_width` from one `VarLagSelector` of
     their members alone, a width at a time as they are read.
     """
@@ -553,7 +543,7 @@ def _fit_subsets(
     reasons = [
         None if all(orders[i] is IntegrationOrder.I1 for i in s)
         else min((orders[i] for i in s if isinstance(orders[i], str)),
-                 key=_NO_ORDER.index, default="not all I(1)")
+                 key=list(NO_TEST.values()).index, default="not all I(1)")
         for s in subsets
     ]
     tested = [s for s, reason in zip(subsets, reasons) if reason is None]

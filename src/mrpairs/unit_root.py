@@ -15,7 +15,9 @@ column, and the chosen lag's coefficients and (X'X)^-1 come from R's
 leading k x k block. Nothing is refit. The design and its response are
 built as one column-major block, LAPACK's own layout, and factored as
 they are. The maximum lag follows Schwert's rule floor(12*(T/100)^(1/4)).
-A constant series or a straight line has no test.
+A constant series, a straight line and a design that fails the rank rule
+have no test: `adf_test` raises each as `DegenerateInputError` with its
+message in `NO_TEST`, which gives the reason a scan skips such a series.
 
 The t-ratio on b is compared against finite-sample critical values for the
 drift case, interpolated in 1/T between tabulated sample sizes. Only the
@@ -33,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import failure_error, first_failures, prefix_failures, r_factor
-from .errors import ConstantDifferencesError, ConstantSeriesError, DegenerateInputError
-from .errors import ValidationError
+from ._ols import _RANK_DEFICIENT, failure_error, first_failures, prefix_failures, r_factor
+from .errors import DegenerateInputError, ValidationError
 
 # Finite-sample 95% critical values of the Dickey-Fuller t-statistic for the
 # regression with constant and no trend, tabulated by effective sample size.
@@ -43,6 +44,16 @@ from .errors import ValidationError
 # Carlo (see tests/test_acceptance.py, criterion 11).
 _ADF_CV_SAMPLE_SIZES = (25, 50, 100, 250, 500, math.inf)
 ADF_CRITICAL_VALUES_95 = (-3.00, -2.93, -2.89, -2.88, -2.87, -2.86)
+
+_CONSTANT = "constant series has no unit-root test"
+_CONSTANT_DIFFERENCES = "constant differences have no unit-root test"
+# The messages of the failures that leave a series with no test, in the
+# order `adf_test` checks them, and the reason a scan skips it for.
+NO_TEST = {
+    _CONSTANT: "constant series",
+    _CONSTANT_DIFFERENCES: "constant differences",
+    _RANK_DEFICIENT: "singular unit-root fit",
+}
 
 _NULL_BATCH = 256  # walks per Monte Carlo batch, small enough to stay in cache
 _NULL_POINTS = 2**26 // (8 * _NULL_BATCH)  # 32768 floats a walk: a batch in 64 MiB
@@ -116,9 +127,9 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
             f"series length {T} too short for max_lag {max_lag}"
         )
     if np.ptp(y) == 0.0:
-        raise ConstantSeriesError("constant series has no unit-root test")
+        raise DegenerateInputError(_CONSTANT)
     if np.ptp(np.diff(y)) == 0.0:
-        raise ConstantDifferencesError("constant differences have no unit-root test")
+        raise DegenerateInputError(_CONSTANT_DIFFERENCES)
 
     design = _adf_design(y, max_lag)
     n = len(design)

@@ -27,7 +27,7 @@ settings.load_profile("fixed examples")
 from mrpairs import _ols, cointegration, fusion, unit_root  # noqa: E402
 from mrpairs._ols import _RANK_DEFICIENT, _too_few, failure_error, rank_deficient  # noqa: E402
 from mrpairs.backtest import PositionSeries, compute_pnl  # noqa: E402
-from mrpairs.errors import DegenerateInputError, RankDeficientError  # noqa: E402
+from mrpairs.errors import DegenerateInputError  # noqa: E402
 from mrpairs.fusion import WeightVector, optimize_weights  # noqa: E402
 from mrpairs.market_data import (  # noqa: E402
     CointegrationRecipe,
@@ -82,7 +82,7 @@ def ols_qr(X: np.ndarray, y: np.ndarray) -> OlsFit:
     q, r = np.linalg.qr(X, mode="reduced")
     diag = np.abs(np.diag(r))  # |R_jj| of the regressors' thin QR
     if rank_deficient(diag.min(), diag.max()):
-        raise RankDeficientError(_RANK_DEFICIENT)
+        raise DegenerateInputError(_RANK_DEFICIENT)
     coef = np.linalg.solve(r, q.T @ y)
     residuals = y - X @ coef
     rss = np.sum(residuals * residuals, axis=0)

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,12 @@ from mrpairs.backtest import (
 )
 from mrpairs.errors import ValidationError
 from mrpairs.fusion import WeightVector, combine_signals
-from mrpairs.market_data import PricePanel, SynthConfig, generate_synthetic_panel
+from mrpairs.market_data import (
+    CointegrationRecipe,
+    PricePanel,
+    SynthConfig,
+    generate_synthetic_panel,
+)
 
 
 def _write_panel_csvs(panel, directory):
@@ -512,6 +518,96 @@ class TestReport:
         assert hashes[0] == hashes[1]
 
 
+class _ScanLine(NamedTuple):
+    members: list[str]
+    reason: str | None
+    rank: int | None
+    top_eigenvalue: float | None
+    hedge: list[float] | None
+    half_life: float | None
+
+
+def _scan_rows(config, out):
+    """`scan`'s rows of `config`, keyed by the set of their members."""
+    assert cli.run(["scan", "--config", str(config), "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "scan_report.csv")
+    return {
+        frozenset(subset.split("+")): _ScanLine(
+            subset.split("+"), reason or None, int(rank) if rank else None,
+            float(top) if top else None,
+            [float(h) for h in hedge.split(";")] if hedge else None,
+            float(half_life) if half_life else None,
+        )
+        for subset, reason, rank, top, hedge, half_life in rows
+    }
+
+
+def _assert_same_relation(row, ids, hedge, half_life, rtol=1e-12):
+    """A hedge ratio of `ids` and a half-life agree with a scan row's to
+    `rtol` relative. Each hedge is scaled to 1 on the row's largest member
+    first: scaled to 1 on a small member, as the outputs are when it is
+    listed first, a hedge's digits hold that member's rounding too."""
+    by_id = dict(zip(ids, hedge))
+    got, want = np.array([by_id[m] for m in row.members]), np.array(row.hedge)
+    k = np.argmax(np.abs(want))
+    np.testing.assert_allclose(got / got[k], want / want[k], rtol=0, atol=rtol)
+    if math.isinf(row.half_life):
+        assert half_life in (None, math.inf)
+    else:
+        assert abs(half_life - row.half_life) <= rtol * abs(row.half_life)
+
+
+class TestSubsetsAgreeWithTheScan:
+    """A scan row's figures are within 1e-12 relative of the same subset's
+    in a subset command and in a scan of the config listed in reverse, not
+    bit for bit: each factors its members beside different columns."""
+
+    @pytest.fixture(scope="class")
+    def planted_five(self, tmp_path_factory):
+        """Four walks and SYN5 = SYN1 - 0.5 SYN2 + OU noise over 1000 days,
+        a config listing them in order and one in reverse, and the scan's
+        rows of the first."""
+        root = tmp_path_factory.mktemp("five")
+        panel = generate_synthetic_panel(3, SynthConfig(
+            n_walks=4, n_days=1000, start_price=500.0,
+            recipe=CointegrationRecipe(weights=(1.0, -0.5, 0.0, 0.0)),
+        ))
+        lines = [f"price.{iid} = {p}\n" for iid, p in _write_panel_csvs(panel, root).items()]
+        configs = {"listed": root / "listed.cfg", "reversed": root / "reversed.cfg"}
+        configs["listed"].write_text("".join(lines))
+        configs["reversed"].write_text("".join(reversed(lines)))
+        rows = _scan_rows(configs["listed"], root / "listed")
+        assert sorted({len(row.members) for row in rows.values() if row.rank}) == [2, 3, 4]
+        return configs, rows
+
+    def test_report_subset_agrees_with_its_scan_row_in_either_order(
+        self, planted_five, tmp_path
+    ):
+        configs, rows = planted_five
+        for row in (row for row in rows.values() if row.rank):
+            for ids in (row.members, row.members[::-1]):
+                argv = ["report", "--config", str(configs["listed"]),
+                        "--subset", ",".join(ids), "--out", str(tmp_path)]
+                assert cli.run(argv) == 0
+                got = json.loads((tmp_path / "manifest.json").read_text())["backtest"]
+                assert (got["subset"], got["rank"]) == (ids, row.rank)
+                _assert_same_relation(row, ids, got["hedge_ratio"], got["half_life_days"])
+
+    def test_listing_the_config_in_reverse_moves_no_figure_beyond_1e_12(
+        self, planted_five, tmp_path
+    ):
+        configs, rows = planted_five
+        reversed_rows = _scan_rows(configs["reversed"], tmp_path)
+        assert reversed_rows.keys() == rows.keys()
+        for key, row in rows.items():
+            other = reversed_rows[key]
+            assert other.members == row.members[::-1]
+            assert (other.reason, other.rank) == (row.reason, row.rank)
+            if row.rank:
+                assert abs(other.top_eigenvalue - row.top_eigenvalue) <= 1e-12 * row.top_eigenvalue
+                _assert_same_relation(row, other.members, other.hedge, other.half_life)
+
+
 class TestErrorPaths:
     def _main_exit(self, monkeypatch, capsys, argv):
         monkeypatch.setattr("sys.argv", ["mrpairs"] + argv)
@@ -811,8 +907,9 @@ class TestErrorPaths:
 
     @pytest.fixture(scope="class")
     def screened_config(self, tmp_path_factory):
-        """A walk W beside an AR(0.5) series S, a constant C and a straight
-        line L at T = 600, and the scan's skip reason of each subset."""
+        """A walk W beside an AR(0.5) series S, a constant C, a straight
+        line L and a walk H near the float limit at T = 600, and the scan's
+        skip reason of each subset."""
         root = tmp_path_factory.mktemp("screened")
         dates = generate_synthetic_panel(0, dataclasses.replace(RECIPE_CONFIG, n_days=600)).dates
         rng = np.random.default_rng(0)
@@ -821,6 +918,7 @@ class TestErrorPaths:
             "S": 100.0 + ar1(rng, 600, 0.5),
             "C": np.full(600, 50.0),
             "L": 10.0 + 0.125 * np.arange(600),
+            "H": 2e297 * (100.0 + np.cumsum(rng.standard_normal(600))),
         }
         config = root / "run.cfg"
         config.write_text("".join(
@@ -832,11 +930,14 @@ class TestErrorPaths:
         return config, {row[0]: row[1] for row in rows}
 
     # `scan` skips these subsets, so a subset command refuses them with the
-    # scan's reason before it writes anything. C and L have two reasons;
-    # `adf_test` finds C's first, so both orders of the pair take it.
+    # scan's reason before it writes anything. H's unit-root fit fails its
+    # rank check. A subset with two reasons takes the one `adf_test` checks
+    # first, in either order of its members.
     @pytest.mark.parametrize("subset, reason", [
         ("W,S", "not all I(1)"), ("W,C", "constant series"), ("W,L", "constant differences"),
-        ("C,L", "constant series"), ("L,C", "constant series"),
+        ("W,H", "singular unit-root fit"), ("C,L", "constant series"),
+        ("L,C", "constant series"), ("H,L", "constant differences"),
+        ("C,H", "constant series"),
     ])
     @pytest.mark.parametrize("command", ["backtest", "optimize", "report"])
     def test_a_subset_the_scan_skips_ends_in_its_skip_reason(
@@ -844,7 +945,7 @@ class TestErrorPaths:
     ):
         config, skipped = screened_config
         ids = subset.split(",")
-        assert skipped["+".join(sorted(ids, key="WSCL".index))] == reason  # the config's order
+        assert skipped["+".join(sorted(ids, key="WSCLH".index))] == reason  # the config's order
         out = tmp_path / "out"
         code, _, err = _run_main(
             [command, "--config", str(config), "--subset", subset, "--out", str(out)]

@@ -228,6 +228,18 @@ class TestScan:
         with pytest.raises(DegenerateInputError, match="series length 15 too short"):
             scan_cointegration(_walks_and_constant(15))
 
+    # A failure that is none of the three with no unit-root test raises out
+    # of the screen: at T = 15 the constant series is too short first; at
+    # T = 40 with max lag 30 it takes its reason, and the first walk's fit
+    # has too few observations.
+    @pytest.mark.parametrize("T, max_lag, message", [
+        (15, None, "series length 15 too short for max_lag 7"),
+        (40, 30, "9 observations for 9 regressors"),
+    ])
+    def test_integration_orders_raises_any_other_degenerate_failure(self, T, max_lag, message):
+        with pytest.raises(DegenerateInputError, match=f"^{message}$"):
+            cointegration.integration_orders(_walks_and_constant(T), max_lag)
+
     def test_rows_in_enumeration_order_with_skips(self, recipe_panel):
         orders = [IntegrationOrder.I1, IntegrationOrder.I1]
         rows = scan_cointegration(recipe_panel, orders=orders, var_max_lag=3)

@@ -1,11 +1,11 @@
 """The two homes of an error's rules, and the rule for an error class.
 
 `_ols.failure_error` is the one place a failed check's message becomes an
-error, and so picks its class and exit code. `errors.about` is the one
-place an error gains a `label: ` prefix on its way out, keeping its class.
-A class in `errors.py` sets an exit code or is named in an `except` clause
-in `src/`; a `raise` alone does not keep one, as its message tells the
-failure apart.
+error: a `DegenerateInputError` whose message, a plain str, tells the
+check apart. `errors.about` is the one place an error gains a `label: `
+prefix on its way out, keeping its class. A class in `errors.py` sets an
+exit code or is named in an `except` clause in `src/`; a `raise` alone
+does not keep one, as its message tells the failure apart.
 """
 
 import ast
@@ -16,12 +16,7 @@ import pytest
 
 from mrpairs import errors
 from mrpairs._ols import _RANK_DEFICIENT, failure_error
-from mrpairs.errors import (
-    DegenerateInputError,
-    RankDeficientError,
-    ValidationError,
-    about,
-)
+from mrpairs.errors import DegenerateInputError, ValidationError, about
 
 ERRORS = pathlib.Path(errors.__file__)
 
@@ -58,21 +53,17 @@ def test_the_check_sees_exit_codes_and_except_clauses():
     setters = {name for name, sets in _classes() if sets}
     assert setters == {"PipelineError", "ValidationError", "DegenerateInputError"}
     caught = _caught()
-    assert {"PipelineError", "ConstantSeriesError", "RankDeficientError"} <= caught
+    assert {"PipelineError", "DegenerateInputError"} <= caught
     assert "LinAlgError" in caught  # as `except np.linalg.LinAlgError`
     assert "ValidationError" in caught  # only as `except (ValueError, ValidationError)`
 
 
-def test_the_rank_message_is_rank_deficient():
-    error = failure_error(_RANK_DEFICIENT)
-    assert type(error) is RankDeficientError and str(error) == _RANK_DEFICIENT
-
-
 @pytest.mark.parametrize(
     "message",
-    ["zero eigenvector", "zero variance, z-scores undefined", "2 observations for 3 regressors"],
+    [_RANK_DEFICIENT, "zero eigenvector", "zero variance, z-scores undefined",
+     "2 observations for 3 regressors"],
 )
-def test_any_other_message_is_degenerate_input(message):
+def test_every_message_is_degenerate_input(message):
     error = failure_error(message)
     assert type(error) is DegenerateInputError and str(error) == message
 
@@ -90,7 +81,7 @@ def test_a_numpy_string_cell_becomes_a_plain_str(message):
     "cls, message",
     [
         (ValidationError, "no monthly signal covers 2008-04"),
-        (RankDeficientError, _RANK_DEFICIENT),
+        (DegenerateInputError, _RANK_DEFICIENT),
     ],
 )
 def test_about_prefixes_the_label_and_keeps_the_class(cls, message):

@@ -24,7 +24,7 @@ from mrpairs.cointegration import (
     scan_cointegration,
     select_var_lag,
 )
-from mrpairs.errors import DegenerateInputError, RankDeficientError
+from mrpairs.errors import DegenerateInputError
 from mrpairs.unit_root import (
     AdfOutcome,
     IntegrationOrder,
@@ -173,7 +173,7 @@ def test_adf_rank_deficient_raises_like_per_lag_loop():
     y = np.tile([1.0, 2.0], 50)
     raised = error_of(adf_test, y, 4)
     assert raised == error_of(adf_test_per_lag, y, 4)
-    assert raised == (RankDeficientError, "regressor matrix is rank deficient")
+    assert raised == (DegenerateInputError, "regressor matrix is rank deficient")
 
 
 def test_adf_too_few_observations_raises_like_per_lag_loop():
@@ -188,7 +188,7 @@ def test_ols_qr_counts_a_nan_design_as_rank_deficient():
     X = np.column_stack([np.ones(50), np.arange(50.0)])
     X[7, 1] = np.nan
     raised = error_of(ols_qr, X, np.arange(50.0))
-    assert raised == (RankDeficientError, "regressor matrix is rank deficient")
+    assert raised == (DegenerateInputError, "regressor matrix is rank deficient")
 
 
 def test_var_rank_deficient_raises_like_per_lag_loop():
@@ -196,7 +196,7 @@ def test_var_rank_deficient_raises_like_per_lag_loop():
     Y = np.column_stack([walk, walk])
     raised = error_of(select_var_lag, Y, 5)
     assert raised == error_of(select_var_lag_per_lag, Y, 5)
-    assert raised == (RankDeficientError, "regressor matrix is rank deficient")
+    assert raised == (DegenerateInputError, "regressor matrix is rank deficient")
 
 
 def test_var_too_few_observations_raises_like_per_lag_loop():
