@@ -42,6 +42,7 @@ from .errors import DegenerateInputError
 # Relative tolerance on the diagonal of R for declaring rank deficiency.
 _RANK_RTOL = 1e-10
 _RANK_DEFICIENT = "regressor matrix is rank deficient"
+VAR_SPARE_OBS = 30  # observations a VAR fit of m series at lag p keeps beyond m*p
 
 
 def _too_few(n: int, k: int) -> str:

@@ -93,7 +93,6 @@ class Metrics(NamedTuple):
 
 @dataclass(frozen=True)
 class BacktestReport:
-    dates: tuple
     positions: np.ndarray
     daily_returns: np.ndarray
     apr: float
@@ -169,9 +168,8 @@ def trade_subset(
         raise failure_error(fit)
     outcome, portfolio = fit
     if portfolio is None:
-        raise DegenerateInputError(f"subset {outcome.subset} has cointegration rank 0")
-    spread = portfolio.spread
-    positions = generate_mr_positions(spread.zscores, entry, exit, spread.dates)
+        raise ci.rank_zero_error(outcome)
+    positions = generate_mr_positions(portfolio.spread.zscores, entry, exit, sub.dates)
     return sub, outcome, portfolio, positions
 
 
@@ -252,7 +250,6 @@ def compute_pnl(
     daily_returns = (pnl - trade_cost) / denom
     apr, sharpe, max_dd = compute_metrics(daily_returns)
     return BacktestReport(
-        dates=panel.dates,
         positions=pos,
         daily_returns=daily_returns,
         apr=apr,

@@ -226,18 +226,18 @@ def _write_summary(path: str, report: bt.BacktestReport) -> None:
 
 
 def _backtest(cfg: RunConfig, panel, subset_ids: list[str], orders=None):
-    """The subset's Johansen outcome and portfolio, and the backtest of its
-    positions with `cfg.costs`."""
+    """The subset's panel, Johansen outcome and portfolio, and the backtest
+    of its positions with `cfg.costs`."""
     sub, outcome, portfolio, positions = bt.trade_subset(
         panel, subset_ids, cfg.var_max_lag, cfg.adf_max_lag, cfg.entry_z, cfg.exit_z, orders
     )
     report = bt.compute_pnl(sub, portfolio.hedge_ratio, positions, bt.CostModel(cfg.costs))
-    return outcome, portfolio, report
+    return sub, outcome, portfolio, report
 
 
 def cmd_backtest(cfg: RunConfig, subset_ids: list[str]) -> int:
-    _, portfolio, report = _backtest(cfg, _load_panel(cfg), subset_ids)
-    days = cells(report.dates)  # the spread's dates too: one column for four files
+    sub, _, portfolio, report = _backtest(cfg, _load_panel(cfg), subset_ids)
+    days = cells(sub.dates)  # the report's and the spread's: one column for four files
     write_csv(
         _out_path(cfg, "backtest.csv"),
         "date,position,daily_return,cumulative_return",
@@ -363,7 +363,7 @@ def cmd_report(cfg: RunConfig, subset_ids: list[str] | None) -> int:
         },
     }
     if subset_ids:
-        outcome, portfolio, report = _backtest(cfg, panel, subset_ids, orders)
+        _, outcome, portfolio, report = _backtest(cfg, panel, subset_ids, orders)
         half_life = portfolio.half_life_days  # JSON has no inf: none measured is null
         payload["backtest"] = {
             "subset": subset_ids,

@@ -70,7 +70,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._ols import failure_error, first_failures, nested_residual_moments, r_factor
+from ._ols import VAR_SPARE_OBS, failure_error, first_failures, nested_residual_moments, r_factor
 from .errors import DegenerateInputError, ValidationError
 from .market_data import PricePanel
 from .spread_dynamics import SpreadSeries, half_life_rows, zscore_rows
@@ -177,9 +177,9 @@ class VarLagSelector:
         B, m = columns.shape
         if max_lag < 1:
             raise ValidationError("max_lag must be at least 1")
-        if T < m * max_lag + 30:
+        if T < m * max_lag + VAR_SPARE_OBS:
             raise ValidationError(
-                f"need T >= m*max_lag + 30, got T={T}, m={m}, max_lag={max_lag}"
+                f"need T >= m*max_lag + {VAR_SPARE_OBS}, got T={T}, m={m}, max_lag={max_lag}"
             )
         if max_lag not in self._factors:
             self._factors[max_lag] = self._factor(max_lag)
@@ -305,8 +305,8 @@ def _johansen_stack(
     p = var_lag
     if p < 1:
         raise ValidationError("var_lag must be at least 1")
-    if T < m * p + 30:
-        raise ValidationError(f"need T >= m*var_lag + 30, got T={T}")
+    if T < m * p + VAR_SPARE_OBS:
+        raise ValidationError(f"need T >= m*var_lag + {VAR_SPARE_OBS}, got T={T}")
     n = T - p
     kz = 1 + (p - 1) * m                     # Z = [1, dY_{t-1}, ..., dY_{t-k}]
     eigvals, trace = np.full((2, B, m), np.nan)
@@ -394,10 +394,15 @@ def johansen_test(panel: PricePanel, var_lag: int) -> JohansenOutcome:
     )
 
 
+def rank_zero_error(outcome: JohansenOutcome) -> DegenerateInputError:
+    """The error of a subset with no cointegrating relation to trade."""
+    return DegenerateInputError(f"subset {outcome.subset} has cointegration rank 0")
+
+
 def extract_hedge_ratio(outcome: JohansenOutcome) -> np.ndarray:
     """Eigenvector of the largest eigenvalue, first nonzero component = +1."""
     if outcome.rank < 1:
-        raise DegenerateInputError(f"subset {outcome.subset} has cointegration rank 0")
+        raise rank_zero_error(outcome)
     vector = np.asarray(outcome.eigenvectors, dtype=float)[:, 0]
     (hedge,), (failure,) = _hedge_rows(vector[None])
     if failure:
@@ -445,7 +450,7 @@ def _portfolios(
         # A scan row keeps its hedge ratio, so each is its own array, not a
         # view that keeps the chunk's stack alive.
         out += [
-            CointegratedPortfolio(h.copy(), SpreadSeries(panel.dates, v, z), float(hl))
+            CointegratedPortfolio(h.copy(), SpreadSeries(v, z), float(hl))
             for h, v, z, hl in zip(hedges, values, zscores, half_lives)
         ]
     return out
@@ -469,7 +474,7 @@ def _fit_equal_width(
     m = len(subsets[0])
     T = panel.n_dates
     # The top candidate lag P must leave T - P > 1 + P*m observations.
-    feasible = max(1, min(var_max_lag, (T - 30) // m, (T - 2) // (m + 1)))
+    feasible = max(1, min(var_max_lag, (T - VAR_SPARE_OBS) // m, (T - 2) // (m + 1)))
     chosen, failures = lags.select_many(subsets, feasible)
     fits: list[JohansenOutcome | str | None] = list(failures)
     idx = np.asarray(subsets, dtype=np.intp)

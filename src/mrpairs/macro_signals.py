@@ -87,18 +87,6 @@ def check_flat_epsilon(flat_epsilon: float) -> None:
         )
 
 
-def label_directions(
-    series: MonthlySeries, flat_epsilon: float = 0.0
-) -> list[DirectionLabel]:
-    """Direction of each month-over-month change; length = input - 1."""
-    check_flat_epsilon(flat_epsilon)
-    if len(series) < 2:
-        raise ValidationError("need at least 2 months to label directions")
-    d = np.diff(series.values)
-    classes = np.where(d > flat_epsilon, 0, np.where(d < -flat_epsilon, 1, 2))
-    return [CLASS_ORDER[i] for i in classes]
-
-
 # Feature recipe: lagged levels (1-3 months), lagged changes (1-3 months),
 # and the 3-month mean of the changes. 7 features per month.
 _FEATURE_BURN_IN = 4  # first month index with a full feature vector
@@ -107,7 +95,8 @@ _FEATURE_BURN_IN = 4  # first month index with a full feature vector
 def build_direction_features(
     series: MonthlySeries, flat_epsilon: float = 0.0
 ) -> tuple[np.ndarray, list[DirectionLabel], tuple[str, ...]]:
-    """Feature matrix, labels, and target months for direction training."""
+    """Feature matrix, labels, and target months for direction training; a
+    month's label is its own change's direction, Flat within +-flat_epsilon."""
     v = series.values
     if len(v) < _FEATURE_BURN_IN + 2:
         raise ValidationError("too few months to build features")
@@ -122,9 +111,11 @@ def build_direction_features(
     if over.any():
         month = series.months[np.argmax(over) + 1]
         raise ValidationError(f"the month-over-month changes overflow at {month}")
-    labels = label_directions(series, flat_epsilon)  # labels[i] is month i+1
+    check_flat_epsilon(flat_epsilon)
+    change = d[_FEATURE_BURN_IN - 1:]  # into each month t
+    classes = np.where(change > flat_epsilon, 0, np.where(change < -flat_epsilon, 1, 2))
     X = np.column_stack([v[t - 1], v[t - 2], v[t - 3], c1, c2, c3, total / 3])
-    return X, labels[_FEATURE_BURN_IN - 1:], tuple(series.months[_FEATURE_BURN_IN:])
+    return X, [CLASS_ORDER[i] for i in classes], tuple(series.months[_FEATURE_BURN_IN:])
 
 
 # Subgradient descent: epochs, initial step size, L2 penalty on the weights.

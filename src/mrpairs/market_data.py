@@ -109,9 +109,6 @@ class MonthlySeries:
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("monthly values must be finite")
 
-    def __len__(self) -> int:
-        return len(self.months)
-
 
 _MONTH = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")

@@ -64,9 +64,9 @@ def emit_plot_data(
 
     Each figure is one row of a table: file stem, CSV header and columns,
     then the SVG's title and named series. `days` holds the cells
-    (`_csv.cells`) of the dates that the report and the spread share, so
-    the caller formats them once for every file. Returns the three CSV
-    paths.
+    (`_csv.cells`) of the panel calendar that the report and the spread
+    share, so the caller formats them once for every file. Returns the
+    three CSV paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     cumulative = report.cumulative_returns

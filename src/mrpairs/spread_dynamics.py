@@ -5,20 +5,20 @@ OLS slope lam of the daily spread change on the lagged spread level (with
 intercept); a negative slope gives half-life -ln(2)/lam, otherwise the
 spread shows no measured mean reversion and the half-life is unbounded.
 
-Z-scores use the full-sample mean and sample (n-1) standard deviation;
-`compute_spread` takes them from `standardize`, the one z-score routine.
+Z-scores use the full-sample mean and sample (n-1) standard deviation,
+from `zscore_rows`, the one z-score routine.
 NOTE: full-sample standardization is in-sample and embeds look-ahead bias;
 it matches the single-period research backtest this engine reproduces.
 
 The z-scores and half-lives are computed as stacks (`zscore_rows`,
 `half_life_rows`), one spread per row, so a scan fits all of its ranked
-subsets' spreads at once; `standardize` is a stack of one. Each row's
-figures are bit-identical to that row computed as a stack of one: the
-reductions run along each row, and numpy's stacked QR and solve run the
-same LAPACK calls on each row's design as on that design alone. The
-half-life fit stops at the slope, with no residuals, RSS or (X'X)^-1. A
-stacked function reports each row's first failing check as a message, ""
-where all pass, so one failing spread does not stop the others.
+subsets' spreads at once; `compute_spread` standardizes a stack of one.
+Each row's figures are bit-identical to that row computed as a stack of
+one: the reductions run along each row, and numpy's stacked QR and solve
+run the same LAPACK calls on each row's design as on that design alone.
+The half-life fit stops at the slope, with no residuals, RSS or
+(X'X)^-1. A stacked function reports each row's first failing check as a
+message, "" where all pass, so one failing spread does not stop the others.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ MIN_HALF_LIFE_OBS = 30
 
 @dataclass(frozen=True)
 class SpreadSeries:
-    """Spread values plus their full-sample standardization."""
+    """Spread values plus their full-sample standardization, one per panel date."""
 
-    dates: tuple
     values: np.ndarray
     zscores: np.ndarray
 
 
 def zscore_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`standardize` of each row of `values` (B, n): the z-scores and the
-    messages. A failed row's z-scores are not read."""
+    """(x - mean)/std with the sample std, of each row of `values` (B, n):
+    the z-scores and the messages. A failed row's z-scores are not read."""
     B, n = values.shape
     if n < 2:
         return np.full((B, n), np.nan), np.full(B, "need at least 2 points to standardize")
@@ -55,14 +54,6 @@ def zscore_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat = (std[:, 0] == 0.0) | (np.ptp(values, axis=-1) == 0.0)
         zscores = (values - values.mean(axis=-1, keepdims=True)) / std
     return zscores, np.where(flat, "zero variance, z-scores undefined", "")
-
-
-def standardize(values: np.ndarray) -> np.ndarray:
-    """(x - mean)/std with the sample std."""
-    (zscores,), (failure,) = zscore_rows(np.asarray(values, dtype=float)[None])
-    if failure:
-        raise failure_error(failure)
-    return zscores
 
 
 def compute_spread(panel: PricePanel, hedge_ratio: np.ndarray) -> SpreadSeries:
@@ -74,7 +65,10 @@ def compute_spread(panel: PricePanel, hedge_ratio: np.ndarray) -> SpreadSeries:
             f"{panel.n_instruments}"
         )
     values = h @ panel.prices
-    return SpreadSeries(panel.dates, values, standardize(values))
+    (zscores,), (failure,) = zscore_rows(values[None])
+    if failure:
+        raise failure_error(failure)
+    return SpreadSeries(values, zscores)
 
 
 def half_life_rows(spreads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

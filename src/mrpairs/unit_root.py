@@ -35,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ols import _RANK_DEFICIENT, failure_error, first_failures, prefix_failures, r_factor
+from ._ols import (
+    _RANK_DEFICIENT, VAR_SPARE_OBS, failure_error, first_failures, prefix_failures, r_factor,
+)
 from .errors import DegenerateInputError, ValidationError
 
 # Finite-sample 95% critical values of the Dickey-Fuller t-statistic for the
@@ -176,8 +178,9 @@ def check_null_walk_size(n_draws: int, sample_size: int, dim: int = 1) -> None:
 
     At least 4 points leave the t-ratio n - 2 >= 1 degrees of freedom. A
     Johansen null of dimension m >= 2 fits a VAR(1) of m walks, which
-    needs m + 30 points, as `cointegration.johansen_test` does. A batch of
-    walks must fit in 64 MiB, so at most 32768 / m points.
+    needs m + VAR_SPARE_OBS points, as `cointegration.johansen_test`
+    does. A batch of walks must fit in 64 MiB, so at most 32768 / m
+    points.
     """
     if n_draws < 1:
         raise ValidationError(f"Monte Carlo needs at least 1 draw, got {n_draws}")
@@ -187,9 +190,9 @@ def check_null_walk_size(n_draws: int, sample_size: int, dim: int = 1) -> None:
         )
     if dim < 1:
         raise ValidationError(f"Monte Carlo dimension must be at least 1, got {dim}")
-    if dim >= 2 and sample_size < dim + 30:
+    if dim >= 2 and sample_size < dim + VAR_SPARE_OBS:
         raise ValidationError(
-            f"Monte Carlo sample size must be at least {dim + 30} for dimension "
+            f"Monte Carlo sample size must be at least {dim + VAR_SPARE_OBS} for dimension "
             f"{dim}, got {sample_size}"
         )
     if sample_size > _NULL_POINTS // dim:

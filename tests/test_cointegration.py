@@ -7,6 +7,7 @@ import pytest
 
 from conftest import estimate_half_life, portfolio_steps_one_by_one, price_panel, six_walks
 from mrpairs import cointegration, unit_root
+from mrpairs.backtest import trade_subset
 from mrpairs.cointegration import (
     JohansenOutcome,
     enumerate_combinations,
@@ -393,7 +394,11 @@ class TestPortfolioTail:
             assert portfolio.spread.values.tobytes() == values.tobytes()
             assert portfolio.spread.zscores.tobytes() == zscores.tobytes()
             assert repr(portfolio.half_life_days) == repr(half_life)
-            assert portfolio.spread.dates is panel.dates
+
+    def test_positions_carry_the_subset_panels_calendar(self, recipe_panel):
+        ids = list(recipe_panel.instrument_ids)
+        sub, _, _, positions = trade_subset(recipe_panel, ids, 10, None, 1.0, 0.0)
+        assert positions.dates is sub.dates
 
     @pytest.mark.parametrize("budget", [1, 1 << 40])
     def test_every_ranked_scan_row_matches_the_steps_one_subset_at_a_time(

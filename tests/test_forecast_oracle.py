@@ -5,7 +5,9 @@ the earlier construction: one month at a time, a change strictly above
 +flat_epsilon is Up, strictly below -flat_epsilon is Down, anything else
 (the band's edges included) is Flat, and each feature row is built from
 Python lists with the 3-month mean taken by `np.mean`. The array versions
-must give bitwise-equal features and the same labels and months.
+must give bitwise-equal features and the same labels and months. This is
+the labels' one check at the band's edges: the `integer` and `zeros` kinds
+run at flat_epsilon = 1 with changes of exactly +-1.
 
 `reference_train_direction_classifier` keeps the classifier's earlier
 epoch loop, a fresh array for every step of the update, and the moments
@@ -26,7 +28,6 @@ from mrpairs.macro_signals import (
     DirectionLabel,
     DirectionModel,
     build_direction_features,
-    label_directions,
     predict_directions,
     train_direction_classifier,
     train_direction_classifiers,
@@ -99,9 +100,6 @@ def test_features_labels_and_months_match_the_loops(case):
     assert X.tobytes() == ref_X.tobytes()
     assert labels == ref_labels
     assert months == ref_months
-    assert label_directions(series, epsilon) == reference_label_directions(
-        series, epsilon
-    )
 
 
 def reference_train_direction_classifier(features, labels):

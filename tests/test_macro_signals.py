@@ -16,7 +16,6 @@ from mrpairs.macro_signals import (
     build_direction_features,
     direction_to_signal,
     expand_monthly_to_daily,
-    label_directions,
     load_forecast_oracle_csv,
     predict_directions,
     train_direction_classifier,
@@ -36,22 +35,28 @@ def _monthly(values, start_year=2000):
     return MonthlySeries(months=tuple(months), values=np.array(values, float))
 
 
+# The labels' rule, band edges included, is also checked month by month
+# against a reference loop in test_forecast_oracle.py. The first months of
+# each series here are the features' burn-in and carry no label.
 class TestLabelDirections:
     def test_definitional(self):
-        labels = label_directions(_monthly([2, 3, 3, 1]))
+        _, labels, _ = build_direction_features(_monthly([1, 1, 1, 2, 3, 3, 1]))
         assert labels == [DirectionLabel.UP, DirectionLabel.FLAT, DirectionLabel.DOWN]
 
     def test_constant_all_flat(self):
-        assert label_directions(_monthly([5] * 6)) == [DirectionLabel.FLAT] * 5
+        _, labels, _ = build_direction_features(_monthly([5] * 6))
+        assert labels == [DirectionLabel.FLAT] * 2
 
     def test_flat_band(self):
-        labels = label_directions(_monthly([1.0, 1.4, 0.8]), flat_epsilon=0.5)
+        _, labels, _ = build_direction_features(
+            _monthly([1.0, 1.0, 1.0, 1.0, 1.4, 0.8]), flat_epsilon=0.5
+        )
         assert labels == [DirectionLabel.FLAT, DirectionLabel.DOWN]
 
     @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
     def test_flat_band_must_be_finite_and_non_negative(self, epsilon):
         with pytest.raises(ValidationError, match="finite and non-negative"):
-            label_directions(_monthly([1.0, 1.4, 0.8]), flat_epsilon=epsilon)
+            build_direction_features(_monthly([5] * 6), flat_epsilon=epsilon)
 
 
 def _separable_set(seed, n_per_class=20):
