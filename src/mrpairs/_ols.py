@@ -4,14 +4,13 @@ Normal equations square the condition number; lagged-difference regressor
 blocks are frequently near-collinear, so everything here goes through a
 thin QR factorization and explicit rank checks.
 
-`r_factor` gives the R factor of one large design (an ADF test's max-lag
-design, the scan's panel-wide W and V) by overwriting it with one LAPACK
-`dgeqrf` call, bit-equal to `np.linalg.qr(a, mode="r")`. That wrapper
-copies its input and allocates a design-sized buffer on every call; for
-one design, the copies and their fresh pages cost about as much as the
-factorization. Stacks of small slices still go through `np.linalg.qr`,
-which reuses one buffer for the whole stack: a per-slice in-place `dgeqrf`
-is bit-equal to it and no faster on the scan's 0.5 MB chunks.
+`r_factor` gives the R factor of a design by overwriting it with LAPACK's
+`dgeqrf`, bit-equal to `np.linalg.qr(a, mode="r")`: one large design (an
+ADF test's max-lag design, the scan's panel-wide W and V), or a stack of
+small ones (the scan's column slices of W and V, a Johansen test's own
+designs). That wrapper copies its input and allocates a buffer of the
+input's size on every call; for one design, the copies and their fresh
+pages cost about as much as the factorization.
 
 Every fit of Y on a design of n rows and k regressors makes two checks,
 in this order: n > k, else "<n> observations for <k> regressors"; then
@@ -19,15 +18,13 @@ the one rank rule, `rank_deficient`, on the |R_jj| of the design's R
 factor, else "regressor matrix is rank deficient". `failure_error`
 raises the first message as `DegenerateInputError`; a caller tells the
 rank rule apart by that message, as `unit_root.NO_TEST` does.
-`nested_residual_moments` takes the R factor of [X | Y], or a stack of
-them, and gives the residual moments of Y on column prefixes of X, with
-the outcome of each check as a message rather than a raise, so one
-failing fit in a stack does not stop the others. It serves VAR lag
-selection (every prefix; R from column subsets of a panel-wide factor)
-and the Johansen step (the one prefix Z; Y holds both dY_t and Y_{t-p}).
-ADF lag selection needs only each prefix's RSS, which it reads off its
-own R factor; it takes the same checks from `prefix_failures` and
-`first_failures`.
+`prefix_failures` gives the outcome of both checks for fits of Y on
+column prefixes of X, from the R factor of [X | Y] or a stack of them, as
+messages rather than raises, so one failing fit in a stack does not stop
+the others; `prefix_moments` gives those fits' residual moments. ADF and
+VAR lag selection read both at every prefix (VAR's R from column subsets
+of a panel-wide factor); the Johansen step reads the checks of its one
+prefix Z.
 """
 
 from __future__ import annotations
@@ -50,32 +47,35 @@ def _too_few(n: int, k: int) -> str:
 
 
 def r_factor(a: np.ndarray) -> np.ndarray:
-    """The R factor of a thin QR of `a`, overwriting `a`.
+    """The R factor of a thin QR of `a`, or of each of a stack, overwriting `a`.
 
-    `a` must be a writeable, column-major float64 matrix; it is factored in
-    place with one `dgeqrf` call and holds LAPACK's Householder vectors
-    after. The workspace is the size LAPACK asks for, at least max(1, n),
-    as `np.linalg.qr` takes it, so R is bit-equal to that function's; past
-    128 columns dgeqrf takes its blocked path, whose rounding depends on
-    that size.
+    `a` must be a writeable float64 matrix in column-major layout, or a
+    stack (B, m, n) whose transpose `a.mT` is C-contiguous. Each matrix is
+    factored in place with one `dgeqrf` call and holds LAPACK's
+    Householder vectors after. The workspace is the size LAPACK asks for,
+    at least max(1, n), as `np.linalg.qr` takes it, so R is bit-equal to
+    that function's; past 128 columns dgeqrf takes its blocked path, whose
+    rounding depends on that size.
     """
     if not (
         isinstance(a, np.ndarray)
-        and a.ndim == 2
+        and a.ndim in (2, 3)
         and a.dtype == np.float64
-        and a.flags.f_contiguous
+        and a.mT.flags.c_contiguous
         and a.flags.writeable
     ):
-        raise ValueError("r_factor needs a writeable column-major float64 matrix")
-    m, n = a.shape
+        raise ValueError("r_factor needs a writeable column-major float64 matrix, or a stack")
+    m, n = a.shape[-2:]
     lda, tau, query = max(1, m), np.empty(min(m, n)), np.empty(1)
-    # lapack_lite takes C-contiguous arrays; a's transpose is a's memory.
-    lapack_lite.dgeqrf(m, n, a.T, lda, tau, query, -1, 0)
-    lwork = max(1, n, int(query[0]))
-    info = lapack_lite.dgeqrf(m, n, a.T, lda, tau, np.empty(lwork), lwork, 0)["info"]
-    if info != 0:
-        raise ValueError(f"dgeqrf failed with info {info}")
-    return np.triu(a[: min(m, n)])
+    # lapack_lite takes C-contiguous arrays; a matrix's transpose is its memory.
+    stack = a.mT.reshape(-1, n, m)
+    lapack_lite.dgeqrf(m, n, stack, lda, tau, query, -1, 0)
+    work = np.empty(max(1, n, int(query[0])))
+    for matrix in stack:
+        info = lapack_lite.dgeqrf(m, n, matrix, lda, tau, work, len(work), 0)["info"]
+        if info != 0:
+            raise ValueError(f"dgeqrf failed with info {info}")
+    return np.triu(a[..., : min(m, n), :])
 
 
 def rank_deficient(low: np.ndarray | float, high: np.ndarray | float) -> np.ndarray:
@@ -84,17 +84,18 @@ def rank_deficient(low: np.ndarray | float, high: np.ndarray | float) -> np.ndar
     return ~(low > _RANK_RTOL * np.maximum(high, 1.0))
 
 
-def prefix_failures(diag: np.ndarray, n: int, widths: Sequence[int]) -> np.ndarray:
+def prefix_failures(r: np.ndarray, k_max: int, n: int, widths: Sequence[int]) -> np.ndarray:
     """Per factor and width k, the message of the first check that the fit
     of Y on X[:, :k] fails, or "" where both pass: first n <= k gives
     "<n> observations for <k> regressors", then the rank rule on those k
     columns gives "regressor matrix is rank deficient".
 
-    `diag` holds |R_jj| of X's columns, on its last axis, in the R factor
-    of [X | Y] with n rows, or in a stack of them. A caller that
-    interleaves its own checks combines them per width with
-    `first_failures`, so each fit fails where a loop of separate fits would.
+    `r` is the R factor of [X | Y] with n rows, where X has k_max columns,
+    or a stack of them (..., K, C). A caller that interleaves its own
+    checks combines them per width with `first_failures`, so each fit
+    fails where a loop of separate fits would.
     """
+    diag = np.abs(np.diagonal(r[..., :k_max], axis1=-2, axis2=-1))
     last = np.minimum(widths, diag.shape[-1]) - 1
     low = np.minimum.accumulate(diag, axis=-1)[..., last]
     high = np.maximum.accumulate(diag, axis=-1)[..., last]
@@ -106,30 +107,20 @@ def prefix_failures(diag: np.ndarray, n: int, widths: Sequence[int]) -> np.ndarr
     return failures
 
 
-def nested_residual_moments(
-    r: np.ndarray, n: int, k_max: int, widths: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual moments of Y on each column prefix X[:, :k], from one R.
+def prefix_moments(r: np.ndarray, k_max: int, widths: Sequence[int]) -> np.ndarray:
+    """Residual moments of Y on each column prefix X[:, :k], stacked on axis -3.
 
-    `r` is the R factor of a thin QR of [X | Y] with n rows, where X has
-    k_max columns and Y the rest, or a stack of such factors (..., K, C).
-    Any upper-triangular R with R'R = [X | Y]'[X | Y] will do, such as the
-    QR of a column subset of a larger factor. The residual of Y on
-    X[:, :k] is Q[:, k:] R[k:, k_max:], so its cross-product is
-    R[k:, k_max:]' R[k:, k_max:]. Summing the trailing block avoids the
-    cancellation of Y'Y - |Q'Y|^2.
-
-    Returns the moment matrices stacked on axis -3 in width order, and the
-    `prefix_failures` of each factor and width.
+    `r` is as for `prefix_failures`, or any upper-triangular R with R'R =
+    [X | Y]'[X | Y]. The residual of Y on X[:, :k] is Q[:, k:] R[k:, k_max:],
+    so its moments are the sum of the outer products of R's rows i >= k of
+    Y: one reversed cumulative sum gives every width's, zero for a width of
+    K or more, without the cancellation of Y'Y - |Q'Y|^2.
     """
-    diag = np.abs(np.diagonal(r[..., :k_max], axis1=-2, axis2=-1))
-    failures = prefix_failures(diag, n, widths)
-    tails = [r[..., k:, k_max:] for k in widths]
-    # Data of 1e154 and up overflow the moments, and no caller uses them:
-    # such levels beside the unit intercept column fail the rank check
-    # above, and the Johansen step's `cond` check fails its moments.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.stack([tail.mT @ tail for tail in tails], axis=-3), failures
+    rows, m = r.shape[-2], r.shape[-1] - k_max
+    y = r[..., ::-1, k_max:]  # R's rows of Y, last first
+    sums = np.zeros(r.shape[:-2] + (rows + 1, m, m))  # sums[j]: of the last j rows
+    np.cumsum(y[..., :, None] * y[..., None, :], axis=-3, out=sums[..., 1:, :, :])
+    return sums[..., rows - np.minimum(widths, rows), :, :]
 
 
 def failure_error(message: str) -> DegenerateInputError:

@@ -5,7 +5,7 @@ factors the panel-wide max-lag design [1, Y_{t-1..p}, Y_t] once (one thin
 QR per distinct max lag); each subset's design is a column subset of it,
 so a QR of the matching columns of the small R factor yields every
 candidate lag's residual covariance for that subset
-(`VarLagSelector`, `_ols.nested_residual_moments`). The VECM then uses
+(`VarLagSelector`, `_ols.prefix_moments`). The VECM then uses
 k = p - 1 lagged differences with the long-run layout: the levels enter at
 the longest lag,
 
@@ -15,8 +15,8 @@ The constant is unrestricted (drift in the VAR, no trend in the
 cointegrating relation). Reduced-rank estimation takes the moment matrices
 S_ij = R_i'R_j/n of R0 (differences net of the short-run terms Z) and R1
 (lagged levels net of the same) from the trailing block of the R factor
-of [Z | dY_t | Y_{t-p}] (`_ols.nested_residual_moments`), and solves the
-generalized eigenproblem det(l*S11 - S10*S00^-1*S01) = 0. The trace
+of [Z | dY_t | Y_{t-p}], and solves the generalized eigenproblem
+det(l*S11 - S10*S00^-1*S01) = 0. The trace
 statistic for rank <= r is -n * sum_{i>r} ln(1 - l_i). That design, too,
 is a column subset of the panel-wide one, V = [1, dY_{t-1..t-k}, dY_t,
 Y_{t-p}], factored once per distinct chosen lag. Of the lag and Johansen
@@ -26,12 +26,12 @@ Subsets are fit in stacks: by width m for lag selection
 (`VarLagSelector.select_many`: one stacked QR of the R_W column subsets,
 stacked slogdets) and by (m, p) for the Johansen step (`_johansen_stack`:
 one stacked QR of the R_V column subsets, then stacked moments, cond,
-solve, Cholesky and eigh). numpy's stacked linear algebra runs the same
-LAPACK call on each matrix of a stack as on that matrix alone, so within
-one scan every figure is bit-identical whatever the stack and chunk
-sizes. Through the shared factors a subset's rounding depends on the
-other tested columns: its figures are within about 1e-12 relative of a
-fit of that subset alone. A check that fails for one subset becomes that
+solve, Cholesky and eigh). `_ols.r_factor` and numpy's stacked linear
+algebra run the same LAPACK call on each matrix of a stack as on that
+matrix alone, so within one scan every figure is bit-identical whatever
+the stack and chunk sizes. Through the shared factors a subset's
+rounding depends on the other tested columns: its figures are within
+about 1e-12 relative of a fit of that subset alone. A check that fails for one subset becomes that
 subset's message, in the order the single fit would raise it; the single
 fits (`select_var_lag`, `johansen_test`) are stacks of one that raise it.
 Each stack is processed in chunks under `_CHUNK_BYTES` (0.5 MB), so the
@@ -70,7 +70,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._ols import VAR_SPARE_OBS, failure_error, first_failures, nested_residual_moments, r_factor
+from ._ols import VAR_SPARE_OBS, failure_error, first_failures, r_factor
+from ._ols import prefix_failures, prefix_moments
 from .errors import DegenerateInputError, ValidationError
 from .market_data import PricePanel
 from .spread_dynamics import SpreadSeries, half_life_rows, zscore_rows
@@ -128,14 +129,14 @@ def _sliced_factors(
     `r_panel` factors a lag-major panel design D = Q*R: a ones column, then
     `n_blocks` blocks of one column per instrument. A subset's design is
     D[:, c] = Q*R[:, c] for its columns c, so a QR of R[:, c] factors it.
-    Each R[:, c] is gathered as rows of R', so it is column-major for LAPACK.
+    Each R[:, c] is gathered as rows of R', so it is column-major, and is
+    factored in place (`_ols.r_factor`).
     """
     B, N = len(subsets), (r_panel.shape[1] - 1) // n_blocks
     blocks = [1 + i * N + subsets for i in range(n_blocks)]
     picked = np.hstack([np.zeros((B, 1), np.intp)] + blocks)
     for chunk in _chunks(B, 8 * r_panel.shape[0] * picked.shape[1]):
-        sliced = np.take(r_panel.T, picked[chunk], axis=0).mT
-        yield chunk, np.linalg.qr(sliced, mode="r")
+        yield chunk, r_factor(np.take(r_panel.T, picked[chunk], axis=0).mT)
 
 
 class VarLagSelector:
@@ -147,7 +148,7 @@ class VarLagSelector:
     is asked for. A subset's design [X | Y] is the column subset W[:, c] =
     Q*R_W[:, c], so a QR of the small R_W[:, c] gives the subset's own R
     factor, and with it every candidate lag's residual covariance
-    (`_ols.nested_residual_moments`). `select_many` factors equal-width
+    (`_ols.prefix_moments`). `select_many` factors equal-width
     subsets as stacks. Each subset's Johansen design is likewise a column
     subset of the panel's VECM design V (`_vecm_factor`).
     """
@@ -189,11 +190,12 @@ class VarLagSelector:
         penalty = np.array([(math.log(n) / n) * (p * m * m + m) for p in lag_range])
         lags = np.zeros(B, np.intp)
         failures: list[str | None] = []
+        k_max = 1 + max_lag * m
         for chunk, r in _sliced_factors(self._factors[max_lag], columns, max_lag + 1):
-            moments, failed = nested_residual_moments(r, n, 1 + max_lag * m, widths)
-            # A failed fit's moments may not be finite, or may be exactly zero.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sign, logdet = np.linalg.slogdet(moments / n)
+            failed = prefix_failures(r, k_max, n, widths)
+            # A failed fit's moments may overflow, not be finite, or be exactly zero.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                sign, logdet = np.linalg.slogdet(prefix_moments(r, k_max, widths) / n)
             singular = (failed == "") & (sign <= 0)
             failed[singular] = "singular residual covariance in VAR fit"
             failures += first_failures(failed)
@@ -314,14 +316,16 @@ def _johansen_stack(
     failures: list[str | None] = []
     if r_v is None:
         factors = (
-            (c, np.linalg.qr(_vecm_designs(levels, subsets[c], p).mT, mode="r"))
+            (c, r_factor(_vecm_designs(levels, subsets[c], p).mT))
             for c in _chunks(B, 8 * n * (kz + 2 * m))
         )
     else:
         factors = _sliced_factors(r_v, subsets, p + 1)
     for chunk, r in factors:
-        cross, failed = nested_residual_moments(r, n, kz, [kz])
-        cross = cross[:, 0]
+        failed = prefix_failures(r, kz, n, [kz])
+        tail = r[:, kz:, kz:]  # [dY_t | Y_{t-p}] net of Z; overflow fails `cond` below
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = tail.mT @ tail
         s00, s11, s01 = cross[:, :m, :m] / n, cross[:, m:, m:] / n, cross[:, :m, m:] / n
         ill = (np.linalg.cond(s00) > _MAX_COND) | (np.linalg.cond(s11) > _MAX_COND)
         failed[(failed[:, 0] == "") & ill] = "singular moment matrix in Johansen step"

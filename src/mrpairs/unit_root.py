@@ -11,10 +11,10 @@ design is a column prefix of the max-lag design, so the one R factor of
 [design | response] gives everything: with X = Q*R, the residual of the
 response on the first k columns is Q[:, k:]*R[k:, -1], so every
 candidate's RSS is a reversed cumulative sum of squares of R's last
-column, and the chosen lag's coefficients and (X'X)^-1 come from R's
-leading k x k block. Nothing is refit. The design and its response are
-built as one column-major block, LAPACK's own layout, and factored as
-they are. The maximum lag follows Schwert's rule floor(12*(T/100)^(1/4)).
+column (`_ols.prefix_moments`), and the chosen lag's coefficients and
+(X'X)^-1 come from R's leading k x k block. The design and its response
+are built as one column-major block, LAPACK's own layout, and factored
+as they are. The maximum lag follows Schwert's rule floor(12*(T/100)^(1/4)).
 A constant series, a straight line and a design that fails the rank rule
 have no test: `adf_test` raises each as `DegenerateInputError` with its
 message in `NO_TEST`, which gives the reason a scan skips such a series.
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ols import (
-    _RANK_DEFICIENT, VAR_SPARE_OBS, failure_error, first_failures, prefix_failures, r_factor,
+    _RANK_DEFICIENT, VAR_SPARE_OBS, failure_error, first_failures, prefix_failures,
+    prefix_moments, r_factor,
 )
 from .errors import DegenerateInputError, ValidationError
 
@@ -137,14 +138,11 @@ def adf_test(series: np.ndarray, max_lag: int | None = None) -> AdfOutcome:
     n = len(design)
     k_max = max_lag + 2
     r = r_factor(design)
-    diag = np.abs(np.diagonal(r)[:k_max])
-    (failure,) = first_failures(prefix_failures(diag, n, range(2, k_max + 1))[None])
+    widths = np.arange(2, k_max + 1)
+    (failure,) = first_failures(prefix_failures(r, k_max, n, widths)[None])
     if failure:
         raise failure_error(failure)
-    # R is (k_max + 1) square now. Row i of its last column is the response's
-    # part along Q[:, i], so rows k.. hold the residual at width k = 2..k_max.
-    rss = np.cumsum(np.square(r[:1:-1, -1]))[::-1]
-    widths = np.arange(2, k_max + 1)
+    rss = prefix_moments(r, k_max, widths)[:, 0, 0]
     bic = n * np.log(np.maximum(rss, np.finfo(float).tiny) / n) + widths * math.log(n)
     p = int(np.argmin(bic))  # the first minimum, so ties keep the smaller lag
     k = p + 2

@@ -155,10 +155,10 @@ def error_of(fn, *args, **kwargs):
 def watch_qr(monkeypatch):
     """Record every QR the engine makes, as (input, mode, caller name).
 
-    The stacked slices go through `np.linalg.qr`; a single design is
-    factored in place by `_ols.r_factor`, recorded with mode "r". Every
-    binding of `r_factor` is patched, so the caller is the engine function
-    that asked for the factor.
+    Every design and stack of slices the engine factors goes through
+    `_ols.r_factor`, recorded with mode "r"; the half-life fits call
+    `np.linalg.qr`. Every binding of `r_factor` is patched, so the caller
+    is the engine function that asked for the factor.
     """
     seen = []
 

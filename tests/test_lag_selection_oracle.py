@@ -260,9 +260,8 @@ def test_scan_factors_the_panel_once_per_feasible_lag(
 ):
     # Four instruments keep W and V taller than wide, so each subset's QR
     # of a slice of R_W or R_V has fewer rows than the sample. Lag
-    # selection and the Johansen step factor with mode "r" (the panel
-    # designs with `r_factor`, the slices with `np.linalg.qr`); the
-    # half-life fits use "reduced". Each call is counted under the
+    # selection and the Johansen step factor with `r_factor`, recorded
+    # with mode "r"; the half-life fits use "reduced". Each call is counted under the
     # function that made it. A full-length factor has n = T - p rows at
     # lag p: one R_W per feasible max lag and one R_V per chosen lag, none
     # per subset.

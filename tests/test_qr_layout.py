@@ -1,20 +1,21 @@
 """Every R-only QR of the I(d) screen and the scan gets a column-major input.
 
-A single design (an ADF test's max-lag design, the panel's W and V) is
-factored in place by `_ols.r_factor`, which takes only a column-major
-float64 matrix, so it is built in that layout. The stacked slices go
-through `np.linalg.qr`, which copies its input into LAPACK's column-major
-layout; an input already in that layout is copied column by column instead
-of gathered element by element. These tests watch both kinds of call.
+Every design and slice is factored in place by `_ols.r_factor`, which
+takes only a column-major float64 matrix, or a stack of them, so each is
+built in that layout: a single design (an ADF test's max-lag design, the
+panel's W and V) and the stacked column slices of W and V alike. These
+tests watch those calls, and hold `r_factor` bit-equal to
+`np.linalg.qr(mode="r")`.
 """
 
 import datetime as dt
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import watch_qr
-from mrpairs import _ols, unit_root
+from mrpairs import _ols, cointegration, unit_root
 from mrpairs.cointegration import scan_cointegration
 from mrpairs.market_data import PricePanel, trading_days
 from mrpairs.unit_root import IntegrationOrder, schwert_max_lag
@@ -127,8 +128,31 @@ def test_r_factor_rejects_what_it_would_have_to_copy():
         column_major.astype(np.int64, order="F"),
         column_major.astype(np.float32, order="F"),
         column_major[::2],
-        column_major[None],
+        np.stack([np.ascontiguousarray(column_major)] * 3),
         frozen,
     ):
         with pytest.raises(ValueError, match="column-major float64"):
             _ols.r_factor(bad)
+
+
+@pytest.mark.parametrize(
+    "rows, n_blocks", [(1000, 11), (1000, 2), (30, 11)], ids=["111x45", "21x9", "30x45"]
+)
+def test_sliced_stacks_are_numpy_qr_bit_for_bit(rows, n_blocks):
+    # A panel factor of 10 instruments, as W at max lag 10 (111 columns)
+    # or V at lag 1 (21), or of a sample shorter than W is wide, whose
+    # slices have fewer rows than columns; sliced for every subset of 4.
+    rng = np.random.default_rng(rows + n_blocks)
+    design = np.asfortranarray(rng.standard_normal((rows, 1 + 10 * n_blocks)))
+    design[:, 0] = 1.0
+    r_panel = _ols.r_factor(design)
+    subsets = np.array(list(itertools.combinations(range(10), 4)))
+    picked = np.hstack([np.zeros((len(subsets), 1), np.intp)] + [
+        1 + 10 * i + subsets for i in range(n_blocks)
+    ])
+    sliced = np.take(r_panel.T, picked, axis=0).mT
+    expected = np.linalg.qr(sliced, mode="r")
+    assert sliced.shape[1:] == (min(rows, r_panel.shape[1]), 1 + 4 * n_blocks)
+    factors = list(cointegration._sliced_factors(r_panel, subsets, n_blocks))
+    r = np.concatenate([factor for _, factor in factors])
+    assert r.shape == expected.shape and r.tobytes() == expected.tobytes()
